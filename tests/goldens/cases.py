@@ -24,6 +24,11 @@ TABLE2_SCALE = 0.02
 TABLE2_SWEEP_HOURS = 4
 SEC7_SEED = 6
 SEC7_SCALE = 0.1
+HARVEST_SEED = 4
+HARVEST_SCALE = 0.02
+HARVEST_IPS = 8
+HARVEST_RELAYS_PER_IP = 8
+HARVEST_SWEEP_HOURS = 4
 
 
 def pipeline_artifacts(
@@ -95,6 +100,40 @@ def sec7_artifact(workers: Optional[int] = None, world=None) -> str:
     return run_sec7(world=world, workers=workers).report.format()
 
 
+def harvest_artifact() -> str:
+    """Harvest report plus digests of everything the trawl collected.
+
+    The report only counts onions; the digests pin which onions and which
+    descriptor IDs the burned attacker directories held, so drift in
+    descriptor placement or consensus admission moves the text.
+    """
+    import hashlib
+
+    from repro.experiments import run_harvest
+
+    result = run_harvest(
+        seed=HARVEST_SEED,
+        scale=HARVEST_SCALE,
+        ip_count=HARVEST_IPS,
+        relays_per_ip=HARVEST_RELAYS_PER_IP,
+        sweep_hours=HARVEST_SWEEP_HOURS,
+    )
+    harvest = result.harvest
+
+    def digest(items) -> str:
+        return hashlib.sha256(b"\n".join(sorted(items))).hexdigest()
+
+    onions = [onion.encode("ascii") for onion in harvest.onions]
+    lines = [
+        f"descriptors collected: {harvest.descriptors_collected}",
+        f"relays harvested: {harvest.relays_harvested}",
+        f"onions: {len(onions)} sha256={digest(onions)}",
+        f"descriptor ids: {len(harvest.descriptor_ids_seen)} "
+        f"sha256={digest(harvest.descriptor_ids_seen)}",
+    ]
+    return result.report.format() + "\n\n" + "\n".join(lines)
+
+
 #: name -> zero-argument builder for each pinned golden file.
 def _golden_fig1() -> str:
     return pipeline_artifacts(workers=1)["fig1_small"]
@@ -106,6 +145,10 @@ def _golden_fig1_faulted() -> str:
 
 def _golden_table2() -> str:
     return table2_artifact(workers=1)
+
+
+def _golden_sec7() -> str:
+    return sec7_artifact(workers=1)
 
 
 def _golden_metrics() -> str:
@@ -141,6 +184,8 @@ GOLDEN_CASES = {
     "bench_toy_smoke": _golden_bench_schema,
     "fig1_small": _golden_fig1,
     "fig1_small_faulted": _golden_fig1_faulted,
+    "harvest_small": harvest_artifact,
     "metrics_small": _golden_metrics,
+    "sec7_small": _golden_sec7,
     "table2_small": _golden_table2,
 }
