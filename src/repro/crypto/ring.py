@@ -177,6 +177,11 @@ class FingerprintRing:
         """All fingerprints in ring order."""
         return [self._by_position[p] for p in self._positions]
 
+    def same_members(self, other: "FingerprintRing") -> bool:
+        """Whether ``other`` holds exactly this ring's fingerprints, so that
+        every placement on one equals the placement on the other."""
+        return self._positions == other._positions
+
     def responsible_for(
         self, descriptor_id: bytes, count: int = HSDIRS_PER_REPLICA
     ) -> List[Fingerprint]:

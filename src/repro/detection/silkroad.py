@@ -254,13 +254,14 @@ class _Injector:
 
     def _position_for_period(
         self, relay: Relay, target_period_start: Timestamp, ratio: float, replica: int,
-        slot: int = 0,
+        slot: int = 0, up_since: Optional[Timestamp] = None,
     ) -> None:
         """Grind (forge) a key so ``relay`` lands just after the target
         descriptor ID of the period starting at ``target_period_start``.
 
         The rotation happens *now*; the caller must leave ≥ 25 hours before
-        the target period so the HSDir flag is back.  ``slot`` staggers
+        the target period so the HSDir flag is back, or backdate the
+        restarted uptime clock with ``up_since``.  ``slot`` staggers
         multiple relays onto consecutive responsible positions.
         """
         desc = descriptor_id(self.onion, target_period_start, replica)
@@ -270,7 +271,7 @@ class _Injector:
         key = KeyPair.forge_near(
             self.rng, (target_point + slot * max_distance * 2) % RING_SIZE, max_distance
         )
-        relay.adopt_key(key, self.network.clock.now)
+        relay.adopt_key(key, self.network.clock.now, up_since=up_since)
 
     def _mark_campaign(self, when: Timestamp) -> None:
         first, last = self.world.campaigns.get(self.name, (when, when))
@@ -309,13 +310,12 @@ class _Year1Oddity(_Injector):
                 # (within (2d, 3d] of the descriptor ID for d = avg/40): the
                 # oddity positions itself, but below the ratio-100 threshold
                 # — year one must show "no clear indication of tracking".
+                # The operator actually rotated a day earlier, so the new key
+                # already has the 25 hours of uptime HSDir needs.
                 self._position_for_period(
-                    self.relay, occasion, ratio=40.0, replica=0, slot=1
+                    self.relay, occasion, ratio=40.0, replica=0, slot=1,
+                    up_since=self.network.clock.now - 30 * HOUR,
                 )
-                # adopt_key restarted the uptime clock at "now"; give it the
-                # 25 hours by backdating the rotation (the operator actually
-                # rotated a day earlier).
-                self.relay._up_since = self.network.clock.now - 30 * HOUR
                 self._armed_for = occasion
                 self._mark_campaign(occasion)
                 return

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
+from repro.crypto.keys import Fingerprint
 from repro.dirauth.consensus import Consensus, ConsensusEntry, apply_per_ip_limit
 from repro.dirauth.voting import FlagPolicy
 from repro.errors import ConsensusError
@@ -90,7 +91,8 @@ class AuthorityCouncil:
     """Nine authorities, one consensus.
 
     Protocol-compatible with :class:`DirectoryAuthoritySet` (``register``,
-    ``deregister``, ``monitored_relays``, ``build_consensus``), so it can be
+    ``deregister``, ``monitored_relays``, ``build_consensus``, ``admitted``),
+    so it can be
     passed to :class:`~repro.tornet.TorNetwork` construction sites that
     accept an authority object.
     """
@@ -118,6 +120,7 @@ class AuthorityCouncil:
             for index in range(authority_count)
         ]
         self._relays: Dict[int, Relay] = {}
+        self.admitted: Dict[Fingerprint, Relay] = {}
         self.consensuses_built = 0
 
     # -- DirectoryAuthoritySet protocol ---------------------------------- #
@@ -147,13 +150,6 @@ class AuthorityCouncil:
         """How many relays are tracked."""
         return len(self._relays)
 
-    def relay_by_fingerprint(self, fingerprint) -> Optional[Relay]:
-        """Find the monitored relay currently holding ``fingerprint``."""
-        for relay in self._relays.values():
-            if relay.fingerprint == fingerprint:
-                return relay
-        return None
-
     # -- voting ------------------------------------------------------------ #
 
     def build_consensus(self, now: Timestamp) -> Consensus:
@@ -168,6 +164,7 @@ class AuthorityCouncil:
         quorum = len(self.authorities) // 2 + 1
 
         candidates: List[ConsensusEntry] = []
+        owners: Dict[Fingerprint, Relay] = {}
         for relay in relays:
             supporting = [
                 vote.opinions[relay.relay_id]
@@ -200,7 +197,11 @@ class AuthorityCouncil:
                     flags=flags,
                 )
             )
+            owners[relay.fingerprint] = relay
         admitted = apply_per_ip_limit(candidates)
         admitted.sort(key=lambda entry: entry.fingerprint)
+        self.admitted = {
+            entry.fingerprint: owners[entry.fingerprint] for entry in admitted
+        }
         self.consensuses_built += 1
         return Consensus(valid_after=int(now), entries=tuple(admitted))

@@ -11,6 +11,7 @@ harvesting attack exploits.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from repro.relay.flags import RelayFlags
@@ -71,3 +72,27 @@ class FlagPolicy:
         ):
             mask |= _GUARD
         return _flags_from_mask(mask)
+
+    def next_flag_change(self, relay: Relay, now: Timestamp) -> float:
+        """The first time after ``now`` at which :meth:`flags_for` may answer
+        differently for ``relay``, if the relay itself does not change.
+
+        Only uptime moves with the clock, and it changes a flag only on
+        reaching a threshold; ``math.inf`` once none is left ahead.
+        """
+        up_since = relay.up_since
+        if not relay.reachable or up_since is None:
+            return math.inf
+        when = int(now)
+        return min(
+            (
+                up_since + threshold
+                for threshold in (
+                    self.hsdir_min_uptime,
+                    self.stable_min_uptime,
+                    self.guard_min_uptime,
+                )
+                if up_since + threshold > when
+            ),
+            default=math.inf,
+        )

@@ -11,7 +11,7 @@ request logs back to onion addresses requires re-deriving IDs per day.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.descriptor_id import (
     REPLICAS,
@@ -64,15 +64,24 @@ def make_descriptors(
     keypair: KeyPair,
     now: Timestamp,
     introduction_points: Tuple[str, ...] = (),
+    descriptor_ids: Optional[Sequence[DescriptorId]] = None,
 ) -> List[HSDescriptor]:
-    """Build both replica descriptors for the period containing ``now``."""
+    """Build both replica descriptors for the period containing ``now``.
+
+    ``descriptor_ids`` hands in the period's per-replica IDs when the caller
+    already derived them (the publish scheduler keeps them per period).
+    """
     if not keypair.public_der:
         raise DescriptorError("descriptor needs key material")
     onion = onion_address_from_key(keypair.public_der)
+    if descriptor_ids is None:
+        descriptor_ids = [
+            descriptor_id(onion, now, replica) for replica in range(REPLICAS)
+        ]
     return [
         HSDescriptor(
             onion=onion,
-            descriptor_id=descriptor_id(onion, now, replica),
+            descriptor_id=descriptor_ids[replica],
             replica=replica,
             public_der=keypair.public_der,
             published_at=int(now),

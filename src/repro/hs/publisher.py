@@ -9,25 +9,40 @@ coarse daily steps can instead call
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+from repro.crypto.descriptor_id import (
+    DescriptorId,
+    descriptor_ids_for_day_batch,
+    time_period_boundaries,
+)
 from repro.crypto.keys import Fingerprint
+from repro.crypto.ring import FingerprintRing
 from repro.hs.service import HiddenService
+from repro.hsdir.ring_view import responsible_replica_lists_for_ids
 from repro.sim.clock import Timestamp
 from repro.sim.engine import EventEngine
 
 if TYPE_CHECKING:  # avoid a circular import: tornet imports repro.hs.service
     from repro.tornet import TorNetwork
 
+#: One service's placement: its two descriptor IDs for the current period
+#: and the responsible fingerprints of each replica.
+Placement = Tuple[List[DescriptorId], List[List[Fingerprint]]]
+
 
 class PublishScheduler:
     """Keeps every online service's descriptors fresh.
 
-    All three entry points batch the responsible-HSDir placement: one
-    shared secret-part table plus one vectorised ring bisect per call
-    covers the whole population, instead of two SHA-1s and two Python
-    bisects per service.  Upload order, delivery targets, and every
-    counter stay byte-identical to the scalar per-service loop.
+    Placement is batched: one shared secret-part table plus one vectorised
+    ring bisect per call covers every service placed, instead of two SHA-1s
+    and two Python bisects per service.  It is also incremental.  A
+    service's two descriptor IDs are derived once per time period, and
+    :meth:`maintain` re-places a service only when an input of its
+    placement changed: its period rolled, the HSDir ring's membership
+    changed, or it was never placed.  Upload order, delivery targets, and
+    every counter stay byte-identical to re-placing every online service on
+    every call.
     """
 
     def __init__(self, network: "TorNetwork", services: Iterable[HiddenService]) -> None:
@@ -35,17 +50,55 @@ class PublishScheduler:
         self.services: List[HiddenService] = list(services)
         self._next_publish: Dict[int, Timestamp] = {}
         self._last_responsible: Dict[int, frozenset] = {}
+        # index -> (period start, period end, the period's descriptor IDs)
+        self._descriptor_ids: Dict[
+            int, Tuple[Timestamp, Timestamp, List[DescriptorId]]
+        ] = {}
+        # index -> (ring generation, period start, period end) of the
+        # placement that ``_last_responsible`` holds
+        self._placed: Dict[int, Tuple[int, Timestamp, Timestamp]] = {}
+        self._ring: Optional[FingerprintRing] = None
+        self._ring_generation = 0
 
     def _placements(
         self, targets: List[Tuple[int, HiddenService]], now: Timestamp
-    ) -> Dict[int, List[List[Fingerprint]]]:
+    ) -> Dict[int, Placement]:
         """Batched per-replica placement for ``targets``, keyed by index."""
         if not targets:
             return {}
-        per_replica = self.network.responsible_replica_lists_batch(
-            [service.onion for _, service in targets], now
+        when = int(now)
+        ids_by_index = self._descriptor_ids
+        rolled = []
+        for index, service in targets:
+            cached = ids_by_index.get(index)
+            if cached is None or not cached[0] <= when < cached[1]:
+                rolled.append((index, service))
+        if rolled:
+            fresh = descriptor_ids_for_day_batch(
+                [service.onion for _, service in rolled], now
+            )
+            for (index, service), ids in zip(rolled, fresh):
+                start, end = time_period_boundaries(now, service.permanent_id)
+                ids_by_index[index] = (start, end, ids)
+        id_lists = [ids_by_index[index][2] for index, _ in targets]
+        per_replica = responsible_replica_lists_for_ids(
+            self.network.consensus, id_lists
         )
-        return {index: lists for (index, _), lists in zip(targets, per_replica)}
+        return {
+            index: (ids, lists)
+            for (index, _), ids, lists in zip(targets, id_lists, per_replica)
+        }
+
+    def _publish(
+        self, service: HiddenService, now: Timestamp, placement: Placement
+    ) -> int:
+        descriptor_ids, responsible_per_replica = placement
+        return self.network.publish_service(
+            service,
+            now,
+            responsible_per_replica=responsible_per_replica,
+            descriptor_ids=descriptor_ids,
+        )
 
     def publish_initial(self, now: Timestamp) -> int:
         """Publish every online service once and prime the schedule."""
@@ -57,10 +110,8 @@ class PublishScheduler:
         placements = self._placements(online, now)
         delivered = 0
         for index, service in enumerate(self.services):
-            if service.is_online(now):
-                delivered += self.network.publish_service(
-                    service, now, responsible_per_replica=placements[index]
-                )
+            if index in placements:
+                delivered += self._publish(service, now, placements[index])
             self._next_publish[index] = service.next_publish_after(now)
         return delivered
 
@@ -85,10 +136,8 @@ class PublishScheduler:
                 self._next_publish[index] = service.next_publish_after(now)
                 continue
             if now >= due:
-                if service.is_online(now):
-                    delivered += self.network.publish_service(
-                        service, now, responsible_per_replica=placements[index]
-                    )
+                if index in placements:
+                    delivered += self._publish(service, now, placements[index])
                 self._next_publish[index] = service.next_publish_after(now)
         return delivered
 
@@ -100,6 +149,10 @@ class PublishScheduler:
         their responsible directories.  This is the behaviour that lets the
         shadow-relay attack harvest descriptors from relays that entered the
         consensus mid-period.  Call once per consensus (hourly).
+
+        A responsible set depends only on the service's descriptor IDs and
+        the HSDir ring's members, so only services whose period rolled, or
+        every service when the members changed, are placed again.
         """
         delivered = self.publish_due(now)
         online = [
@@ -107,16 +160,33 @@ class PublishScheduler:
             for index, service in enumerate(self.services)
             if service.is_online(now)
         ]
-        placements = self._placements(online, now)
+        if not online:
+            return delivered
+        ring = self.network.consensus.hsdir_ring
+        if self._ring is None or not ring.same_members(self._ring):
+            self._ring_generation += 1
+        self._ring = ring
+        generation = self._ring_generation
+        when = int(now)
+        stale = []
         for index, service in online:
-            replica_lists = placements[index]
+            placed = self._placed.get(index)
+            if (
+                placed is None
+                or placed[0] != generation
+                or not placed[1] <= when < placed[2]
+            ):
+                stale.append((index, service))
+        placements = self._placements(stale, now)
+        for index, service in stale:
+            placement = placements[index]
+            start, end, _ = self._descriptor_ids[index]
+            self._placed[index] = (generation, start, end)
             responsible = frozenset(
-                fp for replica_fps in replica_lists for fp in replica_fps
+                fp for replica_fps in placement[1] for fp in replica_fps
             )
             if self._last_responsible.get(index) != responsible:
-                delivered += self.network.publish_service(
-                    service, now, responsible_per_replica=replica_lists
-                )
+                delivered += self._publish(service, now, placement)
                 self._last_responsible[index] = responsible
         return delivered
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.crypto.descriptor_id import time_period_boundaries
+from repro.crypto.descriptor_id import DescriptorId, time_period_boundaries
 from repro.crypto.keys import KeyPair
 from repro.crypto.onion import OnionAddress, onion_address_from_key, permanent_id_from_onion
 from repro.hs.descriptor import HSDescriptor, make_descriptors
@@ -68,9 +68,14 @@ class HiddenService:
             return False
         return True
 
-    def current_descriptors(self, now: Timestamp) -> List[HSDescriptor]:
-        """Both replica descriptors for the period containing ``now``."""
-        return make_descriptors(self.keypair, now, self.introduction_points)
+    def current_descriptors(
+        self, now: Timestamp, descriptor_ids: Optional[Sequence[DescriptorId]] = None
+    ) -> List[HSDescriptor]:
+        """Both replica descriptors for the period containing ``now``
+        (``descriptor_ids``: that period's IDs, when the caller has them)."""
+        return make_descriptors(
+            self.keypair, now, self.introduction_points, descriptor_ids
+        )
 
     def next_publish_after(self, now: Timestamp) -> Timestamp:
         """The next period boundary at which the service republishes."""

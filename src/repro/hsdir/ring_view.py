@@ -14,6 +14,7 @@ from typing import List, Sequence
 
 from repro.crypto.descriptor_id import (
     REPLICAS,
+    DescriptorId,
     descriptor_id,
     descriptor_ids_for_day_batch,
 )
@@ -67,7 +68,23 @@ def responsible_replica_lists_batch(
     the batch derives every descriptor ID through the shared secret-part
     table and places all of them with one vectorised ring bisect.
     """
-    id_lists = descriptor_ids_for_day_batch(onions, now)
+    return responsible_replica_lists_for_ids(
+        consensus, descriptor_ids_for_day_batch(onions, now), count
+    )
+
+
+def responsible_replica_lists_for_ids(
+    consensus: Consensus,
+    id_lists: Sequence[Sequence[DescriptorId]],
+    count: int = HSDIRS_PER_REPLICA,
+) -> List[List[List[Fingerprint]]]:
+    """Per-replica responsible fingerprints for already derived descriptor IDs.
+
+    ``id_lists[i]`` holds one onion's per-replica IDs, as
+    :func:`~repro.crypto.descriptor_id.descriptor_ids_for_day_batch` returns
+    them; element ``[i][replica]`` places ``id_lists[i][replica]``, and all
+    of them are placed with one vectorised ring bisect.
+    """
     flat = [desc_id for ids in id_lists for desc_id in ids]
     placed = consensus.hsdir_ring.responsible_for_many(flat, count)
     return [

@@ -12,6 +12,9 @@ hours).  Two behaviours matter specially here:
 * **Reachability control** (``set_reachable``): the trawling attacker makes
   its *active* relays unreachable so that *shadow* relays on the same IP
   slide into the consensus with their accumulated uptime (Section II).
+
+Every attribute write moves :attr:`Relay.state_version`; the directory
+authority reuses a relay's consensus entry only while it stands still.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 from repro.crypto.keys import Fingerprint, KeyPair
 from repro.errors import SimulationError
@@ -64,11 +67,21 @@ class Relay:
     _up_since: Optional[Timestamp] = field(default=None, repr=False)
     key_changes: List[KeyChange] = field(default_factory=list, repr=False)
 
+    #: Moves on every attribute write, so equal versions mean equal state.
+    state_version: ClassVar[int] = 0
+
     def __post_init__(self) -> None:
         if self.bandwidth < 0:
             raise SimulationError(f"negative bandwidth: {self.bandwidth}")
         if self._up_since is None and self.reachable:
             self._up_since = self.started_at
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # Counting writes here rather than in each mutator leaves no state
+        # change, a method's or a direct assignment's, that the authority's
+        # entry cache could miss.
+        object.__setattr__(self, name, value)
+        self.__dict__["state_version"] = self.state_version + 1
 
     @property
     def fingerprint(self) -> Fingerprint:
@@ -79,6 +92,12 @@ class Relay:
     def address(self) -> tuple[IPv4, int]:
         """The (IP, ORPort) pair identifying the physical server."""
         return (self.ip, self.or_port)
+
+    @property
+    def up_since(self) -> Optional[Timestamp]:
+        """Start of the current stretch of observed reachability (None while
+        unreachable)."""
+        return self._up_since
 
     def uptime(self, now: Timestamp) -> int:
         """Continuous seconds of observed reachability ending at ``now``."""
@@ -103,10 +122,19 @@ class Relay:
         """
         return self.adopt_key(KeyPair.generate(rng), now)
 
-    def adopt_key(self, keypair: KeyPair, now: Timestamp) -> KeyPair:
+    def adopt_key(
+        self,
+        keypair: KeyPair,
+        now: Timestamp,
+        up_since: Optional[Timestamp] = None,
+    ) -> KeyPair:
         """Install a specific key pair (used by trackers that ground a
         fingerprint next to a predicted descriptor ID), recording the change
-        and restarting the uptime clock."""
+        and restarting the uptime clock.
+
+        The clock restarts at ``now``, or at ``up_since`` for an operator who
+        actually rotated earlier than the change is recorded.
+        """
         old = self.keypair
         self.keypair = keypair
         self.key_changes.append(
@@ -117,7 +145,7 @@ class Relay:
             )
         )
         if self.reachable:
-            self._up_since = int(now)
+            self._up_since = int(now if up_since is None else up_since)
         return keypair
 
     def __repr__(self) -> str:

@@ -175,10 +175,7 @@ class TorNetwork:
             self.clock.advance_to(now)
         consensus = self.authority.build_consensus(now)
         self._consensus = consensus
-        self._relays_by_fingerprint = {}
-        for relay in self.authority.monitored_relays:
-            if relay.fingerprint in consensus:
-                self._relays_by_fingerprint[relay.fingerprint] = relay
+        self._relays_by_fingerprint = self.authority.admitted
         if archive and self.archive is not None:
             self.archive.append(consensus)
         return consensus
@@ -243,6 +240,7 @@ class TorNetwork:
         service: HiddenService,
         now: Optional[Timestamp] = None,
         responsible_per_replica: Optional[Sequence[Sequence[Fingerprint]]] = None,
+        descriptor_ids: Optional[Sequence[DescriptorId]] = None,
     ) -> int:
         """Upload both replicas of ``service`` to the responsible HSDirs.
 
@@ -254,6 +252,8 @@ class TorNetwork:
         placement (``responsible_replica_lists_batch``) hand the per-replica
         fingerprint lists in; when omitted the scalar derivation runs here,
         and both paths deliver to identical directories in identical order.
+        ``descriptor_ids`` likewise hands in the period's two descriptor
+        IDs, so the descriptors do not derive them again.
         """
         if now is None:
             now = self.clock.now
@@ -268,7 +268,7 @@ class TorNetwork:
             else None
         )
         delivered = 0
-        for descriptor in service.current_descriptors(now):
+        for descriptor in service.current_descriptors(now, descriptor_ids):
             responsible = (
                 responsible_per_replica[descriptor.replica]
                 if responsible_per_replica is not None

@@ -3,13 +3,34 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.keys import KeyPair
-from repro.dirauth.authority import DirectoryAuthoritySet
+from repro.dirauth.authority import DirectoryAuthoritySet, build_consensus_scratch
+from repro.dirauth.voting import FlagPolicy
 from repro.errors import ConsensusError
 from repro.relay.flags import RelayFlags
 from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR
+
+POLICY = FlagPolicy()
+#: Uptimes at which HSDir, Stable and Guard appear.
+THRESHOLDS = (
+    POLICY.hsdir_min_uptime,
+    POLICY.stable_min_uptime,
+    POLICY.guard_min_uptime,
+)
+CHURN = (
+    "spawn",
+    "deregister",
+    "reregister",
+    "down",
+    "up",
+    "rotate",
+    "backdate",
+    "tick",
+    "threshold",
+)
 
 
 def make_relay(ip, bandwidth=500, started_at=0, nickname="r", seed=None):
@@ -21,6 +42,21 @@ def make_relay(ip, bandwidth=500, started_at=0, nickname="r", seed=None):
         bandwidth=bandwidth,
         started_at=started_at,
     )
+
+
+def assert_matches_scratch(authority, now):
+    """Build once and compare with the from-scratch oracle: every entry,
+    and the fingerprint -> relay map the network reads."""
+    consensus = authority.build_consensus(now)
+    oracle = build_consensus_scratch(authority.monitored_relays, authority.policy, now)
+    assert consensus.valid_after == oracle.valid_after
+    assert consensus.entries == oracle.entries
+    assert {fp: relay.relay_id for fp, relay in authority.admitted.items()} == {
+        relay.fingerprint: relay.relay_id
+        for relay in authority.monitored_relays
+        if relay.fingerprint in oracle
+    }
+    return consensus
 
 
 class TestRegistration:
@@ -42,13 +78,6 @@ class TestRegistration:
         authority.register(relay)
         authority.deregister(relay)
         assert authority.monitored_count == 0
-
-    def test_relay_by_fingerprint(self):
-        authority = DirectoryAuthoritySet()
-        relay = make_relay(1)
-        authority.register(relay)
-        assert authority.relay_by_fingerprint(relay.fingerprint) is relay
-        assert authority.relay_by_fingerprint(b"\x00" * 20) is None
 
 
 class TestConsensusBuilding:
@@ -101,3 +130,89 @@ class TestConsensusBuilding:
         authority.build_consensus(0)
         authority.build_consensus(HOUR)
         assert authority.consensuses_built == 2
+
+
+class TestIncrementalBuild:
+    def test_unchanged_relay_reuses_its_entry(self):
+        authority = DirectoryAuthoritySet()
+        authority.register(make_relay(1, started_at=0, seed=1))
+        first = authority.build_consensus(2 * DAY)
+        second = authority.build_consensus(3 * DAY)  # no threshold in between
+        assert second.entries[0] is first.entries[0]
+
+    @pytest.mark.parametrize(
+        "bandwidth",
+        [POLICY.guard_min_bandwidth - 1, POLICY.guard_min_bandwidth],
+    )
+    def test_flag_thresholds_match_scratch(self, bandwidth):
+        authority = DirectoryAuthoritySet()
+        authority.register(make_relay(1, bandwidth=bandwidth, started_at=0, seed=2))
+        for threshold in THRESHOLDS:
+            for now in (threshold - 1, threshold, threshold + 1):
+                assert_matches_scratch(authority, now)
+        (entry,) = authority.build_consensus(POLICY.guard_min_uptime).entries
+        assert entry.has(RelayFlags.GUARD) == (
+            bandwidth >= POLICY.guard_min_bandwidth
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relay_churn_matches_scratch(self, data):
+        """Registration churn, reachability flips, key rotations and
+        backdated key changes, with ``now`` moving both ways and landing on
+        flag thresholds: every build equals the from-scratch oracle."""
+        keys = random.Random(data.draw(st.integers(0, 2**16), label="key seed"))
+        authority = DirectoryAuthoritySet()
+        monitored, retired = [], []
+        now = 20 * DAY
+
+        def spawn():
+            relay = Relay(
+                nickname=f"r{len(monitored) + len(retired)}",
+                ip=data.draw(st.integers(1, 3), label="ip"),
+                or_port=9001,
+                keypair=KeyPair.generate(keys),
+                bandwidth=data.draw(
+                    st.sampled_from((99, 100, 249, 250, 251)), label="bandwidth"
+                ),
+                started_at=now - data.draw(st.integers(0, 10 * DAY), label="age"),
+            )
+            authority.register(relay)
+            monitored.append(relay)
+
+        for _ in range(3):
+            spawn()
+        for _ in range(data.draw(st.integers(1, 30), label="steps")):
+            op = data.draw(st.sampled_from(CHURN), label="op")
+            if op == "spawn" or not monitored:
+                spawn()
+            elif op == "reregister":
+                if retired:
+                    relay = retired.pop()
+                    authority.register(relay)
+                    monitored.append(relay)
+            elif op == "tick":
+                now += data.draw(st.integers(-HOUR, 3 * DAY), label="tick")
+            else:
+                relay = data.draw(st.sampled_from(monitored), label="relay")
+                if op == "deregister":
+                    authority.deregister(relay)
+                    monitored.remove(relay)
+                    retired.append(relay)
+                elif op == "down":
+                    relay.set_reachable(False, now)
+                elif op == "up":
+                    back = data.draw(st.integers(0, 2 * DAY), label="since")
+                    relay.set_reachable(True, now - back)
+                elif op == "rotate":
+                    relay.rotate_key(keys, now)
+                elif op == "backdate":
+                    back = data.draw(st.integers(0, 9 * DAY), label="since")
+                    relay.adopt_key(KeyPair.generate(keys), now, up_since=now - back)
+                elif relay.up_since is not None:  # "threshold"
+                    now = (
+                        relay.up_since
+                        + data.draw(st.sampled_from(THRESHOLDS), label="threshold")
+                        + data.draw(st.sampled_from((-1, 0, 1)), label="edge")
+                    )
+            assert_matches_scratch(authority, now)

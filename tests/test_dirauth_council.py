@@ -147,6 +147,10 @@ class TestCouncilWithNetwork:
         consensus = network.rebuild_consensus(10 * DAY)
         assert len(consensus) >= 58
         assert consensus.hsdir_count >= 55
+        for entry in consensus:
+            relay = network.relay_for_fingerprint(entry.fingerprint)
+            assert relay.fingerprint == entry.fingerprint
+        assert network.relay_for_fingerprint(b"\x00" * 20) is None
 
         # Full protocol flow still works on top of the voted consensus.
         from repro.hs.service import HiddenService

@@ -5,9 +5,11 @@ import random
 from repro.crypto.keys import KeyPair
 from repro.hs.publisher import PublishScheduler
 from repro.hs.service import HiddenService
-from repro.sim.clock import DAY, HOUR
+from repro.sim.clock import DAY, HOUR, parse_date
 from repro.sim.engine import EventEngine
 from repro.sim.rng import derive_rng
+from repro.trawl.shadowing import ShadowFleet
+from tests.conftest import make_network
 
 
 def make_services(count, online_from=0):
@@ -93,6 +95,90 @@ class TestMaintain:
         scheduler.publish_initial(network.clock.now)
         scheduler.maintain(network.clock.now)
         assert scheduler.maintain(network.clock.now) == 0
+
+
+class FullReplacementScheduler(PublishScheduler):
+    """Reference :meth:`PublishScheduler.maintain`: every online service is
+    placed again on every call, whether or not its inputs moved."""
+
+    def maintain(self, now):
+        delivered = self.publish_due(now)
+        online = [
+            (index, service)
+            for index, service in enumerate(self.services)
+            if service.is_online(now)
+        ]
+        placements = self.network.responsible_replica_lists_batch(
+            [service.onion for _, service in online], now
+        )
+        for (index, service), replica_lists in zip(online, placements):
+            responsible = frozenset(fp for fps in replica_lists for fp in fps)
+            if self._last_responsible.get(index) != responsible:
+                delivered += self.network.publish_service(
+                    service, now, responsible_per_replica=replica_lists
+                )
+                self._last_responsible[index] = responsible
+        return delivered
+
+
+SWEEP_START = parse_date("2013-01-01")
+SWEEP_HOURS = 36
+
+
+def trawl_sweep(scheduler_cls):
+    """Hourly ``maintain`` through a shadow-relay sweep.
+
+    The fleet ripens into HSDir at 25 h and rotates every other hour from
+    27 h, so the ring moves; every service's period rolls once; service 1
+    goes offline at 6 h and comes back at 12 h.  Returns, per hour, the
+    delivered count and service 0's publish count, then every directory's
+    stored descriptors and upload counter.
+    """
+    network, pool = make_network(seed=23, relay_count=40, start=SWEEP_START)
+    services = make_services(30)
+    rolling, flapper = services[0], services[1]
+    fleet = ShadowFleet(
+        network,
+        ip_count=3,
+        relays_per_ip=10,
+        rng=derive_rng(23, "fleet"),
+        address_pool=pool,
+    )
+    scheduler = scheduler_cls(network, services)
+    hourly = [(scheduler.publish_initial(SWEEP_START), rolling.publish_count)]
+    now = SWEEP_START
+    for hour in range(1, SWEEP_HOURS + 1):
+        now = SWEEP_START + hour * HOUR
+        if hour >= 27 and hour % 2:
+            fleet.rotate(now)
+        if hour == 6:
+            flapper.online_until = now
+        elif hour == 12:
+            flapper.online_until = None
+        network.rebuild_consensus(now)
+        hourly.append((scheduler.maintain(now), rolling.publish_count))
+    directories = [
+        (relay.fingerprint, server.stored_descriptors(now), server.publishes_received)
+        for relay in network.authority.monitored_relays
+        for server in (network.hsdir_server_for(relay),)
+    ]
+    return hourly, directories
+
+
+class TestIncrementalMaintain:
+    def test_matches_full_replacement_through_a_trawl_sweep(self):
+        assert trawl_sweep(PublishScheduler) == trawl_sweep(
+            FullReplacementScheduler
+        )
+
+    def test_period_roll_uploads_twice(self):
+        """At its period roll a service uploads twice: ``publish_due`` sends
+        the new period's descriptors, then ``maintain`` sends them again
+        because the responsible set moved with the descriptor IDs."""
+        hourly, _ = trawl_sweep(PublishScheduler)
+        roll = make_services(1)[0].next_publish_after(SWEEP_START)
+        hour = -(-(roll - SWEEP_START) // HOUR)
+        assert hourly[hour][1] - hourly[hour - 1][1] == 2
 
 
 class TestEngineAttachment:
