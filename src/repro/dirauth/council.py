@@ -92,9 +92,8 @@ class AuthorityCouncil:
 
     Protocol-compatible with :class:`DirectoryAuthoritySet` (``register``,
     ``deregister``, ``monitored_relays``, ``build_consensus``, ``admitted``),
-    so it can be
-    passed to :class:`~repro.tornet.TorNetwork` construction sites that
-    accept an authority object.
+    so it can be passed to :class:`~repro.tornet.TorNetwork` construction
+    sites that accept an authority object.
     """
 
     def __init__(
