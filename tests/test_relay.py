@@ -108,3 +108,21 @@ class TestKeyRotation:
         address = relay.address
         relay.rotate_key(random.Random(1), now=10)
         assert relay.address == address
+
+    def test_backdated_key_change_keeps_earlier_uptime(self):
+        relay = make_relay(started_at=0)
+        relay.adopt_key(
+            KeyPair.generate(random.Random(3)), now=40 * HOUR, up_since=10 * HOUR
+        )
+        assert relay.uptime(40 * HOUR) == 30 * HOUR
+        assert relay.key_changes[-1].time == 40 * HOUR
+
+
+class TestStateVersion:
+    def test_any_attribute_write_moves_the_version(self):
+        """The authority reuses a consensus entry only while the version
+        stands still, so direct writes must move it as well as methods."""
+        relay = make_relay()
+        before = relay.state_version
+        relay.bandwidth = 900
+        assert relay.state_version != before
