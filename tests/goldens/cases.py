@@ -29,6 +29,18 @@ HARVEST_SCALE = 0.02
 HARVEST_IPS = 8
 HARVEST_RELAYS_PER_IP = 8
 HARVEST_SWEEP_HOURS = 4
+FIG3_SEED = 4
+FIG3_RELAYS = 250
+FIG3_CLIENTS = 700
+FIG3_DAYS = 2
+SEC6_SEED = 2
+SEC6_RELAYS = 250
+SEC6_BUYERS = 300
+SEC6_SELLERS = 25
+SEC6_DAYS = 7
+VIEWS_SEED = 11
+VIEWS_SCALE = 0.02
+VIEWS_SWEEP_HOURS = 4
 
 
 def pipeline_artifacts(
@@ -134,6 +146,69 @@ def harvest_artifact() -> str:
     return result.report.format() + "\n\n" + "\n".join(lines)
 
 
+def fig3_artifact() -> str:
+    """Fig 3 report plus the geomap, as ``repro fig3`` prints them."""
+    from repro.experiments import run_fig3
+
+    result = run_fig3(
+        seed=FIG3_SEED,
+        honest_relays=FIG3_RELAYS,
+        client_count=FIG3_CLIENTS,
+        observation_days=FIG3_DAYS,
+    )
+    return result.report.format() + "\n\n" + result.format_map()
+
+
+def sec6_artifact() -> str:
+    """Section VI seller-identification report text."""
+    from repro.experiments import run_sec6
+
+    result = run_sec6(
+        seed=SEC6_SEED,
+        honest_relays=SEC6_RELAYS,
+        buyer_count=SEC6_BUYERS,
+        seller_count=SEC6_SELLERS,
+        observation_days=SEC6_DAYS,
+    )
+    return result.report.format()
+
+
+def views_artifact() -> str:
+    """The five service views of one epoch, built as the controller does.
+
+    Every view is pinned by its content digest (the service's ETag); all
+    but the large per-onion dossiers are also spelled out as canonical
+    JSON so a drift shows which field moved.
+    """
+    from repro.experiments.pipeline import MeasurementPipeline
+    from repro.experiments.table2_popularity import run_table2
+    from repro.service.results import build_views
+    from repro.store.cas import canonical_json_bytes, digest_of
+    from repro.worldbuild import advance_epoch
+
+    world = advance_epoch(VIEWS_SEED, VIEWS_SCALE, 0)
+    pipeline = MeasurementPipeline(
+        seed=world.seed, scale=world.scale, workers=1, fault_profile="none"
+    )
+    table2 = run_table2(
+        seed=world.seed,
+        population=pipeline.population,
+        sweep_hours=VIEWS_SWEEP_HOURS,
+        workers=1,
+    )
+    views = build_views(
+        world,
+        scan=pipeline.scan(),
+        classification=pipeline.classify(),
+        table2=table2,
+    )
+    lines = [f"{kind} sha256={digest_of(view)}" for kind, view in views.items()]
+    for kind, view in views.items():
+        if kind != "dossiers":
+            lines.append(canonical_json_bytes(view).decode("utf-8"))
+    return "\n".join(lines)
+
+
 #: name -> zero-argument builder for each pinned golden file.
 def _golden_fig1() -> str:
     return pipeline_artifacts(workers=1)["fig1_small"]
@@ -141,6 +216,10 @@ def _golden_fig1() -> str:
 
 def _golden_fig1_faulted() -> str:
     return faulted_pipeline_artifacts(workers=1)["fig1_small"]
+
+
+def _golden_fig2() -> str:
+    return pipeline_artifacts(workers=1)["fig2_small"]
 
 
 def _golden_table2() -> str:
@@ -184,8 +263,12 @@ GOLDEN_CASES = {
     "bench_toy_smoke": _golden_bench_schema,
     "fig1_small": _golden_fig1,
     "fig1_small_faulted": _golden_fig1_faulted,
+    "fig2_small": _golden_fig2,
+    "fig3_small": fig3_artifact,
     "harvest_small": harvest_artifact,
     "metrics_small": _golden_metrics,
+    "sec6_small": sec6_artifact,
     "sec7_small": _golden_sec7,
     "table2_small": _golden_table2,
+    "views_small": views_artifact,
 }
