@@ -1,17 +1,14 @@
 """``repro lint --fix``: apply the mechanical rewrites findings carry.
 
-Two rules know their fix today: REP005 rewrites ``list(set(...))`` /
-``tuple(set(...))`` materialisations to ``sorted(...)``, and REP012
-rewrites an under-declared stage module tuple to the sorted union of the
-declaration and the computed import closure.
+One rule knows its fix today: REP005 rewrites ``list(set(...))`` /
+``tuple(set(...))`` materialisations to ``sorted(...)``.
 
 Fixes are source-span replacements (ast coordinates).  Per file they are
 applied bottom-up so earlier spans stay valid, overlapping fixes are
 skipped (first in document order wins), and byte-identical duplicate
-edits collapse — several stages declaring their modules through one
-shared tuple produce one rewrite, not a conflict.  Applying the same
-fixes twice is a no-op by construction: the second lint run no longer
-yields the findings, so there is nothing left to apply.
+edits collapse to one rewrite, not a conflict.  Applying the same fixes
+twice is a no-op by construction: the second lint run no longer yields
+the findings, so there is nothing left to apply.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 One :class:`ProjectContext` is built per lint run over the parsed
 :class:`~repro.devtools.registry.FileContext` set and shared by every
 project rule, so each structure — the runtime import graph (REP006), the
-all-imports closure graph (REP012), the function index and conservative
-call graph (REP011/REP012), and module-level constant folding — is
-computed at most once however many rules consume it.
+function index and conservative call graph (REP011/REP013), and
+module-level constant folding — is computed at most once however many
+rules consume it.
 
 Everything here is deliberately *conservative*: a name or call that
 cannot be resolved syntactically resolves to ``None`` and the consuming
@@ -33,20 +33,13 @@ def _is_type_checking_test(test: ast.AST) -> bool:
     return isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
 
 
-def iter_imports(
-    tree: ast.Module,
-    module: str,
-    include_function_bodies: bool = False,
-) -> Iterator[Tuple[str, int]]:
+def iter_imports(tree: ast.Module, module: str) -> Iterator[Tuple[str, int]]:
     """Yield ``(imported_module_candidate, lineno)`` for a module's imports.
 
-    With ``include_function_bodies=False`` this walks only statements that
-    execute at import time — class bodies and plain ``if``/``try`` blocks,
-    but not function bodies or ``if TYPE_CHECKING:`` guards — which is
-    what the layering rule (REP006) wants.  With it ``True``, function
-    bodies are walked too (``TYPE_CHECKING`` stays excluded): any module a
-    function can import can shape behaviour, which is what fingerprint
-    closure (REP012) wants.
+    Walks only statements that execute at import time — class bodies and
+    plain ``if``/``try`` blocks, but not function bodies or ``if
+    TYPE_CHECKING:`` guards — which is what the layering rule (REP006)
+    wants.
 
     ``from pkg import name`` yields both ``pkg`` and ``pkg.name`` — the
     name may bind a submodule or an attribute; the graph builders keep
@@ -90,15 +83,6 @@ def iter_imports(
                 yield from walk(stmt.body)
             elif isinstance(stmt, (ast.With, ast.AsyncWith)):
                 yield from walk(stmt.body)
-            elif include_function_bodies and isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                yield from walk(stmt.body)
-            elif include_function_bodies and isinstance(
-                stmt, (ast.For, ast.AsyncFor, ast.While)
-            ):
-                yield from walk(stmt.body)
-                yield from walk(stmt.orelse)
 
     yield from walk(tree.body)
 
@@ -169,7 +153,6 @@ class ProjectContext:
         self._runtime_graph: Optional[
             Tuple[Dict[str, Set[str]], Dict[Tuple[str, str], int]]
         ] = None
-        self._closure_graph: Optional[Dict[str, Set[str]]] = None
         self._functions: Optional[Dict[str, FunctionInfo]] = None
         self._calls_to: Optional[Dict[str, List[CallSite]]] = None
         self._call_records: Optional[List[CallRecord]] = None
@@ -206,69 +189,6 @@ class ProjectContext:
                     edge_lines.setdefault((ctx.module, resolved), lineno)
             self._runtime_graph = (graph, edge_lines)
         return self._runtime_graph
-
-    def closure_graph(self) -> Dict[str, Set[str]]:
-        """Module → imported project modules, *all* imports, deepest-only.
-
-        Unlike the runtime graph this walks function bodies too (a
-        function-local import still makes behaviour depend on the imported
-        module) and records only the deepest scanned module per import —
-        ``from repro import io`` edges to ``repro.io``, not to the
-        ``repro`` package whose ``__init__`` would otherwise drag the
-        whole tree into every closure.
-        """
-        if self._closure_graph is None:
-            graph: Dict[str, Set[str]] = {module: set() for module in self.by_module}
-            for ctx in self.files:
-                seen_lines: Dict[int, List[str]] = {}
-                for target, lineno in iter_imports(
-                    ctx.tree, ctx.module, include_function_bodies=True
-                ):
-                    seen_lines.setdefault(lineno, []).append(target)
-                for lineno in seen_lines:
-                    candidates = seen_lines[lineno]
-                    resolved: Set[str] = set()
-                    for candidate in candidates:
-                        probe = candidate
-                        while "." in probe and probe not in self.by_module:
-                            probe = probe.rsplit(".", 1)[0]
-                        if probe in self.by_module:
-                            resolved.add(probe)
-                    # ``from pkg import a, b`` resolves pkg, pkg.a, pkg.b;
-                    # keep the deepest modules and drop any ancestor of a
-                    # kept module (the package __init__ edge).
-                    for module in resolved:
-                        if module == ctx.module or ctx.module.startswith(
-                            module + "."
-                        ):
-                            continue
-                        if any(
-                            other != module and other.startswith(module + ".")
-                            for other in resolved
-                        ):
-                            continue
-                        graph[ctx.module].add(module)
-            self._closure_graph = graph
-        return self._closure_graph
-
-    def import_closure(self, root: str) -> Set[str]:
-        """Transitive closure of ``root`` over :meth:`closure_graph`.
-
-        Includes ``root`` itself when scanned; unknown roots close to
-        the empty set.
-        """
-        graph = self.closure_graph()
-        if root not in graph:
-            return set()
-        closure: Set[str] = {root}
-        frontier = [root]
-        while frontier:
-            module = frontier.pop()
-            for successor in graph[module]:
-                if successor not in closure:
-                    closure.add(successor)
-                    frontier.append(successor)
-        return closure
 
     # -- name bindings ----------------------------------------------------- #
 
@@ -526,50 +446,6 @@ class ProjectContext:
         if isinstance(expr, ast.Name):
             return self._fold_name(ctx, expr.id, depth)
         return _UNRESOLVED
-
-    def constant_definition(
-        self, ctx: FileContext, name: str
-    ) -> Optional[Tuple[FileContext, ast.AST]]:
-        """Where a module-level constant name is defined: (ctx, value expr).
-
-        Follows a single unambiguous module-level assignment, chasing the
-        name through ``from module import name`` into the defining scanned
-        module.  Returns ``None`` when the definition is absent, multiple,
-        or outside the scanned set — autofixes must then stay away.
-        """
-        seen: Set[Tuple[str, str]] = set()
-        while True:
-            key = (ctx.module, name)
-            if key in seen:
-                return None
-            seen.add(key)
-            assignments = [
-                stmt
-                for stmt in ctx.tree.body
-                if (
-                    isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id == name
-                )
-                or (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and stmt.target.id == name
-                    and stmt.value is not None
-                )
-            ]
-            if len(assignments) == 1:
-                return ctx, assignments[0].value
-            if assignments:
-                return None
-            binding = self._module_bindings(ctx).get(name)
-            if binding is None or binding[0] != "name":
-                return None
-            other = self.by_module.get(binding[1])
-            if other is None:
-                return None
-            ctx, name = other, binding[2]
 
     def _fold_name(self, ctx: FileContext, name: str, depth: int) -> Any:
         cache_key = (ctx.module, name)

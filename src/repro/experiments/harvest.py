@@ -19,80 +19,6 @@ from repro.store import ArtifactStore, Stage
 from repro.trawl import HarvestResult, TrawlAttack, TrawlConfig, naive_ip_requirement
 from repro.worldbuild import HonestNetworkSpec, build_honest_network
 
-#: Modules whose source feeds the harvest checkpoint's code fingerprint.
-_HARVEST_MODULES = (
-    "repro.analysis.report",
-    "repro.analysis.stats",
-    "repro.classify",
-    "repro.classify.language",
-    "repro.classify.naive_bayes",
-    "repro.classify.tokenize",
-    "repro.classify.topics",
-    "repro.classify.training",
-    "repro.client.client",
-    "repro.client.guards",
-    "repro.client.workload",
-    "repro.crawl",
-    "repro.crawl.crawler",
-    "repro.crawl.filters",
-    "repro.crawl.page",
-    "repro.crypto.descriptor_id",
-    "repro.crypto.keys",
-    "repro.crypto.onion",
-    "repro.crypto.ring",
-    "repro.crypto.vanity",
-    "repro.dirauth.archive",
-    "repro.dirauth.authority",
-    "repro.dirauth.consensus",
-    "repro.dirauth.voting",
-    "repro.experiments.harvest",
-    "repro.experiments.pipeline",
-    "repro.faults",
-    "repro.faults.plan",
-    "repro.faults.profiles",
-    "repro.faults.retry",
-    "repro.faults.taxonomy",
-    "repro.faults.transport",
-    "repro.hs.descriptor",
-    "repro.hs.publisher",
-    "repro.hs.service",
-    "repro.hsdir.directory",
-    "repro.hsdir.ring_view",
-    "repro.io",
-    "repro.net.address",
-    "repro.net.endpoint",
-    "repro.net.geoip",
-    "repro.net.transport",
-    "repro.parallel",
-    "repro.parallel.executor",
-    "repro.popularity.ranking",
-    "repro.popularity.timeseries",
-    "repro.population",
-    "repro.population.botnets",
-    "repro.population.content",
-    "repro.population.corpus",
-    "repro.population.generator",
-    "repro.population.spec",
-    "repro.population.webserver",
-    "repro.relay.flags",
-    "repro.relay.relay",
-    "repro.scan",
-    "repro.scan.results",
-    "repro.scan.scanner",
-    "repro.scan.schedule",
-    "repro.scan.tls",
-    "repro.sim.clock",
-    "repro.sim.engine",
-    "repro.sim.rng",
-    "repro.tornet",
-    "repro.trawl",
-    "repro.trawl.attack",
-    "repro.trawl.coverage",
-    "repro.trawl.harvest",
-    "repro.trawl.shadowing",
-    "repro.worldbuild",
-)
-
 PAPER_ONIONS = 39_824
 PAPER_ATTACK_IPS = 58
 PAPER_NAIVE_IPS = 300  # "more than 300 IP addresses for at least 27 hours"
@@ -168,7 +94,7 @@ def run_harvest(
     if store is not None:
         stage = Stage(
             name="harvest",
-            modules=_HARVEST_MODULES,
+            modules=(__name__,),
             encode=_harvest_to_payload,
             decode=_harvest_from_payload,
         )

@@ -45,71 +45,6 @@ from repro.sim.clock import DAY
 from repro.sim.rng import derive_rng
 from repro.store import ArtifactStore, Stage, StateCursor
 
-#: Every module in the pipeline module's transitive import closure
-#: (minus the fingerprint-exempt infra layers), kept flat and sorted so
-#: ``repro lint`` (REP012) can statically prove the stage fingerprints
-#: cover the code they cache.  All four stages run in this module and
-#: share its closure, so they share one tuple; editing any listed module
-#: invalidates every pipeline checkpoint, which is exactly the safe
-#: direction to err.
-_PIPELINE_STAGE_MODULES: Tuple[str, ...] = (
-    "repro.analysis.report",
-    "repro.analysis.stats",
-    "repro.classify",
-    "repro.classify.language",
-    "repro.classify.naive_bayes",
-    "repro.classify.tokenize",
-    "repro.classify.topics",
-    "repro.classify.training",
-    "repro.client.client",
-    "repro.client.guards",
-    "repro.client.workload",
-    "repro.crawl",
-    "repro.crawl.crawler",
-    "repro.crawl.filters",
-    "repro.crawl.page",
-    "repro.crypto.descriptor_id",
-    "repro.crypto.keys",
-    "repro.crypto.onion",
-    "repro.crypto.ring",
-    "repro.crypto.vanity",
-    "repro.dirauth.consensus",
-    "repro.experiments.pipeline",
-    "repro.faults",
-    "repro.faults.plan",
-    "repro.faults.profiles",
-    "repro.faults.retry",
-    "repro.faults.taxonomy",
-    "repro.faults.transport",
-    "repro.hs.descriptor",
-    "repro.hs.service",
-    "repro.hsdir.directory",
-    "repro.io",
-    "repro.net.address",
-    "repro.net.endpoint",
-    "repro.net.geoip",
-    "repro.net.transport",
-    "repro.parallel",
-    "repro.parallel.executor",
-    "repro.popularity.ranking",
-    "repro.popularity.timeseries",
-    "repro.population",
-    "repro.population.botnets",
-    "repro.population.content",
-    "repro.population.corpus",
-    "repro.population.generator",
-    "repro.population.spec",
-    "repro.population.webserver",
-    "repro.relay.flags",
-    "repro.scan",
-    "repro.scan.results",
-    "repro.scan.scanner",
-    "repro.scan.schedule",
-    "repro.scan.tls",
-    "repro.sim.clock",
-    "repro.sim.rng",
-)
-
 
 class _TransportCursor(StateCursor):
     """Checkpoint cursor over the pipeline's transport stream state.
@@ -300,7 +235,6 @@ class MeasurementPipeline:
     def _run_stage(
         self,
         name: str,
-        modules: Tuple[str, ...],
         encode: Callable[[Any], Dict[str, Any]],
         decode: Callable[[Dict[str, Any]], Any],
         compute: Callable[[], Any],
@@ -319,7 +253,9 @@ class MeasurementPipeline:
         if self.store is None:
             result = compute()
         else:
-            stage = Stage(name=name, modules=modules, encode=encode, decode=decode)
+            stage = Stage(
+                name=name, modules=(__name__,), encode=encode, decode=decode
+            )
             result = self.store.run(
                 stage,
                 self._store_config(),
@@ -340,7 +276,6 @@ class MeasurementPipeline:
 
             self._scan = self._run_stage(
                 "scan",
-                _PIPELINE_STAGE_MODULES,
                 repro_io.scan_to_dict,
                 repro_io.scan_from_dict,
                 self._compute_scan,
@@ -364,7 +299,6 @@ class MeasurementPipeline:
             self.scan()  # the upstream artifact feeds this stage's key
             self._certs = self._run_stage(
                 "certificates",
-                _PIPELINE_STAGE_MODULES,
                 repro_io.certificates_to_dict,
                 repro_io.certificates_from_dict,
                 self._compute_certificates,
@@ -390,7 +324,6 @@ class MeasurementPipeline:
             self.scan()
             self._crawl = self._run_stage(
                 "crawl",
-                _PIPELINE_STAGE_MODULES,
                 repro_io.crawl_to_dict,
                 repro_io.crawl_from_dict,
                 self._compute_crawl,
@@ -431,7 +364,6 @@ class MeasurementPipeline:
             self.crawl()
             self._classification = self._run_stage(
                 "classify",
-                _PIPELINE_STAGE_MODULES,
                 repro_io.classification_to_dict,
                 repro_io.classification_from_dict,
                 self._compute_classify,

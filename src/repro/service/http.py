@@ -5,7 +5,8 @@ rule REP015 of ``repro lint`` forbids ``socket``/``http.server`` imports
 anywhere outside ``repro/service``.  The handler is deliberately thin:
 parse nothing, decide nothing, hand ``(method, path, headers)`` to
 :meth:`repro.service.api.ServiceRouter.handle` and write the framed
-response back.
+response back.  Request bodies are never read, so a request that may
+carry one closes its connection after the response.
 
 Determinism: the handler pins ``protocol_version``, the ``Server``
 header, and the ``Date`` header (to the epoch constant — the sim clock
@@ -39,12 +40,23 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         # every request); stderr chatter would also break REP009.
         pass
 
+    def _may_carry_body(self, method: str) -> bool:
+        """Whether the request may have a body; the router reads none."""
+        if method != "GET" or "Transfer-Encoding" in self.headers:
+            return True
+        return self.headers.get("Content-Length", "0").strip() != "0"
+
     def _respond(self, method: str) -> None:
         response = self.server.router.handle(method, self.path, self.headers)
         self.send_response(response.status)
         for name, value in response.headers.items():
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(response.body)))
+        if self._may_carry_body(method):
+            # An unread body would stay in the socket and be parsed as
+            # the next keep-alive request (request smuggling), so the
+            # connection ends with this response instead.
+            self.send_header("Connection", "close")
         self.end_headers()
         if response.body:
             self.wfile.write(response.body)

@@ -1,12 +1,13 @@
 """Stage checkpointing: the miss→compute→put / hit→load→restore wrapper.
 
-A :class:`Stage` names one pipeline step, the modules whose source feeds
-its code fingerprint, and the encode/decode pair that round-trips its
-artifact through JSON (supplied by the caller — the store never imports
-measurement code).  :meth:`ArtifactStore.run` then keys an execution on
-the full :class:`~repro.store.keys.CacheKey` — configuration, code
-fingerprint, upstream artifact digests, and the pre-stage RNG cursor —
-and either replays the cached artifact or computes and records it.
+A :class:`Stage` names one pipeline step, the modules whose import
+closure feeds its code fingerprint, and the encode/decode pair that
+round-trips its artifact through JSON (supplied by the caller — the
+store never imports measurement code).  :meth:`ArtifactStore.run` then
+keys an execution on the full :class:`~repro.store.keys.CacheKey` —
+configuration, code fingerprint, upstream artifact digests, and the
+pre-stage RNG cursor — and either replays the cached artifact or
+computes and records it.
 
 The cursor is what makes mixed warm/cold runs byte-identical to cold
 ones: stages share stateful RNG streams (the transport's circuit noise,
@@ -62,10 +63,12 @@ class StateCursor:
 class Stage:
     """One checkpointable pipeline step.
 
-    ``modules`` are dotted module names hashed into the stage's code
-    fingerprint; list every module whose behaviour the artifact depends
-    on.  ``encode``/``decode`` round-trip the artifact through plain JSON
-    (usually a :mod:`repro.io` pair).
+    ``modules`` are the dotted names of the ``repro`` modules that run the
+    stage — usually just the wiring module's ``(__name__,)``; the code
+    fingerprint hashes them and everything they import (see
+    :func:`~repro.store.keys.code_fingerprint`).  ``encode``/``decode``
+    round-trip the artifact through plain JSON (usually a :mod:`repro.io`
+    pair).
     """
 
     name: str

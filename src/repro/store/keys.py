@@ -8,20 +8,23 @@ from, or the code implementing it — and must *not* change under
 irrelevant permutations such as dict insertion order.
 
 Code is folded in as a fingerprint: the SHA-256 of the source bytes of
-the modules a stage names.  Editing any of those modules silently
-invalidates every artifact the stage ever produced, which is the only
-safe default for a cache that feeds published numbers.
+the modules a stage names *and every module they reach through* ``repro``
+import statements.  Editing any of those modules silently invalidates
+every artifact the stage ever produced, which is the only safe default
+for a cache that feeds published numbers.  The closure is derived from
+the source, never declared, so it cannot fall behind the code.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import importlib
+import importlib.util
 import pathlib
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.errors import StoreError
 from repro.store.cas import canonical_json_bytes
@@ -53,27 +56,151 @@ def canonicalize(value: Any) -> Any:
     )
 
 
+#: Second-level subpackages the import closure does not enter: they carry
+#: artifacts and telemetry but never shape artifact *content*, so hashing
+#: them would churn every cache key on infra-only changes.  ``supervise``
+#: qualifies by the crashtest invariant itself: a crashed-and-resumed run
+#: is byte-identical to a clean one, so supervision can never shape bytes.
+EXEMPT_LAYERS = frozenset({"cli", "devtools", "errors", "obs", "store", "supervise"})
+
+#: The ``repro`` package directory, which module names resolve against.
+_PACKAGE_DIR = pathlib.Path(__file__).resolve().parent.parent
+
+#: One import statement, found at a statement start (line start, ``;`` or
+#: ``:``) in raw source.  Name lists are limited to the characters an
+#: import can contain, so an unbalanced ``(`` in a docstring can never
+#: swallow the statements that follow it.  Imports spelled inside strings
+#: also match; they only widen the closure, which is the safe direction.
+_IMPORT_STATEMENT = re.compile(
+    r"(?:^|[;:])[ \t]*(?:"
+    r"from[ \t]+(?P<base>repro\b[\w.]*)[ \t]+import[ \t]*"
+    r"(?P<names>\((?:[\w \t\n,]|#[^\n]*)*\)|(?:[\w \t,*]|\\\n)*)"
+    r"|import[ \t]+(?P<modules>(?:[\w \t,.]|\\\n)*)"
+    r")",
+    re.MULTILINE,
+)
+_COMMENT = re.compile(r"#[^\n]*")
+
+
+def scan_imports(source: str) -> Set[Tuple[str, Optional[str]]]:
+    """The ``repro`` imports in ``source``, found without parsing it.
+
+    ``import repro.a`` yields ``("repro.a", None)``; ``from repro.a import
+    b, c`` yields ``("repro.a", "b")`` and ``("repro.a", "c")``.  Function
+    bodies and ``if TYPE_CHECKING:`` blocks are included — anything that
+    can import a module can make the stage depend on it.  Relative
+    imports are not recognised; the package uses none.
+    """
+    found: Set[Tuple[str, Optional[str]]] = set()
+    for match in _IMPORT_STATEMENT.finditer(source):
+        if match.group("base") is not None:
+            names = _COMMENT.sub("", match.group("names"))
+            for name in _split_names(names.strip("()")):
+                found.add((match.group("base"), name))
+        else:
+            for module in _split_names(match.group("modules")):
+                if module == "repro" or module.startswith("repro."):
+                    found.add((module, None))
+    return found
+
+
+def _split_names(text: str) -> Iterator[str]:
+    """Imported names in a comma list, ``as`` aliases dropped."""
+    for item in text.replace("\\\n", " ").split(","):
+        words = item.split()
+        if words:
+            yield words[0]
+
+
+@lru_cache(maxsize=None)
+def _source_path(module: str) -> Optional[pathlib.Path]:
+    """The source file of a module; ``repro`` ones are found without
+    importing anything."""
+    parts = module.split(".")
+    if not all(part.isidentifier() for part in parts):
+        return None
+    if parts[0] != "repro":
+        try:
+            spec = importlib.util.find_spec(module)
+        except (ImportError, ValueError):
+            return None
+        origin = getattr(spec, "origin", None) or ""
+        return pathlib.Path(origin) if origin.endswith(".py") else None
+    base = _PACKAGE_DIR.joinpath(*parts[1:])
+    if len(parts) > 1 and base.with_suffix(".py").is_file():
+        return base.with_suffix(".py")
+    if (base / "__init__.py").is_file():
+        return base / "__init__.py"
+    return None
+
+
+def resolve_import(base: str, name: Optional[str]) -> Optional[str]:
+    """The module an import binds: ``base.name`` when that is a module,
+    else the deepest existing module prefix of ``base``.
+
+    Only the deepest module counts — ``from repro import io`` depends on
+    ``repro.io``, not on the ``repro`` package whose ``__init__`` would
+    drag the whole tree into every closure.
+    """
+    if name is not None and _source_path(f"{base}.{name}") is not None:
+        return f"{base}.{name}"
+    while _source_path(base) is None:
+        if "." not in base:
+            return None
+        base = base.rsplit(".", 1)[0]
+    return base
+
+
+@lru_cache(maxsize=None)
+def module_imports(module: str) -> FrozenSet[str]:
+    """The ``repro`` modules one module's source imports (cached)."""
+    path = _source_path(module)
+    if path is None:
+        raise StoreError(
+            f"cannot fingerprint module {module!r}: no Python source found"
+        )
+    source = path.read_text(encoding="utf-8")
+    resolved = {resolve_import(base, name) for base, name in scan_imports(source)}
+    resolved.discard(None)
+    resolved.discard(module)
+    return frozenset(resolved)
+
+
+def import_closure(roots: Tuple[str, ...]) -> FrozenSet[str]:
+    """``roots`` plus every module they reach through ``repro`` imports.
+
+    The walk does not enter :data:`EXEMPT_LAYERS`; a root is always
+    included, wherever it lives.
+    """
+    closure = set(roots)
+    frontier = list(closure)
+    while frontier:
+        for module in module_imports(frontier.pop()):
+            if module not in closure and _layer_of(module) not in EXEMPT_LAYERS:
+                closure.add(module)
+                frontier.append(module)
+    return frozenset(closure)
+
+
+def _layer_of(module: str) -> str:
+    parts = module.split(".")
+    return parts[1] if len(parts) > 1 else ""
+
+
 @lru_cache(maxsize=None)
 def code_fingerprint(modules: Tuple[str, ...]) -> str:
-    """SHA-256 over the source bytes of the named modules.
+    """SHA-256 over the source bytes of ``modules``' import closure.
 
-    The module list is hashed in sorted order with name separators, so the
+    The closure is hashed in sorted order with name separators, so the
     fingerprint is independent of declaration order but sensitive to both
     renames and content changes.  Cached per-process: stage wrappers call
     this on every stage execution.
     """
     hasher = hashlib.sha256()
-    for name in sorted(set(modules)):
-        try:
-            module = importlib.import_module(name)
-        except ImportError as exc:
-            raise StoreError(f"cannot fingerprint module {name!r}: {exc}") from exc
-        source = getattr(module, "__file__", None)
-        if source is None:
-            raise StoreError(f"module {name!r} has no source file to fingerprint")
+    for name in sorted(import_closure(modules)):
         hasher.update(name.encode("utf-8"))
         hasher.update(b"\x00")
-        hasher.update(pathlib.Path(source).read_bytes())
+        hasher.update(_source_path(name).read_bytes())
         hasher.update(b"\x00")
     return hasher.hexdigest()
 

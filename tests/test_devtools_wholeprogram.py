@@ -1,27 +1,19 @@
 """Tests for the whole-program analysis layer.
 
 Covers the shared engine (:mod:`repro.devtools.callgraph` and the AST
-cache), the three project rules REP011/REP012/REP013 against seeded
-fixture packages, SARIF byte-stability, autofix idempotency, and the
-``repro store verify`` fingerprint-drift cross-check.
+cache), the project rules REP011/REP013 against seeded fixture packages,
+SARIF byte-stability, and autofix idempotency.
 """
 
 import json
-import os
-import shutil
 import textwrap
 
 from repro.cli import main as cli_main
 from repro.devtools import run_lint
 from repro.devtools.astcache import AstCache
-from repro.devtools.autofix import apply_fixes
 from repro.devtools.callgraph import ProjectContext
 from repro.devtools.engine import iter_python_files
 from repro.devtools.sarif import render_sarif
-from repro.devtools.storecheck import fingerprint_drift, stage_declarations
-
-REPRO_SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
-
 
 def write_package(root, files):
     """Materialise ``{relative_path: source}`` as a package tree."""
@@ -86,14 +78,10 @@ class TestCallGraph:
         callers = sorted(site.caller for site in sites)
         assert callers == ["demo.app:main", "demo.core:Engine.run"]
 
-    def test_import_closure_includes_function_local_imports(self, tmp_path):
-        project = self.fixture(tmp_path)
-        closure = project.import_closure("demo.app")
-        assert closure == {"demo.app", "demo.core", "demo.extra"}
-        # The runtime graph (REP006 semantics) must NOT see the
-        # function-local import.
-        graph, _ = project.runtime_import_graph()
-        assert "demo.extra" not in graph["demo.app"]
+    def test_runtime_graph_skips_function_local_imports(self, tmp_path):
+        # REP006 layering sees import-time edges only.
+        graph, _ = self.fixture(tmp_path).runtime_import_graph()
+        assert graph["demo.app"] == {"demo.core"}
 
     def test_resolves_constants_across_modules(self, tmp_path):
         project = self.fixture(tmp_path)
@@ -227,63 +215,6 @@ class TestRep011Lineage:
         assert "default" in findings[0].message
 
 
-class TestRep012Coverage:
-    def fixture(self, tmp_path):
-        write_package(
-            tmp_path,
-            {
-                "demo/metrics.py": "def tally(xs):\n    return sum(xs)\n",
-                "demo/flow.py": """
-                    from repro.store import Stage
-
-                    from demo.metrics import tally
-
-                    def build(store):
-                        return Stage(
-                            name="demo",
-                            modules=("demo.flow",),
-                            compute=lambda: tally([1]),
-                            store=store,
-                        )
-                """,
-            },
-        )
-        return tmp_path / "demo"
-
-    def test_detects_closure_gap(self, tmp_path):
-        root = self.fixture(tmp_path)
-        findings = lint_package(root, rules=["REP012"])
-        assert len(findings) == 1
-        assert "demo.metrics" in findings[0].message
-        assert findings[0].fix is not None
-        assert '"demo.metrics"' in findings[0].fix.replacement
-
-    def test_fix_closes_the_gap_and_is_idempotent(self, tmp_path):
-        root = self.fixture(tmp_path)
-        findings = lint_package(root, rules=["REP012"])
-        result = apply_fixes(findings)
-        assert result.applied == 1
-        assert lint_package(root, rules=["REP012"]) == []
-        # Applying the (now empty) fix set again changes nothing.
-        again = apply_fixes(lint_package(root, rules=["REP012"]))
-        assert again.applied == 0
-
-    def test_covered_stage_is_clean(self, tmp_path):
-        root = self.fixture(tmp_path)
-        flow = root / "flow.py"
-        flow.write_text(
-            flow.read_text().replace(
-                '("demo.flow",)', '("demo.flow", "demo.metrics")'
-            )
-        )
-        assert lint_package(root, rules=["REP012"]) == []
-
-    def test_stage_declarations_resolve_statically(self, tmp_path):
-        root = self.fixture(tmp_path)
-        declarations = stage_declarations((str(root),))
-        assert declarations == {"demo": ("demo.flow",)}
-
-
 class TestRep013ShardSafety:
     def lint(self, tmp_path, body, name="shard.py"):
         target = tmp_path / name
@@ -408,32 +339,3 @@ class TestCliFix:
         assert cli_main(["lint", str(target), "--fix", "--rules", "REP005"]) == 0
         assert "file(s) fixed" not in capsys.readouterr().out
         assert target.read_text() == after_first
-
-
-class TestStoreDrift:
-    def build_store(self, tmp_path):
-        root = str(tmp_path / "store")
-        assert cli_main(["fig1", "--scale", "0.02", "--store", root]) == 0
-        from repro.store.checkpoint import ArtifactStore
-
-        return ArtifactStore(root)
-
-    def test_clean_tree_reports_no_drift(self, tmp_path, capsys):
-        store = self.build_store(tmp_path)
-        capsys.readouterr()
-        assert fingerprint_drift(store, (REPRO_SRC,)) == []
-
-    def test_edited_declaration_reports_drift(self, tmp_path, capsys):
-        store = self.build_store(tmp_path)
-        capsys.readouterr()
-        copy = tmp_path / "src" / "repro"
-        shutil.copytree(REPRO_SRC, copy)
-        pipeline = copy / "experiments" / "pipeline.py"
-        edited = pipeline.read_text().replace('    "repro.sim.rng",\n', "")
-        assert edited != pipeline.read_text()
-        pipeline.write_text(edited)
-        drift = fingerprint_drift(store, (str(copy),))
-        assert drift
-        assert all("drift" in line for line in drift)
-        stages = {line.split()[1] for line in drift}
-        assert "scan" in stages

@@ -6,6 +6,7 @@ directly; production code outside ``repro/service`` may not.
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -40,6 +41,19 @@ def fetch(server, path, headers=None):
         return response.status, dict(response.getheaders()), response.read()
     finally:
         connection.close()
+
+
+def raw_exchange(server, payload):
+    """Send raw bytes on one connection; read until the server closes."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 class TestLiveServer:
@@ -96,3 +110,24 @@ class TestLiveServer:
         for thread in threads:
             thread.join(timeout=10)
         assert results == [200] * 12
+
+    def test_unread_body_is_not_parsed_as_the_next_request(self, live_server):
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (
+            b"POST /v1/epochs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(smuggled)
+        ) + smuggled
+        reply = raw_exchange(live_server, request)
+        # Exactly one response, then EOF: the body never became a request.
+        assert reply.startswith(b"HTTP/1.1 405 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+
+    def test_bodyless_gets_keep_the_connection_alive(self, live_server):
+        request = (
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        reply = raw_exchange(live_server, request)
+        assert reply.count(b"HTTP/1.1 200 ") == 2
+

@@ -6,14 +6,29 @@ permutations (dict insertion order, tuple-vs-list spelling) and
 code fingerprint, upstream digests, the RNG cursor).
 """
 
+import ast
 import enum
+import pathlib
+import textwrap
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.errors import StoreError
-from repro.store.keys import CacheKey, canonicalize, code_fingerprint
+from repro.store.keys import (
+    EXEMPT_LAYERS,
+    CacheKey,
+    canonicalize,
+    code_fingerprint,
+    import_closure,
+    module_imports,
+    resolve_import,
+    scan_imports,
+)
+
+REPRO_SRC = pathlib.Path(repro.__file__).parent
 
 _scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=12)
 _values = st.recursive(
@@ -128,3 +143,126 @@ class TestCodeFingerprint:
     def test_unknown_module_rejected(self):
         with pytest.raises(StoreError, match="cannot fingerprint"):
             code_fingerprint(("repro.no_such_module",))
+
+
+def ast_imports(source):
+    """The oracle: every ``repro`` import an AST walk of ``source`` finds."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {
+                (alias.name, None)
+                for alias in node.names
+                if alias.name.split(".")[0] == "repro"
+            }
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative imports are not scanned"
+            if node.module.split(".")[0] == "repro":
+                found |= {(node.module, alias.name) for alias in node.names}
+    return found
+
+
+def module_name(path):
+    parts = path.relative_to(REPRO_SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+UNBALANCED_DOCSTRING = '''
+"""Example: from repro.k import (
+"""
+from repro.m import n
+'''
+
+
+class TestImportScan:
+    def test_scan_covers_every_ast_import_in_the_package(self):
+        # A module the scan misses drops out of every closure that should
+        # hold it, and the store then replays stale artifacts after edits
+        # to it — the one cache bug no runtime check can see.
+        misses = {}
+        for path in sorted(REPRO_SRC.rglob("*.py")):
+            module = module_name(path)
+            expected = {
+                resolve_import(base, name)
+                for base, name in ast_imports(path.read_text(encoding="utf-8"))
+            } - {module}
+            missed = expected - module_imports(module)
+            if missed:
+                misses[module] = sorted(missed)
+        assert misses == {}
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # Parenthesised, multi-line, with comments holding parens.
+            """
+            from repro.a import (  # the (first) group
+                b,  # trailing ) in a comment
+                c as d,
+            )
+            from repro.e import f
+            """,
+            # Several modules on one import, only one of them ours.
+            "import a, repro.b\n",
+            # A function-local import under an alias.
+            """
+            def main():
+                from repro import io as repro_io
+                return repro_io
+            """,
+            # A second statement after a semicolon.
+            "x = 1; import repro.y\n",
+            # Consecutive single-line imports (a greedy match once
+            # swallowed the second and dropped it from every closure).
+            """
+            from repro.population.spec import PORT_SKYNET
+            from repro.population import botnets
+            """,
+            # Backslash continuation and a TYPE_CHECKING guard.
+            """
+            from typing import TYPE_CHECKING
+            from repro.g import h, \\
+                i
+            if TYPE_CHECKING:
+                import repro.j as j
+            """,
+            # An unbalanced paren in a docstring must not hide what follows.
+            UNBALANCED_DOCSTRING,
+        ],
+    )
+    def test_scan_matches_the_ast(self, source):
+        source = textwrap.dedent(source)
+        assert ast_imports(source)
+        assert scan_imports(source) >= ast_imports(source)
+
+    def test_resolution_keeps_the_deepest_module(self):
+        assert resolve_import("repro", "io") == "repro.io"
+        assert resolve_import("repro.crawl", "Crawler") == "repro.crawl"
+        assert resolve_import("repro.crawl.page", None) == "repro.crawl.page"
+        assert resolve_import("repro.no_such_module", None) == "repro"
+
+
+class TestImportClosure:
+    def test_import_closure_includes_function_local_imports(self):
+        # The pipeline imports repro.io only inside its stage methods.
+        source = (REPRO_SRC / "experiments" / "pipeline.py").read_text()
+        top_level = ast.parse(source).body
+        assert not any(
+            isinstance(node, ast.ImportFrom)
+            and node.module == "repro"
+            and any(alias.name == "io" for alias in node.names)
+            for node in top_level
+        )
+        assert "repro.io" in module_imports("repro.experiments.pipeline")
+        assert "repro.io" in import_closure(("repro.experiments.pipeline",))
+
+    def test_exempt_layers_are_not_entered(self):
+        closure = import_closure(("repro.experiments.pipeline",))
+        assert not {module.split(".")[1] for module in closure} & EXEMPT_LAYERS
+        # A root is hashed wherever it lives.
+        assert import_closure(("repro.store.cas",)) == {"repro.store.cas"}
+
+    def test_closure_reaches_transitive_imports(self):
+        # harvest imports repro.trawl, whose package imports the attack.
+        closure = import_closure(("repro.experiments.harvest",))
+        assert {"repro.trawl", "repro.trawl.attack"} <= closure
