@@ -253,9 +253,7 @@ class MeasurementPipeline:
         if self.store is None:
             result = compute()
         else:
-            stage = Stage(
-                name=name, modules=(__name__,), encode=encode, decode=decode
-            )
+            stage = Stage(name=name, modules=(__name__,), encode=encode, decode=decode)
             result = self.store.run(
                 stage,
                 self._store_config(),

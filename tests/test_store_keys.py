@@ -23,9 +23,9 @@ from repro.store.keys import (
     canonicalize,
     code_fingerprint,
     import_closure,
-    module_imports,
     resolve_import,
     scan_imports,
+    scan_module,
 )
 
 REPRO_SRC = pathlib.Path(repro.__file__).parent
@@ -186,7 +186,7 @@ class TestImportScan:
                 resolve_import(base, name)
                 for base, name in ast_imports(path.read_text(encoding="utf-8"))
             } - {module}
-            missed = expected - module_imports(module)
+            missed = expected - scan_module(module)[1]
             if missed:
                 misses[module] = sorted(missed)
         assert misses == {}
@@ -253,7 +253,7 @@ class TestImportClosure:
             and any(alias.name == "io" for alias in node.names)
             for node in top_level
         )
-        assert "repro.io" in module_imports("repro.experiments.pipeline")
+        assert "repro.io" in scan_module("repro.experiments.pipeline")[1]
         assert "repro.io" in import_closure(("repro.experiments.pipeline",))
 
     def test_exempt_layers_are_not_entered(self):
