@@ -3,7 +3,8 @@
 The property pair that matters: a key is *insensitive* to irrelevant
 permutations (dict insertion order, tuple-vs-list spelling) and
 *sensitive* to every real change (any config field, the stage name, the
-code fingerprint, upstream digests, the RNG cursor).
+code fingerprint, upstream digests, the RNG cursor).  The code
+fingerprint's import scan is checked against an AST walk of the package.
 """
 
 import ast
