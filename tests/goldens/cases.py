@@ -11,6 +11,7 @@ Keep the worlds tiny: these run inside tier-1.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 # Small-world parameters shared by the goldens and the serial≡parallel
@@ -41,6 +42,12 @@ SEC6_DAYS = 7
 VIEWS_SEED = 11
 VIEWS_SCALE = 0.02
 VIEWS_SWEEP_HOURS = 4
+ALL_SEED = 3
+ALL_SCALE = 0.02
+
+#: ``repro all`` lines that vary run to run: stage wall times and the
+#: archive path of the ``--json`` summary.
+_UNPINNED_LINE = re.compile(r"^\[(\w+ done in [0-9.]+s|report archived to .*)\]$")
 
 
 def pipeline_artifacts(
@@ -209,6 +216,51 @@ def views_artifact() -> str:
     return "\n".join(lines)
 
 
+def all_artifact(stored: bool) -> str:
+    """``repro all`` as printed, plus its ``--json`` summary.
+
+    Pins how ``repro all`` composes the experiments, which no single
+    experiment golden sees.  ``stored`` runs it through a fresh store;
+    the two renderings differ (the stored harvest re-derives its scale
+    from the population) and both are pinned.  Stage timings and the
+    archive path are stripped; workers, fault profile, store and
+    metrics output are pinned so the environment cannot reach the text.
+    """
+    import contextlib
+    import io
+    import os
+    import pathlib
+    import tempfile
+    from unittest import mock
+
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        summary_path = os.path.join(tmp, "all.json")
+        argv = [
+            "all",
+            "--scale", str(ALL_SCALE),
+            "--seed", str(ALL_SEED),
+            "--workers", "1",
+            "--fault-profile", "none",
+            "--json", summary_path,
+        ]
+        if stored:
+            argv += ["--store", os.path.join(tmp, "store")]
+        stdout = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout):
+            os.environ.pop("REPRO_STORE", None)
+            os.environ.pop("REPRO_METRICS", None)
+            main(argv)
+        summary = pathlib.Path(summary_path).read_text(encoding="utf-8")
+    lines = [
+        line
+        for line in stdout.getvalue().splitlines()
+        if not _UNPINNED_LINE.match(line)
+    ]
+    return "\n".join(lines).rstrip("\n") + "\n\n" + summary.rstrip("\n")
+
+
 #: name -> zero-argument builder for each pinned golden file.
 def _golden_fig1() -> str:
     return pipeline_artifacts(workers=1)["fig1_small"]
@@ -260,6 +312,8 @@ def _golden_bench_schema() -> str:
 
 
 GOLDEN_CASES = {
+    "all_small": lambda: all_artifact(stored=False),
+    "all_small_store": lambda: all_artifact(stored=True),
     "bench_toy_smoke": _golden_bench_schema,
     "fig1_small": _golden_fig1,
     "fig1_small_faulted": _golden_fig1_faulted,
