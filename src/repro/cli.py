@@ -691,6 +691,8 @@ def _run_all(args) -> ExperimentReport:
     # One store serves the whole run: the pipeline stages and the
     # table2/sec7/harvest experiments all checkpoint into it, so a warm
     # re-run recomputes nothing (fig3/sec6 are seconds-cheap and uncached).
+    # One world serves it too: table2 and harvest reuse the pipeline's
+    # population, with the run's scale passed on so it stays authoritative.
     store = _open_store(args)
     pipeline = MeasurementPipeline(
         seed=args.seed,
@@ -709,6 +711,7 @@ def _run_all(args) -> ExperimentReport:
             lambda: run_table2(
                 seed=args.seed,
                 scale=args.scale,
+                population=pipeline.population,
                 sweep_hours=6,
                 rotation_interval_hours=1,
                 relays_per_ip=16,
@@ -731,6 +734,7 @@ def _run_all(args) -> ExperimentReport:
             lambda: run_harvest(
                 seed=args.seed,
                 scale=args.scale,
+                population=pipeline.population,
                 ip_count=16,
                 relays_per_ip=16,
                 store=store,

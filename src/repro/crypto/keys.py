@@ -18,7 +18,7 @@ from repro.errors import CryptoError
 Fingerprint = bytes  # 20-byte SHA-1 digest of the public key
 
 FINGERPRINT_LEN = 20
-_KEY_BLOB_LEN = 140  # approximate DER length of an RSA-1024 public key
+KEY_BLOB_LEN = 140  # approximate DER length of an RSA-1024 public key
 
 
 def fingerprint_hex(fp: Fingerprint) -> str:
@@ -60,7 +60,7 @@ class KeyPair:
     @classmethod
     def generate(cls, rng: random.Random) -> "KeyPair":
         """Generate a fresh key pair from a seeded RNG stream."""
-        return cls(public_der=rng.randbytes(_KEY_BLOB_LEN))
+        return cls(public_der=rng.randbytes(KEY_BLOB_LEN))
 
     @classmethod
     def generate_with_fingerprint_near(

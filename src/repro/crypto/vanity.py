@@ -8,16 +8,20 @@ each extra base32 character multiplies the expected work by 32.
 
 The grinder here is the real loop (hash, check, retry); the population
 generator uses short prefixes so the paper's phishing-clone phenomenon is
-reproduced with honest computation at simulator-friendly cost.
+reproduced with honest computation at simulator-friendly cost.  It checks
+each candidate's SHA-1 digest against the prefix's bits directly — the
+address is the base32 encoding of that digest, so its first ``n``
+characters are the digest's top ``5n`` bits — and builds a key pair only
+for the winner.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Optional
 
-from repro.crypto.keys import KeyPair
-from repro.crypto.onion import onion_address_from_key
+from repro.crypto.keys import KEY_BLOB_LEN, KeyPair
 from repro.errors import CryptoError
 
 # The base32 alphabet onion labels are drawn from.
@@ -49,10 +53,17 @@ def grind_vanity_onion(
         max_attempts = 50 * expected_attempts(prefix)
     if max_attempts < 1:
         raise CryptoError(f"max_attempts must be positive: {max_attempts}")
+    # The prefix as an integer of 5 bits per character, compared with the
+    # top bits of the digest's first 4 bytes (a prefix is at most 30 bits).
+    target = 0
+    for char in prefix:
+        target = (target << 5) | _BASE32_ALPHABET.index(char)
+    shift = 32 - 5 * len(prefix)
+    sha1 = hashlib.sha1
     for _ in range(max_attempts):
-        candidate = KeyPair.generate(rng)
-        if onion_address_from_key(candidate.public_der).startswith(prefix):
-            return candidate
+        der = rng.randbytes(KEY_BLOB_LEN)
+        if int.from_bytes(sha1(der).digest()[:4], "big") >> shift == target:
+            return KeyPair(public_der=der)
     raise CryptoError(
         f"no onion with prefix {prefix!r} after {max_attempts} attempts"
     )

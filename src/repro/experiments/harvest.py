@@ -71,7 +71,7 @@ def _harvest_from_payload(data: Dict[str, Any]) -> HarvestExperimentResult:
 
 def run_harvest(
     seed: int = 0,
-    scale: float = 0.1,
+    scale: Optional[float] = None,
     population: Optional[GeneratedPopulation] = None,
     relay_count: Optional[int] = None,
     ip_count: int = 58,
@@ -81,13 +81,18 @@ def run_harvest(
 ) -> HarvestExperimentResult:
     """Run the shadow-relay harvest and score its coverage.
 
+    ``population`` reuses a world the caller already built.  A given
+    ``scale`` stays authoritative (it sizes the honest network and the
+    paper expectations); omitted, it is 0.1 for a new world and
+    ``total_onions / PAPER_ONIONS`` for a passed one.
+
     With ``store`` the whole validation is one checkpoint; a warm run
     replays the aggregates and report without rebuilding the network.
     """
+    if scale is None:
+        scale = 0.1 if population is None else population.spec.total_onions / PAPER_ONIONS
     if population is None:
         population = generate_population(seed=seed, scale=scale)
-    else:
-        scale = population.spec.total_onions / PAPER_ONIONS
     if relay_count is None:
         relay_count = max(60, round(1_450 * scale))
 

@@ -209,7 +209,7 @@ def _table2_from_payload(data: Dict[str, Any]) -> Table2Result:
 
 def run_table2(
     seed: int = 0,
-    scale: float = 1.0,
+    scale: Optional[float] = None,
     population: Optional[GeneratedPopulation] = None,
     relay_count: Optional[int] = None,
     sweep_hours: int = 12,
@@ -233,16 +233,21 @@ def run_table2(
     affected as long as ``sweep_hours/2 × thinning ≥ 1`` (every tail
     service still emits its per-2h volume at least once).
 
+    ``population`` reuses a world the caller already built.  A given
+    ``scale`` stays authoritative (it sizes the honest network and the
+    paper expectations); omitted, it is 1.0 for a new world and
+    ``total_onions / 39,824`` for a passed one.
+
     With ``store`` the whole experiment is one checkpoint: a warm run
     replays the ranking and report without rebuilding the network (the
     intermediate ``resolution``/``workload_report`` stay ``None``).
     """
     if not 0 < thinning <= 1:
         raise ConfigError(f"thinning must be in (0, 1]: {thinning}")
+    if scale is None:
+        scale = 1.0 if population is None else population.spec.total_onions / 39_824
     if population is None:
         population = generate_population(seed=seed, scale=scale)
-    else:
-        scale = population.spec.total_onions / 39_824
 
     def compute() -> Table2Result:
         return _compute_table2(
@@ -267,6 +272,9 @@ def run_table2(
     )
     config = {
         "seed": seed,
+        # The report's expectations and the default relay count follow
+        # ``scale``, which a passed population no longer fixes.
+        "scale": scale,
         "population": {"seed": population.seed, "spec": asdict(population.spec)},
         "relay_count": relay_count,
         "sweep_hours": sweep_hours,

@@ -1,11 +1,44 @@
 """Tests for repro.crypto.vanity."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.crypto.keys import KeyPair
 from repro.crypto.onion import onion_address_from_key
 from repro.crypto.vanity import expected_attempts, grind_vanity_onion
 from repro.errors import CryptoError
 from repro.sim.rng import derive_rng
+
+BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
+
+
+def grind_by_address(prefix, rng, max_attempts):
+    """The oracle: derive each candidate's address and compare strings.
+
+    ``grind_vanity_onion`` compares digest bits instead and must pick the
+    same key after the same RNG draws.
+    """
+    for _ in range(max_attempts):
+        candidate = KeyPair.generate(rng)
+        if onion_address_from_key(candidate.public_der).startswith(prefix):
+            return candidate
+    raise CryptoError(
+        f"no onion with prefix {prefix!r} after {max_attempts} attempts"
+    )
+
+
+def grind_outcome(grind, prefix, seed, max_attempts):
+    """(key pair or error text, the stream's next draw) of one grind."""
+    rng = derive_rng(seed, "vanity-parity")
+    try:
+        outcome = grind(prefix, rng, max_attempts)
+    except CryptoError as exc:
+        outcome = f"CryptoError: {exc}"
+    return outcome, rng.random()
+
+
+prefixes = st.text(alphabet=BASE32, min_size=1, max_size=3)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestExpectedAttempts:
@@ -49,6 +82,32 @@ class TestGrinding:
         # 0 and 1 are not in the base32 alphabet.
         with pytest.raises(CryptoError):
             grind_vanity_onion("s1", derive_rng(7, "v"))
+
+
+class TestDigestGrindParity:
+    @settings(max_examples=12, deadline=None)
+    @given(prefix=prefixes, seed=seeds)
+    def test_same_key_and_next_draw(self, prefix, seed):
+        cap = 50 * expected_attempts(prefix)
+        assert grind_outcome(grind_vanity_onion, prefix, seed, None) == (
+            grind_outcome(grind_by_address, prefix, seed, cap)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        prefix=prefixes,
+        seed=seeds,
+        max_attempts=st.integers(min_value=1, max_value=48),
+    )
+    def test_same_outcome_under_a_small_cap(self, prefix, seed, max_attempts):
+        assert grind_outcome(grind_vanity_onion, prefix, seed, max_attempts) == (
+            grind_outcome(grind_by_address, prefix, seed, max_attempts)
+        )
+
+    def test_rejected_candidates_stay_out_of_the_address_cache(self):
+        onion_address_from_key.cache_clear()
+        grind_vanity_onion("si", derive_rng(8, "v"))
+        assert onion_address_from_key.cache_info().currsize <= 1
 
 
 class TestPopulationPhishing:
