@@ -261,6 +261,45 @@ def all_artifact(stored: bool) -> str:
     return "\n".join(lines).rstrip("\n") + "\n\n" + summary.rstrip("\n")
 
 
+def models_artifact() -> str:
+    """SHA-256 of a canonical dump of both shipped classifiers.
+
+    The dump holds each model's classes, log priors, unseen-token log
+    likelihoods and per-token rows, keys sorted and every float written
+    with ``float.hex()``, so a one-ulp drift in any trained parameter
+    moves the digest.  Classification outputs pin the models only
+    indirectly; this pins them exactly.
+    """
+    import hashlib
+    import json
+
+    from repro.classify import build_language_detector, build_topic_classifier
+
+    lines = []
+    for name, model in (
+        ("language", build_language_detector()._model),
+        ("topic", build_topic_classifier()._model),
+    ):
+        dump = {
+            "classes": model.classes,
+            "log_prior": {k: v.hex() for k, v in model._log_prior.items()},
+            "log_unseen": {k: v.hex() for k, v in model._log_unseen.items()},
+            "token_rows": {
+                token: [value.hex() for value in row]
+                for token, row in model._token_rows.items()
+            },
+        }
+        blob = json.dumps(
+            dump, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        ).encode("utf-8")
+        lines.append(
+            f"{name} classes={len(model.classes)} "
+            f"vocabulary={model.vocabulary_size} "
+            f"sha256={hashlib.sha256(blob).hexdigest()}"
+        )
+    return "\n".join(lines)
+
+
 #: name -> zero-argument builder for each pinned golden file.
 def _golden_fig1() -> str:
     return pipeline_artifacts(workers=1)["fig1_small"]
@@ -321,6 +360,7 @@ GOLDEN_CASES = {
     "fig3_small": fig3_artifact,
     "harvest_small": harvest_artifact,
     "metrics_small": _golden_metrics,
+    "models_shipped": models_artifact,
     "sec6_small": sec6_artifact,
     "sec7_small": _golden_sec7,
     "table2_small": _golden_table2,
