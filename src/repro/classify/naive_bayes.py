@@ -68,16 +68,20 @@ class MultinomialNaiveBayes:
         class_doc_counts: Counter = Counter(labels)
         token_counts: Dict[str, Counter] = {label: Counter() for label in class_doc_counts}
         for tokens, label in zip(documents, labels):
-            counter = token_counts[label]
-            for token in tokens:
-                counter[token] += 1
-                self._vocabulary.add(token)
-        if not self._vocabulary:
+            token_counts[label].update(tokens)
+        vocabulary = set().union(*token_counts.values())
+        if not vocabulary:
             raise ClassificationError("training corpus contains no tokens")
 
+        # Every fitted field is rebuilt from this corpus alone: a refit
+        # must not inherit the previous fit's vocabulary or rows.
         self._classes = sorted(class_doc_counts)
+        self._vocabulary = vocabulary
+        self._log_prior = {}
+        self._log_likelihood = {}
+        self._log_unseen = {}
         total_docs = len(documents)
-        vocab = len(self._vocabulary)
+        vocab = len(vocabulary)
         for label in self._classes:
             self._log_prior[label] = math.log(class_doc_counts[label] / total_docs)
             counts = token_counts[label]
@@ -92,7 +96,7 @@ class MultinomialNaiveBayes:
                 self._log_likelihood[label].get(token, self._log_unseen[label])
                 for label in self._classes
             )
-            for token in sorted(self._vocabulary)
+            for token in sorted(vocabulary)
         }
         return self
 

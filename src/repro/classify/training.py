@@ -6,10 +6,17 @@ training documents from the corpus vocabularies with a *fixed internal
 seed*, decoupled from every experiment seed — the classifiers are the same
 pre-trained artifact for all experiments, never fitted on the pages they
 will classify.
+
+Training is also a pure function of this code, so each model is trained
+once per process and shared by every caller (pipelines, service epochs,
+crash incarnations).  The shared models are read-only: refitting one
+would change it for all of them.  Training is deliberately not a store
+stage: a cold store would never hit it and a warm replay never trains.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import List, Tuple
 
 from repro.classify.language import LanguageDetector
@@ -51,13 +58,15 @@ def topic_training_corpus(
     return texts, labels
 
 
+@functools.lru_cache(maxsize=1)
 def build_language_detector() -> LanguageDetector:
-    """The shipped language model (deterministic)."""
+    """The shipped language model (deterministic; trained once per process)."""
     texts, labels = language_training_corpus()
     return LanguageDetector().fit(texts, labels)
 
 
+@functools.lru_cache(maxsize=1)
 def build_topic_classifier() -> TopicClassifier:
-    """The shipped topic model (deterministic)."""
+    """The shipped topic model (deterministic; trained once per process)."""
     texts, labels = topic_training_corpus()
     return TopicClassifier().fit(texts, labels)

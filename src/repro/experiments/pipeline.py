@@ -207,8 +207,6 @@ class MeasurementPipeline:
         self._crawl: Optional[CrawlResults] = None
         self._classifiable: Optional[ClassifiableSet] = None
         self._classification: Optional[ClassificationOutcome] = None
-        self._language_detector: Optional[LanguageDetector] = None
-        self._topic_classifier: Optional[TopicClassifier] = None
 
     # -- checkpointing ----------------------------------------------------- #
 
@@ -414,17 +412,13 @@ class MeasurementPipeline:
 
     @property
     def language_detector(self) -> LanguageDetector:
-        """The shipped (pre-trained) language model."""
-        if self._language_detector is None:
-            self._language_detector = build_language_detector()
-        return self._language_detector
+        """The shipped (pre-trained) language model, shared process-wide."""
+        return build_language_detector()
 
     @property
     def topic_classifier(self) -> TopicClassifier:
-        """The shipped (pre-trained) topic model."""
-        if self._topic_classifier is None:
-            self._topic_classifier = build_topic_classifier()
-        return self._topic_classifier
+        """The shipped (pre-trained) topic model, shared process-wide."""
+        return build_topic_classifier()
 
     # -- conveniences ------------------------------------------------------ #
 

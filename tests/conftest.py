@@ -44,13 +44,13 @@ def small_pipeline(small_population):
 
 @pytest.fixture(scope="session")
 def language_detector():
-    """The shipped language model (trained once per session)."""
+    """The shipped language model (trained once per process)."""
     return build_language_detector()
 
 
 @pytest.fixture(scope="session")
 def topic_classifier():
-    """The shipped topic model (trained once per session)."""
+    """The shipped topic model (trained once per process)."""
     return build_topic_classifier()
 
 

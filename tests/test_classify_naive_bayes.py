@@ -44,6 +44,62 @@ class TestFit:
         assert fitted_model().vocabulary_size == 6
 
 
+def fitted_state(model):
+    """Every field a fit writes, for equality checks."""
+    return (
+        model.classes,
+        model._vocabulary,
+        model._log_prior,
+        model._log_likelihood,
+        model._log_unseen,
+        model._token_rows,
+    )
+
+
+_docs = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=6),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestRefit:
+    def test_refit_forgets_the_previous_vocabulary(self):
+        model = MultinomialNaiveBayes().fit([["x", "y"], ["z"]], ["p", "q"])
+        model.fit([["x"], ["x"]], ["p", "q"])
+        fresh = MultinomialNaiveBayes().fit([["x"], ["x"]], ["p", "q"])
+        assert model.vocabulary_size == 1
+        assert model._token_rows == fresh._token_rows
+        assert model._log_unseen == fresh._log_unseen
+
+    def test_refit_drops_classes_it_no_longer_sees(self):
+        model = MultinomialNaiveBayes().fit([["x"], ["y"], ["z"]], ["p", "q", "r"])
+        model.fit([["x"], ["y"]], ["p", "q"])
+        assert model.classes == ["p", "q"]
+        assert set(model._log_prior) == {"p", "q"}
+        assert set(model.log_scores(["x"])) == {"p", "q"}
+
+    @given(_docs, _docs, st.data())
+    def test_refit_equals_a_fresh_fit(self, first, second, data):
+        first_labels = data.draw(
+            st.lists(st.sampled_from("PQR"), min_size=len(first), max_size=len(first))
+        )
+        second_labels = data.draw(
+            st.lists(st.sampled_from("PQR"), min_size=len(second), max_size=len(second))
+        )
+        model = MultinomialNaiveBayes().fit(first, first_labels)
+        model.fit(second, second_labels)
+        fresh = MultinomialNaiveBayes().fit(second, second_labels)
+        assert fitted_state(model) == fitted_state(fresh)
+
+    def test_failed_refit_keeps_the_fitted_model(self):
+        model = fitted_model()
+        before = fitted_state(model)
+        with pytest.raises(ClassificationError):
+            model.fit([[], []], ["a", "b"])
+        assert fitted_state(model) == before
+
+
 class TestPredict:
     def test_obvious_cases(self):
         model = fitted_model()

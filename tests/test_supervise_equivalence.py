@@ -50,7 +50,7 @@ def equivalence_population():
 
 
 @pytest.fixture(scope="module")
-def clean_text(equivalence_population, language_detector, topic_classifier):
+def clean_text(equivalence_population):
     """Per-(workers, fault_profile) clean cold baselines, computed once."""
     cache = {}
 
@@ -63,8 +63,6 @@ def clean_text(equivalence_population, language_detector, topic_classifier):
                 workers=workers,
                 fault_profile=fault_profile,
             )
-            pipeline._language_detector = language_detector
-            pipeline._topic_classifier = topic_classifier
             for stage in PIPELINE_STAGES:
                 getattr(pipeline, stage)()
             cache[key] = campaign_text(pipeline)
@@ -74,7 +72,7 @@ def clean_text(equivalence_population, language_detector, topic_classifier):
 
 
 @pytest.fixture()
-def supervised(tmp_path, equivalence_population, language_detector, topic_classifier):
+def supervised(tmp_path, equivalence_population):
     """Run the campaign under a crash plan; returns the outcome."""
 
     def run(plan, workers=1, fault_profile="none"):
@@ -90,8 +88,6 @@ def supervised(tmp_path, equivalence_population, language_detector, topic_classi
                 crash_point=crash_points,
                 quarantine=quarantine,
             )
-            pipeline._language_detector = language_detector
-            pipeline._topic_classifier = topic_classifier
             return pipeline
 
         return EpochSupervisor(plan).run(factory)
