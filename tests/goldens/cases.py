@@ -44,6 +44,10 @@ VIEWS_SCALE = 0.02
 VIEWS_SWEEP_HOURS = 4
 ALL_SEED = 3
 ALL_SCALE = 0.02
+#: The benchmark's ``cold_large`` world: the one golden at a scale where
+#: the hour-to-hour consensus and ring diffs churn a ~131-member ring.
+ALL_LARGE_SEED = 15
+ALL_LARGE_SCALE = 0.05
 
 #: ``repro all`` lines that vary run to run: stage wall times and the
 #: archive path of the ``--json`` summary.
@@ -216,7 +220,9 @@ def views_artifact() -> str:
     return "\n".join(lines)
 
 
-def all_artifact(stored: bool) -> str:
+def all_artifact(
+    stored: bool, seed: int = ALL_SEED, scale: float = ALL_SCALE
+) -> str:
     """``repro all`` as printed, plus its ``--json`` summary.
 
     Pins how ``repro all`` composes the experiments, which no single
@@ -239,8 +245,8 @@ def all_artifact(stored: bool) -> str:
         summary_path = os.path.join(tmp, "all.json")
         argv = [
             "all",
-            "--scale", str(ALL_SCALE),
-            "--seed", str(ALL_SEED),
+            "--scale", str(scale),
+            "--seed", str(seed),
             "--workers", "1",
             "--fault-profile", "none",
             "--json", summary_path,
@@ -351,6 +357,9 @@ def _golden_bench_schema() -> str:
 
 
 GOLDEN_CASES = {
+    "all_large": lambda: all_artifact(
+        stored=False, seed=ALL_LARGE_SEED, scale=ALL_LARGE_SCALE
+    ),
     "all_small": lambda: all_artifact(stored=False),
     "all_small_store": lambda: all_artifact(stored=True),
     "bench_toy_smoke": _golden_bench_schema,
