@@ -16,7 +16,7 @@ of times smaller.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import Fingerprint, fingerprint_int
 from repro.errors import CryptoError
@@ -142,13 +142,28 @@ def ring_start_indices(
     ]
 
 
+#: Entries one ring's :meth:`FingerprintRing.responsible_for` memo holds
+#: before it starts over.  A table2 sweep hour at scale 1.0 asks for ~30k
+#: distinct descriptor IDs; the bound keeps the memo a few megabytes.
+LOOKUP_MEMO_LIMIT = 1 << 14
+
+
 class FingerprintRing:
     """An immutable snapshot of the HSDir ring for one consensus.
 
     Maps ring positions back to fingerprints and answers the two queries the
     study needs: *which relays are responsible for this descriptor ID* and
     *how tightly is this relay positioned against this descriptor ID*.
+
+    :meth:`derive` builds the next consensus's ring from this one plus the
+    membership diff (or returns this very ring when nothing changed), so an
+    hourly consensus pays for the relays that joined and left, not for the
+    whole ring.  A fresh ``FingerprintRing(fps)`` is its oracle.
     """
+
+    #: The one ring whose lookup memo is alive.  Querying another ring drops
+    #: it, so a long consensus archive never holds more than one memo.
+    _memo_owner: Optional["FingerprintRing"] = None
 
     def __init__(self, fingerprints: Sequence[Fingerprint]) -> None:
         # 20-byte big-endian fingerprints sort identically as bytes and as
@@ -163,14 +178,64 @@ class FingerprintRing:
                 raise CryptoError("distinct fingerprints with equal ring position")
             positions.append(position)
             by_position[position] = fp
+        self._init(tuple(positions), by_position, frozenset(unique))
+
+    def _init(
+        self,
+        positions: Tuple[int, ...],
+        by_position: Dict[int, Fingerprint],
+        members: FrozenSet[Fingerprint],
+    ) -> None:
         self._positions = positions
         self._by_position = by_position
+        self._members = members
+        self._memo: Optional[Dict[bytes, Tuple[Fingerprint, ...]]] = None
+
+    def derive(self, fingerprints: Iterable[Fingerprint]) -> "FingerprintRing":
+        """The ring of ``fingerprints``, built from this ring's members.
+
+        Returns ``self`` when the members are the same (a ring is
+        immutable, so consecutive consensuses share it, lookup memo
+        included); otherwise only the joined fingerprints pay the int
+        conversion, and the positions are merged rather than re-sorted.
+        Equal to ``FingerprintRing(fingerprints)`` in every query, the
+        equal-position :class:`CryptoError` included.
+        """
+        members = frozenset(fingerprints)
+        if members == self._members:
+            return self
+        left = self._members - members
+        by_position = dict(self._by_position)
+        if left:
+            gone = {int.from_bytes(fp, "big") for fp in left}
+            for position in gone:
+                del by_position[position]
+            positions = [p for p in self._positions if p not in gone]
+        else:
+            positions = list(self._positions)
+        joined = sorted(members - self._members)
+        for fp in joined:
+            position = fingerprint_int(fp)
+            if position in by_position:
+                raise CryptoError("distinct fingerprints with equal ring position")
+            by_position[position] = fp
+            positions.append(position)
+        if joined:
+            positions.sort()  # two sorted runs: a linear merge
+        ring = FingerprintRing.__new__(FingerprintRing)
+        ring._init(tuple(positions), by_position, members)
+        return ring
 
     def __len__(self) -> int:
         return len(self._positions)
 
     def __contains__(self, fp: Fingerprint) -> bool:
         return fingerprint_int(fp) in self._by_position
+
+    @property
+    def positions(self) -> Tuple[int, ...]:
+        """All ring positions, ascending (shared, read-only)."""
+        return self._positions
 
     @property
     def fingerprints(self) -> List[Fingerprint]:
@@ -180,15 +245,45 @@ class FingerprintRing:
     def same_members(self, other: "FingerprintRing") -> bool:
         """Whether ``other`` holds exactly this ring's fingerprints, so that
         every placement on one equals the placement on the other."""
-        return self._positions == other._positions
+        return self is other or self._positions == other._positions
 
     def responsible_for(
         self, descriptor_id: bytes, count: int = HSDIRS_PER_REPLICA
     ) -> List[Fingerprint]:
-        """The ``count`` relays responsible for ``descriptor_id`` (one replica)."""
+        """The ``count`` relays responsible for ``descriptor_id`` (one replica).
+
+        Answers for the default ``count`` are memoised per descriptor ID
+        (clients ask for the same IDs over and over within an hour, and a
+        ring lives as long as its membership); the caller always gets a
+        fresh list.  The memo holds at most :data:`LOOKUP_MEMO_LIMIT`
+        entries and only the most recently queried ring keeps one.
+        """
+        if count != HSDIRS_PER_REPLICA:
+            return self._lookup(descriptor_id, count)
+        memo = self._memo
+        if memo is None:
+            memo = self._claim_memo()
+        found = memo.get(descriptor_id)
+        if found is None:
+            if len(memo) >= LOOKUP_MEMO_LIMIT:
+                memo.clear()
+            found = tuple(self._lookup(descriptor_id, count))
+            memo[descriptor_id] = found
+        return list(found)
+
+    def _lookup(self, descriptor_id: bytes, count: int) -> List[Fingerprint]:
         point = int.from_bytes(descriptor_id, "big")
         positions = responsible_positions(point, self._positions, count)
         return [self._by_position[p] for p in positions]
+
+    def _claim_memo(self) -> Dict[bytes, Tuple[Fingerprint, ...]]:
+        owner = FingerprintRing._memo_owner
+        if owner is not None:
+            owner._memo = None
+        FingerprintRing._memo_owner = self
+        memo: Dict[bytes, Tuple[Fingerprint, ...]] = {}
+        self._memo = memo
+        return memo
 
     def responsible_for_many(
         self,

@@ -35,8 +35,9 @@ class ConsensusArchive:
             )
         self._consensuses.append(consensus)
         self._times.append(consensus.valid_after)
-        for entry in consensus.entries:
-            self._first_seen.setdefault(entry.fingerprint, consensus.valid_after)
+        first_seen = self._first_seen
+        for fingerprint in consensus.fingerprint_index.keys() - first_seen.keys():
+            first_seen[fingerprint] = consensus.valid_after
 
     def __len__(self) -> int:
         return len(self._consensuses)

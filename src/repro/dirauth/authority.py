@@ -14,23 +14,28 @@ authority set:
   :class:`~repro.dirauth.consensus.Consensus`.
 
 Builds are incremental: a relay's entry is reused until the relay changes
-or reaches its next flag threshold.  :func:`build_consensus_scratch`, which
-flags every relay afresh, is kept as the reference the reuse is tested
-against.
+or reaches its next flag threshold, and a consensus is the previous one plus
+the admissions that changed, its HSDir ring derived from the previous ring.
+:func:`build_consensus_scratch`, which flags and admits every relay afresh,
+is kept as the reference the reuse is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.crypto.keys import Fingerprint
+from repro.crypto.ring import FingerprintRing
 from repro.dirauth.consensus import (
+    MAX_RELAYS_PER_IP,
     Consensus,
     ConsensusEntry,
     apply_per_ip_limit,
 )
 from repro.dirauth.voting import FlagPolicy
 from repro.errors import ConsensusError
+from repro.net.address import IPv4
 from repro.relay.flags import RelayFlags, flags_overlap
 from repro.relay.relay import Relay
 from repro.sim.clock import Timestamp
@@ -83,18 +88,35 @@ class DirectoryAuthoritySet:
     def __init__(self, policy: Optional[FlagPolicy] = None) -> None:
         self.policy = policy if policy is not None else FlagPolicy()
         self._relays: Dict[int, Relay] = {}
+        # relay_id -> order of registration; orders candidates exactly as
+        # iterating ``_relays`` does, for the per-IP tie-break
+        self._serial: Dict[int, int] = {}
+        self._registrations = 0
         # relay_id -> (relay.state_version, built at, next flag change, entry)
         self._entries: Dict[
             int, Tuple[int, int, float, Optional[ConsensusEntry]]
         ] = {}
         self.admitted: Dict[Fingerprint, Relay] = {}
         self.consensuses_built = 0
+        self._forget_last_build()
+
+    def _forget_last_build(self) -> None:
+        """Drop the previous build, so the next one starts from nothing."""
+        self._last: Optional[Consensus] = None
+        # The last build's candidates (relay_id -> entry), the same grouped
+        # by IP, the entries each IP got admitted, and the HSDir members.
+        self._candidates: Dict[int, ConsensusEntry] = {}
+        self._groups: Dict[IPv4, Dict[int, ConsensusEntry]] = {}
+        self._chosen: Dict[IPv4, List[Tuple[int, ConsensusEntry]]] = {}
+        self._hsdirs: Set[Fingerprint] = set()
 
     def register(self, relay: Relay) -> None:
         """Start monitoring ``relay``."""
         if relay.relay_id in self._relays:
             raise ConsensusError(f"relay already registered: {relay}")
         self._relays[relay.relay_id] = relay
+        self._serial[relay.relay_id] = self._registrations
+        self._registrations += 1
 
     def register_all(self, relays: Iterable[Relay]) -> None:
         """Register many relays."""
@@ -104,6 +126,7 @@ class DirectoryAuthoritySet:
     def deregister(self, relay: Relay) -> None:
         """Stop monitoring ``relay`` (operator shut it down permanently)."""
         self._relays.pop(relay.relay_id, None)
+        self._serial.pop(relay.relay_id, None)
         self._entries.pop(relay.relay_id, None)
 
     @property
@@ -121,23 +144,31 @@ class DirectoryAuthoritySet:
 
         Reachable relays are flagged per policy, then the per-IP limit keeps
         the two highest-bandwidth relays per address.  Entries are ordered by
-        fingerprint, as in real consensus documents.
+        fingerprint, as in real consensus documents.  The result equals
+        :func:`build_consensus_scratch` entry for entry.
 
-        A relay's entry is reused from the build that computed it while the
-        relay's ``state_version`` has not moved and ``now`` lies between
-        that build and the relay's next flag threshold; otherwise the relay
-        is flagged afresh.  The result equals :func:`build_consensus_scratch`
-        entry for entry.
+        Each build pays for what changed since the previous one:
+
+        * a relay's entry is reused from the build that computed it while
+          the relay's ``state_version`` has not moved and ``now`` lies
+          between that build and the relay's next flag threshold;
+        * when every candidate entry is the previous build's, the entries
+          tuple, fingerprint index and HSDir ring are shared outright;
+        * otherwise only the IPs whose candidates changed are ranked again,
+          and the entries, index and ring are the previous ones plus the
+          admitted entries that came and went.
         """
         when = int(now)
         policy = self.policy
         cache = self._entries
-        candidates: List[ConsensusEntry] = []
-        owners: Dict[Fingerprint, Relay] = {}
+        previous = self._candidates
+        current: Dict[int, ConsensusEntry] = {}
+        changed: List[int] = []
         for relay in self._relays.values():
             if not relay.reachable:
                 continue
-            cached = cache.get(relay.relay_id)
+            relay_id = relay.relay_id
+            cached = cache.get(relay_id)
             if (
                 cached is not None
                 and cached[0] == relay.state_version
@@ -151,18 +182,126 @@ class DirectoryAuthoritySet:
                     if flags_overlap(flags, RelayFlags.RUNNING)
                     else None
                 )
-                cache[relay.relay_id] = (
+                cache[relay_id] = (
                     relay.state_version,
                     when,
                     policy.next_flag_change(relay, now),
                     entry,
                 )
             if entry is not None:
-                candidates.append(entry)
-                owners[entry.fingerprint] = relay
-        consensus = _publish(candidates, now)
-        self.admitted = {
-            entry.fingerprint: owners[entry.fingerprint] for entry in consensus
-        }
+                current[relay_id] = entry
+                if previous.get(relay_id) is not entry:
+                    changed.append(relay_id)
+        last = self._last
+        if last is not None and not changed and len(current) == len(previous):
+            consensus = Consensus.assemble(
+                when, last.entries, last.fingerprint_index, last.hsdir_ring
+            )
+        else:
+            try:
+                consensus = self._apply_changes(when, current, changed)
+            except ConsensusError:
+                self._forget_last_build()
+                raise
+        self._last = consensus
         self.consensuses_built += 1
         return consensus
+
+    def _apply_changes(
+        self, when: int, current: Dict[int, ConsensusEntry], changed: List[int]
+    ) -> Consensus:
+        """Re-rank the IPs whose candidates changed and publish the result."""
+        previous = self._candidates
+        groups = self._groups
+        touched: Set[IPv4] = set()
+        for relay_id in changed:
+            old = previous.get(relay_id)
+            if old is not None:
+                _leave(groups, old.ip, relay_id)
+                touched.add(old.ip)
+            entry = current[relay_id]
+            groups.setdefault(entry.ip, {})[relay_id] = entry
+            touched.add(entry.ip)
+        for relay_id in previous.keys() - current.keys():
+            old = previous[relay_id]
+            _leave(groups, old.ip, relay_id)
+            touched.add(old.ip)
+        self._candidates = current
+
+        # The per-IP rule of apply_per_ip_limit, on the touched IPs only:
+        # keep the top (-bandwidth, fingerprint, candidate order) keys.
+        removed: List[ConsensusEntry] = []
+        added: List[Tuple[int, ConsensusEntry]] = []
+        serial = self._serial
+        chosen = self._chosen
+        for ip in touched:
+            before = chosen.pop(ip, [])
+            group = groups.get(ip)
+            after = (
+                [
+                    (relay_id, entry)
+                    for _, _, _, relay_id, entry in sorted(
+                        (-entry.bandwidth, entry.fingerprint, serial[relay_id])
+                        + (relay_id, entry)
+                        for relay_id, entry in group.items()
+                    )[:MAX_RELAYS_PER_IP]
+                ]
+                if group
+                else []
+            )
+            if after:
+                chosen[ip] = after
+            kept = {id(entry) for _, entry in after}
+            removed.extend(e for _, e in before if id(e) not in kept)
+            kept = {id(entry) for _, entry in before}
+            added.extend(pair for pair in after if id(pair[1]) not in kept)
+
+        last = self._last
+        entries = list(last.entries) if last is not None else []
+        by_fingerprint = dict(last.fingerprint_index) if last is not None else {}
+        admitted = dict(self.admitted) if last is not None else {}
+        hsdirs = self._hsdirs
+        hsdirs_changed = last is None
+        for entry in removed:
+            fingerprint = entry.fingerprint
+            del entries[bisect_left(entries, fingerprint, key=_fingerprint_of)]
+            del by_fingerprint[fingerprint]
+            del admitted[fingerprint]
+            if entry.has(RelayFlags.HSDIR):
+                hsdirs.discard(fingerprint)
+                hsdirs_changed = True
+        relays = self._relays
+        for relay_id, entry in added:
+            fingerprint = entry.fingerprint
+            if fingerprint in by_fingerprint:
+                raise ConsensusError(
+                    f"duplicate fingerprint in consensus: {fingerprint.hex()}"
+                )
+            insort(entries, entry, key=_fingerprint_of)
+            by_fingerprint[fingerprint] = entry
+            admitted[fingerprint] = relays[relay_id]
+            if entry.has(RelayFlags.HSDIR):
+                hsdirs.add(fingerprint)
+                hsdirs_changed = True
+        if last is None:
+            ring = FingerprintRing(hsdirs)
+        elif hsdirs_changed:
+            ring = last.hsdir_ring.derive(hsdirs)
+        else:
+            ring = last.hsdir_ring
+        self.admitted = admitted
+        return Consensus.assemble(when, tuple(entries), by_fingerprint, ring)
+
+
+def _fingerprint_of(entry: ConsensusEntry) -> Fingerprint:
+    return entry.fingerprint
+
+
+def _leave(
+    groups: Dict[IPv4, Dict[int, ConsensusEntry]], ip: IPv4, relay_id: int
+) -> None:
+    """Take ``relay_id`` out of its IP group, dropping the group once empty."""
+    group = groups[ip]
+    del group[relay_id]
+    if not group:
+        del groups[ip]

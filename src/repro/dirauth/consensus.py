@@ -72,6 +72,33 @@ class Consensus:
             by_fp[entry.fingerprint] = entry
         self._by_fingerprint = by_fp
 
+    @classmethod
+    def assemble(
+        cls,
+        valid_after: Timestamp,
+        entries: Tuple[ConsensusEntry, ...],
+        fingerprint_index: Dict[Fingerprint, ConsensusEntry],
+        hsdir_ring: FingerprintRing,
+    ) -> "Consensus":
+        """A consensus from parts its builder already derived and checked.
+
+        ``fingerprint_index`` must map each entry's fingerprint to the entry
+        and ``hsdir_ring`` hold exactly the HSDir-flagged fingerprints; both
+        may be shared with the previous consensus (neither is ever mutated).
+        Skips the per-entry index pass of the plain constructor.
+        """
+        consensus = cls.__new__(cls)
+        consensus.valid_after = valid_after
+        consensus.entries = entries
+        consensus._by_fingerprint = fingerprint_index
+        consensus._hsdir_ring = hsdir_ring
+        return consensus
+
+    @property
+    def fingerprint_index(self) -> Dict[Fingerprint, ConsensusEntry]:
+        """Fingerprint -> entry (shared; treat as read-only)."""
+        return self._by_fingerprint
+
     def __len__(self) -> int:
         return len(self.entries)
 

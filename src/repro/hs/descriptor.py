@@ -89,3 +89,35 @@ def make_descriptors(
         )
         for replica in range(REPLICAS)
     ]
+
+
+def make_stored_descriptors(
+    keypair: KeyPair,
+    now: Timestamp,
+    introduction_points: Tuple[str, ...] = (),
+    descriptor_ids: Optional[Sequence[DescriptorId]] = None,
+) -> List[StoredDescriptor]:
+    """Both replicas as a directory stores them, built directly.
+
+    Element *r* equals ``make_descriptors(...)[r].to_stored()`` and the same
+    key-material check applies; the publish path uploads these without
+    building the intermediate :class:`HSDescriptor`.
+    """
+    if not keypair.public_der:
+        raise DescriptorError("descriptor needs key material")
+    if descriptor_ids is None:
+        onion = onion_address_from_key(keypair.public_der)
+        descriptor_ids = [
+            descriptor_id(onion, now, replica) for replica in range(REPLICAS)
+        ]
+    published_at = int(now)
+    return [
+        StoredDescriptor(
+            descriptor_id=descriptor_ids[replica],
+            public_der=keypair.public_der,
+            replica=replica,
+            published_at=published_at,
+            introduction_points=introduction_points,
+        )
+        for replica in range(REPLICAS)
+    ]

@@ -65,6 +65,9 @@ class HSDirServer:
     # insertion order is visible through ``stored_descriptors``.
     EXPIRY_GRANULARITY = HOUR
 
+    #: Watermark of an empty store: newer than any cutoff.
+    _NOTHING_STORED = 1 << 62
+
     def __init__(self, relay_id: int, keep_log: bool = True) -> None:
         self.relay_id = relay_id
         self.keep_log = keep_log
@@ -74,6 +77,9 @@ class HSDirServer:
         self.request_counts: Dict[DescriptorId, List[int]] = {}
         self.publishes_received = 0
         self._last_expiry_sweep: Timestamp = -(1 << 62)
+        # A lower bound on every stored ``published_at``: while it is newer
+        # than the cutoff, a sweep has nothing to delete and skips its walk.
+        self._oldest_published: Timestamp = self._NOTHING_STORED
 
     def store(
         self, descriptor: StoredDescriptor, now: Timestamp, validate: bool = False
@@ -92,8 +98,11 @@ class HSDirServer:
             raise DescriptorError(
                 "descriptor id does not derive from the embedded key at this time"
             )
-        self._expire(now)
+        if int(now) - self._last_expiry_sweep >= self.EXPIRY_GRANULARITY:
+            self._expire(now)
         self._store[descriptor.descriptor_id] = descriptor
+        if descriptor.published_at < self._oldest_published:
+            self._oldest_published = descriptor.published_at
         self.publishes_received += 1
 
     @staticmethod
@@ -113,7 +122,8 @@ class HSDirServer:
         self, descriptor_id: DescriptorId, now: Timestamp, log: bool = True
     ) -> Optional[StoredDescriptor]:
         """Answer a client fetch, recording it in the request accounting."""
-        self._expire(now)
+        if int(now) - self._last_expiry_sweep >= self.EXPIRY_GRANULARITY:
+            self._expire(now)
         descriptor = self._store.get(descriptor_id)
         if descriptor is not None and descriptor.published_at <= int(now) - self.RETENTION:
             # Exact retention semantics even between lazy sweeps.
@@ -158,14 +168,27 @@ class HSDirServer:
         self.request_counts = {}
 
     def _expire(self, now: Timestamp) -> None:
+        """The hourly sweep: drop every descriptor past retention.
+
+        The walk runs only when the watermark says something may be due; it
+        deletes exactly what a walk on every sweep would, at the same
+        sweeps, so dict insertion order is unchanged.
+        """
         if int(now) - self._last_expiry_sweep < self.EXPIRY_GRANULARITY:
             return
         self._last_expiry_sweep = int(now)
         cutoff = int(now) - self.RETENTION
+        if self._oldest_published > cutoff:
+            return
+        store = self._store
         expired = [
             desc_id
-            for desc_id, stored in self._store.items()
+            for desc_id, stored in store.items()
             if stored.published_at <= cutoff
         ]
         for desc_id in expired:
-            del self._store[desc_id]
+            del store[desc_id]
+        self._oldest_published = min(
+            (stored.published_at for stored in store.values()),
+            default=self._NOTHING_STORED,
+        )

@@ -268,18 +268,16 @@ class TorNetwork:
             else None
         )
         delivered = 0
-        for descriptor in service.current_descriptors(now, descriptor_ids):
+        # One frozen StoredDescriptor per replica, shared across all its
+        # responsible directories.
+        for stored in service.current_stored(now, descriptor_ids):
             responsible = (
-                responsible_per_replica[descriptor.replica]
+                responsible_per_replica[stored.replica]
                 if responsible_per_replica is not None
                 else responsible_for_replica(
-                    self.consensus, service.onion, now, descriptor.replica
+                    self.consensus, service.onion, now, stored.replica
                 )
             )
-            # One frozen StoredDescriptor shared across all responsible
-            # directories — to_stored() per upload used to dominate the
-            # publish loop at harvest scale.
-            stored = descriptor.to_stored()
             for fingerprint in responsible:
                 relay = self._relays_by_fingerprint.get(fingerprint)
                 if relay is None:
@@ -291,7 +289,7 @@ class TorNetwork:
                     trace = PublishTrace(
                         time=int(now),
                         onion=service.onion,
-                        descriptor_id=descriptor.descriptor_id,
+                        descriptor_id=stored.descriptor_id,
                         operator_ip=service.operator_ip,
                         guard_fingerprint=(
                             guards.pick() if guards.fingerprints else None
@@ -340,31 +338,31 @@ class TorNetwork:
         """
         if now is None:
             now = self.clock.now
-        responsible = self.consensus.hsdir_ring.responsible_for(desc_id)
-        order = list(responsible)
+        # responsible_for hands out a fresh list: shuffle it in place.
+        order = self.consensus.hsdir_ring.responsible_for(desc_id)
         rng.shuffle(order)
-        result: Optional[StoredDescriptor] = None
+        observers = self._fetch_observers
         for fingerprint in order:
             relay = self._relays_by_fingerprint.get(fingerprint)
             if relay is None:
                 continue
             server = self._hsdir_servers[relay.relay_id]
             found = server.fetch(desc_id, now)
-            trace = FetchTrace(
-                time=int(now),
-                client_ip=client_ip,
-                guard_fingerprint=guard_fingerprint,
-                hsdir_relay_id=relay.relay_id,
-                hsdir_fingerprint=fingerprint,
-                descriptor_id=desc_id,
-                found=found is not None,
-            )
-            for observer in self._fetch_observers:
-                observer(trace)
+            if observers:
+                trace = FetchTrace(
+                    time=int(now),
+                    client_ip=client_ip,
+                    guard_fingerprint=guard_fingerprint,
+                    hsdir_relay_id=relay.relay_id,
+                    hsdir_fingerprint=fingerprint,
+                    descriptor_id=desc_id,
+                    found=found is not None,
+                )
+                for observer in observers:
+                    observer(trace)
             if found is not None:
-                result = found
-                break
-        return result
+                return found
+        return None
 
     def fetch_onion(
         self,

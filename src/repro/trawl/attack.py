@@ -21,12 +21,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from repro.crypto.keys import fingerprint_int
 from repro.errors import AttackError
 from repro.hs.publisher import PublishScheduler
 from repro.hs.service import HiddenService
 from repro.net.address import AddressPool
-from repro.relay.flags import RelayFlags
 from repro.sim.clock import HOUR, Timestamp
 from repro.tornet import TorNetwork
 from repro.trawl.coverage import CoverageTracker
@@ -137,13 +135,11 @@ class TrawlAttack:
             self.coverage.record_wave(
                 listed_positions, network.consensus.hsdir_count
             )
-            ring_positions = [
-                fingerprint_int(entry.fingerprint)
-                for entry in network.consensus.with_flag(RelayFlags.HSDIR)
-            ]
-            ring_positions.sort()
+            # The ring's own sorted positions, shared by the snapshot.
             self.ring_history.record(
-                network.clock.now, ring_positions, listed_positions
+                network.clock.now,
+                network.consensus.hsdir_ring.positions,
+                listed_positions,
             )
             publisher.maintain(network.clock.now)
             if hour_hook is not None:

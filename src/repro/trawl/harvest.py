@@ -78,14 +78,19 @@ class RingHistory:
     """
 
     # (hour timestamp, sorted ring positions, attacker position set)
-    snapshots: List[Tuple[Timestamp, List[int], Set[int]]] = field(
+    snapshots: List[Tuple[Timestamp, Sequence[int], Set[int]]] = field(
         default_factory=list
     )
 
     def record(
-        self, when: Timestamp, ring_positions: List[int], attacker_positions: Set[int]
+        self,
+        when: Timestamp,
+        ring_positions: Sequence[int],
+        attacker_positions: Set[int],
     ) -> None:
-        """Store one hourly snapshot (ring positions must be sorted)."""
+        """Store one hourly snapshot (ring positions must be sorted; the
+        sequence is kept as given, so pass an immutable one such as
+        ``FingerprintRing.positions``)."""
         self.snapshots.append((int(when), ring_positions, attacker_positions))
 
     def _attacker_slots(

@@ -148,3 +148,121 @@ class TestFingerprintRing:
         ring = FingerprintRing(fps + [forged.fingerprint])
         assert ring.responsible_for(desc_id)[0] == forged.fingerprint
         assert ring.positioning_ratio(desc_id, forged.fingerprint) >= 1000
+
+
+class _AliasFingerprint(bytes):
+    """Equal bytes, distinct identity: two such objects are different set
+    members with the same ring position (the equal-position error case)."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+
+#: A pool of fingerprints the churn sequences join from and leave to.
+POOL = make_fingerprints(48, seed=21)
+
+
+def assert_same_ring(derived, fresh, queries):
+    assert len(derived) == len(fresh)
+    assert derived.fingerprints == fresh.fingerprints
+    assert derived.positions == fresh.positions
+    assert derived.same_members(fresh) and fresh.same_members(derived)
+    for count in range(1, 5):
+        assert derived.responsible_for_many(queries, count) == (
+            fresh.responsible_for_many(queries, count)
+        )
+        for query in queries:
+            assert derived.responsible_for(query, count) == (
+                fresh.responsible_for(query, count)
+            )
+
+
+class TestDerive:
+    """``derive`` (previous ring + membership diff) against a fresh ring."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(POOL), max_size=len(POOL)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.lists(st.binary(min_size=20, max_size=20), min_size=1, max_size=12),
+    )
+    def test_churn_sequence_matches_fresh(self, memberships, queries):
+        """Random join/leave sequences (empty rings and full replacement
+        included): every derived ring answers exactly as a fresh one."""
+        ring = FingerprintRing([])
+        for members in memberships:
+            derived = ring.derive(members)
+            assert_same_ring(derived, FingerprintRing(members), queries)
+            if set(members) == set(ring.fingerprints):
+                assert derived is ring
+            ring = derived
+
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    def test_full_replacement(self, size):
+        before, after = POOL[:size], POOL[size : 2 * size]
+        derived = FingerprintRing(before).derive(after)
+        assert_same_ring(derived, FingerprintRing(after), POOL[-4:])
+
+    def test_equal_position_raises_like_fresh(self):
+        alias = _AliasFingerprint(POOL[0])
+        with pytest.raises(CryptoError):
+            FingerprintRing(POOL[:3] + [alias])
+        with pytest.raises(CryptoError):
+            FingerprintRing(POOL[:3]).derive(POOL[:3] + [alias])
+
+    def test_alias_replacing_its_original_is_not_an_error(self):
+        alias = _AliasFingerprint(POOL[0])
+        derived = FingerprintRing(POOL[:3]).derive([alias] + POOL[1:3])
+        assert derived.positions == FingerprintRing(POOL[:3]).positions
+
+    def test_unchanged_members_share_the_ring(self):
+        ring = FingerprintRing(POOL[:10])
+        assert ring.derive(reversed(POOL[:10])) is ring
+
+    def test_derive_leaves_the_source_ring_alone(self):
+        ring = FingerprintRing(POOL[:10])
+        before = ring.fingerprints
+        ring.derive(POOL[5:15])
+        assert ring.fingerprints == before
+
+    def test_derive_validates_joined_fingerprints(self):
+        with pytest.raises(CryptoError):
+            FingerprintRing(POOL[:3]).derive(POOL[:3] + [b"short"])
+
+
+class TestLookupMemo:
+    def test_mutating_an_answer_does_not_change_the_next(self):
+        ring = FingerprintRing(POOL)
+        desc_id = POOL[7]
+        first = ring.responsible_for(desc_id)
+        expected = list(first)
+        first.reverse()
+        first.append(b"\x00" * 20)
+        assert ring.responsible_for(desc_id) == expected
+        assert ring.responsible_for(desc_id) is not ring.responsible_for(desc_id)
+
+    def test_memo_is_bounded(self, monkeypatch):
+        import repro.crypto.ring as ring_module
+
+        monkeypatch.setattr(ring_module, "LOOKUP_MEMO_LIMIT", 16)
+        ring = FingerprintRing(POOL)
+        fresh = FingerprintRing(POOL)
+        rng = random.Random(3)
+        for _ in range(200):
+            desc_id = rng.randbytes(20)
+            assert ring.responsible_for(desc_id) == fresh._lookup(desc_id, 3)
+            assert len(ring._memo) <= 16
+
+    def test_only_the_last_queried_ring_keeps_a_memo(self):
+        rings = [FingerprintRing(POOL[i : i + 10]) for i in range(5)]
+        for ring in rings:
+            ring.responsible_for(POOL[-1])
+        assert [ring._memo is not None for ring in rings] == [False] * 4 + [True]

@@ -30,6 +30,9 @@ CHURN = (
     "backdate",
     "tick",
     "threshold",
+    "reweigh",
+    "rehome",
+    "twin",
 )
 
 
@@ -46,15 +49,28 @@ def make_relay(ip, bandwidth=500, started_at=0, nickname="r", seed=None):
 
 def assert_matches_scratch(authority, now):
     """Build once and compare with the from-scratch oracle: every entry,
-    and the fingerprint -> relay map the network reads."""
+    the HSDir ring, and the fingerprint -> relay map the network reads.
+    When the oracle rejects the consensus (a duplicate fingerprint), the
+    incremental build must reject it too."""
+    try:
+        oracle = build_consensus_scratch(
+            authority.monitored_relays, authority.policy, now
+        )
+    except ConsensusError:
+        with pytest.raises(ConsensusError):
+            authority.build_consensus(now)
+        return None
     consensus = authority.build_consensus(now)
-    oracle = build_consensus_scratch(authority.monitored_relays, authority.policy, now)
     assert consensus.valid_after == oracle.valid_after
     assert consensus.entries == oracle.entries
+    assert consensus.fingerprint_index == oracle.fingerprint_index
+    assert consensus.hsdir_ring.fingerprints == oracle.hsdir_ring.fingerprints
+    assert consensus.hsdir_ring.same_members(oracle.hsdir_ring)
     assert {fp: relay.relay_id for fp, relay in authority.admitted.items()} == {
         relay.fingerprint: relay.relay_id
         for relay in authority.monitored_relays
         if relay.fingerprint in oracle
+        and oracle.entry_for(relay.fingerprint).nickname == relay.nickname
     }
     return consensus
 
@@ -155,6 +171,28 @@ class TestIncrementalBuild:
             bandwidth >= POLICY.guard_min_bandwidth
         )
 
+    def test_tie_on_one_ip_goes_to_the_earlier_registration(self):
+        """Two relays on one key, bandwidth and IP, behind a faster third:
+        the per-IP rule admits the one registered first, as the scratch
+        build's candidate order does, also after a re-registration."""
+        key = KeyPair.generate(random.Random(9))
+        first, second = (
+            Relay(
+                nickname=name, ip=7, or_port=9001, keypair=key,
+                bandwidth=500, started_at=0,
+            )
+            for name in ("first", "second")
+        )
+        fast = make_relay(7, bandwidth=900, started_at=0, seed=10)
+        authority = DirectoryAuthoritySet()
+        authority.register_all([first, second, fast])
+        consensus = assert_matches_scratch(authority, 2 * DAY)
+        assert consensus.entry_for(key.fingerprint).nickname == "first"
+        authority.deregister(first)
+        authority.register(first)
+        consensus = assert_matches_scratch(authority, 2 * DAY + HOUR)
+        assert consensus.entry_for(key.fingerprint).nickname == "second"
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_relay_churn_matches_scratch(self, data):
@@ -166,12 +204,12 @@ class TestIncrementalBuild:
         monitored, retired = [], []
         now = 20 * DAY
 
-        def spawn():
+        def spawn(keypair=None):
             relay = Relay(
                 nickname=f"r{len(monitored) + len(retired)}",
                 ip=data.draw(st.integers(1, 3), label="ip"),
                 or_port=9001,
-                keypair=KeyPair.generate(keys),
+                keypair=keypair if keypair is not None else KeyPair.generate(keys),
                 bandwidth=data.draw(
                     st.sampled_from((99, 100, 249, 250, 251)), label="bandwidth"
                 ),
@@ -193,6 +231,10 @@ class TestIncrementalBuild:
                     monitored.append(relay)
             elif op == "tick":
                 now += data.draw(st.integers(-HOUR, 3 * DAY), label="tick")
+            elif op == "twin":
+                # A second relay on an existing key: a duplicate fingerprint
+                # unless the per-IP rule keeps one of them out.
+                spawn(data.draw(st.sampled_from(monitored), label="twin").keypair)
             else:
                 relay = data.draw(st.sampled_from(monitored), label="relay")
                 if op == "deregister":
@@ -206,6 +248,12 @@ class TestIncrementalBuild:
                     relay.set_reachable(True, now - back)
                 elif op == "rotate":
                     relay.rotate_key(keys, now)
+                elif op == "reweigh":
+                    relay.bandwidth = data.draw(
+                        st.sampled_from((99, 100, 249, 250, 251)), label="bandwidth"
+                    )
+                elif op == "rehome":
+                    relay.ip = data.draw(st.integers(1, 3), label="ip")
                 elif op == "backdate":
                     back = data.draw(st.integers(0, 9 * DAY), label="since")
                     relay.adopt_key(KeyPair.generate(keys), now, up_since=now - back)

@@ -1,6 +1,7 @@
 """Tests for repro.hsdir.directory."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DescriptorError
 from repro.hsdir.directory import HSDirServer, StoredDescriptor
@@ -103,3 +104,101 @@ class TestRequestAccounting:
         server.clear_log()
         assert server.total_requests == 0
         assert server.request_log == []
+
+
+class WalkingHSDirServer(HSDirServer):
+    """Reference: the hourly sweep walks the whole store every time."""
+
+    def _expire(self, now):
+        if int(now) - self._last_expiry_sweep < self.EXPIRY_GRANULARITY:
+            return
+        self._last_expiry_sweep = int(now)
+        cutoff = int(now) - self.RETENTION
+        expired = [
+            desc_id
+            for desc_id, stored in self._store.items()
+            if stored.published_at <= cutoff
+        ]
+        for desc_id in expired:
+            del self._store[desc_id]
+
+
+#: A handful of IDs, so stores replace and fetches hit.
+IDS = [bytes([i]) * 20 for i in range(1, 7)]
+
+operation = st.one_of(
+    st.tuples(
+        st.just("store"),
+        st.sampled_from(IDS),
+        st.integers(0, 2 * DAY),
+        st.binary(min_size=1, max_size=2),
+    ),
+    st.tuples(st.just("fetch"), st.sampled_from(IDS), st.booleans()),
+    st.tuples(st.just("read")),
+    st.tuples(st.just("clock"), st.integers(-2 * HOUR, DAY // 2)),
+)
+
+
+class TestExpiryWatermark:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(operation, max_size=60))
+    def test_matches_walking_reference(self, operations):
+        """Stores (with arbitrary publication ages), logged and unlogged
+        fetches, read-outs and a clock that also steps back, as client
+        fetch times inside a window do: the watermark server keeps the
+        same descriptors in the same order with the same accounting."""
+        server, reference = HSDirServer(relay_id=1), WalkingHSDirServer(relay_id=1)
+        now = 3 * DAY
+        for op in operations:
+            if op[0] == "store":
+                _, desc_id, age, der = op
+                stored = make_stored(desc_id, published_at=now - age, der=der)
+                server.store(stored, now)
+                reference.store(stored, now)
+            elif op[0] == "fetch":
+                _, desc_id, log = op
+                assert server.fetch(desc_id, now, log=log) == reference.fetch(
+                    desc_id, now, log=log
+                )
+            elif op[0] == "read":
+                assert server.stored_descriptors(now) == (
+                    reference.stored_descriptors(now)
+                )
+            else:
+                now += op[1]
+            assert list(server._store) == list(reference._store)
+        assert server.stored_descriptors(now) == reference.stored_descriptors(now)
+        assert server.request_counts == reference.request_counts
+        assert server.request_log == reference.request_log
+        assert server.publishes_received == reference.publishes_received
+
+    def test_sweep_without_due_descriptors_skips_the_walk(self, monkeypatch):
+        server = HSDirServer(relay_id=1)
+        server.store(make_stored(published_at=DAY), now=DAY)
+        walked = []
+        original = server._store
+        monkeypatch.setattr(
+            server, "_store", _CountingDict(original, walked), raising=True
+        )
+        server.fetch(b"\x02" * 20, now=DAY + 2 * HOUR)  # sweep due, nothing old
+        assert walked == []
+        server.store(
+            make_stored(b"\x03" * 20, published_at=2 * DAY), now=2 * DAY
+        )
+        server.fetch(b"\x02" * 20, now=2 * DAY + 2 * HOUR)  # the first expires
+        assert walked == ["items"]
+        assert [d.descriptor_id for d in server.stored_descriptors(
+            2 * DAY + 2 * HOUR
+        )] == [b"\x03" * 20]
+        server.fetch(b"\x02" * 20, now=2 * DAY + 4 * HOUR)  # watermark moved on
+        assert walked == ["items"]
+
+
+class _CountingDict(dict):
+    def __init__(self, contents, walked):
+        super().__init__(contents)
+        self._walked = walked
+
+    def items(self):
+        self._walked.append("items")
+        return super().items()
