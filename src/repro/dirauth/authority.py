@@ -152,11 +152,12 @@ class DirectoryAuthoritySet:
         * a relay's entry is reused from the build that computed it while
           the relay's ``state_version`` has not moved and ``now`` lies
           between that build and the relay's next flag threshold;
-        * when every candidate entry is the previous build's, the entries
-          tuple, fingerprint index and HSDir ring are shared outright;
-        * otherwise only the IPs whose candidates changed are ranked again,
-          and the entries, index and ring are the previous ones plus the
-          admitted entries that came and went.
+        * only the IPs whose candidate entries came, went or changed are
+          ranked again;
+        * when that admits exactly the previous entries, the entries tuple,
+          fingerprint index and HSDir ring are shared outright; otherwise
+          they are the previous ones plus the admitted entries that came
+          and went, the ring derived from the previous ring.
         """
         when = int(now)
         policy = self.policy
@@ -192,17 +193,11 @@ class DirectoryAuthoritySet:
                 current[relay_id] = entry
                 if previous.get(relay_id) is not entry:
                     changed.append(relay_id)
-        last = self._last
-        if last is not None and not changed and len(current) == len(previous):
-            consensus = Consensus.assemble(
-                when, last.entries, last.fingerprint_index, last.hsdir_ring
-            )
-        else:
-            try:
-                consensus = self._apply_changes(when, current, changed)
-            except ConsensusError:
-                self._forget_last_build()
-                raise
+        try:
+            consensus = self._apply_changes(when, current, changed)
+        except ConsensusError:
+            self._forget_last_build()
+            raise
         self._last = consensus
         self.consensuses_built += 1
         return consensus
@@ -211,6 +206,7 @@ class DirectoryAuthoritySet:
         self, when: int, current: Dict[int, ConsensusEntry], changed: List[int]
     ) -> Consensus:
         """Re-rank the IPs whose candidates changed and publish the result."""
+        last = self._last
         previous = self._candidates
         groups = self._groups
         touched: Set[IPv4] = set()
@@ -236,32 +232,27 @@ class DirectoryAuthoritySet:
         chosen = self._chosen
         for ip in touched:
             before = chosen.pop(ip, [])
-            group = groups.get(ip)
-            after = (
-                [
-                    (relay_id, entry)
-                    for _, _, _, relay_id, entry in sorted(
-                        (-entry.bandwidth, entry.fingerprint, serial[relay_id])
-                        + (relay_id, entry)
-                        for relay_id, entry in group.items()
-                    )[:MAX_RELAYS_PER_IP]
-                ]
-                if group
-                else []
+            # Serials are unique, so the sort never compares the last two.
+            ranked = sorted(
+                (-e.bandwidth, e.fingerprint, serial[relay_id], relay_id, e)
+                for relay_id, e in groups.get(ip, {}).items()
             )
+            after = [(relay_id, e) for *_, relay_id, e in ranked[:MAX_RELAYS_PER_IP]]
             if after:
                 chosen[ip] = after
             kept = {id(entry) for _, entry in after}
             removed.extend(e for _, e in before if id(e) not in kept)
             kept = {id(entry) for _, entry in before}
             added.extend(pair for pair in after if id(pair[1]) not in kept)
+        if last is not None and not removed and not added:
+            return Consensus.assemble(
+                when, last.entries, last.fingerprint_index, last.hsdir_ring
+            )
 
-        last = self._last
         entries = list(last.entries) if last is not None else []
         by_fingerprint = dict(last.fingerprint_index) if last is not None else {}
         admitted = dict(self.admitted) if last is not None else {}
         hsdirs = self._hsdirs
-        hsdirs_changed = last is None
         for entry in removed:
             fingerprint = entry.fingerprint
             del entries[bisect_left(entries, fingerprint, key=_fingerprint_of)]
@@ -269,7 +260,6 @@ class DirectoryAuthoritySet:
             del admitted[fingerprint]
             if entry.has(RelayFlags.HSDIR):
                 hsdirs.discard(fingerprint)
-                hsdirs_changed = True
         relays = self._relays
         for relay_id, entry in added:
             fingerprint = entry.fingerprint
@@ -282,13 +272,11 @@ class DirectoryAuthoritySet:
             admitted[fingerprint] = relays[relay_id]
             if entry.has(RelayFlags.HSDIR):
                 hsdirs.add(fingerprint)
-                hsdirs_changed = True
-        if last is None:
-            ring = FingerprintRing(hsdirs)
-        elif hsdirs_changed:
-            ring = last.hsdir_ring.derive(hsdirs)
-        else:
-            ring = last.hsdir_ring
+        ring = (
+            FingerprintRing(hsdirs)
+            if last is None
+            else last.hsdir_ring.derive(hsdirs)
+        )
         self.admitted = admitted
         return Consensus.assemble(when, tuple(entries), by_fingerprint, ring)
 

@@ -9,6 +9,7 @@ coarse daily steps can instead call
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.descriptor_id import (
@@ -182,9 +183,7 @@ class PublishScheduler:
             placement = placements[index]
             start, end, _ = self._descriptor_ids[index]
             self._placed[index] = (generation, start, end)
-            responsible = frozenset(
-                fp for replica_fps in placement[1] for fp in replica_fps
-            )
+            responsible = frozenset(chain.from_iterable(placement[1]))
             if self._last_responsible.get(index) != responsible:
                 delivered += self._publish(service, now, placement)
                 self._last_responsible[index] = responsible

@@ -16,12 +16,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from repro.crypto.descriptor_id import DescriptorId, time_period_boundaries
 from repro.crypto.keys import KeyPair
 from repro.crypto.onion import OnionAddress, onion_address_from_key, permanent_id_from_onion
-from repro.hs.descriptor import (
-    HSDescriptor,
-    make_descriptors,
-    make_stored_descriptors,
-)
-from repro.hsdir.directory import StoredDescriptor
+from repro.hs.descriptor import HSDescriptor, make_descriptors
 from repro.net.endpoint import SimpleHost
 from repro.sim.clock import Timestamp
 from repro.sim.rng import derive_rng
@@ -79,14 +74,6 @@ class HiddenService:
         """Both replica descriptors for the period containing ``now``
         (``descriptor_ids``: that period's IDs, when the caller has them)."""
         return make_descriptors(
-            self.keypair, now, self.introduction_points, descriptor_ids
-        )
-
-    def current_stored(
-        self, now: Timestamp, descriptor_ids: Optional[Sequence[DescriptorId]] = None
-    ) -> List[StoredDescriptor]:
-        """:meth:`current_descriptors` as directories store them."""
-        return make_stored_descriptors(
             self.keypair, now, self.introduction_points, descriptor_ids
         )
 

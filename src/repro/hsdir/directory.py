@@ -122,27 +122,23 @@ class HSDirServer:
         self, descriptor_id: DescriptorId, now: Timestamp, log: bool = True
     ) -> Optional[StoredDescriptor]:
         """Answer a client fetch, recording it in the request accounting."""
-        if int(now) - self._last_expiry_sweep >= self.EXPIRY_GRANULARITY:
-            self._expire(now)
+        when = int(now)
+        if when - self._last_expiry_sweep >= self.EXPIRY_GRANULARITY:
+            self._expire(when)
         descriptor = self._store.get(descriptor_id)
-        if descriptor is not None and descriptor.published_at <= int(now) - self.RETENTION:
+        if descriptor is not None and descriptor.published_at <= when - self.RETENTION:
             # Exact retention semantics even between lazy sweeps.
             del self._store[descriptor_id]
             descriptor = None
         if log:
+            found = descriptor is not None
             counts = self.request_counts.get(descriptor_id)
             if counts is None:
-                counts = [0, 0]
-                self.request_counts[descriptor_id] = counts
-            counts[0 if descriptor is not None else 1] += 1
+                self.request_counts[descriptor_id] = [1, 0] if found else [0, 1]
+            else:
+                counts[0 if found else 1] += 1
             if self.keep_log:
-                self.request_log.append(
-                    RequestRecord(
-                        time=int(now),
-                        descriptor_id=descriptor_id,
-                        found=descriptor is not None,
-                    )
-                )
+                self.request_log.append(RequestRecord(when, descriptor_id, found))
         return descriptor
 
     @property

@@ -21,6 +21,7 @@ from repro.dirauth.authority import DirectoryAuthoritySet
 from repro.dirauth.consensus import Consensus
 from repro.dirauth.voting import FlagPolicy
 from repro.errors import SimulationError
+from repro.hs.descriptor import make_stored_descriptors
 from repro.hs.service import HiddenService
 from repro.hsdir.directory import HSDirServer, StoredDescriptor
 from repro.hsdir.ring_view import (
@@ -270,7 +271,9 @@ class TorNetwork:
         delivered = 0
         # One frozen StoredDescriptor per replica, shared across all its
         # responsible directories.
-        for stored in service.current_stored(now, descriptor_ids):
+        for stored in make_stored_descriptors(
+            service.keypair, now, service.introduction_points, descriptor_ids
+        ):
             responsible = (
                 responsible_per_replica[stored.replica]
                 if responsible_per_replica is not None

@@ -1,13 +1,18 @@
 """Tests for repro.hs.descriptor."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.crypto.descriptor_id import REPLICAS, descriptor_id
 from repro.crypto.keys import KeyPair
 from repro.errors import DescriptorError
-from repro.hs.descriptor import HSDescriptor, make_descriptors
+from repro.hs.descriptor import (
+    HSDescriptor,
+    make_descriptors,
+    make_stored_descriptors,
+)
 from repro.sim.clock import DAY, parse_date
 
 FEB4 = parse_date("2013-02-04")
@@ -72,3 +77,26 @@ class TestToStored:
         assert stored.public_der == descriptor.public_der
         assert stored.replica == descriptor.replica
         assert stored.published_at == descriptor.published_at
+
+
+class TestMakeStoredDescriptors:
+    """The publish path's direct build against make_descriptors + to_stored."""
+
+    @pytest.mark.parametrize("intro", [(), ("ip1", "ip2")])
+    @pytest.mark.parametrize("pass_ids", [False, True])
+    def test_equals_converted_descriptors(self, intro, pass_ids):
+        ids = (
+            [descriptor_id("x" * 16 + ".onion", FEB4, r) for r in range(REPLICAS)]
+            if pass_ids
+            else None
+        )
+        expected = [
+            d.to_stored() for d in make_descriptors(KEYPAIR, FEB4 + 7, intro, ids)
+        ]
+        assert make_stored_descriptors(KEYPAIR, FEB4 + 7, intro, ids) == expected
+
+    @pytest.mark.parametrize("build", [make_descriptors, make_stored_descriptors])
+    def test_needs_key_material(self, build):
+        keyless = SimpleNamespace(public_der=b"")  # KeyPair itself refuses b""
+        with pytest.raises(DescriptorError):
+            build(keyless, FEB4)
