@@ -16,7 +16,8 @@ of times smaller.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import weakref
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import Fingerprint, fingerprint_int
 from repro.errors import CryptoError
@@ -143,9 +144,10 @@ def ring_start_indices(
 
 
 #: Entries one ring's :meth:`FingerprintRing.responsible_for` memo holds
-#: before it starts over.  A table2 sweep hour at scale 1.0 asks for ~30k
-#: distinct descriptor IDs; the bound keeps the memo a few megabytes.
-LOOKUP_MEMO_LIMIT = 1 << 14
+#: before it starts over (under a megabyte).  Most misses are first asks:
+#: a table2 sweep at scale 0.25 fills a ring's memo to ~7k entries, and
+#: this bound costs it 3 extra misses out of ~42k.
+LOOKUP_MEMO_LIMIT = 1 << 12
 
 
 class FingerprintRing:
@@ -162,8 +164,11 @@ class FingerprintRing:
     """
 
     #: The one ring whose lookup memo is alive.  Querying another ring drops
-    #: it, so a long consensus archive never holds more than one memo.
-    _memo_owner: Optional["FingerprintRing"] = None
+    #: it, so a long consensus archive never holds more than one memo; the
+    #: reference is weak, so the memo never outlives its ring.
+    _memo_owner: Callable[[], Optional["FingerprintRing"]] = staticmethod(
+        lambda: None
+    )
 
     def __init__(self, fingerprints: Sequence[Fingerprint]) -> None:
         # 20-byte big-endian fingerprints sort identically as bytes and as
@@ -178,17 +183,13 @@ class FingerprintRing:
                 raise CryptoError("distinct fingerprints with equal ring position")
             positions.append(position)
             by_position[position] = fp
-        self._init(tuple(positions), by_position, frozenset(unique))
+        self._init(tuple(positions), by_position)
 
     def _init(
-        self,
-        positions: Tuple[int, ...],
-        by_position: Dict[int, Fingerprint],
-        members: FrozenSet[Fingerprint],
+        self, positions: Tuple[int, ...], by_position: Dict[int, Fingerprint]
     ) -> None:
         self._positions = positions
         self._by_position = by_position
-        self._members = members
         self._memo: Optional[Dict[bytes, Tuple[Fingerprint, ...]]] = None
 
     def derive(self, fingerprints: Iterable[Fingerprint]) -> "FingerprintRing":
@@ -201,10 +202,11 @@ class FingerprintRing:
         Equal to ``FingerprintRing(fingerprints)`` in every query, the
         equal-position :class:`CryptoError` included.
         """
-        members = frozenset(fingerprints)
-        if members == self._members:
+        members = set(fingerprints)
+        own = set(self._by_position.values())
+        if members == own:
             return self
-        left = self._members - members
+        left = own - members
         by_position = dict(self._by_position)
         if left:
             gone = {int.from_bytes(fp, "big") for fp in left}
@@ -213,7 +215,7 @@ class FingerprintRing:
             positions = [p for p in self._positions if p not in gone]
         else:
             positions = list(self._positions)
-        joined = sorted(members - self._members)
+        joined = sorted(members - own)
         for fp in joined:
             position = fingerprint_int(fp)
             if position in by_position:
@@ -223,7 +225,7 @@ class FingerprintRing:
         if joined:
             positions.sort()  # two sorted runs: a linear merge
         ring = FingerprintRing.__new__(FingerprintRing)
-        ring._init(tuple(positions), by_position, members)
+        ring._init(tuple(positions), by_position)
         return ring
 
     def __len__(self) -> int:
@@ -277,10 +279,10 @@ class FingerprintRing:
         return [self._by_position[p] for p in positions]
 
     def _claim_memo(self) -> Dict[bytes, Tuple[Fingerprint, ...]]:
-        owner = FingerprintRing._memo_owner
+        owner = FingerprintRing._memo_owner()
         if owner is not None:
             owner._memo = None
-        FingerprintRing._memo_owner = self
+        FingerprintRing._memo_owner = weakref.ref(self)
         memo: Dict[bytes, Tuple[Fingerprint, ...]] = {}
         self._memo = memo
         return memo

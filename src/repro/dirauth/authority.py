@@ -88,10 +88,6 @@ class DirectoryAuthoritySet:
     def __init__(self, policy: Optional[FlagPolicy] = None) -> None:
         self.policy = policy if policy is not None else FlagPolicy()
         self._relays: Dict[int, Relay] = {}
-        # relay_id -> order of registration; orders candidates exactly as
-        # iterating ``_relays`` does, for the per-IP tie-break
-        self._serial: Dict[int, int] = {}
-        self._registrations = 0
         # relay_id -> (relay.state_version, built at, next flag change, entry)
         self._entries: Dict[
             int, Tuple[int, int, float, Optional[ConsensusEntry]]
@@ -103,11 +99,9 @@ class DirectoryAuthoritySet:
     def _forget_last_build(self) -> None:
         """Drop the previous build, so the next one starts from nothing."""
         self._last: Optional[Consensus] = None
-        # The last build's candidates (relay_id -> entry), the same grouped
-        # by IP, the entries each IP got admitted, and the HSDir members.
+        # The last build's candidates (relay_id -> entry, in candidate
+        # order) and its HSDir members.
         self._candidates: Dict[int, ConsensusEntry] = {}
-        self._groups: Dict[IPv4, Dict[int, ConsensusEntry]] = {}
-        self._chosen: Dict[IPv4, List[Tuple[int, ConsensusEntry]]] = {}
         self._hsdirs: Set[Fingerprint] = set()
 
     def register(self, relay: Relay) -> None:
@@ -115,8 +109,6 @@ class DirectoryAuthoritySet:
         if relay.relay_id in self._relays:
             raise ConsensusError(f"relay already registered: {relay}")
         self._relays[relay.relay_id] = relay
-        self._serial[relay.relay_id] = self._registrations
-        self._registrations += 1
 
     def register_all(self, relays: Iterable[Relay]) -> None:
         """Register many relays."""
@@ -126,7 +118,6 @@ class DirectoryAuthoritySet:
     def deregister(self, relay: Relay) -> None:
         """Stop monitoring ``relay`` (operator shut it down permanently)."""
         self._relays.pop(relay.relay_id, None)
-        self._serial.pop(relay.relay_id, None)
         self._entries.pop(relay.relay_id, None)
 
     @property
@@ -208,42 +199,42 @@ class DirectoryAuthoritySet:
         """Re-rank the IPs whose candidates changed and publish the result."""
         last = self._last
         previous = self._candidates
-        groups = self._groups
-        touched: Set[IPv4] = set()
+        self._candidates = current
+        touched: Set[IPv4] = {current[relay_id].ip for relay_id in changed}
         for relay_id in changed:
             old = previous.get(relay_id)
             if old is not None:
-                _leave(groups, old.ip, relay_id)
                 touched.add(old.ip)
-            entry = current[relay_id]
-            groups.setdefault(entry.ip, {})[relay_id] = entry
-            touched.add(entry.ip)
         for relay_id in previous.keys() - current.keys():
-            old = previous[relay_id]
-            _leave(groups, old.ip, relay_id)
-            touched.add(old.ip)
-        self._candidates = current
-
-        # The per-IP rule of apply_per_ip_limit, on the touched IPs only:
-        # keep the top (-bandwidth, fingerprint, candidate order) keys.
-        removed: List[ConsensusEntry] = []
-        added: List[Tuple[int, ConsensusEntry]] = []
-        serial = self._serial
-        chosen = self._chosen
-        for ip in touched:
-            before = chosen.pop(ip, [])
-            # Serials are unique, so the sort never compares the last two.
-            ranked = sorted(
-                (-e.bandwidth, e.fingerprint, serial[relay_id], relay_id, e)
-                for relay_id, e in groups.get(ip, {}).items()
+            touched.add(previous[relay_id].ip)
+        if last is not None and not touched:
+            return Consensus.assemble(
+                when, last.entries, last.fingerprint_index, last.hsdir_ring
             )
-            after = [(relay_id, e) for *_, relay_id, e in ranked[:MAX_RELAYS_PER_IP]]
-            if after:
-                chosen[ip] = after
-            kept = {id(entry) for _, entry in after}
-            removed.extend(e for _, e in before if id(e) not in kept)
-            kept = {id(entry) for _, entry in before}
-            added.extend(pair for pair in after if id(pair[1]) not in kept)
+
+        # apply_per_ip_limit on the touched IPs only: each keeps its top
+        # (-bandwidth, fingerprint, candidate index) keys.  The index never
+        # ties, so the sort never compares the last two fields.
+        ranked: Dict[IPv4, List[Tuple]] = {}
+        for index, (relay_id, entry) in enumerate(current.items()):
+            if entry.ip in touched:
+                ranked.setdefault(entry.ip, []).append(
+                    (-entry.bandwidth, entry.fingerprint, index, relay_id, entry)
+                )
+        after: Dict[int, Tuple[int, ConsensusEntry]] = {}
+        for group in ranked.values():
+            group.sort()
+            for *_, relay_id, entry in group[:MAX_RELAYS_PER_IP]:
+                after[id(entry)] = (relay_id, entry)
+        before = (
+            [entry for entry in last.entries if entry.ip in touched]
+            if last is not None
+            else []
+        )
+        removed = [entry for entry in before if id(entry) not in after]
+        for entry in before:
+            after.pop(id(entry), None)
+        added = list(after.values())
         if last is not None and not removed and not added:
             return Consensus.assemble(
                 when, last.entries, last.fingerprint_index, last.hsdir_ring
@@ -284,12 +275,3 @@ class DirectoryAuthoritySet:
 def _fingerprint_of(entry: ConsensusEntry) -> Fingerprint:
     return entry.fingerprint
 
-
-def _leave(
-    groups: Dict[IPv4, Dict[int, ConsensusEntry]], ip: IPv4, relay_id: int
-) -> None:
-    """Take ``relay_id`` out of its IP group, dropping the group once empty."""
-    group = groups[ip]
-    del group[relay_id]
-    if not group:
-        del groups[ip]
