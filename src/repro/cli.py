@@ -690,7 +690,8 @@ def _run_all(args) -> ExperimentReport:
 
     # One store serves the whole run: the pipeline stages and the
     # table2/sec7/harvest experiments all checkpoint into it, so a warm
-    # re-run recomputes nothing (fig3/sec6 are seconds-cheap and uncached).
+    # re-run recomputes only fig3, which is uncached: its 300-relay,
+    # 800-client world is the same at every scale.
     # One world serves it too: table2 and harvest reuse the pipeline's
     # population, with the run's scale passed on so it stays authoritative.
     store = _open_store(args)

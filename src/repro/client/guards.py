@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 from repro.crypto.keys import Fingerprint
 from repro.dirauth.consensus import Consensus
 from repro.errors import SimulationError
-from repro.relay.flags import RelayFlags
 from repro.sim.clock import DAY, Timestamp
 
 GUARD_SET_SIZE = 3
@@ -61,7 +60,7 @@ class GuardSet:
             for slot in self._slots
             if slot.expires_at > now and consensus.entry_for(slot.fingerprint) is not None
         ]
-        candidates = self._guard_candidates(consensus)
+        candidates = dict(consensus.guard_weights)
         have = {slot.fingerprint for slot in self._slots}
         while len(self._slots) < GUARD_SET_SIZE and candidates:
             pick = self._weighted_pick(candidates)
@@ -81,15 +80,9 @@ class GuardSet:
             raise SimulationError("guard set is empty; call refresh first")
         return self._rng.choice(self._slots).fingerprint
 
-    def _guard_candidates(self, consensus: Consensus) -> Dict[Fingerprint, int]:
-        return {
-            entry.fingerprint: max(1, entry.bandwidth)
-            for entry in consensus.with_flag(RelayFlags.GUARD)
-        }
-
     def _weighted_pick(self, candidates: Dict[Fingerprint, int]) -> Optional[Fingerprint]:
         if not candidates:
             return None
         fingerprints = list(candidates)
-        weights = [candidates[fp] for fp in fingerprints]
+        weights = list(candidates.values())
         return self._rng.choices(fingerprints, weights=weights, k=1)[0]

@@ -19,13 +19,9 @@ import bisect
 import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import accel
 from repro.crypto.keys import Fingerprint, fingerprint_int
 from repro.errors import CryptoError
-
-try:  # numpy powers the batched placement kernel; the scalar path is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
 
 RING_SIZE = 1 << 160  # SHA-1 output space
 
@@ -75,23 +71,24 @@ def responsible_positions_batch(
     points = list(sorted_points)
     if not points or not descriptor_points:
         return [[] for _ in descriptor_points]
-    if _np is None or len(descriptor_points) < 8:
+    np = accel.numpy() if len(descriptor_points) >= 8 else None
+    if np is None:
         return [
             responsible_positions(point, points, count)
             for point in descriptor_points
         ]
     size = len(points)
     take = min(count, size)
-    member_prefix = _np.fromiter(
-        (p >> _PREFIX_SHIFT for p in points), dtype=_np.uint64, count=size
+    member_prefix = np.fromiter(
+        (p >> _PREFIX_SHIFT for p in points), dtype=np.uint64, count=size
     )
-    query_prefix = _np.fromiter(
+    query_prefix = np.fromiter(
         (q >> _PREFIX_SHIFT for q in descriptor_points),
-        dtype=_np.uint64,
+        dtype=np.uint64,
         count=len(descriptor_points),
     )
-    low = _np.searchsorted(member_prefix, query_prefix, side="left")
-    high = _np.searchsorted(member_prefix, query_prefix, side="right")
+    low = np.searchsorted(member_prefix, query_prefix, side="left")
+    high = np.searchsorted(member_prefix, query_prefix, side="right")
     results: List[List[int]] = []
     for query, lo, hi in zip(descriptor_points, low.tolist(), high.tolist()):
         # Equal-prefix members (the [lo, hi) run) need the exact comparison;
@@ -125,18 +122,19 @@ def ring_start_indices(
         return []
     if not points:
         return [0 for _ in descriptor_points]
-    if _np is None or len(descriptor_points) < 8:
+    np = accel.numpy() if len(descriptor_points) >= 8 else None
+    if np is None:
         return [bisect.bisect_right(points, q) for q in descriptor_points]
-    member_prefix = _np.fromiter(
-        (p >> _PREFIX_SHIFT for p in points), dtype=_np.uint64, count=len(points)
+    member_prefix = np.fromiter(
+        (p >> _PREFIX_SHIFT for p in points), dtype=np.uint64, count=len(points)
     )
-    query_prefix = _np.fromiter(
+    query_prefix = np.fromiter(
         (q >> _PREFIX_SHIFT for q in descriptor_points),
-        dtype=_np.uint64,
+        dtype=np.uint64,
         count=len(descriptor_points),
     )
-    low = _np.searchsorted(member_prefix, query_prefix, side="left")
-    high = _np.searchsorted(member_prefix, query_prefix, side="right")
+    low = np.searchsorted(member_prefix, query_prefix, side="left")
+    high = np.searchsorted(member_prefix, query_prefix, side="right")
     return [
         hi if lo == hi else bisect.bisect_right(points, query, lo, hi)
         for query, lo, hi in zip(descriptor_points, low.tolist(), high.tolist())

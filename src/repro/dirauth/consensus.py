@@ -61,6 +61,14 @@ class Consensus:
         init=False, repr=False, default_factory=dict
     )
     _hsdir_ring: Optional[FingerprintRing] = field(init=False, repr=False, default=None)
+    # Built on first use, like the ring: most consensuses (sec7's archive of
+    # daily snapshots) are never filtered, so they never carry these.
+    _flagged: Optional[Dict[RelayFlags, Tuple[ConsensusEntry, ...]]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    _guard_weights: Optional[Dict[Fingerprint, int]] = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         by_fp: Dict[Fingerprint, ConsensusEntry] = {}
@@ -92,6 +100,8 @@ class Consensus:
         consensus.entries = entries
         consensus._by_fingerprint = fingerprint_index
         consensus._hsdir_ring = hsdir_ring
+        consensus._flagged = None
+        consensus._guard_weights = None
         return consensus
 
     @property
@@ -113,8 +123,33 @@ class Consensus:
         return self._by_fingerprint.get(fingerprint)
 
     def with_flag(self, flag: RelayFlags) -> List[ConsensusEntry]:
-        """All entries carrying ``flag``."""
-        return [entry for entry in self.entries if flags_overlap(entry.flags, flag)]
+        """All entries carrying ``flag``, in entry order (a fresh list)."""
+        return list(self._entries_with(flag))
+
+    def _entries_with(self, flag: RelayFlags) -> Tuple[ConsensusEntry, ...]:
+        if self._flagged is None:
+            self._flagged = {}
+        entries = self._flagged.get(flag)
+        if entries is None:
+            entries = tuple(
+                entry for entry in self.entries if flags_overlap(entry.flags, flag)
+            )
+            self._flagged[flag] = entries
+        return entries
+
+    @property
+    def guard_weights(self) -> Dict[Fingerprint, int]:
+        """Guard fingerprint -> selection weight ``max(1, bandwidth)``.
+
+        In entry order, built once per consensus (shared; treat as
+        read-only — a client copies it before drawing from it).
+        """
+        if self._guard_weights is None:
+            self._guard_weights = {
+                entry.fingerprint: max(1, entry.bandwidth)
+                for entry in self._entries_with(RelayFlags.GUARD)
+            }
+        return self._guard_weights
 
     @property
     def hsdir_ring(self) -> FingerprintRing:

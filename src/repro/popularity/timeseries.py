@@ -12,17 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro import accel
 from repro.crypto.descriptor_id import DescriptorId
 from repro.errors import ReproError
 from repro.hsdir.directory import HSDirServer
 from repro.sim.clock import HOUR, Timestamp
-
-try:  # numpy powers the packed-array kernels; the scalar path is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
 
 
 def _shape_statistics(
@@ -120,15 +117,15 @@ class _PackedLog:
 
     __slots__ = ("times", "by_id")
 
-    def __init__(self, log: Sequence) -> None:
-        self.times = _np.fromiter(
-            (record.time for record in log), dtype=_np.int64, count=len(log)
+    def __init__(self, log: Sequence, np: ModuleType) -> None:
+        self.times = np.fromiter(
+            (record.time for record in log), dtype=np.int64, count=len(log)
         )
         grouped: Dict[DescriptorId, List[int]] = {}
         for index, record in enumerate(log):
             grouped.setdefault(record.descriptor_id, []).append(index)
         self.by_id = {
-            desc: _np.asarray(indices, dtype=_np.int64)
+            desc: np.asarray(indices, dtype=np.int64)
             for desc, indices in grouped.items()
         }
 
@@ -136,12 +133,12 @@ class _PackedLog:
 _PACKED_CACHE_ATTR = "_repro_timeseries_packed"
 
 
-def _packed_log(server: HSDirServer) -> "_PackedLog":
+def _packed_log(server: HSDirServer, np: ModuleType) -> "_PackedLog":
     log = server.request_log
     cached = getattr(server, _PACKED_CACHE_ATTR, None)
     if cached is not None and cached[0] is log and cached[1] == len(log):
         return cached[2]
-    packed = _PackedLog(log)
+    packed = _PackedLog(log, np)
     setattr(server, _PACKED_CACHE_ATTR, (log, len(log), packed))
     return packed
 
@@ -191,7 +188,8 @@ def series_from_log(
     the full log per service.  Counts are integers throughout, so kernel
     and scalar outputs are byte-identical.
     """
-    if _np is None:
+    np = accel.numpy()
+    if np is None:
         return series_from_log_scalar(
             server, start, end, bucket_seconds, descriptor_ids
         )
@@ -201,7 +199,7 @@ def series_from_log(
         raise ReproError(f"bucket width must be positive: {bucket_seconds}")
     start = int(start)
     bucket_count = max(1, (int(end) - start + bucket_seconds - 1) // bucket_seconds)
-    packed = _packed_log(server)
+    packed = _packed_log(server, np)
     if descriptor_ids is None:
         times = packed.times
     else:
@@ -214,11 +212,11 @@ def series_from_log(
             if desc in packed.by_id
         ]
         if chunks:
-            times = packed.times[_np.concatenate(chunks)]
+            times = packed.times[np.concatenate(chunks)]
         else:
             times = packed.times[:0]
     in_window = times[(times >= start) & (times < int(end))]
-    counts = _np.bincount((in_window - start) // bucket_seconds, minlength=bucket_count)
+    counts = np.bincount((in_window - start) // bucket_seconds, minlength=bucket_count)
     return RequestTimeSeries(
         start=start,
         bucket_seconds=bucket_seconds,
@@ -254,7 +252,8 @@ def merge_series(series: Sequence[RequestTimeSeries]) -> RequestTimeSeries:
     integer addition is exact and order-free, so the merge equals
     :func:`merge_series_scalar` byte-for-byte.
     """
-    if _np is None or len(series) < 2:
+    np = accel.numpy() if len(series) >= 2 else None
+    if np is None:
         return merge_series_scalar(series)
     first = series[0]
     for other in series[1:]:
@@ -267,7 +266,7 @@ def merge_series(series: Sequence[RequestTimeSeries]) -> RequestTimeSeries:
     if not first.counts:
         counts: List[int] = []
     else:
-        stacked = _np.asarray([one.counts for one in series], dtype=_np.int64)
+        stacked = np.asarray([one.counts for one in series], dtype=np.int64)
         counts = [int(c) for c in stacked.sum(axis=0)]
     return RequestTimeSeries(
         start=first.start, bucket_seconds=first.bucket_seconds, counts=counts
@@ -312,7 +311,8 @@ def classify_services_by_shape(
     :meth:`RequestTimeSeries.is_machine_like` — identical integers in,
     identical floats out, so labels match the scalar path bit-for-bit.
     """
-    if _np is None or len(series_per_service) < 4:
+    np = accel.numpy() if len(series_per_service) >= 4 else None
+    if np is None:
         return classify_services_by_shape_scalar(
             series_per_service, tolerance, min_requests
         )
@@ -341,8 +341,8 @@ def classify_services_by_shape(
                     len(counts), sum(counts), sum(c * c for c in counts)
                 )
             continue
-        matrix = _np.asarray(
-            [series_per_service[s].counts for s in services], dtype=_np.int64
+        matrix = np.asarray(
+            [series_per_service[s].counts for s in services], dtype=np.int64
         )
         totals = matrix.sum(axis=1)
         squares = (matrix * matrix).sum(axis=1)

@@ -11,16 +11,12 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro import accel
 from repro.crypto.descriptor_id import DescriptorId
 from repro.crypto.onion import OnionAddress, onion_address_from_key
 from repro.crypto.ring import HSDIRS_PER_REPLICA, ring_start_indices
 from repro.hsdir.directory import HSDirServer
 from repro.sim.clock import HOUR, Timestamp
-
-try:  # numpy accelerates the batched observation pass; scalar path is complete
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _np = None
 
 
 @dataclass
@@ -219,6 +215,7 @@ class RingHistory:
         snapshot *s*.
         """
         matrix: List[Optional[List[int]]] = []
+        np = accel.numpy() if len(points) >= 8 else None
         for _, positions, attacker in self.snapshots:
             if not positions:
                 matrix.append(None)
@@ -231,11 +228,11 @@ class RingHistory:
             # reads the same member the scalar ``(start + i) % size`` does,
             # for any bisect_right result in [0, size].
             extended = flags + flags[:take]
-            if _np is not None and len(points) >= 8:
-                prefix = _np.concatenate(
-                    ([0], _np.cumsum(_np.asarray(extended, dtype=_np.int64)))
+            if np is not None:
+                prefix = np.concatenate(
+                    ([0], np.cumsum(np.asarray(extended, dtype=np.int64)))
                 )
-                starts_arr = _np.asarray(starts, dtype=_np.int64)
+                starts_arr = np.asarray(starts, dtype=np.int64)
                 matrix.append((prefix[starts_arr + take] - prefix[starts_arr]).tolist())
             else:
                 prefix = [0]

@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import ring as ring_module
+from repro import accel
 from repro.crypto.descriptor_id import (
     REPLICAS,
     descriptor_ids_for_day,
@@ -40,7 +40,6 @@ from repro.hsdir.ring_view import (
 )
 from repro.scan.schedule import ScanSchedule
 from repro.sim.clock import DAY, HOUR, parse_date
-from repro.trawl import harvest as harvest_module
 from repro.trawl.harvest import RingHistory
 from tests.conftest import make_network
 
@@ -117,7 +116,7 @@ class TestRingStartIndices:
     def test_matches_bisect_without_numpy(self, case):
         points, queries = case
         expected = [bisect.bisect_right(points, query) for query in queries]
-        with mock.patch.object(ring_module, "_np", None):
+        with mock.patch.object(accel, "numpy", lambda: None):
             assert ring_start_indices(queries, points) == expected
 
     def test_positions_batch_without_numpy(self):
@@ -125,7 +124,7 @@ class TestRingStartIndices:
         points = sorted({rng.getrandbits(160) for _ in range(40)})
         queries = [rng.getrandbits(160) for _ in range(60)] + points[:5]
         expected = [responsible_positions(query, points) for query in queries]
-        with mock.patch.object(ring_module, "_np", None):
+        with mock.patch.object(accel, "numpy", lambda: None):
             assert responsible_positions_batch(queries, points) == expected
 
 
@@ -236,7 +235,7 @@ class TestNormalizedRatesBatch:
             history.normalized_rate(desc_id, found, missing, validity=validity)
             for desc_id, found, missing, validity in requests
         ]
-        with mock.patch.object(harvest_module, "_np", None):
+        with mock.patch.object(accel, "numpy", lambda: None):
             assert history.normalized_rates_batch(requests) == expected
 
     def test_empty_requests(self):

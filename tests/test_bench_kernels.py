@@ -15,8 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.crypto.ring as ring_module
-import repro.popularity.timeseries as timeseries_module
+from repro import accel
 from repro.crypto.descriptor_id import (
     descriptor_ids_for_window,
     descriptor_ids_for_window_batch,
@@ -153,7 +152,7 @@ class TestRingPlacementEquivalence:
         ]
 
     def test_numpy_fallback(self, monkeypatch):
-        monkeypatch.setattr(ring_module, "_np", None)
+        monkeypatch.setattr(accel, "numpy", lambda: None)
         points = self._points(64, seed=3)
         rng = random.Random(4)
         queries = [int.from_bytes(rng.randbytes(20), "big") for _ in range(64)]
@@ -268,7 +267,7 @@ class TestTimeseriesEquivalence:
             for service, desc in ids.items()
         }
         labels_numpy = classify_services_by_shape(with_numpy)
-        monkeypatch.setattr(timeseries_module, "_np", None)
+        monkeypatch.setattr(accel, "numpy", lambda: None)
         without_numpy = {
             service: merge_series(
                 [
