@@ -306,6 +306,160 @@ def models_artifact() -> str:
     return "\n".join(lines)
 
 
+#: One file's worth of every fenced capability, in every spelling the
+#: capability-fence lint rules catch: wall-clock reads (REP003), raw
+#: concurrency (REP007), ad-hoc print/timing (REP009), raw artifact writes
+#: (REP010), teardown interception (REP014) and raw sockets (REP015).
+FENCED_SPELLINGS = """\
+import asyncio
+import concurrent.futures
+import datetime
+import http.server
+import json
+import multiprocessing
+import multiprocessing.pool
+import os, socket
+import selectors
+import signal
+import socketserver
+import time
+from concurrent.futures import ProcessPoolExecutor
+from datetime import date, datetime
+from http.client import HTTPConnection
+from multiprocessing import Pool
+from signal import setitimer, signal as install
+from time import perf_counter, perf_counter as tick, time as wall
+from wsgiref.simple_server import make_server
+
+
+def clock():
+    return [
+        time.time(),
+        wall(),
+        datetime.now(),
+        datetime.utcnow(),
+        datetime.today(),
+        date.today(),
+        datetime.datetime.now(),
+        datetime.datetime.utcnow(),
+        datetime.datetime.today(),
+        datetime.date.today(),
+        datetime.time.time(),
+    ]
+
+
+def instrument(count):
+    print("scanned", count)
+    return [time.perf_counter(), perf_counter(), tick()]
+
+
+def write(path, data, handle):
+    open(path, "w")
+    open(path, "ab")
+    open(path, mode="x")
+    open(path, "r+")
+    open(path)
+    open(path, "r")
+    path.open("w")
+    path.open(mode="a")
+    path.open()
+    path.write_text("x")
+    path.write_bytes(b"x")
+    json.dump(data, handle)
+    return json.dumps(data)
+
+
+def teardown(step):
+    try:
+        step()
+    except:
+        raise
+    try:
+        step()
+    except BaseException:
+        raise
+    try:
+        step()
+    except KeyboardInterrupt:
+        raise
+    try:
+        step()
+    except SystemExit:
+        raise
+    try:
+        step()
+    except SimulatedCrashError:
+        raise
+    try:
+        step()
+    except errors.SimulatedCrashError:
+        raise
+    try:
+        step()
+    except (ValueError, SystemExit):
+        raise
+    try:
+        step()
+    except (SimulatedCrashError, KeyboardInterrupt):
+        raise
+    signal.signal(signal.SIGINT, step)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    signal.siginterrupt(signal.SIGINT, True)
+    signal.set_wakeup_fd(-1)
+    install(signal.SIGTERM, step)
+    setitimer(signal.ITIMER_REAL, 1.0)
+"""
+
+#: Where the corpus goes: every place some fence allows, one place none
+#: allows (``repro/crawl/``), and ``repro/cli.pyx/``, which holds the
+#: file-suffix entry ``repro/cli.py`` only as a path fragment.
+FENCE_PLACES = (
+    "benchmarks/m.py",
+    "examples/m.py",
+    "repro/bench/m.py",
+    "repro/cli.py",
+    "repro/cli.pyx/m.py",
+    "repro/crawl/m.py",
+    "repro/devtools/m.py",
+    "repro/io.py",
+    "repro/obs/export.py",
+    "repro/obs/m.py",
+    "repro/parallel/m.py",
+    "repro/service/m.py",
+    "repro/store/m.py",
+    "repro/supervise/m.py",
+    "tests/m.py",
+)
+
+
+def lint_fences_artifact() -> str:
+    """SARIF of ``repro lint`` over the fenced spellings in every place.
+
+    The corpus lives in a temporary directory, not under ``tests/`` (a
+    path fragment four fences allow), and is linted by paths relative to
+    its root, so the SARIF is the same on every machine.
+    """
+    import os
+    import pathlib
+    import tempfile
+
+    from repro.devtools import run_lint
+    from repro.devtools.sarif import render_sarif
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for place in FENCE_PLACES:
+            target = pathlib.Path(tmp, place)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(FENCED_SPELLINGS, encoding="utf-8")
+        os.chdir(tmp)
+        try:
+            findings = run_lint(list(FENCE_PLACES)).findings
+        finally:
+            os.chdir(cwd)
+    return render_sarif(findings).rstrip("\n")
+
+
 #: name -> zero-argument builder for each pinned golden file.
 def _golden_fig1() -> str:
     return pipeline_artifacts(workers=1)["fig1_small"]
@@ -368,6 +522,7 @@ GOLDEN_CASES = {
     "fig2_small": _golden_fig2,
     "fig3_small": fig3_artifact,
     "harvest_small": harvest_artifact,
+    "lint_fences": lint_fences_artifact,
     "metrics_small": _golden_metrics,
     "models_shipped": models_artifact,
     "sec6_small": sec6_artifact,
