@@ -1,4 +1,4 @@
-"""REP006: import-graph layering and cycle checking.
+"""Which layer may import what (REP006), and which layer may do what.
 
 Measurement code sits *above* the substrates it measures: the crypto, sim,
 and net layers must never import the trawl/experiments/analysis layers that
@@ -8,15 +8,24 @@ no-ops and are excluded, matching how Python actually executes the code).
 The graph itself comes from the shared
 :class:`~repro.devtools.callgraph.ProjectContext`, so this rule and the
 whole-program determinism rules walk each file's imports once between them.
+
+Six capabilities — the wall clock, raw concurrency, ad-hoc output and
+timing, raw artifact writes, teardown interception and raw sockets — each
+belong to the one layer that implements them.  :data:`FENCES` is that
+table: one row per capability, served by one :class:`FenceRule` per row
+under the row's own rule id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+import ast
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.devtools.callgraph import ProjectContext
 from repro.devtools.findings import Finding
-from repro.devtools.registry import ProjectRule, register
+from repro.devtools.registry import AstRule, FileContext, ProjectRule, register
+from repro.devtools.rules import caught_names
 
 #: Measurement-side subpackages that the low substrate layers may not import.
 #: ``bench`` sits above even the measurement layers (it drives their
@@ -178,3 +187,253 @@ class LayeringRule(ProjectRule):
                 message=f"import cycle: {cycle}",
                 snippet=ctx.line_text(lineno),
             )
+
+
+@dataclass(frozen=True)
+class Fence:
+    """One capability, the only places allowed to use it, and its spellings.
+
+    An ``allowed`` entry ending in ``.py`` matches as a path suffix, any
+    other as a path fragment.  ``calls`` maps dotted call targets to a
+    message template (``{name}`` is the call as spelled); ``imports``
+    fences module roots; ``handlers`` fences caught exception names, and
+    ``bare_except`` is the message for a bare ``except``.  ``match_call``
+    catches the calls no dotted target names.
+    """
+
+    code: str
+    summary: str
+    allowed: Tuple[str, ...] = ()
+    calls: Mapping[str, str] = field(default_factory=dict)
+    imports: Tuple[str, ...] = ()
+    import_message: str = ""
+    handlers: frozenset = frozenset()
+    handler_message: str = ""
+    bare_except: str = ""
+    match_call: Optional[Callable[[ast.Call], Optional[str]]] = None
+
+
+class FenceRule(AstRule):
+    """Flags one fence's capability wherever the fence does not allow it."""
+
+    def __init__(self, fence: Fence) -> None:
+        self.fence = fence
+        self.id = fence.code
+        self.summary = fence.summary
+
+    def applies_to(self, ctx: FileContext) -> bool:
+        return not any(
+            ctx.path.endswith(place) if place.endswith(".py") else place in ctx.path
+            for place in self.fence.allowed
+        )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ctx.nodes:
+            message = self._message(ctx, node)
+            if message:
+                yield Finding(
+                    rule=self.id,
+                    file=ctx.path,
+                    line=node.lineno,
+                    message=message,
+                    snippet=ctx.line_text(node.lineno),
+                )
+
+    def _message(self, ctx: FileContext, node: ast.AST) -> Optional[str]:
+        fence = self.fence
+        if isinstance(node, ast.Call):
+            names = ctx.call_names(node)
+            for name in names:
+                if name in fence.calls:
+                    return fence.calls[name].format(name=names[0])
+            return fence.match_call(node) if fence.match_call else None
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in fence.imports:
+                    return fence.import_message.format(name=alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in fence.imports:
+                return fence.import_message.format(name=node.module)
+        elif isinstance(node, ast.ExceptHandler) and fence.handlers:
+            if node.type is None:
+                return fence.bare_except
+            caught = sorted(set(caught_names(node)) & fence.handlers)
+            if caught:
+                return fence.handler_message.format(name=", ".join(caught))
+        return None
+
+
+#: Characters in an ``open`` mode string that imply writing.
+_WRITE_MODE_CHARS = set("wax+")
+
+_AD_HOC_WRITE = (
+    " writes an artifact ad hoc; serialise through repro.io or checkpoint "
+    "through repro.store"
+)
+
+
+def _write_mode(node: ast.Call, position: int) -> str:
+    """The call's constant mode string when it implies writing, else ''.
+
+    ``position`` is where the positional mode argument sits: 1 for the
+    ``open(path, mode)`` builtin, 0 for the ``path.open(mode)`` method.
+    """
+    mode = node.args[position] if len(node.args) > position else None
+    for keyword in node.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if (
+        isinstance(mode, ast.Constant)
+        and isinstance(mode.value, str)
+        and _WRITE_MODE_CHARS & set(mode.value)
+    ):
+        return mode.value
+    return ""
+
+
+def _artifact_write(call: ast.Call) -> Optional[str]:
+    """REP010's own matcher: ``open``/``.open`` writes, ``.write_text/bytes``."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open" and _write_mode(call, 1):
+        return f"open(..., {_write_mode(call, 1)!r}){_AD_HOC_WRITE}"
+    if isinstance(func, ast.Attribute):
+        if func.attr in ("write_text", "write_bytes"):
+            return f".{func.attr}(...){_AD_HOC_WRITE}"
+        if func.attr == "open" and _write_mode(call, 0):
+            return f".open(...) in write mode{_AD_HOC_WRITE}"
+    return None
+
+
+#: The one package allowed to touch process pools raw: it *implements*
+#: the deterministic shard-map executor (REP013 exempts it too).
+PARALLEL_PACKAGE_FRAGMENT = "repro/parallel/"
+
+FENCES = (
+    Fence(
+        "REP003",
+        "wall-clock call (use the sim clock, or time.perf_counter())",
+        # No place may read the wall clock: simulated time comes from
+        # repro.sim.clock, and elapsed runtime from the monotonic
+        # time.perf_counter(), which this fence deliberately leaves alone.
+        calls=dict.fromkeys(
+            (
+                "time.time",
+                "date.today",
+                "datetime.now",
+                "datetime.utcnow",
+                "datetime.today",
+                "datetime.date.today",
+                "datetime.datetime.now",
+                "datetime.datetime.utcnow",
+                "datetime.datetime.today",
+                "datetime.time.time",
+            ),
+            "wall-clock read {name}(); simulated time must come from "
+            "repro.sim.clock (use time.perf_counter() for elapsed runtime)",
+        ),
+    ),
+    Fence(
+        "REP007",
+        "raw concurrency primitive (use repro.parallel.pmap)",
+        # Every module of the executor package may use the primitives it
+        # wraps; elsewhere ad-hoc pools bring back completion-order
+        # nondeterminism, so all fan-out goes through pmap.
+        allowed=(PARALLEL_PACKAGE_FRAGMENT,),
+        imports=("multiprocessing", "concurrent"),
+        import_message="raw concurrency import {name!r}; fan work out "
+        "through repro.parallel.pmap so shard order, RNG streams, and merges "
+        "stay worker-count-invariant",
+    ),
+    Fence(
+        "REP009",
+        "ad-hoc print/perf_counter instrumentation (use repro.obs)",
+        # Raw output and timers bypass the deterministic snapshot.  Allowed:
+        # the obs plane itself, the bench plane (wall-clock timing is its
+        # product), benchmarks (whose job is timing), tests, examples
+        # (whose job is showing output) and the CLI (the user-facing
+        # surface: printing reports and elapsed runtimes is its job).
+        allowed=(
+            "repro/obs/",
+            "repro/bench/",
+            "benchmarks/",
+            "tests/",
+            "examples/",
+            "repro/cli.py",
+        ),
+        calls={
+            "print": "print() in library code is write-only telemetry; "
+            "record the fact on a repro.obs Observer (counter, gauge, or "
+            "event) so it lands in the deterministic snapshot",
+            "time.perf_counter": "ad-hoc perf_counter timing in library "
+            "code; wrap the stage in Observer.span(...) so the duration lands "
+            "in the deterministic snapshot",
+        },
+    ),
+    Fence(
+        "REP010",
+        "direct artifact write (use repro.io or repro.store)",
+        # Ad-hoc writes scatter formats, skip schema versioning and leave
+        # torn files when a process dies.  Allowed: the serialisation
+        # layer, the artifact store (atomic writes are its job), the
+        # metrics exporter, the lint tooling (baselines), the bench plane
+        # (BENCH_*.json trajectories and report views are its artifacts),
+        # benchmarks, tests, examples and the CLI (it archives reports on
+        # request).
+        allowed=(
+            "repro/io",
+            "repro/store/",
+            "repro/obs/export",
+            "repro/devtools/",
+            "repro/bench/",
+            "benchmarks/",
+            "tests/",
+            "examples/",
+            "repro/cli.py",
+        ),
+        calls={
+            "json.dump": "json.dump(...) writes an artifact ad hoc; serialise "
+            "through repro.io (save_json) or checkpoint through repro.store",
+        },
+        match_call=_artifact_write,
+    ),
+    Fence(
+        "REP014",
+        "teardown interception outside repro.supervise",
+        # Process death, real or the simulated SimulatedCrashError, must
+        # reach the supervision plane untouched: it alone restarts,
+        # budgets and accounts for it, so crash-resume stays one auditable
+        # path.  Tests and examples exercise teardown on purpose.
+        allowed=("repro/supervise/", "tests/", "examples/"),
+        calls=dict.fromkeys(
+            ("signal.signal", "signal.setitimer", "signal.siginterrupt", "signal.set_wakeup_fd"),
+            "{name}(...) installs a process-wide signal handler outside the "
+            "supervision plane; handler installs belong to repro.supervise so "
+            "teardown has a single owner",
+        ),
+        handlers=frozenset(
+            {"BaseException", "KeyboardInterrupt", "SystemExit", "SimulatedCrashError"}
+        ),
+        handler_message="except {name} intercepts process teardown outside "
+        "the supervision plane; crash containment belongs to repro.supervise "
+        "alone — catch a repro.errors subclass or let it propagate",
+        bare_except="bare except intercepts process teardown "
+        "(KeyboardInterrupt, SystemExit, SimulatedCrashError); only "
+        "repro.supervise may contain a crash — name a repro.errors exception "
+        "type",
+    ),
+    Fence(
+        "REP015",
+        "raw socket/HTTP handling (route it through repro.service)",
+        # The service front-end is the single network boundary: it owns the
+        # one listener, response framing and error taxonomy.  Tests and
+        # examples may drive it as clients.
+        allowed=("repro/service/", "tests/", "examples/"),
+        imports=("asyncio", "http", "selectors", "socket", "socketserver", "wsgiref"),
+        import_message="raw network import {name!r}; socket/HTTP handling "
+        "belongs to repro.service, which owns the project's single listener, "
+        "response framing, and error taxonomy",
+    ),
+)
+
+for _fence in FENCES:
+    register(FenceRule(_fence))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
 
 from repro.errors import ConfigError
 
@@ -31,6 +31,7 @@ class FileContext:
     lines: List[str]
     _random_aliases: frozenset = field(default=None, repr=False)  # type: ignore[assignment]
     _nodes: Optional[List[ast.AST]] = field(default=None, repr=False)
+    _import_origins: Optional[Dict[str, str]] = field(default=None, repr=False)
 
     def path_endswith(self, *suffixes: str) -> bool:
         """Whether the file path matches any posix suffix (allowlists)."""
@@ -53,6 +54,37 @@ class FileContext:
         if self._nodes is None:
             self._nodes = list(ast.walk(self.tree))
         return self._nodes
+
+    @property
+    def import_origins(self) -> Dict[str, str]:
+        """Local name → dotted origin, for each ``from m import n [as a]``."""
+        if self._import_origins is None:
+            self._import_origins = {
+                alias.asname or alias.name: f"{node.module}.{alias.name}"
+                for node in self.nodes
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                for alias in node.names
+            }
+        return self._import_origins
+
+    def call_names(self, call: ast.Call) -> Tuple[str, ...]:
+        """A call's dotted target as spelled, then as resolved if imported.
+
+        ``wall()`` after ``from time import time as wall`` gives
+        ``("wall", "time.time")``; a target that is no dotted name gives ().
+        """
+        parts = []
+        node = call.func
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return ()
+        spelled = ".".join([node.id, *reversed(parts)])
+        origin = None if parts else self.import_origins.get(node.id)
+        if origin is None:
+            return (spelled,)
+        return (spelled, origin + spelled[len(node.id) :])
 
     @property
     def random_aliases(self) -> frozenset:
@@ -106,15 +138,15 @@ class ProjectRule(Rule):
 _REGISTRY: Dict[str, Rule] = {}
 
 
-def register(rule_cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator: instantiate and index the rule by its id."""
-    rule = rule_cls()
-    if not rule.id:
-        raise ConfigError(f"rule has no id: {rule_cls.__name__}")
-    if rule.id in _REGISTRY:
-        raise ConfigError(f"duplicate rule id: {rule.id}")
-    _REGISTRY[rule.id] = rule
-    return rule_cls
+def register(rule: Union[Type[Rule], Rule]) -> Union[Type[Rule], Rule]:
+    """Index a rule by its id: a rule class (as a decorator) or an instance."""
+    instance = rule() if isinstance(rule, type) else rule
+    if not instance.id:
+        raise ConfigError(f"rule has no id: {type(instance).__name__}")
+    if instance.id in _REGISTRY:
+        raise ConfigError(f"duplicate rule id: {instance.id}")
+    _REGISTRY[instance.id] = instance
+    return rule
 
 
 def all_rules() -> List[Rule]:

@@ -1,8 +1,10 @@
-"""Per-file AST rules REP001–REP005, REP007–REP010, REP014 and REP015.
+"""Per-file AST rules REP001, REP002, REP004, REP005 and REP008.
 
 Each rule walks the file's AST and yields :class:`Finding` objects.  The
 rules are deliberately syntactic — no type inference — so every pattern
 they flag has a sanctioned rewrite documented in the finding message.
+The capability fences (REP003, REP007, REP009, REP010, REP014, REP015)
+are one table in :mod:`repro.devtools.layering`.
 """
 
 from __future__ import annotations
@@ -150,66 +152,6 @@ class AdHocSplitRule(AstRule):
                 )
 
 
-#: (object name, attribute) pairs whose call reads the wall clock.
-_WALL_CLOCK_ATTRS = {
-    ("time", "time"),
-    ("datetime", "now"),
-    ("datetime", "utcnow"),
-    ("datetime", "today"),
-    ("date", "today"),
-}
-
-
-@register
-class WallClockRule(AstRule):
-    """REP003: wall-clock reads in library code.
-
-    Simulated time comes from ``repro.sim.clock.SimClock``; elapsed-runtime
-    measurement (benchmarks, progress lines) should use the monotonic
-    ``time.perf_counter()``, which this rule deliberately does not flag.
-    """
-
-    id = "REP003"
-    summary = "wall-clock call (use the sim clock, or time.perf_counter())"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        from_time_aliases = {
-            name.asname or name.name
-            for node in ctx.nodes
-            if isinstance(node, ast.ImportFrom) and node.module == "time"
-            for name in node.names
-            if name.name == "time"
-        }
-        for node in ctx.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            matched = None
-            if isinstance(func, ast.Attribute):
-                base = func.value
-                if isinstance(base, ast.Name):
-                    if (base.id, func.attr) in _WALL_CLOCK_ATTRS:
-                        matched = f"{base.id}.{func.attr}()"
-                elif (
-                    isinstance(base, ast.Attribute)
-                    and isinstance(base.value, ast.Name)
-                    and base.value.id == "datetime"
-                    and (base.attr, func.attr) in _WALL_CLOCK_ATTRS
-                ):
-                    matched = f"datetime.{base.attr}.{func.attr}()"
-            elif isinstance(func, ast.Name) and func.id in from_time_aliases:
-                matched = f"{func.id}()"
-            if matched:
-                yield _finding(
-                    self,
-                    ctx,
-                    node,
-                    f"wall-clock read {matched}; simulated time must come from "
-                    "repro.sim.clock (use time.perf_counter() for elapsed "
-                    "runtime)",
-                )
-
-
 #: Builtin exception types that must not be raised from library code.
 _FORBIDDEN_RAISES = {"ValueError", "RuntimeError", "TypeError", "KeyError"}
 
@@ -321,57 +263,6 @@ class SetOrderingRule(AstRule):
                         )
 
 
-#: Top-level modules whose direct use is concurrency outside the
-#: deterministic executor.
-_CONCURRENCY_MODULES = ("multiprocessing", "concurrent")
-
-#: The one package allowed to touch process pools raw: it *implements*
-#: the deterministic shard-map executor.
-PARALLEL_PACKAGE_FRAGMENT = "repro/parallel/"
-
-
-@register
-class RawConcurrencyRule(AstRule):
-    """REP007: raw ``multiprocessing``/``concurrent.futures`` outside repro/parallel.
-
-    Ad-hoc pools reintroduce completion-order nondeterminism and unshared
-    RNG discipline; all fan-out goes through ``repro.parallel.pmap``,
-    whose sharding, per-item RNG derivation, and merge order are
-    worker-count-invariant.
-    """
-
-    id = "REP007"
-    summary = "raw concurrency primitive (use repro.parallel.pmap)"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        # Directory allowlist, not a suffix: every module of the executor
-        # package may use the primitives it wraps.
-        return PARALLEL_PACKAGE_FRAGMENT not in ctx.path
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.nodes:
-            flagged = None
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _CONCURRENCY_MODULES:
-                        flagged = alias.name
-                        break
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                root = (node.module or "").split(".")[0]
-                if root in _CONCURRENCY_MODULES:
-                    flagged = node.module
-            if flagged:
-                yield _finding(
-                    self,
-                    ctx,
-                    node,
-                    f"raw concurrency import {flagged!r}; fan work out "
-                    "through repro.parallel.pmap so shard order, RNG "
-                    "streams, and merges stay worker-count-invariant",
-                )
-
-
 #: Packages whose job is absorbing failure: the fault/retry plane and the
 #: executor may catch broadly by design.
 _SWALLOW_EXEMPT_FRAGMENTS = ("repro/faults/", "repro/parallel/")
@@ -380,7 +271,7 @@ _SWALLOW_EXEMPT_FRAGMENTS = ("repro/faults/", "repro/parallel/")
 _CATCH_ALL_NAMES = {"Exception", "BaseException"}
 
 
-def _caught_names(handler: ast.ExceptHandler) -> Iterator[str]:
+def caught_names(handler: ast.ExceptHandler) -> Iterator[str]:
     """The exception type names a handler catches (tuples flattened)."""
     node = handler.type
     if node is None:
@@ -441,7 +332,7 @@ class ExceptionSwallowRule(AstRule):
                     "KeyboardInterrupt; name the exception type",
                 )
                 continue
-            caught = set(_caught_names(node))
+            caught = set(caught_names(node))
             if caught & _CATCH_ALL_NAMES:
                 wide = ", ".join(sorted(caught & _CATCH_ALL_NAMES))
                 yield _finding(
@@ -459,375 +350,4 @@ class ExceptionSwallowRule(AstRule):
                     "exception swallowed without action; account the "
                     "failure (e.g. in a FailureTaxonomy) or let it "
                     "propagate",
-                )
-
-
-#: Places allowed ad-hoc output/timing: the observability plane itself,
-#: the bench plane (wall-clock timing is its product), benchmarks (whose
-#: job is timing), the test tree, and runnable examples (whose job is
-#: showing output).
-_INSTRUMENTATION_EXEMPT_FRAGMENTS = (
-    "repro/obs/",
-    "repro/bench/",
-    "benchmarks/",
-    "tests/",
-    "examples/",
-)
-
-#: File-level exemptions: the CLI is the user-facing surface — printing
-#: reports and elapsed runtimes is its job.
-_INSTRUMENTATION_EXEMPT_SUFFIXES = ("repro/cli.py",)
-
-
-@register
-class AdHocInstrumentationRule(AstRule):
-    """REP009: ad-hoc ``print`` / ``time.perf_counter`` instrumentation.
-
-    Scattered prints and timers are write-only telemetry: they bypass the
-    deterministic snapshot (so CI can't diff them) and tempt wall-clock
-    reasoning into library code.  Record counters, gauges and histograms on
-    an explicit :class:`repro.obs.scope.Observer` and time stages with its
-    sim-clock ``span``; only the obs plane itself, the CLI, benchmarks,
-    tests and examples may emit raw output.
-    """
-
-    id = "REP009"
-    summary = "ad-hoc print/perf_counter instrumentation (use repro.obs)"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if any(
-            fragment in ctx.path
-            for fragment in _INSTRUMENTATION_EXEMPT_FRAGMENTS
-        ):
-            return False
-        return not ctx.path_endswith(*_INSTRUMENTATION_EXEMPT_SUFFIXES)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        perf_counter_aliases = {
-            name.asname or name.name
-            for node in ctx.nodes
-            if isinstance(node, ast.ImportFrom) and node.module == "time"
-            for name in node.names
-            if name.name == "perf_counter"
-        }
-        for node in ctx.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "print":
-                yield _finding(
-                    self,
-                    ctx,
-                    node,
-                    "print() in library code is write-only telemetry; record "
-                    "the fact on a repro.obs Observer (counter, gauge, or "
-                    "event) so it lands in the deterministic snapshot",
-                )
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr == "perf_counter"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "time"
-            ) or (
-                isinstance(func, ast.Name) and func.id in perf_counter_aliases
-            ):
-                yield _finding(
-                    self,
-                    ctx,
-                    node,
-                    "ad-hoc perf_counter timing in library code; wrap the "
-                    "stage in Observer.span(...) so the duration lands in "
-                    "the deterministic snapshot",
-                )
-
-
-#: Places allowed to write files directly: the serialisation layer, the
-#: artifact store (atomic writes are its job), the metrics exporter, the
-#: lint tooling (baselines), the bench plane (BENCH_*.json trajectories
-#: and report views are its artifacts), benchmarks, tests and examples.
-_ARTIFACT_WRITE_EXEMPT_FRAGMENTS = (
-    "repro/io",
-    "repro/store/",
-    "repro/obs/export",
-    "repro/devtools/",
-    "repro/bench/",
-    "benchmarks/",
-    "tests/",
-    "examples/",
-)
-
-#: The CLI prints and archives reports on request — writing is its job.
-_ARTIFACT_WRITE_EXEMPT_SUFFIXES = ("repro/cli.py",)
-
-#: Characters in an ``open`` mode string that imply writing.
-_WRITE_MODE_CHARS = set("wax+")
-
-
-def _write_mode(node: ast.Call, position: int = 1) -> str:
-    """The call's constant mode string when it implies writing, else ''.
-
-    ``position`` is where the positional mode argument sits: 1 for the
-    ``open(path, mode)`` builtin, 0 for the ``path.open(mode)`` method.
-    """
-    mode = None
-    if len(node.args) > position:
-        mode = node.args[position]
-    for keyword in node.keywords:
-        if keyword.arg == "mode":
-            mode = keyword.value
-    if (
-        isinstance(mode, ast.Constant)
-        and isinstance(mode.value, str)
-        and _WRITE_MODE_CHARS & set(mode.value)
-    ):
-        return mode.value
-    return ""
-
-
-@register
-class ArtifactWriteRule(AstRule):
-    """REP010: direct artifact writes outside the sanctioned layers.
-
-    Ad-hoc ``open(path, "w")`` / ``json.dump`` / ``.write_text`` calls
-    scatter artifact formats across the tree, skip schema versioning, and
-    are not atomic — a killed process leaves a torn file the next run
-    trusts.  Serialise through :mod:`repro.io` (schema-checked loaders,
-    one format per artifact) or checkpoint through :mod:`repro.store`
-    (content-addressed, write-then-rename); only the io/store/obs-export
-    planes, devtools, the CLI, benchmarks, tests and examples write raw.
-    """
-
-    id = "REP010"
-    summary = "direct artifact write (use repro.io or repro.store)"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        if any(
-            fragment in ctx.path
-            for fragment in _ARTIFACT_WRITE_EXEMPT_FRAGMENTS
-        ):
-            return False
-        return not ctx.path_endswith(*_ARTIFACT_WRITE_EXEMPT_SUFFIXES)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                mode = _write_mode(node)
-                if mode:
-                    yield _finding(
-                        self,
-                        ctx,
-                        node,
-                        f"open(..., {mode!r}) writes an artifact ad hoc; "
-                        "serialise through repro.io or checkpoint through "
-                        "repro.store",
-                    )
-            elif isinstance(func, ast.Attribute):
-                if func.attr in ("write_text", "write_bytes"):
-                    yield _finding(
-                        self,
-                        ctx,
-                        node,
-                        f".{func.attr}(...) writes an artifact ad hoc; "
-                        "serialise through repro.io or checkpoint through "
-                        "repro.store",
-                    )
-                elif func.attr == "open" and _write_mode(node, position=0):
-                    yield _finding(
-                        self,
-                        ctx,
-                        node,
-                        ".open(...) in write mode writes an artifact ad "
-                        "hoc; serialise through repro.io or checkpoint "
-                        "through repro.store",
-                    )
-                elif (
-                    func.attr == "dump"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "json"
-                ):
-                    yield _finding(
-                        self,
-                        ctx,
-                        node,
-                        "json.dump(...) writes an artifact ad hoc; "
-                        "serialise through repro.io (save_json) or "
-                        "checkpoint through repro.store",
-                    )
-
-
-#: The supervision plane is the one place allowed to intercept process
-#: teardown: it alone may catch SimulatedCrashError (a BaseException
-#: modelling SIGKILL) so crash-resume stays a single, auditable code path.
-#: Tests and examples exercise teardown on purpose.
-_SUPERVISION_EXEMPT_FRAGMENTS = (
-    "repro/supervise/",
-    "tests/",
-    "examples/",
-)
-
-#: Exception names whose interception outside the supervision plane breaks
-#: crash containment: a handler catching any of these would absorb a
-#: simulated (or real) process death mid-layer, so the crashtest invariant
-#: — resumed run byte-identical to a clean run — could no longer be argued
-#: from the supervisor alone.
-_TEARDOWN_NAMES = frozenset(
-    {"BaseException", "KeyboardInterrupt", "SystemExit", "SimulatedCrashError"}
-)
-
-#: ``signal`` module entry points that install process-wide handlers.
-_SIGNAL_INSTALLERS = frozenset(
-    {"signal", "setitimer", "siginterrupt", "set_wakeup_fd"}
-)
-
-
-@register
-class SupervisionContainmentRule(AstRule):
-    """REP014: teardown interception outside the supervision plane.
-
-    Crash-safety rests on one invariant: process death — real or the
-    simulated :class:`repro.errors.SimulatedCrashError` — propagates
-    untouched from wherever it strikes up to :mod:`repro.supervise`,
-    which alone restarts, budgets, and accounts for it.  A handler
-    anywhere else catching ``BaseException``, ``KeyboardInterrupt``,
-    ``SystemExit`` or ``SimulatedCrashError`` (or a bare ``except``, or a
-    process-wide ``signal.signal(...)`` install) would absorb the death
-    mid-layer and leave the run in a state no restart policy reasons
-    about.  Catch :class:`repro.errors.ReproError` subclasses for real
-    failures; leave teardown to the supervisor.
-    """
-
-    id = "REP014"
-    summary = "teardown interception outside repro.supervise"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not any(
-            fragment in ctx.path for fragment in _SUPERVISION_EXEMPT_FRAGMENTS
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        signal_aliases = {
-            name.asname or name.name
-            for node in ctx.nodes
-            if isinstance(node, ast.ImportFrom) and node.module == "signal"
-            for name in node.names
-            if name.name in _SIGNAL_INSTALLERS
-        }
-        for node in ctx.nodes:
-            if isinstance(node, ast.ExceptHandler):
-                yield from self._check_handler(ctx, node)
-            elif isinstance(node, ast.Call):
-                yield from self._check_signal_install(ctx, node, signal_aliases)
-
-    def _check_handler(
-        self, ctx: FileContext, node: ast.ExceptHandler
-    ) -> Iterator[Finding]:
-        if node.type is None:
-            yield _finding(
-                self,
-                ctx,
-                node,
-                "bare except intercepts process teardown "
-                "(KeyboardInterrupt, SystemExit, SimulatedCrashError); "
-                "only repro.supervise may contain a crash — name a "
-                "repro.errors exception type",
-            )
-            return
-        caught = set(_caught_names(node)) & _TEARDOWN_NAMES
-        if caught:
-            names = ", ".join(sorted(caught))
-            yield _finding(
-                self,
-                ctx,
-                node,
-                f"except {names} intercepts process teardown outside the "
-                "supervision plane; crash containment belongs to "
-                "repro.supervise alone — catch a repro.errors subclass "
-                "or let it propagate",
-            )
-
-    def _check_signal_install(
-        self, ctx: FileContext, node: ast.Call, signal_aliases: set
-    ) -> Iterator[Finding]:
-        func = node.func
-        installed = ""
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _SIGNAL_INSTALLERS
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "signal"
-        ):
-            installed = f"signal.{func.attr}"
-        elif isinstance(func, ast.Name) and func.id in signal_aliases:
-            installed = func.id
-        if installed:
-            yield _finding(
-                self,
-                ctx,
-                node,
-                f"{installed}(...) installs a process-wide signal handler "
-                "outside the supervision plane; handler installs belong "
-                "to repro.supervise so teardown has a single owner",
-            )
-
-
-#: Top-level modules whose direct use is socket/HTTP plumbing outside the
-#: service front-end.
-_NETWORK_MODULES = (
-    "asyncio",
-    "http",
-    "selectors",
-    "socket",
-    "socketserver",
-    "wsgiref",
-)
-
-#: Where raw socket/HTTP handling is sanctioned: the service front-end
-#: owns the one listener, and tests/examples may drive it as clients.
-_NETWORK_EXEMPT_FRAGMENTS = ("repro/service/", "tests/", "examples/")
-
-
-@register
-class RawNetworkRule(AstRule):
-    """REP015: raw socket/HTTP handling outside ``repro/service``.
-
-    The HTTP front-end is the project's single network boundary — one
-    place that binds ports, frames requests, and maps errors onto the
-    4xx/5xx taxonomy.  A second ad-hoc listener (or a stray ``socket``
-    import in a measurement layer) would fork that boundary and bypass
-    the bounded handler pool, the digest-ETag caching, and the
-    observer's request accounting.
-    """
-
-    id = "REP015"
-    summary = "raw socket/HTTP handling (route it through repro.service)"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not any(
-            fragment in ctx.path for fragment in _NETWORK_EXEMPT_FRAGMENTS
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ctx.nodes:
-            flagged = None
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in _NETWORK_MODULES:
-                        flagged = alias.name
-                        break
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                root = (node.module or "").split(".")[0]
-                if root in _NETWORK_MODULES:
-                    flagged = node.module
-            if flagged:
-                yield _finding(
-                    self,
-                    ctx,
-                    node,
-                    f"raw network import {flagged!r}; socket/HTTP handling "
-                    "belongs to repro.service, which owns the project's "
-                    "single listener, response framing, and error taxonomy",
                 )

@@ -29,8 +29,8 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.findings import Finding
+from repro.devtools.layering import PARALLEL_PACKAGE_FRAGMENT
 from repro.devtools.registry import AstRule, FileContext, register
-from repro.devtools.rules import PARALLEL_PACKAGE_FRAGMENT
 
 #: Method names that mutate their receiver in place.
 _MUTATOR_METHODS = frozenset(
