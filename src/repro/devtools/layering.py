@@ -405,7 +405,12 @@ FENCES = (
         # path.  Tests and examples exercise teardown on purpose.
         allowed=("repro/supervise/", "tests/", "examples/"),
         calls=dict.fromkeys(
-            ("signal.signal", "signal.setitimer", "signal.siginterrupt", "signal.set_wakeup_fd"),
+            (
+                "signal.signal",
+                "signal.setitimer",
+                "signal.siginterrupt",
+                "signal.set_wakeup_fd",
+            ),
             "{name}(...) installs a process-wide signal handler outside the "
             "supervision plane; handler installs belong to repro.supervise so "
             "teardown has a single owner",

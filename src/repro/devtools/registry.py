@@ -29,7 +29,6 @@ class FileContext:
     module: str
     tree: ast.Module
     lines: List[str]
-    _random_aliases: frozenset = field(default=None, repr=False)  # type: ignore[assignment]
     _nodes: Optional[List[ast.AST]] = field(default=None, repr=False)
     _import_origins: Optional[Dict[str, str]] = field(default=None, repr=False)
 
@@ -57,21 +56,32 @@ class FileContext:
 
     @property
     def import_origins(self) -> Dict[str, str]:
-        """Local name → dotted origin, for each ``from m import n [as a]``."""
+        """Local name → dotted origin of every aliased or ``from`` import.
+
+        ``import m as a`` maps ``a`` to ``m``; ``from m import n [as a]``
+        maps ``n`` (or ``a``) to ``m.n``.  Relative imports are left out.
+        """
         if self._import_origins is None:
-            self._import_origins = {
-                alias.asname or alias.name: f"{node.module}.{alias.name}"
-                for node in self.nodes
-                if isinstance(node, ast.ImportFrom) and node.level == 0
-                for alias in node.names
-            }
+            origins = {}
+            for node in self.nodes:
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.asname:
+                            origins[alias.asname] = alias.name
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    for alias in node.names:
+                        local = alias.asname or alias.name
+                        origins[local] = f"{node.module}.{alias.name}"
+            self._import_origins = origins
         return self._import_origins
 
     def call_names(self, call: ast.Call) -> Tuple[str, ...]:
-        """A call's dotted target as spelled, then as resolved if imported.
+        """A call's dotted target as spelled, then with its head resolved.
 
-        ``wall()`` after ``from time import time as wall`` gives
-        ``("wall", "time.time")``; a target that is no dotted name gives ().
+        After ``import datetime as _dt``, ``_dt.datetime.now()`` gives
+        ``("_dt.datetime.now", "datetime.datetime.now")``; a target whose
+        head is no imported name gives only the spelling, and one that is
+        no dotted name gives ().
         """
         parts = []
         node = call.func
@@ -81,23 +91,10 @@ class FileContext:
         if not isinstance(node, ast.Name):
             return ()
         spelled = ".".join([node.id, *reversed(parts)])
-        origin = None if parts else self.import_origins.get(node.id)
+        origin = self.import_origins.get(node.id)
         if origin is None:
             return (spelled,)
         return (spelled, origin + spelled[len(node.id) :])
-
-    @property
-    def random_aliases(self) -> frozenset:
-        """Local names bound to ``random.Random`` via ``from random import``."""
-        if self._random_aliases is None:
-            aliases = set()
-            for node in self.nodes:
-                if isinstance(node, ast.ImportFrom) and node.module == "random":
-                    for name in node.names:
-                        if name.name == "Random":
-                            aliases.add(name.asname or name.name)
-            self._random_aliases = frozenset(aliases)
-        return self._random_aliases
 
 
 class Rule:

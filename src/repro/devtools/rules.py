@@ -76,13 +76,9 @@ def _wrap_sorted(ctx: FileContext, node: ast.AST) -> Optional[Fix]:
     return _replace_with(ctx, node, f"sorted({segment})")
 
 
-def _is_random_random(func: ast.AST, ctx: FileContext) -> bool:
-    """Whether a call's ``func`` resolves to :class:`random.Random`."""
-    if isinstance(func, ast.Attribute) and func.attr == "Random":
-        return isinstance(func.value, ast.Name) and func.value.id == "random"
-    if isinstance(func, ast.Name):
-        return func.id in ctx.random_aliases
-    return False
+def _is_random_random(call: ast.Call, ctx: FileContext) -> bool:
+    """Whether the call constructs :class:`random.Random`, however imported."""
+    return "random.Random" in ctx.call_names(call)
 
 
 def _is_getrandbits_call(node: ast.AST) -> bool:
@@ -110,7 +106,7 @@ class RawSeedRule(AstRule):
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            if not _is_random_random(node.func, ctx):
+            if not _is_random_random(node, ctx):
                 continue
             if any(_is_getrandbits_call(arg) for arg in node.args):
                 continue  # that shape is REP002's to report
@@ -140,7 +136,7 @@ class AdHocSplitRule(AstRule):
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            if not _is_random_random(node.func, ctx):
+            if not _is_random_random(node, ctx):
                 continue
             if any(_is_getrandbits_call(arg) for arg in node.args):
                 yield _finding(

@@ -1,4 +1,4 @@
-"""Tests for the ``repro lint`` static-analysis engine (REP001–REP010, REP014)."""
+"""Tests for the ``repro lint`` static-analysis engine and its per-file rules."""
 
 import json
 import os
@@ -615,6 +615,85 @@ class TestRep014SupervisionContainment:
         assert [f.rule for f in findings] == ["REP014"]
 
 
+class TestAliasResolution:
+    """Every fenced or raw-RNG call is caught however its module is bound."""
+
+    @pytest.mark.parametrize(
+        "source, rule",
+        [
+            ("from json import dump\ndump(data, fh)\n", "REP010"),
+            ("import json as j\nj.dump(data, fh)\n", "REP010"),
+            ("from datetime import datetime as dt\nstamp = dt.now()\n", "REP003"),
+            ("import time as t\nstamp = t.time()\n", "REP003"),
+            ("import time as t\nstarted = t.perf_counter()\n", "REP009"),
+            ("import datetime as _dt\nstamp = _dt.datetime.now()\n", "REP003"),
+            ("import signal as s\ns.signal(s.SIGINT, handler)\n", "REP014"),
+            ("import random as r\nrng = r.Random(0)\n", "REP001"),
+            ("import random as r\nchild = r.Random(rng.getrandbits(32))\n", "REP002"),
+        ],
+        ids=[
+            "from-json-dump",
+            "json-as-j",
+            "datetime-as-dt",
+            "time-as-t-time",
+            "time-as-t-perf-counter",
+            "datetime-module-as-_dt",
+            "signal-as-s",
+            "random-as-r-seed",
+            "random-as-r-split",
+        ],
+    )
+    def test_aliased_spelling_is_flagged(self, tmp_path, source, rule):
+        # REP001 and REP002 each claim their own shape of the same call.
+        rules = [rule, "REP001", "REP002"]
+        findings = lint_source(tmp_path, source, rules=rules)
+        assert [(f.rule, f.line) for f in findings] == [(rule, 2)]
+
+    def test_message_names_the_call_as_spelled(self, tmp_path):
+        findings = lint_source(
+            tmp_path, "import time as t\nstamp = t.time()\n", rules=["REP003"]
+        )
+        assert findings[0].message.startswith("wall-clock read t.time();")
+
+    def test_unrelated_alias_target_is_clean(self, tmp_path):
+        findings = lint_source(
+            tmp_path,
+            "import datetime as _dt\nday = _dt.datetime.strptime(text, fmt)\n",
+        )
+        assert findings == []
+
+
+class TestFenceTable:
+    CODES = ("REP003", "REP007", "REP009", "REP010", "REP014", "REP015")
+
+    def test_one_rule_class_serves_every_fence(self):
+        from repro.devtools import get_rule
+        from repro.devtools.layering import FENCES, FenceRule
+
+        assert tuple(fence.code for fence in FENCES) == self.CODES
+        assert {type(get_rule(code)) for code in self.CODES} == {FenceRule}
+
+    @pytest.mark.parametrize("code", CODES)
+    def test_rule_selection_keeps_to_its_own_fence(self, tmp_path, code):
+        from tests.goldens.cases import FENCED_SPELLINGS
+
+        findings = lint_source(tmp_path, FENCED_SPELLINGS, rules=[code])
+        assert findings and {f.rule for f in findings} == {code}
+
+    def test_py_entry_is_a_suffix_and_others_are_fragments(self, tmp_path):
+        # ``repro/cli.py`` is allowed to print; a directory named after it
+        # is not, while a ``repro/obs/`` fragment covers its whole package.
+        source = "print('report')\n"
+        for relative in ("repro/cli.py", "repro/cli.pyx/m.py", "repro/obs/sub/m.py"):
+            target = tmp_path / relative
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(source)
+        findings = run_lint([str(tmp_path)], rule_ids=["REP009"]).findings
+        assert [f.file[len(str(tmp_path)) + 1 :] for f in findings] == [
+            "repro/cli.pyx/m.py"
+        ]
+
+
 class TestSuppression:
     def test_inline_disable_specific_rule(self, tmp_path):
         report_src = (
@@ -750,6 +829,12 @@ class TestSelfLint:
             finding.format() for finding in report.findings
         )
         assert report.files_scanned > 100
+
+    def test_examples_are_clean(self):
+        report = run_lint([os.path.join(REPRO_SRC, "..", "..", "examples")])
+        assert report.findings == [], "\n".join(
+            finding.format() for finding in report.findings
+        )
 
 
 class TestLintCli:
