@@ -3,19 +3,20 @@
 One rule knows its fix today: REP005 rewrites ``list(set(...))`` /
 ``tuple(set(...))`` materialisations to ``sorted(...)``.
 
-Fixes are source-span replacements (ast coordinates).  Per file they are
-applied bottom-up so earlier spans stay valid, overlapping fixes are
-skipped (first in document order wins), and byte-identical duplicate
-edits collapse to one rewrite, not a conflict.  Applying the same fixes
-twice is a no-op by construction: the second lint run no longer yields
-the findings, so there is nothing left to apply.
+Fixes are source-span replacements (ast coordinates) in the finding's
+own file.  Per file they are applied bottom-up so earlier spans stay
+valid, and overlapping fixes — nested ``list(set(list(set(xs))))`` — are
+skipped (first in document order wins) for the CLI's re-lint to pick
+up.  Applying the same fixes twice is a no-op by construction: the
+second lint run no longer yields the findings, so there is nothing left
+to apply.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.devtools.findings import Finding, Fix
 
@@ -56,24 +57,16 @@ def _apply_to_text(text: str, fixes: Sequence[Fix]) -> str:
 def apply_fixes(findings: Sequence[Finding]) -> FixResult:
     """Apply every finding's fix to disk and report what changed.
 
-    Duplicate (same span, same replacement) fixes collapse to one;
-    overlapping fixes keep the first in document order and count the
+    Overlapping fixes keep the first in document order and count the
     rest as skipped — a re-run after the first application picks those
     up if their findings persist.
     """
     by_file: Dict[str, List[Fix]] = {}
-    seen: Set[Tuple[str, Tuple[int, int, int, int], str]] = set()
-    result = FixResult()
-    for finding in sorted(findings, key=Finding.sort_key):
-        fix = finding.fix
-        if fix is None:
-            continue
-        identity = (fix.file, _span_key(fix), fix.replacement)
-        if identity in seen:
-            continue
-        seen.add(identity)
-        by_file.setdefault(fix.file, []).append(fix)
+    for finding in findings:
+        if finding.fix is not None:
+            by_file.setdefault(finding.file, []).append(finding.fix)
 
+    result = FixResult()
     for path in sorted(by_file):
         accepted: List[Fix] = []
         for fix in sorted(by_file[path], key=_span_key):

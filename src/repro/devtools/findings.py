@@ -9,15 +9,12 @@ from typing import Optional
 
 @dataclass(frozen=True)
 class Fix:
-    """One mechanical rewrite: replace a source span with new text.
+    """One mechanical rewrite of the finding's file: replace a source span.
 
-    Spans use ast's coordinates — 1-based lines, 0-based columns — and may
-    live in a *different* file than the finding (a fingerprint-coverage
-    finding anchors at the ``Stage(...)`` wiring call but fixes the module
-    tuple where it is declared).  ``repro lint --fix`` applies these.
+    Spans use ast's coordinates — 1-based lines, 0-based columns.
+    ``repro lint --fix`` applies these.
     """
 
-    file: str
     start_line: int
     start_col: int
     end_line: int

@@ -52,14 +52,13 @@ def _source_segment(ctx: FileContext, node: ast.AST) -> Optional[str]:
     return "\n".join(parts)
 
 
-def _replace_with(ctx: FileContext, node: ast.AST, replacement: str) -> Optional[Fix]:
+def _replace_with(node: ast.AST, replacement: str) -> Optional[Fix]:
     """A fix replacing exactly the node's span, when the span is known."""
     end_line = getattr(node, "end_lineno", None)
     end_col = getattr(node, "end_col_offset", None)
     if end_line is None or end_col is None:
         return None
     return Fix(
-        file=ctx.path,
         start_line=node.lineno,
         start_col=node.col_offset,
         end_line=end_line,
@@ -73,7 +72,7 @@ def _wrap_sorted(ctx: FileContext, node: ast.AST) -> Optional[Fix]:
     segment = _source_segment(ctx, node)
     if segment is None:
         return None
-    return _replace_with(ctx, node, f"sorted({segment})")
+    return _replace_with(node, f"sorted({segment})")
 
 
 def _is_random_random(call: ast.Call, ctx: FileContext) -> bool:
@@ -220,7 +219,7 @@ class SetOrderingRule(AstRule):
                 if node.func.id == "list":
                     segment = _source_segment(ctx, node.args[0])
                     fix = (
-                        _replace_with(ctx, node, f"sorted({segment})")
+                        _replace_with(node, f"sorted({segment})")
                         if segment is not None
                         else None
                     )

@@ -339,3 +339,14 @@ class TestCliFix:
         assert cli_main(["lint", str(target), "--fix", "--rules", "REP005"]) == 0
         assert "file(s) fixed" not in capsys.readouterr().out
         assert target.read_text() == after_first
+
+    def test_nested_fixes_converge_through_the_relint_loop(self, tmp_path, capsys):
+        # The inner list(set(...)) fix overlaps the outer one, so the first
+        # pass skips it; the CLI's re-lint finds it again and applies it.
+        target = tmp_path / "nested.py"
+        target.write_text("def names(xs):\n    return list(set(list(set(xs))))\n")
+        assert cli_main(["lint", str(target), "--fix", "--rules", "REP005"]) == 0
+        assert "1 file(s) fixed" in capsys.readouterr().out
+        assert target.read_text() == (
+            "def names(xs):\n    return sorted(set(sorted(set(xs))))\n"
+        )
