@@ -13,10 +13,13 @@ import statements.)
 * :mod:`repro.devtools.callgraph` — the whole-program analysis engine:
   import graphs, a conservative call graph, constant folding, and
   parameter-binding resolution, built once per lint run;
-* :mod:`repro.devtools.rules` — per-file AST rules REP001–REP005, REP007
-  (raw concurrency), REP008 (exception swallowing), REP009, REP010, and
-  REP014 (teardown interception outside ``repro.supervise``);
-* :mod:`repro.devtools.layering` — import-graph rule REP006;
+* :mod:`repro.devtools.rules` — per-file AST rules REP001, REP002,
+  REP004, REP005 and REP008 (exception swallowing);
+* :mod:`repro.devtools.layering` — which layer may import what (the
+  import-graph rule REP006) and which layer may do what: the capability
+  fences REP003 (wall clock), REP007 (raw concurrency), REP009 (ad-hoc
+  print/timing), REP010 (raw artifact writes), REP014 (teardown
+  interception) and REP015 (raw sockets), one table row each;
 * :mod:`repro.devtools.rng_lineage` — whole-program rule REP011: RNG
   stream-label collisions and escaping RNG objects;
 * :mod:`repro.devtools.shard_safety` — rule REP013: static race detection

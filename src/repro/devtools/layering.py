@@ -294,8 +294,9 @@ def _write_mode(node: ast.Call, position: int) -> str:
 def _artifact_write(call: ast.Call) -> Optional[str]:
     """REP010's own matcher: ``open``/``.open`` writes, ``.write_text/bytes``."""
     func = call.func
-    if isinstance(func, ast.Name) and func.id == "open" and _write_mode(call, 1):
-        return f"open(..., {_write_mode(call, 1)!r}){_AD_HOC_WRITE}"
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = _write_mode(call, 1)
+        return f"open(..., {mode!r}){_AD_HOC_WRITE}" if mode else None
     if isinstance(func, ast.Attribute):
         if func.attr in ("write_text", "write_bytes"):
             return f".{func.attr}(...){_AD_HOC_WRITE}"

@@ -75,11 +75,6 @@ def _wrap_sorted(ctx: FileContext, node: ast.AST) -> Optional[Fix]:
     return _replace_with(node, f"sorted({segment})")
 
 
-def _is_random_random(call: ast.Call, ctx: FileContext) -> bool:
-    """Whether the call constructs :class:`random.Random`, however imported."""
-    return "random.Random" in ctx.call_names(call)
-
-
 def _is_getrandbits_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)
@@ -105,7 +100,7 @@ class RawSeedRule(AstRule):
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            if not _is_random_random(node, ctx):
+            if "random.Random" not in ctx.call_names(node):
                 continue
             if any(_is_getrandbits_call(arg) for arg in node.args):
                 continue  # that shape is REP002's to report
@@ -135,7 +130,7 @@ class AdHocSplitRule(AstRule):
         for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            if not _is_random_random(node, ctx):
+            if "random.Random" not in ctx.call_names(node):
                 continue
             if any(_is_getrandbits_call(arg) for arg in node.args):
                 yield _finding(

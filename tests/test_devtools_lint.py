@@ -680,19 +680,6 @@ class TestFenceTable:
         findings = lint_source(tmp_path, FENCED_SPELLINGS, rules=[code])
         assert findings and {f.rule for f in findings} == {code}
 
-    def test_py_entry_is_a_suffix_and_others_are_fragments(self, tmp_path):
-        # ``repro/cli.py`` is allowed to print; a directory named after it
-        # is not, while a ``repro/obs/`` fragment covers its whole package.
-        source = "print('report')\n"
-        for relative in ("repro/cli.py", "repro/cli.pyx/m.py", "repro/obs/sub/m.py"):
-            target = tmp_path / relative
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(source)
-        findings = run_lint([str(tmp_path)], rule_ids=["REP009"]).findings
-        assert [f.file[len(str(tmp_path)) + 1 :] for f in findings] == [
-            "repro/cli.pyx/m.py"
-        ]
-
 
 class TestSuppression:
     def test_inline_disable_specific_rule(self, tmp_path):
