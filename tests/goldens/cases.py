@@ -267,6 +267,83 @@ def all_artifact(
     return "\n".join(lines).rstrip("\n") + "\n\n" + summary.rstrip("\n")
 
 
+def store_payloads_artifact() -> str:
+    """Digest and size of every artifact encoding one small world stores.
+
+    Runs the ``repro all`` stages that checkpoint (seed 3, scale 0.02, one
+    worker, no faults) through a fresh store and pins the canonical bytes
+    of each stage's stored artifact, read back from the store, plus those
+    of a report, a ranking, a port distribution and a request time series
+    encoded directly.  Content addresses are hashes of these bytes, so
+    any drift in an encoder moves a line here.
+    """
+    import hashlib
+    import tempfile
+
+    from repro import io as repro_io
+    from repro.experiments import run_fig1, run_harvest, run_sec7, run_table2
+    from repro.experiments.pipeline import MeasurementPipeline
+    from repro.popularity.timeseries import RequestTimeSeries
+    from repro.sim.clock import HOUR
+    from repro.store import ArtifactStore
+    from repro.store.cas import canonical_json_bytes
+
+    def line(name: str, payload: dict) -> str:
+        blob = canonical_json_bytes(payload)
+        return f"{name} sha256={hashlib.sha256(blob).hexdigest()} bytes={len(blob)}"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ArtifactStore(tmp)
+        pipeline = MeasurementPipeline(
+            seed=ALL_SEED,
+            scale=ALL_SCALE,
+            workers=1,
+            fault_profile="none",
+            store=store,
+        )
+        report = run_fig1(pipeline=pipeline).report
+        pipeline.crawl()
+        pipeline.classify()
+        ranking = run_table2(
+            seed=ALL_SEED,
+            scale=ALL_SCALE,
+            population=pipeline.population,
+            sweep_hours=6,
+            rotation_interval_hours=1,
+            relays_per_ip=16,
+            workers=1,
+            store=store,
+        ).ranking
+        run_sec7(seed=ALL_SEED, scale=max(0.1, ALL_SCALE * 4), workers=1, store=store)
+        run_harvest(
+            seed=ALL_SEED,
+            scale=ALL_SCALE,
+            population=pipeline.population,
+            ip_count=16,
+            relays_per_ip=16,
+            store=store,
+        )
+        lines = [
+            line(stage, store.cas.get(digest)["artifact"])
+            for stage, digest in store.last_digests.items()
+        ]
+    series = RequestTimeSeries(
+        start=pipeline.population.scan_start,
+        bucket_seconds=HOUR,
+        counts=[row.requests for row in ranking.top(24)],
+    )
+    lines += [
+        line("report", repro_io.report_to_dict(report)),
+        line("ranking", repro_io.ranking_to_dict(ranking)),
+        line(
+            "port-distribution",
+            repro_io.distribution_to_dict(pipeline.scan().port_distribution()),
+        ),
+        line("request-timeseries", repro_io.timeseries_to_dict(series)),
+    ]
+    return "\n".join(lines)
+
+
 def models_artifact() -> str:
     """SHA-256 of a canonical dump of both shipped classifiers.
 
@@ -527,6 +604,7 @@ GOLDEN_CASES = {
     "models_shipped": models_artifact,
     "sec6_small": sec6_artifact,
     "sec7_small": _golden_sec7,
+    "store_payloads": store_payloads_artifact,
     "table2_small": _golden_table2,
     "views_small": views_artifact,
 }
