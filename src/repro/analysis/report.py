@@ -8,7 +8,7 @@ auditable at a glance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import ClassVar, List, Optional, Union
 
 from repro.analysis.stats import relative_error
 
@@ -34,6 +34,8 @@ class ComparisonRow:
 @dataclass
 class ExperimentReport:
     """A named collection of comparison rows plus free-form notes."""
+
+    KIND: ClassVar[str] = "experiment-report"
 
     experiment: str
     rows: List[ComparisonRow] = field(default_factory=list)

@@ -18,7 +18,8 @@
     python -m repro bench compare baseline/ . --threshold 20
     python -m repro crashtest --scale 0.02 --crash-profile moderate
 
-``--json PATH`` archives the paper-vs-measured report via :mod:`repro.io`.
+``--json PATH`` archives the paper-vs-measured report, encoded by
+:mod:`repro.codec`.
 ``--metrics-out PATH`` (or ``$REPRO_METRICS``) additionally archives the
 run's deterministic metrics/span snapshot (see :mod:`repro.obs`).
 ``--store DIR`` (or ``$REPRO_STORE``) checkpoints stage artifacts through
@@ -35,6 +36,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro import codec
 from repro import io as repro_io
 from repro.analysis.report import ExperimentReport
 
@@ -530,7 +532,7 @@ def _emit(report: ExperimentReport, extra: str = "", json_path: Optional[str] = 
         print()
         print(extra)
     if json_path:
-        repro_io.save_json(repro_io.report_to_dict(report), json_path)
+        repro_io.save_json(codec.encode(report), json_path)
         print(f"\n[report archived to {json_path}]")
 
 
@@ -1000,9 +1002,9 @@ def _campaign_document(pipeline) -> dict:
     from repro.experiments import run_fig1, run_fig2, run_table1
 
     return {
-        "fig1": repro_io.report_to_dict(run_fig1(pipeline=pipeline).report),
-        "table1": repro_io.report_to_dict(run_table1(pipeline=pipeline).report),
-        "fig2": repro_io.report_to_dict(run_fig2(pipeline=pipeline).report),
+        "fig1": codec.encode(run_fig1(pipeline=pipeline).report),
+        "table1": codec.encode(run_table1(pipeline=pipeline).report),
+        "fig2": codec.encode(run_fig2(pipeline=pipeline).report),
     }
 
 

@@ -10,7 +10,7 @@ such as images, executables, etc.").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from repro.crypto.onion import OnionAddress
 from repro.errors import CrawlError
@@ -29,18 +29,28 @@ from repro.sim.clock import Timestamp
 class CrawlResults:
     """Everything the crawl produced, plus funnel counters."""
 
+    KIND: ClassVar[str] = "crawl-results"
+
     pages: List[FetchedPage] = field(default_factory=list)
     tried: int = 0
     open_at_crawl: int = 0
     connected: int = 0
     #: How fetch failures were classified; all zero without a retry policy.
     failures: FailureTaxonomy = field(default_factory=FailureTaxonomy)
-    # destination → first page for it, maintained by add_page so page_for is
-    # O(1) instead of a linear scan per lookup (the classifier does one
-    # lookup per classified destination).
+    # destination → first page for it, built at construction and
+    # maintained by add_page so page_for is O(1) instead of a linear scan
+    # per lookup (the classifier does one lookup per classified destination).
     _page_index: Dict[Tuple[OnionAddress, int], FetchedPage] = field(
-        default_factory=dict, repr=False, compare=False
+        init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._page_index = {}
+        for page in self.pages:
+            self._page_index.setdefault(page.destination, page)
 
     def by_kind(self, kind: PageKind) -> List[FetchedPage]:
         """Pages of one kind."""
@@ -58,9 +68,7 @@ class CrawlResults:
         than through :meth:`add_page`) are picked up by rebuilding lazily.
         """
         if len(self._page_index) < len(self.pages):
-            self._page_index.clear()
-            for page in self.pages:
-                self._page_index.setdefault(page.destination, page)
+            self._reindex()
         page = self._page_index.get((onion, port))
         if page is None:
             raise CrawlError(f"destination not in crawl results: {(onion, port)}")

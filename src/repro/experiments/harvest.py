@@ -7,9 +7,11 @@ attacker would need (footnote 3).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Optional
+from typing import Optional
 
+from repro import codec
 from repro.analysis.report import ExperimentReport
 from repro.hs.publisher import PublishScheduler
 from repro.population import GeneratedPopulation, generate_population
@@ -34,39 +36,12 @@ class HarvestExperimentResult:
     report round-trip.
     """
 
-    harvest: Optional[HarvestResult] = None
+    harvest: Optional[HarvestResult] = field(default=None, metadata=codec.SKIP)
     published_onions: int = 0
     harvest_fraction: float = 0.0
     naive_ips_needed: int = 0
     hsdir_count: int = 0
     report: ExperimentReport = field(default_factory=lambda: ExperimentReport("harvest"))
-
-
-def _harvest_to_payload(result: HarvestExperimentResult) -> Dict[str, Any]:
-    """Checkpoint encoding: the scored aggregates plus the report."""
-    from repro import io as repro_io
-
-    return {
-        "report": repro_io.report_to_dict(result.report),
-        "published_onions": result.published_onions,
-        "harvest_fraction": result.harvest_fraction,
-        "naive_ips_needed": result.naive_ips_needed,
-        "hsdir_count": result.hsdir_count,
-    }
-
-
-def _harvest_from_payload(data: Dict[str, Any]) -> HarvestExperimentResult:
-    """Inverse of :func:`_harvest_to_payload` (raw harvest stays None)."""
-    from repro import io as repro_io
-
-    result = HarvestExperimentResult(
-        published_onions=data["published_onions"],
-        harvest_fraction=data["harvest_fraction"],
-        naive_ips_needed=data["naive_ips_needed"],
-        hsdir_count=data["hsdir_count"],
-    )
-    result.report = repro_io.report_from_dict(data["report"])
-    return result
 
 
 def run_harvest(
@@ -100,8 +75,8 @@ def run_harvest(
         stage = Stage(
             name="harvest",
             modules=(__name__,),
-            encode=_harvest_to_payload,
-            decode=_harvest_from_payload,
+            encode=codec.encode,
+            decode=functools.partial(codec.decode, HarvestExperimentResult),
         )
         key_config = {
             "seed": seed,

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
+from repro import codec
 from repro.classify import (
     LanguageDetector,
     TopicClassifier,
@@ -94,17 +96,19 @@ def _classify_page(
     return language, False, topic
 
 
+@dataclass
 class ClassificationOutcome:
     """Language and topic assignments over the classifiable pages."""
 
-    def __init__(self) -> None:
-        self.language_counts: Dict[str, int] = {}
-        self.topic_counts: Dict[str, int] = {}
-        self.torhost_default_count = 0
-        self.english_pages = 0
-        self.classified_pages = 0
-        self.page_languages: Dict[Tuple[str, int], str] = {}
-        self.page_topics: Dict[Tuple[str, int], str] = {}
+    KIND: ClassVar[str] = "classification-outcome"
+
+    language_counts: Dict[str, int] = field(default_factory=dict)
+    topic_counts: Dict[str, int] = field(default_factory=dict)
+    torhost_default_count: int = 0
+    english_pages: int = 0
+    classified_pages: int = 0
+    page_languages: Dict[Tuple[str, int], str] = field(default_factory=dict)
+    page_topics: Dict[Tuple[str, int], str] = field(default_factory=dict)
 
     @property
     def english_fraction(self) -> float:
@@ -233,13 +237,14 @@ class MeasurementPipeline:
     def _run_stage(
         self,
         name: str,
-        encode: Callable[[Any], Dict[str, Any]],
-        decode: Callable[[Dict[str, Any]], Any],
+        artifact: type,
         compute: Callable[[], Any],
         upstream: Tuple[str, ...] = (),
     ) -> Any:
         """Run one stage, through the store's checkpoint when configured.
 
+        ``artifact`` is the class of the stage's result, which
+        :mod:`repro.codec` encodes into the store and decodes back out.
         The stage-boundary crash points bracket the checkpointed body:
         ``stage:<name>:enter`` fires before anything runs (a death there
         costs nothing — no commit happened), ``stage:<name>:exit`` fires
@@ -251,7 +256,12 @@ class MeasurementPipeline:
         if self.store is None:
             result = compute()
         else:
-            stage = Stage(name=name, modules=(__name__,), encode=encode, decode=decode)
+            stage = Stage(
+                name=name,
+                modules=(__name__,),
+                encode=codec.encode,
+                decode=functools.partial(codec.decode, artifact),
+            )
             result = self.store.run(
                 stage,
                 self._store_config(),
@@ -268,14 +278,7 @@ class MeasurementPipeline:
     def scan(self) -> ScanResults:
         """Stage 1: the 8-day port scan (Section III)."""
         if self._scan is None:
-            from repro import io as repro_io
-
-            self._scan = self._run_stage(
-                "scan",
-                repro_io.scan_to_dict,
-                repro_io.scan_from_dict,
-                self._compute_scan,
-            )
+            self._scan = self._run_stage("scan", ScanResults, self._compute_scan)
         return self._scan
 
     def _compute_scan(self) -> ScanResults:
@@ -290,13 +293,10 @@ class MeasurementPipeline:
     def certificates(self) -> CertificateAnalysis:
         """Stage 1b: HTTPS certificate analysis (Section III)."""
         if self._certs is None:
-            from repro import io as repro_io
-
             self.scan()  # the upstream artifact feeds this stage's key
             self._certs = self._run_stage(
                 "certificates",
-                repro_io.certificates_to_dict,
-                repro_io.certificates_from_dict,
+                CertificateAnalysis,
                 self._compute_certificates,
                 upstream=("scan",),
             )
@@ -315,13 +315,10 @@ class MeasurementPipeline:
     def crawl(self) -> CrawlResults:
         """Stage 2: the HTTP(S) crawl two months later (Section IV)."""
         if self._crawl is None:
-            from repro import io as repro_io
-
             self.scan()
             self._crawl = self._run_stage(
                 "crawl",
-                repro_io.crawl_to_dict,
-                repro_io.crawl_from_dict,
+                CrawlResults,
                 self._compute_crawl,
                 upstream=("scan",),
             )
@@ -355,13 +352,10 @@ class MeasurementPipeline:
         exactly.
         """
         if self._classification is None:
-            from repro import io as repro_io
-
             self.crawl()
             self._classification = self._run_stage(
                 "classify",
-                repro_io.classification_to_dict,
-                repro_io.classification_from_dict,
+                ClassificationOutcome,
                 self._compute_classify,
                 upstream=("crawl",),
             )

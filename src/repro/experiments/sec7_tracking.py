@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro import codec
 from repro.analysis.report import ExperimentReport
 from repro.detection import (
     SilkroadStudy,
@@ -46,17 +48,25 @@ class Sec7Result:
     is what the CLI emits, round-trips.
     """
 
-    world: Optional[SilkroadWorld] = None
-    yearly_reports: Dict[str, TrackingReport] = field(default_factory=dict)
-    likely_by_year: Dict[str, Dict[ServerKey, List[str]]] = field(default_factory=dict)
-    takeovers: List[Tuple[Timestamp, List[ServerKey]]] = field(default_factory=list)
+    world: Optional[SilkroadWorld] = field(default=None, metadata=codec.SKIP)
+    yearly_reports: Dict[str, TrackingReport] = field(
+        default_factory=dict, metadata=codec.SKIP
+    )
+    likely_by_year: Dict[str, Dict[ServerKey, List[str]]] = field(
+        default_factory=dict, metadata=codec.SKIP
+    )
+    takeovers: List[Tuple[Timestamp, List[ServerKey]]] = field(
+        default_factory=list, metadata=codec.SKIP
+    )
     report: ExperimentReport = field(default_factory=lambda: ExperimentReport("sec7"))
     #: Responsibility-occupancy shape label per server per year window,
     #: from the batched shape kernel: a ``machine`` label means the server
     #: held responsible slots with near-constant per-period regularity —
     #: the cadence of a tracker grinding keys, not of chance placement.
     #: Intermediate state like ``world``: empty when replayed from a store.
-    occupancy_labels: Dict[str, Dict[ServerKey, str]] = field(default_factory=dict)
+    occupancy_labels: Dict[str, Dict[ServerKey, str]] = field(
+        default_factory=dict, metadata=codec.SKIP
+    )
 
     def detected_entities(self, year: str) -> Set[str]:
         """Ground-truth entities whose servers were convicted in ``year``."""
@@ -117,22 +127,6 @@ def _occupancy_labels(
     return classify_services_by_shape(series, min_requests=12)
 
 
-def _sec7_to_payload(result: Sec7Result) -> Dict[str, Any]:
-    """Checkpoint encoding: only the report (the CLI's whole output)."""
-    from repro import io as repro_io
-
-    return {"report": repro_io.report_to_dict(result.report)}
-
-
-def _sec7_from_payload(data: Dict[str, Any]) -> Sec7Result:
-    """Inverse of :func:`_sec7_to_payload` (detection state stays None)."""
-    from repro import io as repro_io
-
-    result = Sec7Result()
-    result.report = repro_io.report_from_dict(data["report"])
-    return result
-
-
 def run_sec7(
     seed: int = 0,
     scale: float = 1.0,
@@ -151,8 +145,8 @@ def run_sec7(
         stage = Stage(
             name="sec7",
             modules=(__name__,),
-            encode=_sec7_to_payload,
-            decode=_sec7_from_payload,
+            encode=codec.encode,
+            decode=functools.partial(codec.decode, Sec7Result),
         )
         study_config = (
             config if config is not None else SilkroadStudyConfig(seed=seed, scale=scale)

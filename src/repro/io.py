@@ -1,338 +1,18 @@
-"""Artifact (de)serialisation.
+"""Artifact files: write and read one JSON document.
 
-Experiments produce reports, rankings, distributions, scan/crawl results
-and classification outcomes; this module turns them into plain
-JSON-compatible dictionaries and back, so benchmark runs can be archived,
-diffed across seeds, loaded into notebooks without re-running multi-minute
-pipelines — and checkpointed by :mod:`repro.store`, whose content
-addresses are hashes of exactly these encodings.
-
-Loaders are strict: a missing field or an unsupported ``schema`` version
-raises :class:`~repro.errors.ReproError` (never a bare ``KeyError``), so
-a damaged or future-format artifact fails loudly at the boundary instead
-of deep inside an experiment.
+Artifacts are encoded by :mod:`repro.codec`; this module only puts the
+encoding on disk (keys sorted, two-space indent) and reads it back, so
+runs can be archived, diffed across seeds and loaded into notebooks
+without re-running multi-minute pipelines.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, List, Union
-
-from repro.analysis.report import ComparisonRow, ExperimentReport
-from repro.crawl.crawler import CrawlResults
-from repro.crawl.page import FetchedPage, PageKind
-from repro.errors import ReproError
-from repro.experiments.pipeline import ClassificationOutcome
-from repro.faults.taxonomy import FailureTaxonomy
-from repro.net.endpoint import ConnectOutcome
-from repro.popularity.ranking import PopularityRanking, RankedService
-from repro.popularity.timeseries import RequestTimeSeries
-from repro.scan.results import PortDistribution, ScanResults
-from repro.scan.tls import CertificateAnalysis
+from typing import Any, Dict, Union
 
 PathLike = Union[str, pathlib.Path]
-
-_SCHEMA_VERSION = 1
-
-
-def report_to_dict(report: ExperimentReport) -> Dict[str, Any]:
-    """Serialise an :class:`ExperimentReport`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "experiment-report",
-        "experiment": report.experiment,
-        "rows": [
-            {"label": row.label, "paper": row.paper, "measured": row.measured}
-            for row in report.rows
-        ],
-        "notes": list(report.notes),
-    }
-
-
-def report_from_dict(data: Dict[str, Any]) -> ExperimentReport:
-    """Inverse of :func:`report_to_dict`."""
-    _check_kind(data, "experiment-report")
-    report = ExperimentReport(experiment=_field(data, "experiment"))
-    for row in _field(data, "rows"):
-        report.rows.append(
-            ComparisonRow(
-                label=_field(row, "label", "report row"),
-                paper=_field(row, "paper", "report row"),
-                measured=_field(row, "measured", "report row"),
-            )
-        )
-    report.notes = list(data.get("notes", []))
-    return report
-
-
-def ranking_to_dict(ranking: PopularityRanking, limit: int = 0) -> Dict[str, Any]:
-    """Serialise a popularity ranking (``limit=0`` keeps every row)."""
-    rows = ranking.rows if limit <= 0 else ranking.rows[:limit]
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "popularity-ranking",
-        "rows": [
-            {
-                "rank": row.rank,
-                "requests": row.requests,
-                "onion": row.onion,
-                "description": row.description,
-            }
-            for row in rows
-        ],
-    }
-
-
-def ranking_from_dict(data: Dict[str, Any]) -> PopularityRanking:
-    """Inverse of :func:`ranking_to_dict`."""
-    _check_kind(data, "popularity-ranking")
-    ranking = PopularityRanking()
-    for row in _field(data, "rows"):
-        ranked = RankedService(
-            rank=_field(row, "rank", "ranking row"),
-            requests=_field(row, "requests", "ranking row"),
-            onion=_field(row, "onion", "ranking row"),
-            description=row.get("description", "<n/a>"),
-        )
-        ranking.rows.append(ranked)
-        ranking._rank_by_onion[ranked.onion] = ranked.rank
-    return ranking
-
-
-def distribution_to_dict(distribution: PortDistribution) -> Dict[str, Any]:
-    """Serialise a Fig 1 port distribution."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "port-distribution",
-        "counts": dict(distribution.counts),
-        "unique_ports": distribution.unique_ports,
-        "total_open": distribution.total_open,
-    }
-
-
-def distribution_from_dict(data: Dict[str, Any]) -> PortDistribution:
-    """Inverse of :func:`distribution_to_dict`."""
-    _check_kind(data, "port-distribution")
-    return PortDistribution(
-        counts=dict(_field(data, "counts")),
-        unique_ports=_field(data, "unique_ports"),
-        total_open=_field(data, "total_open"),
-    )
-
-
-# -- failure taxonomy (inline fragment, no kind header) ---------------------- #
-
-
-def _taxonomy_to_dict(taxonomy: FailureTaxonomy) -> Dict[str, int]:
-    return {
-        "transient_recovered": taxonomy.transient_recovered,
-        "retries_exhausted": taxonomy.retries_exhausted,
-        "permanent": taxonomy.permanent,
-        "retry_attempts": taxonomy.retry_attempts,
-    }
-
-
-def _taxonomy_from_dict(data: Dict[str, Any]) -> FailureTaxonomy:
-    return FailureTaxonomy(
-        transient_recovered=_field(data, "transient_recovered", "failure taxonomy"),
-        retries_exhausted=_field(data, "retries_exhausted", "failure taxonomy"),
-        permanent=_field(data, "permanent", "failure taxonomy"),
-        retry_attempts=_field(data, "retry_attempts", "failure taxonomy"),
-    )
-
-
-# -- certificate analysis ---------------------------------------------------- #
-
-
-def certificates_to_dict(analysis: CertificateAnalysis) -> Dict[str, Any]:
-    """Serialise a Section III :class:`CertificateAnalysis`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "certificate-analysis",
-        "total_certificates": analysis.total_certificates,
-        "self_signed_mismatch": analysis.self_signed_mismatch,
-        "dominant_cn": analysis.dominant_cn,
-        "dominant_cn_count": analysis.dominant_cn_count,
-        "public_dns_onions": list(analysis.public_dns_onions),
-        "cn_histogram": dict(analysis.cn_histogram),
-    }
-
-
-def certificates_from_dict(data: Dict[str, Any]) -> CertificateAnalysis:
-    """Inverse of :func:`certificates_to_dict`."""
-    _check_kind(data, "certificate-analysis")
-    analysis = CertificateAnalysis(
-        total_certificates=_field(data, "total_certificates"),
-        self_signed_mismatch=_field(data, "self_signed_mismatch"),
-        dominant_cn=_field(data, "dominant_cn"),
-        dominant_cn_count=_field(data, "dominant_cn_count"),
-        public_dns_onions=list(_field(data, "public_dns_onions")),
-    )
-    analysis.cn_histogram.update(_field(data, "cn_histogram"))
-    return analysis
-
-
-# -- crawl results ----------------------------------------------------------- #
-
-
-def _page_to_dict(page: FetchedPage) -> Dict[str, Any]:
-    return {
-        "onion": page.onion,
-        "port": page.port,
-        "scheme": page.scheme,
-        "kind": page.kind.value,
-        "status": page.status,
-        "text": page.text,
-        "error": page.error,
-        "attempts": page.attempts,
-    }
-
-
-def _page_from_dict(data: Dict[str, Any]) -> FetchedPage:
-    return FetchedPage(
-        onion=_field(data, "onion", "crawled page"),
-        port=_field(data, "port", "crawled page"),
-        scheme=_field(data, "scheme", "crawled page"),
-        kind=PageKind(_field(data, "kind", "crawled page")),
-        status=_field(data, "status", "crawled page"),
-        text=_field(data, "text", "crawled page"),
-        error=_field(data, "error", "crawled page"),
-        attempts=data.get("attempts", 1),
-    )
-
-
-def crawl_to_dict(crawl: CrawlResults) -> Dict[str, Any]:
-    """Serialise a :class:`CrawlResults` (pages in crawl order)."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "crawl-results",
-        "pages": [_page_to_dict(page) for page in crawl.pages],
-        "tried": crawl.tried,
-        "open_at_crawl": crawl.open_at_crawl,
-        "connected": crawl.connected,
-        "failures": _taxonomy_to_dict(crawl.failures),
-    }
-
-
-def crawl_from_dict(data: Dict[str, Any]) -> CrawlResults:
-    """Inverse of :func:`crawl_to_dict` (destination index rebuilt)."""
-    _check_kind(data, "crawl-results")
-    crawl = CrawlResults(
-        tried=_field(data, "tried"),
-        open_at_crawl=_field(data, "open_at_crawl"),
-        connected=_field(data, "connected"),
-        failures=_taxonomy_from_dict(_field(data, "failures")),
-    )
-    for row in _field(data, "pages"):
-        crawl.add_page(_page_from_dict(row))
-    return crawl
-
-
-# -- scan results ------------------------------------------------------------ #
-
-
-def scan_to_dict(scan: ScanResults) -> Dict[str, Any]:
-    """Serialise a :class:`ScanResults` (sets sorted, outcomes by value)."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "scan-results",
-        "scanned_onions": scan.scanned_onions,
-        "descriptor_onions": sorted(scan.descriptor_onions),
-        "reachable_onions": sorted(scan.reachable_onions),
-        "open_ports": [
-            [onion, port, outcome.value]
-            for (onion, port), outcome in sorted(scan.open_ports.items())
-        ],
-        "timeouts": scan.timeouts,
-        "probes_answered": scan.probes_answered,
-        "failures": _taxonomy_to_dict(scan.failures),
-        "descriptor_refetches": scan.descriptor_refetches,
-    }
-
-
-def scan_from_dict(data: Dict[str, Any]) -> ScanResults:
-    """Inverse of :func:`scan_to_dict`."""
-    _check_kind(data, "scan-results")
-    scan = ScanResults(
-        scanned_onions=_field(data, "scanned_onions"),
-        descriptor_onions=set(_field(data, "descriptor_onions")),
-        reachable_onions=set(_field(data, "reachable_onions")),
-        timeouts=_field(data, "timeouts"),
-        probes_answered=_field(data, "probes_answered"),
-        failures=_taxonomy_from_dict(_field(data, "failures")),
-        descriptor_refetches=_field(data, "descriptor_refetches"),
-    )
-    for onion, port, outcome in _field(data, "open_ports"):
-        scan.open_ports[(onion, port)] = ConnectOutcome(outcome)
-    return scan
-
-
-# -- classification outcome -------------------------------------------------- #
-
-
-def classification_to_dict(outcome: ClassificationOutcome) -> Dict[str, Any]:
-    """Serialise a classify-stage :class:`ClassificationOutcome`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "classification-outcome",
-        "language_counts": dict(outcome.language_counts),
-        "topic_counts": dict(outcome.topic_counts),
-        "torhost_default_count": outcome.torhost_default_count,
-        "english_pages": outcome.english_pages,
-        "classified_pages": outcome.classified_pages,
-        "page_languages": [
-            [onion, port, language]
-            for (onion, port), language in outcome.page_languages.items()
-        ],
-        "page_topics": [
-            [onion, port, topic]
-            for (onion, port), topic in outcome.page_topics.items()
-        ],
-    }
-
-
-def classification_from_dict(data: Dict[str, Any]) -> ClassificationOutcome:
-    """Inverse of :func:`classification_to_dict` (dict orders preserved)."""
-    _check_kind(data, "classification-outcome")
-    outcome = ClassificationOutcome()
-    outcome.language_counts = dict(_field(data, "language_counts"))
-    outcome.topic_counts = dict(_field(data, "topic_counts"))
-    outcome.torhost_default_count = _field(data, "torhost_default_count")
-    outcome.english_pages = _field(data, "english_pages")
-    outcome.classified_pages = _field(data, "classified_pages")
-    for onion, port, language in _field(data, "page_languages"):
-        outcome.page_languages[(onion, port)] = language
-    for onion, port, topic in _field(data, "page_topics"):
-        outcome.page_topics[(onion, port)] = topic
-    return outcome
-
-
-# -- request time series ----------------------------------------------------- #
-
-
-def timeseries_to_dict(series: RequestTimeSeries) -> Dict[str, Any]:
-    """Serialise a Section V :class:`RequestTimeSeries`."""
-    return {
-        "schema": _SCHEMA_VERSION,
-        "kind": "request-timeseries",
-        "start": series.start,
-        "bucket_seconds": series.bucket_seconds,
-        "counts": list(series.counts),
-    }
-
-
-def timeseries_from_dict(data: Dict[str, Any]) -> RequestTimeSeries:
-    """Inverse of :func:`timeseries_to_dict`."""
-    _check_kind(data, "request-timeseries")
-    return RequestTimeSeries(
-        start=_field(data, "start"),
-        bucket_seconds=_field(data, "bucket_seconds"),
-        counts=list(_field(data, "counts")),
-    )
-
-
-# -- files ------------------------------------------------------------------- #
 
 
 def save_json(data: Dict[str, Any], path: PathLike) -> None:
@@ -345,32 +25,3 @@ def save_json(data: Dict[str, Any], path: PathLike) -> None:
 def load_json(path: PathLike) -> Dict[str, Any]:
     """Read a serialised artifact from ``path``."""
     return json.loads(pathlib.Path(path).read_text())
-
-
-def _field(data: Dict[str, Any], name: str, what: str = "artifact") -> Any:
-    """``data[name]``, with a :class:`ReproError` (not KeyError) when absent."""
-    try:
-        return data[name]
-    except KeyError as exc:
-        raise ReproError(f"{what} is missing required field {name!r}") from exc
-    except TypeError as exc:
-        raise ReproError(f"{what} field {name!r} unreadable: {exc}") from exc
-
-
-def _check_kind(data: Dict[str, Any], expected: str) -> None:
-    kind = data.get("kind")
-    if kind != expected:
-        raise ReproError(f"expected artifact kind {expected!r}, got {kind!r}")
-    schema = data.get("schema")
-    if not isinstance(schema, int):
-        raise ReproError(f"artifact has no integer schema version: {schema!r}")
-    if schema > _SCHEMA_VERSION:
-        raise ReproError(
-            f"artifact schema version {schema} is newer than this build "
-            f"(reads up to {_SCHEMA_VERSION}); upgrade to load it"
-        )
-    if schema < _SCHEMA_VERSION:
-        raise ReproError(
-            f"unsupported schema version {schema!r} "
-            f"(this build reads {_SCHEMA_VERSION})"
-        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from repro.crypto.onion import OnionAddress
 
@@ -22,8 +22,16 @@ class RankedService:
 class PopularityRanking:
     """Sorted popularity table with label annotations."""
 
+    KIND: ClassVar[str] = "popularity-ranking"
+
     rows: List[RankedService] = field(default_factory=list)
-    _rank_by_onion: Dict[OnionAddress, int] = field(default_factory=dict)
+    #: onion -> rank, derived from ``rows`` at construction.
+    _rank_by_onion: Dict[OnionAddress, int] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._rank_by_onion = {row.onion: row.rank for row in self.rows}
 
     @classmethod
     def from_counts(
@@ -36,18 +44,17 @@ class PopularityRanking:
         ordered = sorted(
             requests_per_onion.items(), key=lambda item: (-item[1], item[0])
         )
-        ranking = cls()
-        for index, (onion, count) in enumerate(ordered, start=1):
-            ranking.rows.append(
+        return cls(
+            rows=[
                 RankedService(
                     rank=index,
                     requests=count,
                     onion=onion,
                     description=descriptions.get(onion, "<n/a>"),
                 )
-            )
-            ranking._rank_by_onion[onion] = index
-        return ranking
+                for index, (onion, count) in enumerate(ordered, start=1)
+            ]
+        )
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import ModuleType
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import accel
 from repro.crypto.descriptor_id import DescriptorId
@@ -43,6 +43,8 @@ def _shape_statistics(
 @dataclass
 class RequestTimeSeries:
     """Request counts per fixed-width time bucket."""
+
+    KIND: ClassVar[str] = "request-timeseries"
 
     start: Timestamp
     bucket_seconds: int

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import ClassVar, Dict, List, Set, Tuple
+
+from repro.codec import SORTED
 
 from repro.crypto.onion import OnionAddress
 from repro.faults.taxonomy import FailureTaxonomy
@@ -26,6 +28,8 @@ FIG1_BINS: Tuple[Tuple[int, str], ...] = (
 class PortDistribution:
     """Fig 1: open-port counts per named bin plus 'other'."""
 
+    KIND: ClassVar[str] = "port-distribution"
+
     counts: Dict[str, int]
     unique_ports: int
     total_open: int
@@ -41,14 +45,17 @@ class PortDistribution:
 class ScanResults:
     """Everything the multi-day scan observed."""
 
+    KIND: ClassVar[str] = "scan-results"
+
     scanned_onions: int = 0
     # Onions whose descriptor was fetchable on at least one scan day (the
     # paper: descriptors were available for 24,511 of the 39,824 addresses).
     descriptor_onions: Set[OnionAddress] = field(default_factory=set)
     reachable_onions: Set[OnionAddress] = field(default_factory=set)
-    # (onion, port) -> outcome for every counts-as-open observation.
+    # (onion, port) -> outcome for every counts-as-open observation.  The
+    # scan records them in probe order; the encoding sorts them.
     open_ports: Dict[Tuple[OnionAddress, int], ConnectOutcome] = field(
-        default_factory=dict
+        default_factory=dict, metadata=SORTED
     )
     timeouts: int = 0
     probes_answered: int = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import ClassVar, Dict, List
 
 from repro.crypto.onion import OnionAddress
 from repro.net.transport import TorTransport
@@ -44,12 +44,14 @@ def collect_certificates(
 class CertificateAnalysis:
     """Aggregated certificate findings."""
 
+    KIND: ClassVar[str] = "certificate-analysis"
+
     total_certificates: int = 0
     self_signed_mismatch: int = 0
     dominant_cn: str = ""
     dominant_cn_count: int = 0
     public_dns_onions: List[OnionAddress] = field(default_factory=list)
-    cn_histogram: Counter = field(default_factory=Counter)
+    cn_histogram: Counter[str] = field(default_factory=Counter)
 
     @property
     def deanonymizable_count(self) -> int:

@@ -8,9 +8,9 @@ its ETag — is byte-stable across worker counts, fault profiles, crash
 restarts, and service-vs-batch execution.
 
 The builders accept live stage objects and store-replayed ones
-interchangeably: they only touch the fields the :mod:`repro.io` encoders
-round-trip (a crash-resumed epoch recomputes its views from decoded
-artifacts and must land on the same bytes).
+interchangeably: they only touch fields :mod:`repro.codec` encodes, never
+one marked ``SKIP`` (a crash-resumed epoch recomputes its views from
+decoded artifacts and must land on the same bytes).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every pipeline stage is a pure function of (seed, configuration, fault
 profile, code); the store makes that purity pay: a stage's output is
-serialised through :mod:`repro.io`, addressed by the SHA-256 of its
+encoded by :mod:`repro.codec`, addressed by the SHA-256 of its
 canonical JSON encoding, and keyed by a :class:`~repro.store.keys.CacheKey`
 that folds in the run configuration, a per-stage code fingerprint, and the
 pre-stage RNG cursor.  A warm re-run loads every artifact instead of
@@ -11,9 +11,9 @@ and an append-only :class:`~repro.store.ledger.Ledger` records every
 hit/miss so a run can prove it recomputed nothing.
 
 Layering: the store is a substrate like ``parallel`` and ``obs`` — it
-never imports measurement code.  Stage-specific encoders/decoders are
-supplied by the caller (the pipeline), keeping the dependency arrows
-pointing down.
+never imports measurement code.  Each stage's encoder/decoder pair is
+supplied by the caller (the pipeline, from :mod:`repro.codec`), keeping
+the dependency arrows pointing down.
 """
 
 from repro.store.cas import (

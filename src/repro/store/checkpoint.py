@@ -67,8 +67,9 @@ class Stage:
     stage — usually just the wiring module's ``(__name__,)``; the code
     fingerprint hashes them and everything they import (see
     :func:`~repro.store.keys.code_fingerprint`).  ``encode``/``decode``
-    round-trip the artifact through plain JSON (usually a :mod:`repro.io`
-    pair).
+    round-trip the artifact through plain JSON (usually
+    :func:`repro.codec.encode` and a ``functools.partial`` of
+    :func:`repro.codec.decode` bound to the artifact class).
     """
 
     name: str

@@ -280,7 +280,7 @@ def store_payloads_artifact() -> str:
     import hashlib
     import tempfile
 
-    from repro import io as repro_io
+    from repro import codec
     from repro.experiments import run_fig1, run_harvest, run_sec7, run_table2
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.popularity.timeseries import RequestTimeSeries
@@ -333,13 +333,10 @@ def store_payloads_artifact() -> str:
         counts=[row.requests for row in ranking.top(24)],
     )
     lines += [
-        line("report", repro_io.report_to_dict(report)),
-        line("ranking", repro_io.ranking_to_dict(ranking)),
-        line(
-            "port-distribution",
-            repro_io.distribution_to_dict(pipeline.scan().port_distribution()),
-        ),
-        line("request-timeseries", repro_io.timeseries_to_dict(series)),
+        line("report", codec.encode(report)),
+        line("ranking", codec.encode(ranking)),
+        line("port-distribution", codec.encode(pipeline.scan().port_distribution())),
+        line("request-timeseries", codec.encode(series)),
     ]
     return "\n".join(lines)
 

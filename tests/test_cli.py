@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from repro.analysis.report import ExperimentReport
 from repro.cli import build_parser, main
-from repro.io import load_json, report_from_dict
+from repro.codec import decode
+from repro.io import load_json
 
 
 class TestParser:
@@ -46,7 +48,7 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "fig1-open-ports" in out
         assert "55080-Skynet" in out
-        report = report_from_dict(load_json(json_path))
+        report = decode(ExperimentReport, load_json(json_path))
         assert report.experiment == "fig1-open-ports"
 
     def test_harvest_runs(self, capsys):

@@ -1,32 +1,17 @@
-"""Tests for repro.io — artifact (de)serialisation."""
+"""Artifact (de)serialisation: repro.codec encodings and repro.io files."""
 
 import pytest
 
 from repro.analysis.report import ExperimentReport
+from repro.codec import decode, encode
+from repro.crawl.crawler import CrawlResults
 from repro.errors import ReproError
-from repro.io import (
-    certificates_from_dict,
-    certificates_to_dict,
-    classification_from_dict,
-    classification_to_dict,
-    crawl_from_dict,
-    crawl_to_dict,
-    distribution_from_dict,
-    distribution_to_dict,
-    load_json,
-    ranking_from_dict,
-    ranking_to_dict,
-    report_from_dict,
-    report_to_dict,
-    save_json,
-    scan_from_dict,
-    scan_to_dict,
-    timeseries_from_dict,
-    timeseries_to_dict,
-)
+from repro.experiments.pipeline import ClassificationOutcome
+from repro.io import load_json, save_json
 from repro.popularity.ranking import PopularityRanking
 from repro.popularity.timeseries import RequestTimeSeries
-from repro.scan.results import PortDistribution
+from repro.scan.results import PortDistribution, ScanResults
+from repro.scan.tls import CertificateAnalysis
 
 
 def make_report():
@@ -40,7 +25,7 @@ def make_report():
 class TestReportRoundtrip:
     def test_roundtrip_preserves_everything(self):
         report = make_report()
-        clone = report_from_dict(report_to_dict(report))
+        clone = decode(ExperimentReport, encode(report))
         assert clone.experiment == report.experiment
         assert [(r.label, r.paper, r.measured) for r in clone.rows] == [
             (r.label, r.paper, r.measured) for r in report.rows
@@ -49,16 +34,16 @@ class TestReportRoundtrip:
         assert clone.max_error() == report.max_error()
 
     def test_kind_mismatch_rejected(self):
-        data = report_to_dict(make_report())
+        data = encode(make_report())
         data["kind"] = "something-else"
         with pytest.raises(ReproError):
-            report_from_dict(data)
+            decode(ExperimentReport, data)
 
     def test_schema_mismatch_rejected(self):
-        data = report_to_dict(make_report())
+        data = encode(make_report())
         data["schema"] = 999
         with pytest.raises(ReproError):
-            report_from_dict(data)
+            decode(ExperimentReport, data)
 
 
 class TestRankingRoundtrip:
@@ -67,17 +52,10 @@ class TestRankingRoundtrip:
             {"aa" * 8 + ".onion": 50, "bb" * 8 + ".onion": 99},
             {"bb" * 8 + ".onion": "Goldnet"},
         )
-        clone = ranking_from_dict(ranking_to_dict(ranking))
+        clone = decode(PopularityRanking, encode(ranking))
         assert len(clone) == 2
         assert clone.rank_of("bb" * 8 + ".onion") == 1
         assert clone.row_for("bb" * 8 + ".onion").description == "Goldnet"
-
-    def test_limit(self):
-        ranking = PopularityRanking.from_counts(
-            {f"{i:02d}" * 8 + ".onion": 100 - i for i in range(10)}
-        )
-        data = ranking_to_dict(ranking, limit=3)
-        assert len(data["rows"]) == 3
 
 
 class TestDistributionRoundtrip:
@@ -85,7 +63,7 @@ class TestDistributionRoundtrip:
         distribution = PortDistribution(
             counts={"80-http": 5, "other": 2}, unique_ports=4, total_open=7
         )
-        clone = distribution_from_dict(distribution_to_dict(distribution))
+        clone = decode(PortDistribution, encode(distribution))
         assert clone.counts == distribution.counts
         assert clone.unique_ports == 4
         assert clone.total_open == 7
@@ -95,8 +73,8 @@ class TestDistributionRoundtrip:
 class TestScanRoundtrip:
     def test_roundtrip_is_exact(self, small_pipeline):
         scan = small_pipeline.scan()
-        data = scan_to_dict(scan)
-        clone = scan_from_dict(data)
+        data = encode(scan)
+        clone = decode(ScanResults, data)
         assert clone.scanned_onions == scan.scanned_onions
         assert clone.descriptor_onions == scan.descriptor_onions
         assert clone.reachable_onions == scan.reachable_onions
@@ -105,35 +83,35 @@ class TestScanRoundtrip:
         assert clone.probes_answered == scan.probes_answered
         # Re-encoding the clone reproduces the encoding byte-for-byte —
         # the invariant repro.store's content addresses rest on.
-        assert scan_to_dict(clone) == data
+        assert encode(clone) == data
 
 
 class TestCertificatesRoundtrip:
     def test_roundtrip_is_exact(self, small_pipeline):
         analysis = small_pipeline.certificates()
-        data = certificates_to_dict(analysis)
-        clone = certificates_from_dict(data)
+        data = encode(analysis)
+        clone = decode(CertificateAnalysis, data)
         assert clone.total_certificates == analysis.total_certificates
         assert clone.self_signed_mismatch == analysis.self_signed_mismatch
         assert clone.dominant_cn == analysis.dominant_cn
         assert clone.cn_histogram == analysis.cn_histogram
-        assert certificates_to_dict(clone) == data
+        assert encode(clone) == data
 
 
 class TestCrawlRoundtrip:
     def test_roundtrip_is_exact(self, small_pipeline):
         crawl = small_pipeline.crawl()
-        data = crawl_to_dict(crawl)
-        clone = crawl_from_dict(data)
+        data = encode(crawl)
+        clone = decode(CrawlResults, data)
         assert clone.pages == crawl.pages
         assert clone.tried == crawl.tried
         assert clone.open_at_crawl == crawl.open_at_crawl
         assert clone.connected == crawl.connected
-        assert crawl_to_dict(clone) == data
+        assert encode(clone) == data
 
     def test_destination_index_rebuilt(self, small_pipeline):
         crawl = small_pipeline.crawl()
-        clone = crawl_from_dict(crawl_to_dict(crawl))
+        clone = decode(CrawlResults, encode(crawl))
         page = crawl.pages[0]
         assert clone._page_index[page.destination] == page
 
@@ -141,84 +119,79 @@ class TestCrawlRoundtrip:
 class TestClassificationRoundtrip:
     def test_roundtrip_is_exact(self, small_pipeline):
         outcome = small_pipeline.classify()
-        data = classification_to_dict(outcome)
-        clone = classification_from_dict(data)
+        data = encode(outcome)
+        clone = decode(ClassificationOutcome, data)
         assert clone.language_counts == outcome.language_counts
         assert clone.topic_counts == outcome.topic_counts
         assert clone.classified_pages == outcome.classified_pages
         # Insertion order carries ranking-relevant tie-breaks; it must
         # survive the trip, not just the mapping contents.
         assert list(clone.page_topics) == list(outcome.page_topics)
-        assert classification_to_dict(clone) == data
+        assert encode(clone) == data
 
 
 class TestTimeseriesRoundtrip:
     def test_roundtrip_is_exact(self):
         series = RequestTimeSeries(start=100, bucket_seconds=3600, counts=[1, 0, 7])
-        data = timeseries_to_dict(series)
-        clone = timeseries_from_dict(data)
+        data = encode(series)
+        clone = decode(RequestTimeSeries, data)
         assert clone.start == 100
         assert clone.bucket_seconds == 3600
         assert clone.counts == [1, 0, 7]
-        assert timeseries_to_dict(clone) == data
+        assert encode(clone) == data
 
 
 class TestStrictLoaders:
     """Loaders fail loudly at the boundary, never with a bare KeyError."""
 
     @pytest.mark.parametrize(
-        "encode, decode",
-        [
-            (lambda: report_to_dict(make_report()), report_from_dict),
-            (
-                lambda: timeseries_to_dict(
-                    RequestTimeSeries(start=0, bucket_seconds=60, counts=[1])
-                ),
-                timeseries_from_dict,
-            ),
-        ],
+        "artifact",
+        [make_report(), RequestTimeSeries(start=0, bucket_seconds=60, counts=[1])],
+        ids=["ExperimentReport", "RequestTimeSeries"],
     )
-    def test_missing_field_raises_repro_error(self, encode, decode):
-        data = encode()
+    def test_missing_field_raises_repro_error(self, artifact):
+        data = encode(artifact)
         doomed = next(k for k in data if k not in ("schema", "kind"))
         del data[doomed]
         with pytest.raises(ReproError, match="missing required field"):
-            decode(data)
+            decode(type(artifact), data)
 
     def test_missing_row_field_names_the_row(self):
-        data = report_to_dict(make_report())
+        data = encode(make_report())
         del data["rows"][0]["measured"]
-        with pytest.raises(ReproError, match="report row"):
-            report_from_dict(data)
+        with pytest.raises(
+            ReproError,
+            match=r"experiment-report\.rows\[0\] is missing required field 'measured'",
+        ):
+            decode(ExperimentReport, data)
 
     def test_newer_schema_rejected_with_upgrade_hint(self):
-        data = report_to_dict(make_report())
+        data = encode(make_report())
         data["schema"] = 2
         with pytest.raises(ReproError, match="newer than this build"):
-            report_from_dict(data)
+            decode(ExperimentReport, data)
 
     def test_older_schema_rejected(self):
-        data = report_to_dict(make_report())
+        data = encode(make_report())
         data["schema"] = 0
         with pytest.raises(ReproError, match="unsupported schema"):
-            report_from_dict(data)
+            decode(ExperimentReport, data)
 
     def test_non_integer_schema_rejected(self):
-        data = report_to_dict(make_report())
+        data = encode(make_report())
         data["schema"] = "1"
         with pytest.raises(ReproError, match="no integer schema"):
-            report_from_dict(data)
+            decode(ExperimentReport, data)
 
     def test_wrong_kind_rejected(self):
-        data = timeseries_to_dict(
-            RequestTimeSeries(start=0, bucket_seconds=60, counts=[])
-        )
+        data = encode(RequestTimeSeries(start=0, bucket_seconds=60, counts=[]))
         with pytest.raises(ReproError, match="expected artifact kind"):
-            scan_from_dict(data)
+            decode(ScanResults, data)
 
     def test_non_mapping_fragment_rejected(self):
-        data = crawl_to_dict(
-            crawl_from_dict(
+        data = encode(
+            decode(
+                CrawlResults,
                 {
                     "schema": 1,
                     "kind": "crawl-results",
@@ -232,17 +205,17 @@ class TestStrictLoaders:
                         "permanent": 0,
                         "retry_attempts": 0,
                     },
-                }
+                },
             )
         )
         data["failures"] = None
         with pytest.raises(ReproError, match="unreadable"):
-            crawl_from_dict(data)
+            decode(CrawlResults, data)
 
 
 class TestFiles:
     def test_save_and_load(self, tmp_path):
         report = make_report()
         path = tmp_path / "sub" / "report.json"
-        save_json(report_to_dict(report), path)
-        assert report_from_dict(load_json(path)).experiment == "x"
+        save_json(encode(report), path)
+        assert decode(ExperimentReport, load_json(path)).experiment == "x"

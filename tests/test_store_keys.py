@@ -245,17 +245,17 @@ class TestImportScan:
 
 class TestImportClosure:
     def test_import_closure_includes_function_local_imports(self):
-        # The pipeline imports repro.io only inside its stage methods.
-        source = (REPRO_SRC / "experiments" / "pipeline.py").read_text()
+        # Table II imports repro.hsdir.directory only inside a function.
+        source = (REPRO_SRC / "experiments" / "table2_popularity.py").read_text()
         top_level = ast.parse(source).body
         assert not any(
             isinstance(node, ast.ImportFrom)
-            and node.module == "repro"
-            and any(alias.name == "io" for alias in node.names)
+            and (node.module or "").startswith("repro.hsdir")
             for node in top_level
         )
-        assert "repro.io" in scan_module("repro.experiments.pipeline")[1]
-        assert "repro.io" in import_closure(("repro.experiments.pipeline",))
+        table2 = "repro.experiments.table2_popularity"
+        assert "repro.hsdir.directory" in scan_module(table2)[1]
+        assert "repro.hsdir.directory" in import_closure((table2,))
 
     def test_exempt_layers_are_not_entered(self):
         closure = import_closure(("repro.experiments.pipeline",))
