@@ -1,6 +1,6 @@
 """Tests for repro.popularity.ranking."""
 
-from repro.popularity.ranking import PopularityRanking
+from repro.popularity.ranking import PopularityRanking, RankedService
 
 
 def make_ranking():
@@ -56,3 +56,9 @@ class TestRanking:
         table = make_ranking().format_table()
         assert "RQSTS" in table
         assert "Goldnet" in table
+
+    def test_ranking_built_from_rows_finds_its_onions(self):
+        onion = "dd" * 8 + ".onion"
+        ranking = PopularityRanking(rows=[RankedService(rank=1, requests=5, onion=onion)])
+        assert ranking.rank_of(onion) == 1
+        assert ranking.row_for(onion).requests == 5
