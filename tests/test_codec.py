@@ -103,10 +103,6 @@ class TestDerivedEncoding:
             [ONION_A, 80, "de"],
         ]
 
-    def test_derived_index_rebuilt_on_decode(self):
-        clone = decode(CrawlResults, encode(make_crawl()))
-        assert clone.page_for(ONION_A, 80).kind is PageKind.HTML
-
 
 class TestStrictDecoder:
     """Every rejection is a ReproError naming the dotted path."""
