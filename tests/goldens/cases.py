@@ -220,6 +220,71 @@ def views_artifact() -> str:
     return "\n".join(lines)
 
 
+def serve_wire_artifact() -> str:
+    """Every served document's wire bytes, through the in-process client.
+
+    Runs the ``views_small`` world as a two-epoch service (one worker, no
+    faults, no crashes) and requests every view of every epoch under its
+    numeric and its ``latest`` selector, every onion's dossier, the
+    health and epoch listings, a conditional 304 for each of those paths,
+    and three errors.  One line per response: ``path status etag
+    sha256=… bytes=…`` over the exact body bytes (``-`` for no ETag).
+    ``/v1/metrics`` is live and left out.
+    """
+    import hashlib
+    import tempfile
+
+    from repro.service import (
+        VIEW_KINDS,
+        EpochController,
+        InProcessClient,
+        ServiceConfig,
+        ServiceRouter,
+    )
+
+    config = ServiceConfig(
+        seed=VIEWS_SEED,
+        scale=VIEWS_SCALE,
+        epochs=2,
+        sweep_hours=VIEWS_SWEEP_HOURS,
+        workers=1,
+        fault_profile="none",
+        crash_profile="none",
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        records = EpochController(config, tmp).run()
+    client = InProcessClient(ServiceRouter(records))
+
+    def line(path: str, response) -> str:
+        digest = hashlib.sha256(response.body).hexdigest()
+        return (
+            f"{path} {response.status} {response.headers.get('ETag', '-')} "
+            f"sha256={digest} bytes={len(response.body)}"
+        )
+
+    paths = ["/healthz", "/v1/epochs"]
+    for record in records:
+        selectors = [str(record.epoch)]
+        if record is records[-1]:
+            selectors.append("latest")
+        for selector in selectors:
+            paths += [f"/v1/epochs/{selector}/{kind}" for kind in VIEW_KINDS]
+        for onion in sorted(record.views["dossiers"]["body"]["onions"]):
+            paths.append(f"/v1/epochs/{record.epoch}/dossier/{onion}")
+    lines = []
+    for path in paths:
+        response = client.get(path)
+        lines.append(line(path, response))
+        lines.append(line(path, client.get_conditional(path, response.etag)))
+    for path in (
+        "/v1/epochs/0/dossier/unknownonion0000.onion",
+        f"/v1/epochs/{len(records)}/ranking",
+    ):
+        lines.append(line(path, client.get(path)))
+    lines.append(line("POST /v1/epochs", client.router.handle("POST", "/v1/epochs")))
+    return "\n".join(lines)
+
+
 def all_artifact(
     stored: bool, seed: int = ALL_SEED, scale: float = ALL_SCALE
 ) -> str:
@@ -601,6 +666,7 @@ GOLDEN_CASES = {
     "models_shipped": models_artifact,
     "sec6_small": sec6_artifact,
     "sec7_small": _golden_sec7,
+    "serve_wire_small": serve_wire_artifact,
     "store_payloads": store_payloads_artifact,
     "table2_small": _golden_table2,
     "views_small": views_artifact,
