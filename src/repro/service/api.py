@@ -7,10 +7,15 @@ to a :class:`Response` and never touches a socket.  The HTTP front-end
 :meth:`ServiceRouter.handle`, so every route, header, and error body is
 testable without binding a port.
 
-Caching: a view's ETag is its content digest, quoted per RFC 9110.  A
+Caching: a document's ETag is its content digest, quoted per RFC 9110.
+The router renders each document it serves — a view or dossier of one
+epoch, the health and epoch listings for one record count — once: the
+digest and the indented wire bytes are memoised under a key naming
+exactly that document, and every later request reuses them.  A
 conditional ``If-None-Match`` request that matches returns 304 with an
-empty body — concurrent readers of an unchanged epoch cost one digest
-comparison, not a serialization.
+empty body, so concurrent readers of an unchanged epoch cost one string
+comparison, not a serialization.  Errors and ``/v1/metrics`` (live) are
+rendered per request.
 """
 
 from __future__ import annotations
@@ -18,7 +23,16 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import (
     ConfigError,
@@ -77,7 +91,11 @@ class ServiceRouter:
 
     Thread-safe for concurrent reads: the records list only ever grows
     (append-only, from one controller thread), and the shared observer —
-    which is *not* thread-safe — is only touched under ``_lock``.
+    which is *not* thread-safe — is only touched under ``_lock``.  The
+    render memo needs no lock: rendering is deterministic, so two threads
+    that miss on the same key at once store the same value, and each
+    dict store is atomic.  It holds one entry per served document and
+    needs no eviction: an epoch's views never change once appended.
     """
 
     def __init__(
@@ -88,6 +106,8 @@ class ServiceRouter:
         self.records = records if records is not None else []
         self.observer = ensure_observer(observer)
         self._lock = threading.Lock()
+        #: document key → (ETag, wire body); see :meth:`_json_response`.
+        self._rendered: Dict[Hashable, Tuple[str, bytes]] = {}
 
     # -- observability ----------------------------------------------------- #
 
@@ -111,12 +131,25 @@ class ServiceRouter:
 
     def _json_response(
         self,
-        document: Mapping[str, Any],
+        key: Hashable,
+        build: Callable[[], Optional[Mapping[str, Any]]],
         headers: Mapping[str, str],
         route: str,
-    ) -> Response:
-        """200 with body — or 304 without, when If-None-Match hits."""
-        etag = etag_of(document)
+    ) -> Optional[Response]:
+        """200 with body — or 304 without, when If-None-Match hits.
+
+        ``key`` names the document ``build`` returns; the document is
+        digested and encoded on the key's first request only.  None when
+        ``build`` finds no document, which is never memoised.
+        """
+        rendered = self._rendered.get(key)
+        if rendered is None:
+            document = build()
+            if document is None:
+                return None
+            rendered = (etag_of(document), _encode(document))
+            self._rendered[key] = rendered
+        etag, body = rendered
         if headers.get("If-None-Match") == etag:
             self._count("service_cache_hits_total", route=route)
             return Response(
@@ -125,7 +158,7 @@ class ServiceRouter:
             )
         return Response(
             status=200,
-            body=_encode(document),
+            body=body,
             headers={"ETag": etag, "Content-Type": JSON_CONTENT_TYPE},
         )
 
@@ -139,19 +172,19 @@ class ServiceRouter:
 
     # -- routes ------------------------------------------------------------ #
 
-    def _health(self) -> Mapping[str, Any]:
+    def _health(self, count: int) -> Mapping[str, Any]:
         return {
             "schema": SCHEMA_VERSION,
             "kind": "health",
             "status": "ok",
-            "epochs": len(self.records),
+            "epochs": count,
         }
 
-    def _epochs(self) -> Mapping[str, Any]:
+    def _epochs(self, count: int) -> Mapping[str, Any]:
         return {
             "schema": SCHEMA_VERSION,
             "kind": "epochs",
-            "epochs": [record.summary() for record in self.records],
+            "epochs": [record.summary() for record in self.records[:count]],
         }
 
     def _metrics(self) -> Response:
@@ -170,19 +203,29 @@ class ServiceRouter:
                 404, ServiceError(f"no such epoch: {parts[0]!r}")
             )
         if len(parts) == 2 and parts[1] in VIEW_KINDS:
+            kind = parts[1]
             return self._json_response(
-                record.views[parts[1]], headers, route=f"view:{parts[1]}"
+                (record.epoch, kind),
+                lambda: record.views[kind],
+                headers,
+                route=f"view:{kind}",
             )
         if len(parts) == 3 and parts[1] == "dossier":
-            envelope = dossier_envelope(record.views, parts[2])
-            if envelope is None:
+            onion = parts[2]
+            response = self._json_response(
+                (record.epoch, "dossier", onion),
+                lambda: dossier_envelope(record.views, onion),
+                headers,
+                route="dossier",
+            )
+            if response is None:
                 return self._error(
                     404,
                     ServiceError(
-                        f"epoch {record.epoch} never observed {parts[2]!r}"
+                        f"epoch {record.epoch} never observed {onion!r}"
                     ),
                 )
-            return self._json_response(envelope, headers, route="dossier")
+            return response
         return self._error(
             404, ServiceError(f"unknown epoch query: {'/'.join(parts[1:])!r}")
         )
@@ -199,12 +242,25 @@ class ServiceRouter:
             )
         try:
             path = path.split("?", 1)[0].rstrip("/") or "/"
+            # Records are append-only and complete once appended, so the
+            # count names the listing; the builders read that many only.
+            count = len(self.records)
             if path == "/healthz":
-                return self._json_response(self._health(), headers, "healthz")
+                return self._json_response(
+                    ("healthz", count),
+                    lambda: self._health(count),
+                    headers,
+                    "healthz",
+                )
             if path == "/v1/metrics":
                 return self._metrics()
             if path == "/v1/epochs":
-                return self._json_response(self._epochs(), headers, "epochs")
+                return self._json_response(
+                    ("epochs", count),
+                    lambda: self._epochs(count),
+                    headers,
+                    "epochs",
+                )
             parts = [part for part in path.split("/") if part]
             if len(parts) >= 3 and parts[:2] == ["v1", "epochs"]:
                 return self._route_epoch(parts[2:], headers)
