@@ -120,7 +120,9 @@ class ServiceRouter:
     def _resolve_epoch(self, selector: str) -> Optional[EpochRecord]:
         if selector == "latest":
             return self.records[-1] if self.records else None
-        if not selector.isdigit():
+        # ASCII only: str.isdigit also accepts "²" (which int() rejects)
+        # and "٣" (which int() reads as 3).
+        if not (selector.isascii() and selector.isdigit()):
             return None
         epoch = int(selector)
         if epoch >= len(self.records):

@@ -15,6 +15,10 @@ and another for the body.  Nagle's algorithm is off (``TCP_NODELAY``),
 so the body of a larger response is not held back until the client
 ACKs the head, which a keep-alive client delays by ~40 ms.
 
+An idle connection is closed after ``_ServiceRequestHandler.timeout``
+seconds, so clients that connect and send nothing cannot hold every
+slot of the bounded handler pool.
+
 Determinism: the handler pins ``protocol_version``, the ``Server``
 header, and the ``Date`` header (to the epoch constant — the sim clock
 is the only clock in this codebase, REP003) so two identical queries
@@ -38,6 +42,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     #: Buffer writes; the handler's flush sends a small response whole.
     wbufsize = -1
     disable_nagle_algorithm = True
+    #: Seconds a connection may sit idle (or stall a read or write)
+    #: before it is closed and its handler slot freed.
+    timeout = 30.0
 
     def version_string(self) -> str:
         return "repro-service"

@@ -1,5 +1,6 @@
 """The query API: routes, conditional caching, and the determinism matrix."""
 
+import collections
 import json
 
 import pytest
@@ -12,6 +13,9 @@ from repro.service import (
     InProcessClient,
     ServiceRouter,
 )
+from repro.service import api
+from repro.service.api import _encode, etag_of
+from repro.service.results import dossier_envelope
 
 from tests.conftest import make_service_config
 
@@ -193,3 +197,137 @@ class TestErrorTaxonomy:
         assert response.status == 405
         body = json.loads(response.body.decode("utf-8"))
         assert body["error"]["type"] == "ServiceError"
+
+
+def document_paths(records):
+    """Every path that serves a document, with a fresh build of it.
+
+    The builds mirror the router's own: a view is the record's stored
+    envelope, a dossier is re-wrapped from the dossiers view, and the
+    listings are assembled from the records.
+    """
+    documents = {
+        "/healthz": {
+            "schema": SCHEMA_VERSION,
+            "kind": "health",
+            "status": "ok",
+            "epochs": len(records),
+        },
+        "/v1/epochs": {
+            "schema": SCHEMA_VERSION,
+            "kind": "epochs",
+            "epochs": [record.summary() for record in records],
+        },
+    }
+    for record in records:
+        selectors = [str(record.epoch)]
+        if record is records[-1]:
+            selectors.append("latest")
+        for selector in selectors:
+            for kind in VIEW_KINDS:
+                path = f"/v1/epochs/{selector}/{kind}"
+                documents[path] = record.views[kind]
+        for onion in record.views["dossiers"]["body"]["onions"]:
+            path = f"/v1/epochs/{record.epoch}/dossier/{onion}"
+            documents[path] = dossier_envelope(record.views, onion)
+    return documents
+
+
+class TestRenderOnce:
+    """Each served document is digested and encoded once per router."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, service_controller):
+        return document_paths(service_controller.records)
+
+    @pytest.mark.parametrize("latest_first", [True, False])
+    def test_every_response_is_the_fresh_rendering(
+        self, service_controller, documents, latest_first
+    ):
+        client = InProcessClient(ServiceRouter(service_controller.records))
+        paths = sorted(
+            documents, key=lambda path: ("latest" in path) != latest_first
+        )
+        for path in paths + paths:
+            document = documents[path]
+            response = client.get(path)
+            assert response.status == 200, path
+            assert response.body == _encode(document), path
+            assert response.etag == etag_of(document), path
+            conditional = client.get_conditional(path, response.etag)
+            assert conditional.status == 304, path
+            assert conditional.body == b""
+            assert conditional.etag == response.etag
+
+    def test_each_document_is_encoded_and_digested_once(
+        self, service_controller, documents, monkeypatch
+    ):
+        encoded, digested = collections.Counter(), collections.Counter()
+
+        def spy(counter, real):
+            def wrapper(document):
+                counter[json.dumps(document, sort_keys=True)] += 1
+                return real(document)
+
+            return wrapper
+
+        monkeypatch.setattr(api, "_encode", spy(encoded, api._encode))
+        monkeypatch.setattr(api, "etag_of", spy(digested, api.etag_of))
+        records = service_controller.records
+        paths = ["/healthz", "/v1/epochs"]
+        for selector in ("0", "1", "latest", "2"):
+            paths += [f"/v1/epochs/{selector}/{kind}" for kind in VIEW_KINDS]
+        paths += sorted(p for p in documents if "/dossier/" in p)[:3]
+        assert len(paths) == 25
+        client = InProcessClient(ServiceRouter(records))
+        etags = {}
+        for index in range(50):
+            path = paths[index % len(paths)]
+            if index % 3 == 2 and path in etags:
+                response = client.get_conditional(path, etags[path])
+                assert response.status == 304
+            else:
+                response = client.get(path)
+                assert response.status == 200
+            etags[path] = response.etag
+        served = {json.dumps(documents[p], sort_keys=True) for p in paths}
+        assert set(encoded) == set(digested) == served
+        assert set(encoded.values()) == set(digested.values()) == {1}
+
+    def test_metrics_are_rendered_per_request(self, service_controller):
+        router = ServiceRouter(
+            service_controller.records, observer=Observer(name="live-test")
+        )
+        client = InProcessClient(router)
+
+        def requests_total():
+            snapshot = client.get("/v1/metrics").json()
+            return sum(
+                entry["value"]
+                for entry in snapshot["metrics"]
+                if entry["name"] == "service_requests_total"
+            )
+
+        first = requests_total()
+        client.get("/healthz")
+        assert requests_total() == first + 2
+
+    def test_unknown_onion_is_not_memoised(self, service_controller):
+        router = ServiceRouter(service_controller.records)
+        for _ in range(2):
+            response = router.handle("GET", "/v1/epochs/0/dossier/" + "z" * 16)
+            assert response.status == 404
+        assert router._rendered == {}
+
+
+class TestEpochSelector:
+    @pytest.mark.parametrize("selector", ["²", "٠", "1²", "0x1", "-1"])
+    def test_non_ascii_digit_selectors_are_404(
+        self, service_controller, selector
+    ):
+        router = ServiceRouter(service_controller.records)
+        response = router.handle("GET", f"/v1/epochs/{selector}/ranking")
+        assert response.status == 404
+        document = json.loads(response.body.decode("utf-8"))
+        assert document["kind"] == "error"
+        assert document["error"]["type"] == "ServiceError"

@@ -8,11 +8,13 @@ import http.client
 import json
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.obs.scope import Observer
 from repro.service import ServiceRouter, serve
+from repro.service.http import _ServiceRequestHandler
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +133,89 @@ class TestLiveServer:
         reply = raw_exchange(live_server, request)
         assert reply.count(b"HTTP/1.1 200 ") == 2
 
+
+    def test_response_bytes_are_exactly_the_framed_router_response(
+        self, live_server
+    ):
+        path = "/v1/epochs/0/ranking"
+        expected = live_server.router.handle("GET", path)
+        etag = expected.headers["ETag"]
+
+        def framed(status_line, body):
+            return (
+                status_line + b"\r\n"
+                b"Server: repro-service\r\n"
+                b"Date: Thu, 01 Jan 1970 00:00:00 GMT\r\n"
+                b"ETag: " + etag.encode("ascii") + b"\r\n"
+                b"Content-Type: application/json; charset=utf-8\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            ) + body
+
+        request = b"GET " + path.encode("ascii") + b" HTTP/1.1\r\nHost: x\r\n"
+        close = b"Connection: close\r\n\r\n"
+        reply = raw_exchange(live_server, request + close)
+        assert reply == framed(b"HTTP/1.1 200 OK", expected.body)
+        conditional = b"If-None-Match: " + etag.encode("ascii") + b"\r\n"
+        reply = raw_exchange(live_server, request + conditional + close)
+        assert reply == framed(b"HTTP/1.1 304 Not Modified", b"")
+
+    def test_keep_alive_gets_do_not_wait_for_delayed_acks(self, live_server):
+        # An 11.5 KB body sent after its head, with Nagle on, waits ~40 ms
+        # for the client's delayed ACK of the head on every request.
+        host, port = live_server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(30):
+                connection.request("GET", "/v1/epochs/0/ranking")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert len(response.read()) > 8192
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"30 keep-alive GETs took {elapsed:.3f} s"
+
+    def test_raw_non_ascii_digit_selector_gets_a_404(self, live_server):
+        reply = raw_exchange(
+            live_server,
+            b"GET /v1/epochs/\xb2/ranking HTTP/1.1\r\n"
+            b"Host: x\r\nConnection: close\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 404 ")
+        assert b'"kind": "error"' in reply
+
+
+def test_idle_connections_release_their_handler_slots(
+    service_controller, monkeypatch
+):
+    # Shorten the handler's idle timeout; a handler without one keeps
+    # None, and the ninth request then fails on its client timeout.
+    if _ServiceRequestHandler.timeout is not None:
+        monkeypatch.setattr(_ServiceRequestHandler, "timeout", 0.5)
+    router = ServiceRouter(service_controller.records)
+    server = serve(router, port=0, workers=8)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    idle = []
+    try:
+        host, port = server.server_address[:2]
+        idle = [socket.create_connection((host, port)) for _ in range(8)]
+        # Let the eight handler threads take every slot before the ninth.
+        time.sleep(0.2)
+        started = time.perf_counter()
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+        finally:
+            connection.close()
+        assert time.perf_counter() - started < 3.0
+    finally:
+        for sock in idle:
+            sock.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
