@@ -2,6 +2,8 @@
 
 import collections
 import json
+import sys
+import threading
 
 import pytest
 
@@ -293,6 +295,44 @@ class TestRenderOnce:
         served = {json.dumps(documents[p], sort_keys=True) for p in paths}
         assert set(encoded) == set(digested) == served
         assert set(encoded.values()) == set(digested.values()) == {1}
+
+    def test_concurrent_first_requests_serve_the_same_bytes(
+        self, service_controller, documents
+    ):
+        threads = 8
+        paths = [path for path in documents if "/dossier/" not in path]
+        paths += sorted(path for path in documents if "/dossier/" in path)[:20]
+        expected = {
+            path: (_encode(documents[path]), etag_of(documents[path]))
+            for path in paths
+        }
+        router = ServiceRouter(service_controller.records)
+        start = threading.Barrier(threads)
+        wrong = []
+
+        def reader(offset):
+            start.wait(timeout=10)
+            for path in paths[offset:] + paths[:offset]:
+                response = router.handle("GET", path)
+                served = (response.body, response.headers.get("ETag"))
+                if served != expected[path]:
+                    wrong.append(path)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=reader, args=(index * 3,))
+                for index in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
 
     def test_metrics_are_rendered_per_request(self, service_controller):
         router = ServiceRouter(
