@@ -133,7 +133,6 @@ class TestLiveServer:
         reply = raw_exchange(live_server, request)
         assert reply.count(b"HTTP/1.1 200 ") == 2
 
-
     def test_response_bytes_are_exactly_the_framed_router_response(
         self, live_server
     ):
