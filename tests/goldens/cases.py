@@ -105,6 +105,47 @@ def table2_artifact(workers: Optional[int] = None) -> str:
     return result.report.format() + "\n\n" + result.ranking.format_table(limit=20)
 
 
+def table2_detail_artifact() -> str:
+    """What the tiny Table II sweep computes beyond its ranking table.
+
+    Every traffic-shape label (the attacker fleet's request logs are read
+    for nothing else), every onion's normalised request rate (the
+    validity-driven normalisation past the top 20), and the resolution's
+    ID counts plus a digest of its ID → onion map.
+    """
+    import hashlib
+
+    from repro.experiments import run_table2
+
+    result = run_table2(
+        seed=TABLE2_SEED,
+        scale=TABLE2_SCALE,
+        sweep_hours=TABLE2_SWEEP_HOURS,
+        rotation_interval_hours=1,
+        relays_per_ip=16,
+        workers=1,
+    )
+    resolution = result.resolution
+    lines = [
+        f"onion label {onion} {label}"
+        for onion, label in sorted(result.shape_labels.items())
+    ]
+    lines += [
+        f"onion requests {onion} {count}"
+        for onion, count in sorted(resolution.requests_per_onion.items())
+    ]
+    id_map = b"\n".join(
+        desc_id.hex().encode("ascii") + b" " + onion.encode("ascii")
+        for desc_id, onion in sorted(resolution.id_to_onion.items())
+    )
+    lines += [
+        f"resolved_ids {resolution.resolved_ids}",
+        f"unresolved_ids {resolution.unresolved_ids}",
+        f"id_to_onion sha256 {hashlib.sha256(id_map).hexdigest()}",
+    ]
+    return "\n".join(lines)
+
+
 def build_sec7_world():
     """The Silk Road consensus history; independent of the worker count."""
     from repro.detection import SilkroadStudy, SilkroadStudyConfig
@@ -668,6 +709,7 @@ GOLDEN_CASES = {
     "sec7_small": _golden_sec7,
     "serve_wire_small": serve_wire_artifact,
     "store_payloads": store_payloads_artifact,
+    "table2_detail_small": table2_detail_artifact,
     "table2_small": _golden_table2,
     "views_small": views_artifact,
 }
