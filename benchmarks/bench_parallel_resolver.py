@@ -48,7 +48,9 @@ def test_parallel_resolver_index_build(benchmark, report_dir, workers):
 
     # The executor's contract: the pool changes throughput, never output.
     assert parallel._index == serial._index
-    assert parallel._validity == serial._validity
+    assert [parallel.validity_of(d) for d in parallel._index] == [
+        serial.validity_of(d) for d in serial._index
+    ]
     assert parallel.collision_count == serial.collision_count == 0
 
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0

@@ -148,7 +148,7 @@ def _classify_resolved_shapes(
     merged = HSDirServer(relay_id=-1, keep_log=True)
     for relay in attack.fleet.all_relays:
         merged.request_log.extend(
-            network.hsdir_server_for(relay).request_log
+            network.hsdir_server_for(relay).logged_requests()
         )
     ids_per_onion: Dict[OnionAddress, List[bytes]] = {}
     for desc_id, onion in resolution.id_to_onion.items():
@@ -319,6 +319,10 @@ def _compute_table2(
             network, planned, sweep_hour, now - HOUR, now, report=workload_report
         )
 
+    # The fleet's request logs feed the shape forensic below; they are the
+    # only logs anything reads, so only these directories keep one.
+    for relay in attack.deploy().all_relays:
+        network.hsdir_server_for(relay).keep_log = True
     harvest_result = attack.run(population.services, publisher, hour_hook=hour_hook)
 
     # Resolution over the paper's window: 28 Jan – 8 Feb 2013.

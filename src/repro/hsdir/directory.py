@@ -3,10 +3,11 @@
 An :class:`HSDirServer` is the directory-side state of one relay: a cache of
 descriptors keyed by descriptor ID with 24-hour retention ("HS directories
 responsible for the previous time period erase its descriptor from the
-memory"), plus an append-only log of client fetches.  The paper's harvest
-reads both: stored descriptors yield onion addresses, and the fetch log
-yields popularity counts — including the ~80% of fetches that ask for
-descriptors that were never published.
+memory"), plus per-ID fetch counters and an optional append-only fetch
+log.  The paper's harvest reads the stores and the counters: stored
+descriptors yield onion addresses, and the counters yield popularity —
+including the ~80% of fetches that ask for descriptors that were never
+published.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.crypto.descriptor_id import DescriptorId
-from repro.errors import DescriptorError
+from repro.errors import DescriptorError, ReproError
 from repro.sim.clock import DAY, HOUR, Timestamp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredDescriptor:
     """A descriptor as held by a directory.
 
@@ -50,7 +51,11 @@ class HSDirServer:
     counters (always on — cheap, and all Section V needs) and a detailed
     per-request log (``keep_log``) for analyses that need timestamps, such as
     windowed rate plots.  At the paper's volume (~10⁶ requests) the detailed
-    log is the memory hog, so harvest-scale experiments disable it.
+    log is the memory hog, so the directories a
+    :class:`~repro.tornet.TorNetwork` provisions keep none; Table II turns
+    the log on for its attacker fleet only, whose logs its traffic-shape
+    forensic reads.  Reading the log of a directory that keeps none raises
+    :class:`~repro.errors.ReproError` rather than reporting zero traffic.
     """
 
     RETENTION = DAY
@@ -146,6 +151,15 @@ class HSDirServer:
         """Total logged fetches (found + not found)."""
         return sum(found + missing for found, missing in self.request_counts.values())
 
+    def logged_requests(self) -> List[RequestRecord]:
+        """The detailed fetch log; raises when this directory keeps none."""
+        if not self.keep_log:
+            raise ReproError(
+                f"HSDir {self.relay_id} keeps no request log (keep_log=False); "
+                "only its per-ID request_counts are recorded"
+            )
+        return self.request_log
+
     def stored_descriptors(self, now: Timestamp) -> List[StoredDescriptor]:
         """All unexpired descriptors currently held (harvest read-out)."""
         self._expire(now)
@@ -156,7 +170,7 @@ class HSDirServer:
         self, start: Timestamp, end: Timestamp
     ) -> List[RequestRecord]:
         """Fetches logged in ``[start, end)``."""
-        return [r for r in self.request_log if start <= r.time < end]
+        return [r for r in self.logged_requests() if start <= r.time < end]
 
     def clear_log(self) -> None:
         """Drop request accounting (attacker rotates its harvest windows)."""

@@ -95,9 +95,11 @@ class DescriptorResolver:
         """Precompute every descriptor ID each onion uses in the window.
 
         The index covers every day in ``[window_start, window_end]`` × both
-        replicas — exactly the paper's multi-day derivation.  Each entry
-        also records the ID's *validity period* (when the service actually
-        used it), which rate normalisation needs.
+        replicas — exactly the paper's multi-day derivation — and maps each
+        ID to the onion that claimed it first.  An ID's *validity period*
+        (when the service actually used it), which rate normalisation
+        needs, is not stored: :meth:`validity_of` re-derives it on demand,
+        only for the few IDs a harvest actually requested.
 
         The per-onion SHA-1 derivations are independent, so they fan out
         through :func:`repro.parallel.pmap` (``workers`` defaults to
@@ -113,7 +115,10 @@ class DescriptorResolver:
         self.window = (window_start, window_end)
         self._observer = ensure_observer(observer)
         self._index: Dict[DescriptorId, OnionAddress] = {}
-        self._validity: Dict[DescriptorId, Tuple[Timestamp, Timestamp]] = {}
+        #: owner onion → (its IDs → validity), derived on first request.
+        self._validity_by_onion: Dict[
+            OnionAddress, Dict[DescriptorId, Tuple[Timestamp, Timestamp]]
+        ] = {}
         #: descriptor ID → every onion that derived it, in database order
         #: (first entry owns the index slot).
         self.collisions: Dict[DescriptorId, List[OnionAddress]] = {}
@@ -124,35 +129,34 @@ class DescriptorResolver:
         # pickle round-trip over many onions.  Per-onion output does not
         # depend on chunking, so the merged index is byte-identical at any
         # worker count — including against the old per-onion fan-out.
-        chunk_bounds = shard_bounds(
-            len(onions), resolve_workers(workers) * SHARDS_PER_WORKER
-        )
-        chunks = [onions[lo:hi] for lo, hi in chunk_bounds]
-        entry_lists = [
-            entries
-            for chunk_entries in pmap(
-                functools.partial(
-                    descriptor_index_entries_batch,
-                    start=window_start,
-                    end=window_end,
-                ),
-                chunks,
-                workers=workers,
-            )
-            for entries in chunk_entries
+        # Chunks go through pmap a wave of one chunk per worker at a time,
+        # so only one wave's entry lists is alive while the index grows.
+        wave = resolve_workers(workers)
+        chunks = [
+            onions[lo:hi]
+            for lo, hi in shard_bounds(len(onions), wave * SHARDS_PER_WORKER)
         ]
-        for onion, entries in zip(onions, entry_lists):
-            for desc, period_start in entries:
-                owner = self._index.get(desc)
-                if owner is not None:
-                    if owner != onion:
-                        self.collisions.setdefault(desc, [owner]).append(onion)
-                    continue
-                self._index[desc] = onion
-                self._validity[desc] = (period_start, period_start + DAY)
+        for first in range(0, len(chunks), wave):
+            self._claim_wave(chunks[first : first + wave], workers)
         self._observer.gauge("resolver_database_size", self.database_size)
         self._observer.gauge("resolver_index_size", len(self._index))
         self._observer.gauge("resolver_collisions", self.collision_count)
+
+    def _claim_wave(
+        self, chunks: List[List[OnionAddress]], workers: Optional[int]
+    ) -> None:
+        """Index one wave of chunks; its entry lists die on return."""
+        start, end = self.window
+        derive = functools.partial(descriptor_index_entries_batch, start=start, end=end)
+        derived = pmap(derive, chunks, workers=workers)
+        for chunk, chunk_entries in zip(chunks, derived):
+            for onion, entries in zip(chunk, chunk_entries):
+                for desc, _period_start in entries:
+                    owner = self._index.get(desc)
+                    if owner is None:
+                        self._index[desc] = onion
+                    elif owner != onion:
+                        self.collisions.setdefault(desc, [owner]).append(onion)
 
     @property
     def index_size(self) -> int:
@@ -171,8 +175,23 @@ class DescriptorResolver:
     def validity_of(
         self, desc_id: DescriptorId
     ) -> Optional[Tuple[Timestamp, Timestamp]]:
-        """[start, end) during which a resolvable ID was in service."""
-        return self._validity.get(desc_id)
+        """[start, end) during which a resolvable ID was in service.
+
+        Derived on demand from the owning onion's window entries (once per
+        onion, then memoised); the first entry carrying the ID wins, as the
+        first claim does in the index.
+        """
+        onion = self._index.get(desc_id)
+        if onion is None:
+            return None
+        validity = self._validity_by_onion.get(onion)
+        if validity is None:
+            validity = {}
+            (entries,) = descriptor_index_entries_batch([onion], *self.window)
+            for desc, period_start in entries:
+                validity.setdefault(desc, (period_start, period_start + DAY))
+            self._validity_by_onion[onion] = validity
+        return validity[desc_id]
 
     def resolve(
         self, request_counts: Dict[DescriptorId, List[int]]
@@ -263,7 +282,7 @@ class DescriptorResolver:
                 result.unresolved_ids += 1
                 result.unresolved_requests += raw
                 continue
-            rate = normalizer(desc_id, found, missing, self._validity.get(desc_id))
+            rate = normalizer(desc_id, found, missing, self.validity_of(desc_id))
             result.resolved_ids += 1
             result.resolved_requests += raw
             result.id_to_onion[desc_id] = onion

@@ -136,7 +136,7 @@ _PACKED_CACHE_ATTR = "_repro_timeseries_packed"
 
 
 def _packed_log(server: HSDirServer, np: ModuleType) -> "_PackedLog":
-    log = server.request_log
+    log = server.logged_requests()
     cached = getattr(server, _PACKED_CACHE_ATTR, None)
     if cached is not None and cached[0] is log and cached[1] == len(log):
         return cached[2]
@@ -161,7 +161,7 @@ def series_from_log_scalar(
         raise ReproError(f"empty window: [{start}, {end})")
     wanted = set(descriptor_ids) if descriptor_ids is not None else None
     buckets = [0] * max(1, (int(end) - int(start) + bucket_seconds - 1) // bucket_seconds)
-    for record in server.request_log:
+    for record in server.logged_requests():
         if not start <= record.time < end:
             continue
         if wanted is not None and record.descriptor_id not in wanted:
@@ -181,7 +181,8 @@ def series_from_log(
 ) -> RequestTimeSeries:
     """Bucket one directory's detailed request log.
 
-    Requires the server to have been created with ``keep_log=True``.
+    Requires the server to keep its log (``keep_log=True``); a log-less
+    directory raises :class:`~repro.errors.ReproError`.
     ``descriptor_ids`` restricts the series to specific IDs (one service).
 
     Runs on the packed-array kernel when numpy is available: the log is

@@ -139,9 +139,16 @@ class TorNetwork:
     # ------------------------------------------------------------------ #
 
     def add_relay(self, relay: Relay) -> None:
-        """Register a relay and provision its directory-side store."""
+        """Register a relay and provision its directory-side store.
+
+        The store keeps per-ID request counters but no per-request log;
+        an analysis that reads a directory's log turns ``keep_log`` on for
+        that directory (Table II does so for its attacker fleet).
+        """
         self.authority.register(relay)
-        self._hsdir_servers[relay.relay_id] = HSDirServer(relay.relay_id)
+        self._hsdir_servers[relay.relay_id] = HSDirServer(
+            relay.relay_id, keep_log=False
+        )
 
     def add_relays(self, relays: Iterable[Relay]) -> None:
         """Register many relays."""

@@ -308,5 +308,7 @@ class TestResolverWorkerEquivalence:
         for workers in (2, 8):
             other = DescriptorResolver(onions, JAN28, FEB8, workers=workers)
             assert other._index == baseline._index
-            assert other._validity == baseline._validity
+            assert [other.validity_of(d) for d in other._index] == [
+                baseline.validity_of(d) for d in baseline._index
+            ]
             assert other.collisions == baseline.collisions

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import DescriptorError
+from repro.errors import DescriptorError, ReproError
 from repro.hsdir.directory import HSDirServer, StoredDescriptor
+from repro.popularity.timeseries import series_from_log, series_from_log_scalar
 from repro.sim.clock import DAY, HOUR
 
 
@@ -91,6 +92,24 @@ class TestRequestAccounting:
         server.fetch(b"\x01" * 20, now=5)
         assert server.request_log == []
         assert server.total_requests == 1
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda server: server.requests_between(0, 2 * HOUR),
+            lambda server: series_from_log(server, 0, 2 * HOUR),
+            lambda server: series_from_log_scalar(server, 0, 2 * HOUR),
+        ],
+        ids=["requests_between", "series_from_log", "series_from_log_scalar"],
+    )
+    def test_log_less_directory_refuses_log_reads(self, read):
+        # Without a log the honest answer is "unknown", not zero traffic.
+        server = HSDirServer(relay_id=7, keep_log=False)
+        for t in (HOUR + 1, HOUR + 2, HOUR + 3):
+            server.fetch(b"\x01" * 20, now=t)
+        assert server.request_counts[b"\x01" * 20] == [0, 3]
+        with pytest.raises(ReproError, match="HSDir 7 keeps no request log"):
+            read(server)
 
     def test_requests_between(self):
         server = HSDirServer(relay_id=1)

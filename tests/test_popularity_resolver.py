@@ -1,6 +1,7 @@
 """Tests for repro.popularity.resolver."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.descriptor_id import descriptor_ids_for_day
 from repro.crypto.onion import onion_address_from_key
 from repro.faults import RetryPolicy
+from repro.obs.scope import ensure_observer
+from repro.popularity import resolver as resolver_module
 from repro.popularity.resolver import DescriptorResolver, ResolutionResult
 from repro.sim.clock import DAY, parse_date
 
@@ -18,6 +21,36 @@ FEB8 = parse_date("2013-02-08")
 def make_onions(count, seed=0):
     rng = random.Random(seed)
     return [onion_address_from_key(rng.randbytes(140)) for _ in range(count)]
+
+
+CLASH_ID = b"\xaa" * 20
+
+
+def colliding_entries(onions):
+    """Entry kernel under which every onion claims the same 20-byte ID.
+
+    A forged database would look exactly like this; each onion's second
+    ID, and its validity period, still differ.
+    """
+
+    def entries(batch, start, end, cookie=b""):
+        return [
+            [
+                (CLASH_ID, JAN28 + onions.index(onion) * DAY),
+                (bytes([onions.index(onion)]) * 20, JAN28),
+            ]
+            for onion in batch
+        ]
+
+    return entries
+
+
+def duplicate_entries(batch, start, end, cookie=b""):
+    """Both replicas of one onion land on the same ID (with two periods).
+
+    Merely redundant, not a cross-service collision.
+    """
+    return [[(b"\xbb" * 20, JAN28), (b"\xbb" * 20, JAN28 + DAY)] for _ in batch]
 
 
 class TestIndexConstruction:
@@ -45,19 +78,10 @@ class TestIndexConstruction:
 
     def test_collision_recorded_first_claimant_wins(self, monkeypatch):
         onions = make_onions(3)
-        clash = b"\xaa" * 20
-
-        def colliding_entries(batch, start, end, cookie=b""):
-            # Every onion claims the same 20-byte ID (a forged database
-            # would look exactly like this); only distinct IDs vary.
-            return [
-                [(clash, JAN28), (bytes([onions.index(onion)]) * 20, JAN28)]
-                for onion in batch
-            ]
-
+        clash = CLASH_ID
         monkeypatch.setattr(
             "repro.popularity.resolver.descriptor_index_entries_batch",
-            colliding_entries,
+            colliding_entries(onions),
         )
         resolver = DescriptorResolver(onions, JAN28, FEB8)
         # The first claimant (input order) keeps the slot; later claimants
@@ -69,14 +93,6 @@ class TestIndexConstruction:
 
     def test_same_onion_replica_overlap_is_not_a_collision(self, monkeypatch):
         onions = make_onions(1)
-
-        def duplicate_entries(batch, start, end, cookie=b""):
-            # Both replicas of one onion landing on the same ID is merely
-            # redundant, not a cross-service collision.
-            return [
-                [(b"\xbb" * 20, JAN28), (b"\xbb" * 20, JAN28)] for _ in batch
-            ]
-
         monkeypatch.setattr(
             "repro.popularity.resolver.descriptor_index_entries_batch",
             duplicate_entries,
@@ -164,6 +180,126 @@ class TestResolve:
         result = resolver.resolve({stale: [0, 5]})
         assert result.resolved_ids == 0
         assert result.unresolved_requests == 5
+
+
+class EagerResolver(DescriptorResolver):
+    """Reference: the eager build that stored every ID's validity.
+
+    One kernel call over the whole database, then an index slot and a
+    validity tuple per first claim — the layout the on-demand resolver
+    replaced.  Resolution itself is inherited, so the two differ only in
+    how the index and the validity periods are derived.
+    """
+
+    def __init__(self, onion_database, window_start, window_end):
+        self.window = (window_start, window_end)
+        self._observer = ensure_observer(None)
+        self._index = {}
+        self._validity = {}
+        self.collisions = {}
+        onions = list(onion_database)
+        self.database_size = len(onions)
+        entry_lists = resolver_module.descriptor_index_entries_batch(
+            onions, window_start, window_end
+        )
+        for onion, entries in zip(onions, entry_lists):
+            for desc, period_start in entries:
+                owner = self._index.get(desc)
+                if owner is not None:
+                    if owner != onion:
+                        self.collisions.setdefault(desc, [owner]).append(onion)
+                    continue
+                self._index[desc] = onion
+                self._validity[desc] = (period_start, period_start + DAY)
+
+    def validity_of(self, desc_id):
+        return self._validity.get(desc_id)
+
+
+def _validity_weighted(desc_id, found, missing, validity):
+    """A normaliser whose rate moves with the validity period it is given."""
+    return (found + missing) * (1.0 + (validity[0] % 997) / 997)
+
+
+def assert_matches_eager(onions, start, end, workers):
+    reference = EagerResolver(onions, start, end)
+    resolver = DescriptorResolver(onions, start, end, workers=workers)
+    unknown = [b"\x00" * 20, b"\x99" * 20, b"\xbb" * 19 + b"\x00"]
+    derived = list(reference._index)
+    assert list(resolver._index) == derived
+    for desc_id in derived + unknown:
+        assert resolver.lookup(desc_id) == reference.lookup(desc_id)
+        assert resolver.validity_of(desc_id) == reference.validity_of(desc_id)
+    assert resolver.index_size == reference.index_size
+    assert resolver.collisions == reference.collisions
+    assert resolver.collision_count == reference.collision_count
+    # Every third derived ID plus the unknowns, requested in a mixed order.
+    counts = {
+        desc_id: [index % 4, index % 3 + 1]
+        for index, desc_id in enumerate(unknown + derived[::3])
+    }
+    assert resolver.resolve(counts) == reference.resolve(counts)
+    assert resolver.resolve_normalized(
+        counts, _validity_weighted
+    ) == reference.resolve_normalized(counts, _validity_weighted)
+
+
+class TestOnDemandValidityOracle:
+    """The on-demand resolver agrees with the eager build it replaced."""
+
+    POOL = make_onions(40, seed=21)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(st.integers(min_value=0, max_value=39), max_size=30),
+        start_offset=st.integers(min_value=-3 * DAY, max_value=3 * DAY),
+        span=st.integers(min_value=0, max_value=12 * DAY),
+    )
+    def test_random_databases_and_windows(self, workers, picks, start_offset, span):
+        # Picks repeat onions, which must not count as collisions.
+        onions = [self.POOL[index] for index in picks]
+        start = JAN28 + start_offset
+        assert_matches_eager(onions, start, start + span, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cross_onion_collisions(self, monkeypatch, workers):
+        onions = make_onions(5, seed=2)
+        monkeypatch.setattr(
+            resolver_module,
+            "descriptor_index_entries_batch",
+            colliding_entries(onions),
+        )
+        assert_matches_eager(onions, JAN28, FEB8, workers)
+        # The first claimant's period, not a later claimant's.
+        resolver = DescriptorResolver(onions, JAN28, FEB8, workers=workers)
+        assert resolver.validity_of(CLASH_ID) == (JAN28, JAN28 + DAY)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_same_onion_overlap(self, monkeypatch, workers):
+        monkeypatch.setattr(
+            resolver_module, "descriptor_index_entries_batch", duplicate_entries
+        )
+        assert_matches_eager(make_onions(3, seed=3), JAN28, FEB8, workers)
+
+
+#: Traced peak of a resolver over 2,000 onions for 28 Jan – 8 Feb.  With a
+#: validity tuple stored per derived ID and every entry list alive at once
+#: it read 17.4 MB (Python 3.11); deriving validity on demand and indexing
+#: in waves brings it to about 8 MB.
+RESOLVER_PEAK_LIMIT_MB = 12
+
+
+def test_resolver_peak_memory_is_bounded():
+    onions = make_onions(2_000, seed=9)
+    tracemalloc.start()
+    try:
+        resolver = DescriptorResolver(onions, JAN28, FEB8, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resolver.index_size >= 2_000 * 24
+    assert peak / 1e6 < RESOLVER_PEAK_LIMIT_MB
 
 
 class FakeDescriptorTransport:
