@@ -78,7 +78,6 @@ class TestIndexConstruction:
 
     def test_collision_recorded_first_claimant_wins(self, monkeypatch):
         onions = make_onions(3)
-        clash = CLASH_ID
         monkeypatch.setattr(
             "repro.popularity.resolver.descriptor_index_entries_batch",
             colliding_entries(onions),
@@ -86,10 +85,10 @@ class TestIndexConstruction:
         resolver = DescriptorResolver(onions, JAN28, FEB8)
         # The first claimant (input order) keeps the slot; later claimants
         # are counted instead of silently overwriting it.
-        assert resolver.lookup(clash) == onions[0]
-        assert resolver.collisions == {clash: [onions[0], onions[1], onions[2]]}
+        assert resolver.lookup(CLASH_ID) == onions[0]
+        assert resolver.collisions == {CLASH_ID: [onions[0], onions[1], onions[2]]}
         assert resolver.collision_count == 2
-        assert resolver.index_size == 4  # clash + one distinct ID per onion
+        assert resolver.index_size == 4  # the clash + one distinct ID per onion
 
     def test_same_onion_replica_overlap_is_not_a_collision(self, monkeypatch):
         onions = make_onions(1)
@@ -186,9 +185,9 @@ class EagerResolver(DescriptorResolver):
     """Reference: the eager build that stored every ID's validity.
 
     One kernel call over the whole database, then an index slot and a
-    validity tuple per first claim — the layout the on-demand resolver
-    replaced.  Resolution itself is inherited, so the two differ only in
-    how the index and the validity periods are derived.
+    validity tuple per first claim, all held up front.  Resolution itself
+    is inherited, so the two differ only in how the index and the
+    validity periods are derived.
     """
 
     def __init__(self, onion_database, window_start, window_end):
