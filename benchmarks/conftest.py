@@ -20,16 +20,39 @@ import pathlib
 
 import pytest
 
-from repro.bench.reporting import (  # noqa: F401  (re-exported to benches)
-    record_phase_timings,
-    save_report,
-    save_span_report,
-)
 from repro.experiments.pipeline import MeasurementPipeline
 from repro.parallel import resolve_workers
 from repro.store import open_store
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
+
+
+def save_report(report_dir: pathlib.Path, name: str, text: str) -> None:
+    """Persist a report artifact and echo it for ``-s`` runs."""
+    report_dir.mkdir(exist_ok=True)
+    (report_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    print(f"\n{text}\n")
+
+
+def save_span_report(report_dir: pathlib.Path, name: str, observer) -> None:
+    """Persist a run's per-phase span-timing tree (simulated time).
+
+    The tree shows where the campaign's simulated seconds went (the scan's
+    eight days, the crawl's connect latencies) — the deterministic
+    complement to the benchmark's wall-clock numbers.
+    """
+    from repro.obs import render_spans
+
+    text = render_spans(observer)
+    report_dir.mkdir(exist_ok=True)
+    (report_dir / f"{name}_spans.txt").write_text(text + "\n", encoding="utf-8")
+    print(f"\n{text}\n")
+
+
+def record_phase_timings(benchmark, observer) -> None:
+    """Attach each top-level span's simulated duration as extra_info."""
+    for span in observer.spans:
+        benchmark.extra_info[f"sim_seconds[{span.name}]"] = span.duration
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,6 @@
     python -m repro obs    --scale 0.02 --fault-profile moderate
     python -m repro all    --scale 0.05 --store .repro-store
     python -m repro store ls --store .repro-store
-    python -m repro bench run --tier smoke --out /tmp/bench
-    python -m repro bench compare baseline/ . --threshold 20
     python -m repro crashtest --scale 0.02 --crash-profile moderate
 
 ``--json PATH`` archives the paper-vs-measured report, encoded by
@@ -313,79 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="record current findings as the new baseline and exit 0",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="run perf workloads / compare BENCH_*.json trajectories",
-        description=(
-            "The perf-regression plane: 'run' measures hot-path workloads "
-            "with the shared warmup/repeat policy and appends each result "
-            "to its BENCH_<name>.json trajectory; 'compare' diffs "
-            "trajectories and exits 1 on a wall-time regression past the "
-            "threshold or on a kernel checksum drift, 2 when the documents "
-            "are not comparable (missing baseline, schema mismatch)."
-        ),
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="measure workloads and append trajectory points"
-    )
-    bench_run.add_argument(
-        "workloads",
-        nargs="*",
-        default=[],
-        help="workload names (default: the hot-path workloads)",
-    )
-    bench_run.add_argument(
-        "--tier",
-        default="small",
-        help="workload scale: smoke, small, or paper (default: small)",
-    )
-    bench_run.add_argument(
-        "--kernels",
-        default="scalar,batch",
-        metavar="K1,K2",
-        help="comma-separated kernels to measure (default: scalar,batch)",
-    )
-    bench_run.add_argument("--repeats", type=int, default=3)
-    bench_run.add_argument("--warmup", type=int, default=1)
-    bench_run.add_argument(
-        "--label", default="", help="annotation stored on each point"
-    )
-    bench_run.add_argument(
-        "--out",
-        default=".",
-        metavar="DIR",
-        help="directory holding the BENCH_*.json trajectories (default: .)",
-    )
-    bench_run.add_argument(
-        "--text",
-        action="store_true",
-        help="also print each trajectory's table view",
-    )
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="diff trajectories; non-zero exit gates CI"
-    )
-    bench_compare.add_argument(
-        "baseline", help="baseline BENCH_*.json file or directory of them"
-    )
-    bench_compare.add_argument(
-        "current", help="current BENCH_*.json file or directory of them"
-    )
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="wall-time slowdown tolerated before failing (default: 20)",
-    )
-    bench_compare.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print verdicts but always exit 0 (CI advisory mode)",
     )
 
     crashtest = sub.add_parser(
@@ -897,101 +822,6 @@ def _run_lint(args) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_run(args) -> int:
-    import pathlib
-
-    from repro.bench import (
-        HOT_PATH_WORKLOADS,
-        append_point,
-        render_trajectory_text,
-        run_workload,
-        trajectory_path,
-    )
-
-    pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
-    names = list(args.workloads) or list(HOT_PATH_WORKLOADS)
-    kernels = [token.strip() for token in args.kernels.split(",") if token.strip()]
-    for name in names:
-        path = trajectory_path(name, args.out)
-        for kernel in kernels:
-            record = run_workload(
-                name,
-                tier=args.tier,
-                kernel=kernel,
-                repeats=args.repeats,
-                warmup=args.warmup,
-                label=args.label,
-            )
-            trajectory = append_point(path, record)
-            print(
-                f"{name} [{args.tier}/{kernel}] "
-                f"min {record.wall.min_seconds:.4f}s over {record.repeats} "
-                f"repeat(s), {record.items} items -> {path}"
-            )
-        if args.text:
-            print(render_trajectory_text(trajectory))
-    return 0
-
-
-def _bench_compare(args) -> int:
-    import pathlib
-
-    from repro.bench import (
-        EXIT_NOT_COMPARABLE,
-        EXIT_OK,
-        EXIT_REGRESSION,
-        compare_trajectories,
-        load_trajectory,
-    )
-    from repro.bench.compare import DEFAULT_THRESHOLD_PCT
-    from repro.errors import BenchError
-
-    threshold = DEFAULT_THRESHOLD_PCT if args.threshold is None else args.threshold
-    baseline_root = pathlib.Path(args.baseline)
-    current_root = pathlib.Path(args.current)
-    if current_root.is_dir():
-        pairs = [
-            (baseline_root / path.name, path)
-            for path in sorted(current_root.glob("BENCH_*.json"))
-        ]
-        if not pairs:
-            print(f"no BENCH_*.json trajectories under {current_root}")
-            return EXIT_OK if args.report_only else EXIT_NOT_COMPARABLE
-    else:
-        baseline_path = (
-            baseline_root / current_root.name
-            if baseline_root.is_dir()
-            else baseline_root
-        )
-        pairs = [(baseline_path, current_root)]
-
-    # A broken code path (exit 1) outranks a broken harness (exit 2):
-    # CI must fix the regression first either way.
-    worst = EXIT_OK
-    for baseline_path, current_path in pairs:
-        try:
-            result = compare_trajectories(
-                load_trajectory(baseline_path),
-                load_trajectory(current_path),
-                threshold_pct=threshold,
-            )
-        except BenchError as exc:
-            print(f"{current_path.name}: not comparable: {exc}")
-            if worst != EXIT_REGRESSION:
-                worst = EXIT_NOT_COMPARABLE
-            continue
-        print(f"== {current_path.name} (threshold {threshold:.0f}%) ==")
-        print(result.describe())
-        if result.exit_code == EXIT_REGRESSION:
-            worst = EXIT_REGRESSION
-        elif result.exit_code == EXIT_NOT_COMPARABLE and worst != EXIT_REGRESSION:
-            worst = EXIT_NOT_COMPARABLE
-    if args.report_only and worst != EXIT_OK:
-        print(f"[report-only: would exit {worst}]")
-        return EXIT_OK
-    return worst
-
-
 def _campaign_document(pipeline) -> dict:
     """The fig1/table1/fig2 reports of a completed pipeline, as one dict.
 
@@ -1198,18 +1028,6 @@ def _run_serve(args) -> int:
     return 0
 
 
-def _run_bench(args) -> int:
-    from repro.errors import BenchError
-
-    try:
-        if args.bench_command == "run":
-            return _bench_run(args)
-        return _bench_compare(args)
-    except BenchError as exc:
-        print(f"repro bench: error: {exc}", file=sys.stderr)
-        return 2
-
-
 _RUNNERS = {
     "fig1": _run_fig1,
     "table1": _run_table1,
@@ -1224,7 +1042,6 @@ _RUNNERS = {
     "obs": _run_obs,
     "store": _run_store,
     "lint": _run_lint,
-    "bench": _run_bench,
     "crashtest": _run_crashtest,
     "serve": _run_serve,
 }

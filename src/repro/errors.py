@@ -92,18 +92,6 @@ class ObservabilityError(ReproError):
     """A metric, span, or snapshot in repro.obs was used incorrectly."""
 
 
-class BenchError(ReproError):
-    """A benchmark workload, trajectory, or comparison was misconfigured."""
-
-
-class BenchSchemaError(BenchError):
-    """A BENCH_*.json document does not match the trajectory schema."""
-
-
-class BenchRegressionError(BenchError):
-    """A tagged hot path regressed past the configured threshold."""
-
-
 class SupervisionError(ReproError):
     """A crash plan, restart policy, or deadline budget is invalid."""
 

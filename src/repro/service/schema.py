@@ -1,9 +1,8 @@
 """Versioned response framing for the measurement service.
 
 Every body the service emits — query views, epoch listings, health and
-error responses — is wrapped in a schema-stamped envelope, exactly like
-the ``BENCH_*.json`` trajectories in :mod:`repro.bench.schema`: the
-version is the first thing a reader checks, and the strict loaders raise
+error responses — is wrapped in a schema-stamped envelope: the version
+is the first thing a reader checks, and the strict loaders raise
 :class:`~repro.errors.ServiceSchemaError` on drift instead of guessing.
 
 The envelope is also the service's unit of caching: a view envelope's

@@ -665,38 +665,12 @@ def _golden_metrics() -> str:
     return pipeline_artifacts(workers=1)["metrics_small"]
 
 
-def _golden_bench_schema() -> str:
-    """The BENCH_*.json document shape, timing fields stripped.
-
-    Runs the ``toy`` workload through the real runner for both kernels and
-    pins the canonical JSON with ``strip_timing`` applied: everything left
-    (field names, ordering, schema stamp, checksum, parameters) must be
-    byte-identical on every machine, which is the contract that makes
-    committed trajectories diffable.
-    """
-    from repro.bench import (
-        Trajectory,
-        canonical_json,
-        run_workload,
-        strip_timing,
-        trajectory_to_dict,
-    )
-
-    trajectory = Trajectory(name="toy")
-    for kernel in ("scalar", "batch"):
-        trajectory.points.append(
-            run_workload("toy", "smoke", kernel, repeats=1, warmup=0, label="golden")
-        )
-    return canonical_json(strip_timing(trajectory_to_dict(trajectory))).rstrip("\n")
-
-
 GOLDEN_CASES = {
     "all_large": lambda: all_artifact(
         stored=False, seed=ALL_LARGE_SEED, scale=ALL_LARGE_SCALE
     ),
     "all_small": lambda: all_artifact(stored=False),
     "all_small_store": lambda: all_artifact(stored=True),
-    "bench_toy_smoke": _golden_bench_schema,
     "fig1_small": _golden_fig1,
     "fig1_small_faulted": _golden_fig1_faulted,
     "fig2_small": _golden_fig2,

@@ -1,13 +1,13 @@
 """Byte-equivalence oracles for the four hot-path kernels.
 
-The bench plane's perf numbers are only meaningful because every batch
-kernel is *exactly* its scalar reference: same bytes out for every input,
-with and without numpy, at every worker count.  These tests pin that
-contract — property tests over adversarial inputs for the descriptor
-window (including the rollover edge that ``time_period_boundaries``
-defines), randomized equivalence sweeps for ring placement, consensus
-admission, and the time-series pipeline, and a worker sweep through the
-resolver's pmap fan-out.
+The experiments run the batch kernels, so a speedup in one is only safe
+because every batch kernel is *exactly* its scalar reference: same bytes
+out for every input, with and without numpy, at every worker count.
+These tests pin that contract — property tests over adversarial inputs
+for the descriptor window (including the rollover edge that
+``time_period_boundaries`` defines), randomized equivalence sweeps for
+ring placement, consensus admission, and the time-series pipeline, and a
+worker sweep through the resolver's pmap fan-out.
 """
 
 import random
