@@ -28,12 +28,9 @@ from repro.devtools.registry import AstRule, FileContext, ProjectRule, register
 from repro.devtools.rules import caught_names
 
 #: Measurement-side subpackages that the low substrate layers may not import.
-#: ``bench`` sits above even the measurement layers (it drives their
-#: kernels), so a substrate importing it would invert the graph twice over.
 _MEASUREMENT_LAYERS = frozenset(
     {
         "analysis",
-        "bench",
         "classify",
         "client",
         "crawl",
@@ -349,13 +346,12 @@ FENCES = (
         "REP009",
         "ad-hoc print/perf_counter instrumentation (use repro.obs)",
         # Raw output and timers bypass the deterministic snapshot.  Allowed:
-        # the obs plane itself, the bench plane (wall-clock timing is its
-        # product), benchmarks (whose job is timing), tests, examples
-        # (whose job is showing output) and the CLI (the user-facing
-        # surface: printing reports and elapsed runtimes is its job).
+        # the obs plane itself, benchmarks (whose job is timing), tests,
+        # examples (whose job is showing output) and the CLI (the
+        # user-facing surface: printing reports and elapsed runtimes is
+        # its job).
         allowed=(
             "repro/obs/",
-            "repro/bench/",
             "benchmarks/",
             "tests/",
             "examples/",
@@ -376,16 +372,13 @@ FENCES = (
         # Ad-hoc writes scatter formats, skip schema versioning and leave
         # torn files when a process dies.  Allowed: the serialisation
         # layer, the artifact store (atomic writes are its job), the
-        # metrics exporter, the lint tooling (baselines), the bench plane
-        # (BENCH_*.json trajectories and report views are its artifacts),
-        # benchmarks, tests, examples and the CLI (it archives reports on
-        # request).
+        # metrics exporter, the lint tooling (baselines), benchmarks,
+        # tests, examples and the CLI (it archives reports on request).
         allowed=(
             "repro/io",
             "repro/store/",
             "repro/obs/export",
             "repro/devtools/",
-            "repro/bench/",
             "benchmarks/",
             "tests/",
             "examples/",

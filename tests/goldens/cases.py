@@ -596,7 +596,6 @@ def teardown(step):
 FENCE_PLACES = (
     "benchmarks/m.py",
     "examples/m.py",
-    "repro/bench/m.py",
     "repro/cli.py",
     "repro/cli.pyx/m.py",
     "repro/crawl/m.py",
