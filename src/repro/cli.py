@@ -345,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "scratch checkpoint store for the supervised run; wiped at the "
-            "start of every invocation so each crashtest starts cold"
+            "start of every invocation so each crashtest starts cold (a "
+            "directory holding anything but a store is refused, exit 2)"
         ),
     )
     crashtest.add_argument(
@@ -862,7 +863,26 @@ def _run_crashtest(args) -> int:
     if store_root.exists():
         # The scratch store is this command's own working directory (see
         # --store help); a stale warm store would replay every stage and
-        # dodge the commit-point crashes the test exists to inject.
+        # dodge the commit-point crashes the test exists to inject.  Wipe
+        # it only if it holds nothing but an ArtifactStore's layout, so a
+        # mistyped --store never deletes someone's files.
+        foreign = (
+            sorted(
+                entry.name
+                for entry in store_root.iterdir()
+                if entry.name not in ("objects", "index", "ledger.jsonl")
+            )
+            if store_root.is_dir()
+            else [store_root.name]
+        )
+        if foreign:
+            print(
+                f"repro crashtest: error: --store {store_root} holds "
+                f"{', '.join(foreign)}, which is not a checkpoint store's; "
+                "refusing to wipe it",
+                file=sys.stderr,
+            )
+            return 2
         shutil.rmtree(store_root)
 
     supervisor_observer = Observer(name="crashtest")

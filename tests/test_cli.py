@@ -135,6 +135,18 @@ class TestCrashtest:
         assert "crashtest: FAIL" in err
         assert "need >= 5" in err
 
+    def test_crashtest_refuses_to_wipe_a_foreign_directory(self, tmp_path, capsys):
+        kept = tmp_path / "notes.txt"
+        kept.write_text("not a store\n", encoding="utf-8")
+        (tmp_path / "objects").mkdir()
+        code = main(["crashtest", "--scale", "0.02", "--store", str(tmp_path)])
+        assert code == 2
+        assert kept.read_text(encoding="utf-8") == "not a store\n"
+        assert (tmp_path / "objects").is_dir()
+        err = capsys.readouterr().err
+        assert err.startswith("repro crashtest: error: ")
+        assert "notes.txt" in err
+
 
 class TestObservability:
     def test_obs_prints_text_snapshot(self, capsys):
