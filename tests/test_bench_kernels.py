@@ -290,7 +290,11 @@ class TestTimeseriesEquivalence:
             start=0, bucket_seconds=HOUR, counts=[0, 400] * 12
         )
         quiet = RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=[1] * 24)
-        services = {"flat": flat, "spiky": spiky, "quiet": quiet, "flat2": flat}
+        # Mean 4, variance 16: cv is exactly 1.0 == 2.0 * (1 / sqrt(4)).
+        edge = RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=[0, 8] * 12)
+        services = {
+            "flat": flat, "spiky": spiky, "quiet": quiet, "flat2": flat, "edge": edge
+        }
         assert classify_services_by_shape(services) == (
             classify_services_by_shape_scalar(services)
         ) == {
@@ -298,6 +302,7 @@ class TestTimeseriesEquivalence:
             "spiky": "human",
             "quiet": "low-volume",
             "flat2": "machine",
+            "edge": "machine",
         }
 
 
