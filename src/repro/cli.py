@@ -877,8 +877,8 @@ def _run_crashtest(args) -> int:
         )
         if foreign:
             print(
-                f"repro crashtest: error: --store {store_root} holds "
-                f"{', '.join(foreign)}, which is not a checkpoint store's; "
+                f"repro crashtest: error: --store {store_root} is not a "
+                f"checkpoint store (it holds {', '.join(foreign)}); "
                 "refusing to wipe it",
                 file=sys.stderr,
             )
