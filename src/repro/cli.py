@@ -617,11 +617,11 @@ def _run_all(args) -> ExperimentReport:
     from repro.experiments.pipeline import MeasurementPipeline
 
     # One store serves the whole run: the pipeline stages and the
-    # table2/sec7/harvest experiments all checkpoint into it, so a warm
-    # re-run recomputes only fig3, which is uncached: its 300-relay,
-    # 800-client world is the same at every scale.
-    # One world serves it too: table2 and harvest reuse the pipeline's
-    # population, with the run's scale passed on so it stays authoritative.
+    # table2/fig3/sec7/harvest experiments all checkpoint into it, so a
+    # warm re-run replays every stage and simulates nothing.
+    # One world serves it too: table2 and harvest share the pipeline's
+    # on-demand world, which is generated only if a stage misses, with
+    # the run's scale passed on so it stays authoritative.
     store = _open_store(args)
     pipeline = MeasurementPipeline(
         seed=args.seed,
@@ -640,7 +640,7 @@ def _run_all(args) -> ExperimentReport:
             lambda: run_table2(
                 seed=args.seed,
                 scale=args.scale,
-                population=pipeline.population,
+                population=pipeline.world,
                 sweep_hours=6,
                 rotation_interval_hours=1,
                 relays_per_ip=16,
@@ -648,7 +648,12 @@ def _run_all(args) -> ExperimentReport:
                 store=store,
             ),
         ),
-        ("fig3", lambda: run_fig3(seed=args.seed, honest_relays=300, client_count=800)),
+        (
+            "fig3",
+            lambda: run_fig3(
+                seed=args.seed, honest_relays=300, client_count=800, store=store
+            ),
+        ),
         (
             "sec7",
             lambda: run_sec7(
@@ -663,7 +668,7 @@ def _run_all(args) -> ExperimentReport:
             lambda: run_harvest(
                 seed=args.seed,
                 scale=args.scale,
-                population=pipeline.population,
+                population=pipeline.world,
                 ip_count=16,
                 relays_per_ip=16,
                 store=store,

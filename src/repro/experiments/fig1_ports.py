@@ -65,7 +65,7 @@ def run_fig1(
             store=store,
         )
     else:
-        scale = pipeline.population.spec.total_onions / 39_824
+        scale = pipeline.world.spec.total_onions / 39_824
     scan = pipeline.scan()
     certs = pipeline.certificates()
     distribution = scan.port_distribution()

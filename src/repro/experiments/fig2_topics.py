@@ -63,7 +63,7 @@ def run_fig2(
             store=store,
         )
     else:
-        scale = pipeline.population.spec.total_onions / 39_824
+        scale = pipeline.world.spec.total_onions / 39_824
     classifiable = pipeline.classifiable()
     outcome = pipeline.classify()
 

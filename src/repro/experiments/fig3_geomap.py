@@ -9,9 +9,11 @@ IPs through GeoIP yields the country distribution Fig 3 plots as a map.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
+from repro import codec
 from repro.analysis.report import ExperimentReport
 from repro.analysis.stats import l1_distance
 from repro.client.client import TorClient
@@ -24,25 +26,30 @@ from repro.relay.flags import RelayFlags
 from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, Timestamp, parse_date
 from repro.sim.rng import derive_rng
+from repro.store import ArtifactStore, Stage
 from repro.tracking import ClientDeanonAttack, ClientGeoMap, deploy_attacker_guards
 from repro.worldbuild import HonestNetworkSpec, build_honest_network
 
 
 @dataclass
 class Fig3Result:
-    """The regenerated Fig 3 and attack effectiveness stats."""
+    """The regenerated Fig 3 and attack effectiveness stats.
 
-    geomap: ClientGeoMap
-    captures: int
-    unique_clients: int
-    signatures_injected: int
-    capture_rate: float
-    attacker_guard_share: float
+    ``geomap`` is ``None`` when the result was replayed from a store
+    checkpoint; the scalar stats and the report round-trip.
+    """
+
+    geomap: Optional[ClientGeoMap] = field(default=None, metadata=codec.SKIP)
+    captures: int = 0
+    unique_clients: int = 0
+    signatures_injected: int = 0
+    capture_rate: float = 0.0
+    attacker_guard_share: float = 0.0
     true_country_shares: Dict[str, float] = field(default_factory=dict)
     report: ExperimentReport = field(default_factory=lambda: ExperimentReport("fig3"))
 
     def format_map(self) -> str:
-        """Text rendering of Fig 3."""
+        """Text rendering of Fig 3 (needs a computed, not a replayed, result)."""
         return self.geomap.format_map()
 
 
@@ -54,8 +61,43 @@ def run_fig3(
     client_count: int = 1500,
     observation_days: int = 2,
     fetches_per_client_per_day: float = 3.0,
+    store: Optional[ArtifactStore] = None,
 ) -> Fig3Result:
-    """Run the opportunistic client-deanonymisation attack end to end."""
+    """Run the opportunistic client-deanonymisation attack end to end.
+
+    With ``store`` the whole experiment is one checkpoint keyed on these
+    arguments; a warm run replays the stats and report without building
+    the network or its clients.
+    """
+    arguments = {
+        "seed": seed,
+        "honest_relays": honest_relays,
+        "attacker_guards": attacker_guards,
+        "attacker_guard_bandwidth": attacker_guard_bandwidth,
+        "client_count": client_count,
+        "observation_days": observation_days,
+        "fetches_per_client_per_day": fetches_per_client_per_day,
+    }
+    if store is None:
+        return _compute_fig3(**arguments)
+    stage = Stage(
+        name="fig3",
+        modules=(__name__,),
+        encode=codec.encode,
+        decode=functools.partial(codec.decode, Fig3Result),
+    )
+    return store.run(stage, arguments, lambda: _compute_fig3(**arguments))
+
+
+def _compute_fig3(
+    seed: int,
+    honest_relays: int,
+    attacker_guards: int,
+    attacker_guard_bandwidth: int,
+    client_count: int,
+    observation_days: int,
+    fetches_per_client_per_day: float,
+) -> Fig3Result:
     start = parse_date("2013-02-10")
     network, pool = build_honest_network(
         seed,

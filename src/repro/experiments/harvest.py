@@ -8,13 +8,13 @@ attacker would need (footnote 3).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from repro import codec
 from repro.analysis.report import ExperimentReport
 from repro.hs.publisher import PublishScheduler
-from repro.population import GeneratedPopulation, generate_population
+from repro.population import GeneratedPopulation, LazyPopulation
 from repro.sim.clock import DAY, HOUR, Timestamp
 from repro.sim.rng import derive_rng
 from repro.store import ArtifactStore, Stage
@@ -47,7 +47,7 @@ class HarvestExperimentResult:
 def run_harvest(
     seed: int = 0,
     scale: Optional[float] = None,
-    population: Optional[GeneratedPopulation] = None,
+    population: Union[GeneratedPopulation, LazyPopulation, None] = None,
     relay_count: Optional[int] = None,
     ip_count: int = 58,
     relays_per_ip: int = 24,
@@ -56,18 +56,19 @@ def run_harvest(
 ) -> HarvestExperimentResult:
     """Run the shadow-relay harvest and score its coverage.
 
-    ``population`` reuses a world the caller already built.  A given
-    ``scale`` stays authoritative (it sizes the honest network and the
-    paper expectations); omitted, it is 0.1 for a new world and
+    ``population`` reuses the caller's world, built or still a
+    :class:`~repro.population.LazyPopulation`.  A given ``scale`` stays
+    authoritative (it sizes the honest network and the paper
+    expectations); omitted, it is 0.1 for a new world and
     ``total_onions / PAPER_ONIONS`` for a passed one.
 
     With ``store`` the whole validation is one checkpoint; a warm run
-    replays the aggregates and report without rebuilding the network.
+    replays the aggregates and report without building the world or the
+    network.
     """
     if scale is None:
         scale = 0.1 if population is None else population.spec.total_onions / PAPER_ONIONS
-    if population is None:
-        population = generate_population(seed=seed, scale=scale)
+    world = LazyPopulation.wrap(population, seed, scale)
     if relay_count is None:
         relay_count = max(60, round(1_450 * scale))
 
@@ -80,7 +81,7 @@ def run_harvest(
         )
         key_config = {
             "seed": seed,
-            "population": {"seed": population.seed, "spec": asdict(population.spec)},
+            "population": world.identity(),
             "relay_count": relay_count,
             "ip_count": ip_count,
             "relays_per_ip": relays_per_ip,
@@ -91,7 +92,7 @@ def run_harvest(
             key_config,
             lambda: run_harvest(
                 seed=seed,
-                population=population,
+                population=world,
                 relay_count=relay_count,
                 ip_count=ip_count,
                 relays_per_ip=relays_per_ip,
@@ -99,6 +100,7 @@ def run_harvest(
             ),
         )
 
+    population = world.get()
     start: Timestamp = population.harvest_date - (26 + 2) * HOUR
     network, pool = build_honest_network(
         seed,

@@ -30,10 +30,10 @@ from repro.faults import (
     default_retry_policy,
     wrap_transport,
 )
-from repro.net.transport import TorTransport
+from repro.net.transport import OnionRegistry, TorTransport
 from repro.obs.scope import Observer, ensure_observer
 from repro.parallel import QUARANTINED, ShardQuarantine, pmap, resolve_workers
-from repro.population import GeneratedPopulation, generate_population
+from repro.population import GeneratedPopulation, LazyPopulation
 from repro.population.spec import PORT_SKYNET
 from repro.scan import (
     CertificateAnalysis,
@@ -55,17 +55,26 @@ class _TransportCursor(StateCursor):
     so a cache hit must leave them exactly where running the stage would
     have; the store captures this cursor before each stage (it becomes
     part of the cache key) and restores the recorded post-stage snapshot
-    on a hit.
+    on a hit.  Until a stage misses, the transport does not exist: the
+    cursor then reads and writes the pipeline's pending stream state,
+    which the transport starts from when it is built.
     """
 
-    def __init__(self, transport: Any) -> None:
-        self._transport = transport
+    def __init__(self, pipeline: "MeasurementPipeline") -> None:
+        self._pipeline = pipeline
 
     def capture(self) -> Dict[str, Any]:
-        return self._transport.stream_state()
+        transport = self._pipeline._transport
+        if transport is None:
+            return self._pipeline._pending_stream
+        return transport.stream_state()
 
     def restore(self, state: Dict[str, Any]) -> None:
-        self._transport.restore_stream_state(state)
+        transport = self._pipeline._transport
+        if transport is None:
+            self._pipeline._pending_stream = state
+        else:
+            transport.restore_stream_state(state)
 
 
 def _classify_page(
@@ -164,11 +173,9 @@ class MeasurementPipeline:
         #: Worker count for every stage fan-out (None → $REPRO_WORKERS → 1).
         #: Any value yields byte-identical stages; see repro.parallel.
         self.workers = workers
-        self.population = (
-            population
-            if population is not None
-            else generate_population(seed=seed, scale=scale)
-        )
+        #: The campaign's world, generated when a stage first misses: a
+        #: run that replays every stage from the store never builds it.
+        self.world = LazyPopulation.wrap(population, seed, scale)
         self.scan_days = scan_days
         # Fault plane: an explicit plan wins; otherwise the profile resolves
         # explicit argument → $REPRO_FAULTS → "none".  With the "none"
@@ -184,16 +191,11 @@ class MeasurementPipeline:
                 seed=seed,
             )
         self.retry_policy = retry_policy if retries else None
-        self.transport = wrap_transport(
-            TorTransport(
-                self.population.registry,
-                derive_rng(seed, "pipeline", "transport"),
-                descriptor_available=self.population.descriptor_available,
-                observer=self.observer,
-            ),
-            fault_plan,
-            observer=self.observer,
-        )
+        # The transport is built over the world on first use; until then
+        # the store cursor works on the stream state it will start from,
+        # read off a transport over an empty registry.
+        self._transport: Optional[Any] = None
+        self._pending_stream = self._new_transport(OnionRegistry()).stream_state()
         #: Optional artifact store (repro.store): when present, each stage
         #: checkpoints through it — cache hits skip the compute entirely
         #: and restore the transport cursor, so warm runs stay
@@ -212,6 +214,41 @@ class MeasurementPipeline:
         self._classifiable: Optional[ClassifiableSet] = None
         self._classification: Optional[ClassificationOutcome] = None
 
+    # -- the world -------------------------------------------------------- #
+
+    @property
+    def population(self) -> GeneratedPopulation:
+        """The campaign's world, generated on first access."""
+        return self.world.get()
+
+    @property
+    def transport(self) -> Any:
+        """The campaign transport, built over the world on first access."""
+        if self._transport is None:
+            population = self.population
+            transport = self._new_transport(
+                population.registry, population.descriptor_available
+            )
+            transport.restore_stream_state(self._pending_stream)
+            self._transport = transport
+        return self._transport
+
+    def _new_transport(
+        self,
+        registry: OnionRegistry,
+        descriptor_available: Optional[Callable[..., bool]] = None,
+    ) -> Any:
+        return wrap_transport(
+            TorTransport(
+                registry,
+                derive_rng(self.seed, "pipeline", "transport"),
+                descriptor_available=descriptor_available,
+                observer=self.observer,
+            ),
+            self.fault_plan,
+            observer=self.observer,
+        )
+
     # -- checkpointing ----------------------------------------------------- #
 
     def _store_config(self) -> Dict[str, Any]:
@@ -224,10 +261,7 @@ class MeasurementPipeline:
         policy = self.retry_policy
         return {
             "seed": self.seed,
-            "population": {
-                "seed": self.population.seed,
-                "spec": dataclasses.asdict(self.population.spec),
-            },
+            "population": self.world.identity(),
             "scan_days": self.scan_days,
             "faults": self.fault_plan.describe(),
             "retry_policy": dataclasses.asdict(policy) if policy else None,
@@ -266,7 +300,7 @@ class MeasurementPipeline:
                 stage,
                 self._store_config(),
                 compute,
-                cursor=_TransportCursor(self.transport),
+                cursor=_TransportCursor(self),
                 upstream=upstream,
             )
         if self.crash_point is not None:

@@ -54,7 +54,7 @@ def run_table1(
             store=store,
         )
     else:
-        scale = pipeline.population.spec.total_onions / 39_824
+        scale = pipeline.world.spec.total_onions / 39_824
     crawl = pipeline.crawl()
     rows = destinations_summary(crawl)
 

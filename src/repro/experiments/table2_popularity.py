@@ -10,8 +10,8 @@ addresses and *investigate* the anonymous head (the Goldnet forensics).
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Union
 
 from repro import codec
 from repro.analysis.report import ExperimentReport
@@ -31,7 +31,7 @@ from repro.popularity import (
     investigate_goldnet,
 )
 from repro.popularity.labels import GoldnetFinding
-from repro.population import GeneratedPopulation, generate_population
+from repro.population import GeneratedPopulation, LazyPopulation
 from repro.parallel import resolve_workers
 from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, SimClock, Timestamp, parse_date
@@ -186,7 +186,7 @@ def _build_honest_network(
 def run_table2(
     seed: int = 0,
     scale: Optional[float] = None,
-    population: Optional[GeneratedPopulation] = None,
+    population: Union[GeneratedPopulation, LazyPopulation, None] = None,
     relay_count: Optional[int] = None,
     sweep_hours: int = 12,
     rotation_interval_hours: int = 2,
@@ -209,27 +209,28 @@ def run_table2(
     affected as long as ``sweep_hours/2 × thinning ≥ 1`` (every tail
     service still emits its per-2h volume at least once).
 
-    ``population`` reuses a world the caller already built.  A given
-    ``scale`` stays authoritative (it sizes the honest network and the
-    paper expectations); omitted, it is 1.0 for a new world and
+    ``population`` reuses the caller's world, built or still a
+    :class:`~repro.population.LazyPopulation`.  A given ``scale`` stays
+    authoritative (it sizes the honest network and the paper
+    expectations); omitted, it is 1.0 for a new world and
     ``total_onions / 39,824`` for a passed one.
 
     With ``store`` the whole experiment is one checkpoint: a warm run
-    replays the ranking and report without rebuilding the network (the
-    intermediate ``resolution``/``workload_report`` stay ``None``).
+    replays the ranking and report without building the world or the
+    network (the intermediate ``resolution``/``workload_report`` stay
+    ``None``).
     """
     if not 0 < thinning <= 1:
         raise ConfigError(f"thinning must be in (0, 1]: {thinning}")
     if scale is None:
         scale = 1.0 if population is None else population.spec.total_onions / 39_824
-    if population is None:
-        population = generate_population(seed=seed, scale=scale)
+    world = LazyPopulation.wrap(population, seed, scale)
 
     def compute() -> Table2Result:
         return _compute_table2(
             seed=seed,
             scale=scale,
-            population=population,
+            population=world.get(),
             relay_count=relay_count,
             sweep_hours=sweep_hours,
             rotation_interval_hours=rotation_interval_hours,
@@ -251,7 +252,7 @@ def run_table2(
         # The report's expectations and the default relay count follow
         # ``scale``, which a passed population no longer fixes.
         "scale": scale,
-        "population": {"seed": population.seed, "spec": asdict(population.spec)},
+        "population": world.identity(),
         "relay_count": relay_count,
         "sweep_hours": sweep_hours,
         "rotation_interval_hours": rotation_interval_hours,

@@ -8,12 +8,17 @@ no experiment reads the generator's ground truth directly.
 """
 
 from repro.population.spec import PopulationSpec
-from repro.population.generator import GeneratedPopulation, generate_population
+from repro.population.generator import (
+    GeneratedPopulation,
+    LazyPopulation,
+    generate_population,
+)
 from repro.population.corpus import TOPICS, LANGUAGES
 
 __all__ = [
     "PopulationSpec",
     "GeneratedPopulation",
+    "LazyPopulation",
     "generate_population",
     "TOPICS",
     "LANGUAGES",

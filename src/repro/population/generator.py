@@ -13,8 +13,8 @@ network facade.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.client.workload import WorkloadSpec
 from repro.crypto.keys import KeyPair
@@ -671,6 +671,18 @@ class _Builder:
             self.named_onions[label] = record.onion
 
 
+def population_spec(
+    scale: float = 1.0, spec: Optional[PopulationSpec] = None
+) -> PopulationSpec:
+    """The spec :func:`generate_population` builds at ``scale``.
+
+    ``spec`` defaults to the paper's full-scale spec.  Stage cache keys
+    name a world by this spec and its seed, so deriving both from here
+    keeps a key and the world it names from drifting apart.
+    """
+    return (spec if spec is not None else PopulationSpec()).scaled(scale)
+
+
 def generate_population(
     spec: Optional[PopulationSpec] = None,
     seed: int = 0,
@@ -683,9 +695,7 @@ def generate_population(
         seed: master seed; every sub-stream derives from it.
         scale: convenience shorthand for ``spec.scaled(scale)``.
     """
-    spec = spec if spec is not None else PopulationSpec()
-    if scale != 1.0:
-        spec = spec.scaled(scale)
+    spec = population_spec(scale, spec)
     builder = _Builder(spec, seed)
     builder.build_dead()
     builder.build_skynet()
@@ -721,3 +731,48 @@ def generate_population(
         ghost_onions=ghost_onions,
         tail_onions=tail_onions,
     )
+
+
+class LazyPopulation:
+    """A world named by its seed and spec, generated on first :meth:`get`.
+
+    Stage cache keys need only :meth:`identity`, so a run whose every
+    world-reading stage is a store hit never generates the world.  The
+    pipeline hands its handle to table2 and harvest, so a run that does
+    need the world generates it once.
+    """
+
+    def __init__(
+        self,
+        seed: int = 0,
+        scale: float = 1.0,
+        population: Optional[GeneratedPopulation] = None,
+    ) -> None:
+        if population is not None:
+            seed = population.seed
+        self.seed = seed
+        self.spec = population.spec if population is not None else population_spec(scale)
+        self._scale = scale
+        self._population = population
+
+    @classmethod
+    def wrap(
+        cls,
+        population: Union[GeneratedPopulation, "LazyPopulation", None],
+        seed: int,
+        scale: float,
+    ) -> "LazyPopulation":
+        """A handle as is, a built world wrapped, or a new ``(seed, scale)`` world."""
+        if isinstance(population, LazyPopulation):
+            return population
+        return cls(seed=seed, scale=scale, population=population)
+
+    def identity(self) -> Dict[str, Any]:
+        """The ``{"seed", "spec"}`` block naming this world in stage keys."""
+        return {"seed": self.seed, "spec": asdict(self.spec)}
+
+    def get(self) -> GeneratedPopulation:
+        """The world, generated on the first call."""
+        if self._population is None:
+            self._population = generate_population(seed=self.seed, scale=self._scale)
+        return self._population

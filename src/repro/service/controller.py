@@ -137,7 +137,7 @@ class ServiceEpochRun:
             self._bracket(stage_enter("harvest"))
             self._harvest = run_harvest(
                 seed=self.world.seed,
-                population=self.pipeline.population,
+                population=self.pipeline.world,
                 sweep_hours=self.config.sweep_hours,
                 store=self.store,
             )
@@ -162,7 +162,7 @@ class ServiceEpochRun:
             self._bracket(stage_enter("popularity"))
             self._popularity = run_table2(
                 seed=self.world.seed,
-                population=self.pipeline.population,
+                population=self.pipeline.world,
                 sweep_hours=self.config.sweep_hours,
                 workers=self.config.workers,
                 store=self.store,
