@@ -377,7 +377,8 @@ def store_payloads_artifact() -> str:
     """Digest and size of every artifact encoding one small world stores.
 
     Runs the ``repro all`` stages that checkpoint (seed 3, scale 0.02, one
-    worker, no faults) through a fresh store and pins the canonical bytes
+    worker, no faults; fig3 last, at ``repro all``'s 300 relays and 800
+    clients) through a fresh store and pins the canonical bytes
     of each stage's stored artifact, read back from the store, plus those
     of a report, a ranking, a port distribution and a request time series
     encoded directly.  Content addresses are hashes of these bytes, so
@@ -387,7 +388,7 @@ def store_payloads_artifact() -> str:
     import tempfile
 
     from repro import codec
-    from repro.experiments import run_fig1, run_harvest, run_sec7, run_table2
+    from repro.experiments import run_fig1, run_fig3, run_harvest, run_sec7, run_table2
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.popularity.timeseries import RequestTimeSeries
     from repro.sim.clock import HOUR
@@ -429,6 +430,7 @@ def store_payloads_artifact() -> str:
             relays_per_ip=16,
             store=store,
         )
+        run_fig3(seed=ALL_SEED, honest_relays=300, client_count=800, store=store)
         lines = [
             line(stage, store.cas.get(digest)["artifact"])
             for stage, digest in store.last_digests.items()
