@@ -14,7 +14,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import accel
 from repro.crypto.descriptor_id import (
@@ -216,9 +216,26 @@ def histories_and_requests(draw):
     return history, requests
 
 
+def _covered_and_uncovered():
+    """One snapshot of a five-point ring whose first point is the attacker's.
+
+    An ID just below that point has it among its responsible HSDirs (one
+    slot held); an ID just above it has none, so its rate falls through
+    to the zero-coverage ``HOUR`` floor.  Both run on every test run,
+    whatever Hypothesis draws.
+    """
+    history = RingHistory()
+    points = [k << 156 for k in range(1, 6)]
+    history.record(BASE + HOUR, points, {points[0]})
+    covered = (points[0] - 1).to_bytes(20, "big")
+    uncovered = (points[0] + 1).to_bytes(20, "big")
+    return history, [(covered, 2, 1, None), (uncovered, 3, 0, None)]
+
+
 class TestNormalizedRatesBatch:
     @settings(max_examples=80, deadline=None)
     @given(case=histories_and_requests())
+    @example(case=_covered_and_uncovered())
     def test_matches_scalar_bit_for_bit(self, case):
         history, requests = case
         expected = [
@@ -229,6 +246,7 @@ class TestNormalizedRatesBatch:
 
     @settings(max_examples=25, deadline=None)
     @given(case=histories_and_requests())
+    @example(case=_covered_and_uncovered())
     def test_matches_scalar_without_numpy(self, case):
         history, requests = case
         expected = [

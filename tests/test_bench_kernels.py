@@ -13,7 +13,7 @@ worker sweep through the resolver's pmap fan-out.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import accel
 from repro.crypto.descriptor_id import (
@@ -79,6 +79,7 @@ class TestDescriptorWindowEquivalence:
         st.integers(min_value=0, max_value=49),
         st.integers(min_value=-2, max_value=2),  # seconds around the edge
     )
+    @example(0, 0)  # a window ending exactly on a period edge, every run
     def test_rollover_edge(self, index, jitter):
         """Property: windows pinned to a period boundary (±2 s) agree too.
 
