@@ -748,9 +748,7 @@ class LazyPopulation:
         scale: float = 1.0,
         population: Optional[GeneratedPopulation] = None,
     ) -> None:
-        if population is not None:
-            seed = population.seed
-        self.seed = seed
+        self.seed = population.seed if population is not None else seed
         self.spec = population.spec if population is not None else population_spec(scale)
         self._scale = scale
         self._population = population

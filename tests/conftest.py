@@ -7,6 +7,8 @@ nothing but the wall-clock.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.classify import build_language_detector, build_topic_classifier
@@ -100,6 +102,31 @@ SERVICE_SEED = 11
 SERVICE_SCALE = 0.02
 SERVICE_EPOCHS = 3
 SERVICE_SWEEP_HOURS = 4
+
+
+def spy_on_world_builds(monkeypatch):
+    """Record the kwargs of every ``generate_population`` call.
+
+    Patches every loaded ``repro`` module that binds the function, so a
+    call counts wherever the build happens.
+    """
+    calls = []
+    real = generate_population
+    binders = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if (name == "repro" or name.startswith("repro."))
+        and getattr(module, "generate_population", None) is real
+    ]
+    assert binders, "no repro module binds generate_population"
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    for module in binders:
+        monkeypatch.setattr(module, "generate_population", counting)
+    return calls
 
 
 def make_service_config(**overrides):

@@ -13,6 +13,7 @@ from tests.conftest import (
     SERVICE_SEED,
     SERVICE_SWEEP_HOURS,
     make_service_config,
+    spy_on_world_builds,
 )
 
 
@@ -124,13 +125,14 @@ class TestBatchParity:
 
 class TestWarmResume:
     def test_second_controller_over_same_store_recomputes_nothing(
-        self, service_controller, service_store_root
+        self, service_controller, service_store_root, monkeypatch
     ):
         ledger = ArtifactStore(service_store_root).ledger
         misses_before = sum(
             1 for entry in ledger.entries() if entry["event"] == "miss"
         )
 
+        worlds = spy_on_world_builds(monkeypatch)
         warm = EpochController(make_service_config(), service_store_root)
         warm.run()
 
@@ -138,6 +140,8 @@ class TestWarmResume:
             1 for entry in ledger.entries() if entry["event"] == "miss"
         )
         assert misses_after == misses_before
+        # Every stage replays, so no epoch generates its population.
+        assert worlds == []
         # Warm epochs land on the same bytes, and the hits show up in the
         # service observer (second-epoch warm hits are part of the
         # acceptance bar).

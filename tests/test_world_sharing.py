@@ -16,12 +16,9 @@ import dataclasses
 import io
 import re
 import shutil
-import sys
 
 import pytest
 
-import repro.cli  # noqa: F401  (binds every module a run calls into)
-import repro.service.controller  # noqa: F401
 from repro.cli import main
 from repro.experiments import fig3_geomap, run_harvest, run_table2
 from repro.experiments.pipeline import MeasurementPipeline, _TransportCursor
@@ -29,6 +26,8 @@ from repro.faults import build_fault_plan, wrap_transport
 from repro.net.transport import TorTransport
 from repro.population import LazyPopulation, generate_population
 from repro.sim.rng import derive_rng
+
+from tests.conftest import spy_on_world_builds
 
 SEED = 5
 SCALE = 0.05
@@ -41,27 +40,6 @@ ALL_ARGV = ["all", "--scale", "0.01", "--seed", "1", "--workers", "1",
 @pytest.fixture(scope="module")
 def population():
     return generate_population(seed=SEED, scale=SCALE)
-
-
-def spy_on_world_builds(monkeypatch):
-    """Count calls to ``generate_population`` from every module binding it."""
-    calls = []
-    real = generate_population
-    binders = [
-        module
-        for name, module in sorted(sys.modules.items())
-        if (name == "repro" or name.startswith("repro."))
-        and getattr(module, "generate_population", None) is real
-    ]
-    assert binders, "no repro module binds generate_population"
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return real(*args, **kwargs)
-
-    for module in binders:
-        monkeypatch.setattr(module, "generate_population", counting)
-    return calls
 
 
 def spy_on_fig3(monkeypatch):
