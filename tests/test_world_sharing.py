@@ -26,6 +26,7 @@ from repro.faults import build_fault_plan, wrap_transport
 from repro.net.transport import TorTransport
 from repro.population import LazyPopulation, generate_population
 from repro.sim.rng import derive_rng
+from repro.store.ledger import Ledger
 
 from tests.conftest import spy_on_world_builds
 
@@ -126,6 +127,11 @@ def test_partly_warm_store_builds_at_most_one_world(
     assert len(worlds) == worlds_built
     assert len(fig3_runs) == (1 if stage == "fig3" else 0)
     assert text == cold_text
+    # Only the deleted stage recomputes: the stages after it start from
+    # the stream state the cold run left them, so their keys still hit.
+    entries = list(Ledger(root / "ledger.jsonl").entries())
+    last_run = [entry for entry in entries if entry["run"] == entries[-1]["run"]]
+    assert [e["stage"] for e in last_run if e["event"] != "hit"] == [stage]
 
 
 @pytest.mark.parametrize(
