@@ -70,11 +70,7 @@ def run_all(monkeypatch, capsys, *extra):
 
 def test_repro_all_builds_one_world(monkeypatch, capsys):
     calls = spy_on_world_builds(monkeypatch)
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    monkeypatch.delenv("REPRO_METRICS", raising=False)
-    main(["all", "--scale", "0.01", "--seed", "1", "--workers", "1",
-          "--fault-profile", "none"])
-    capsys.readouterr()
+    run_all(monkeypatch, capsys)
     assert calls == [{"seed": 1, "scale": 0.01}]
 
 
