@@ -9,7 +9,7 @@ from conftest import save_report
 
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_rows
-from repro.experiments import run_fig3
+from repro.experiments.fig3_geomap import run_fig3
 
 
 def run_sweep():

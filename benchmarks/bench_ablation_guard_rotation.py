@@ -16,7 +16,8 @@ from repro.crypto.keys import KeyPair
 from repro.hs.service import HiddenService
 from repro.sim.clock import DAY, parse_date
 from repro.sim.rng import derive_rng
-from repro.tracking import ServiceDeanonAttack, deploy_attacker_guards
+from repro.tracking.deanon import deploy_attacker_guards
+from repro.tracking.service_deanon import ServiceDeanonAttack
 from repro.worldbuild import HonestNetworkSpec, build_honest_network
 
 GENERATIONS = 6

@@ -12,8 +12,8 @@ from conftest import save_report
 
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_rows
-from repro.experiments import run_table2
-from repro.population import generate_population
+from repro.experiments.table2_popularity import run_table2
+from repro.population.generator import generate_population
 
 SCALE = 0.1
 

@@ -10,8 +10,8 @@ from conftest import save_report
 
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_rows
-from repro.experiments import run_harvest
-from repro.trawl import expected_capture_probability, naive_ip_requirement
+from repro.experiments.harvest import run_harvest
+from repro.trawl.coverage import expected_capture_probability, naive_ip_requirement
 
 
 def sweep_fleets():

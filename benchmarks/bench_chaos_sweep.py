@@ -2,7 +2,7 @@
 
 from conftest import save_report
 
-from repro.experiments import run_chaos_sweep
+from repro.experiments.chaos_sweep import run_chaos_sweep
 
 
 def test_chaos_sweep(benchmark, report_dir):

@@ -2,7 +2,7 @@
 
 from conftest import record_phase_timings, save_report, save_span_report
 
-from repro.experiments import run_fig1
+from repro.experiments.fig1_ports import run_fig1
 
 
 def test_fig1_open_ports(benchmark, full_pipeline, report_dir):

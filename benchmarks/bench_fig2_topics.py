@@ -3,7 +3,7 @@
 from conftest import record_phase_timings, save_report, save_span_report
 
 from repro.analysis.stats import l1_distance, share_table
-from repro.experiments import run_fig2
+from repro.experiments.fig2_topics import run_fig2
 from repro.population.spec import TOPIC_SHARES
 
 

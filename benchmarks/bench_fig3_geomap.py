@@ -3,7 +3,7 @@
 from conftest import save_report
 
 from repro.analysis.stats import l1_distance
-from repro.experiments import run_fig3
+from repro.experiments.fig3_geomap import run_fig3
 
 
 def test_fig3_client_geomap(benchmark, report_dir):

@@ -7,7 +7,7 @@ attacker needs ~ring/4 IP addresses.
 
 from conftest import save_report
 
-from repro.experiments import run_harvest
+from repro.experiments.harvest import run_harvest
 
 
 def test_harvest_shadow_relays(benchmark, report_dir):

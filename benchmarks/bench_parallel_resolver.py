@@ -14,7 +14,7 @@ import time
 from conftest import save_report
 
 from repro.crypto.onion import onion_address_from_key
-from repro.popularity import DescriptorResolver
+from repro.popularity.resolver import DescriptorResolver
 from repro.sim.clock import parse_date
 from repro.sim.rng import derive_rng
 

@@ -2,7 +2,7 @@
 
 from conftest import save_report
 
-from repro.experiments import run_sec6
+from repro.experiments.sec6_sellers import run_sec6
 
 
 def test_sec6_seller_identification(benchmark, report_dir):

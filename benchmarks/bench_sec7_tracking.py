@@ -2,7 +2,7 @@
 
 from conftest import save_report
 
-from repro.experiments import run_sec7
+from repro.experiments.sec7_tracking import run_sec7
 
 
 def test_sec7_silkroad_tracking(benchmark, report_dir):

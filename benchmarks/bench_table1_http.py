@@ -2,7 +2,7 @@
 
 from conftest import record_phase_timings, save_report
 
-from repro.experiments import run_table1
+from repro.experiments.table1_http import run_table1
 
 
 def test_table1_http_access(benchmark, full_pipeline, report_dir):

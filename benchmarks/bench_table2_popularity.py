@@ -7,7 +7,7 @@ the bench to a few minutes; rates, rankings and fractions are unaffected.
 
 from conftest import save_report
 
-from repro.experiments import run_table2
+from repro.experiments.table2_popularity import run_table2
 
 
 def test_table2_popularity(benchmark, report_dir):

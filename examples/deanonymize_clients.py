@@ -11,7 +11,7 @@ country-level map.
 Run:  python examples/deanonymize_clients.py
 """
 
-from repro.experiments import run_fig3
+from repro.experiments.fig3_geomap import run_fig3
 
 SEED = 13
 

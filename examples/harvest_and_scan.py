@@ -8,18 +8,20 @@ scan that finds the Skynet botnet on port 55080.
 Run:  python examples/harvest_and_scan.py
 """
 
-from repro import PortScanner, ScanSchedule, TrawlAttack, TrawlConfig, derive_rng
+from repro.crypto.keys import KeyPair
 from repro.hs.publisher import PublishScheduler
 from repro.net.address import AddressPool
 from repro.net.transport import TorTransport
-from repro.population import generate_population
+from repro.population.generator import generate_population
 from repro.relay.relay import Relay
-from repro.crypto import KeyPair
+from repro.scan.scanner import PortScanner
+from repro.scan.schedule import ScanSchedule
 from repro.scan.tls import analyze_certificates, collect_certificates
-from repro.sim import DAY, SimClock
-from repro.sim.clock import HOUR
+from repro.sim.clock import DAY, HOUR, SimClock
+from repro.sim.rng import derive_rng
 from repro.tornet import TorNetwork
-from repro.trawl import naive_ip_requirement
+from repro.trawl.attack import TrawlAttack, TrawlConfig
+from repro.trawl.coverage import naive_ip_requirement
 
 SEED = 11
 SCALE = 0.05

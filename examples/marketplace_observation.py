@@ -10,7 +10,7 @@ traffic, and separates the recurring visitors from the one-off ones.
 Run:  python examples/marketplace_observation.py
 """
 
-from repro.experiments import run_sec6
+from repro.experiments.sec6_sellers import run_sec6
 
 SEED = 17
 

@@ -9,18 +9,15 @@ the HSDir fingerprint ring, and the six responsible directories.
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    HiddenService,
-    KeyPair,
-    Relay,
-    TorClient,
-    TorNetwork,
-    derive_rng,
-    parse_date,
-)
-from repro.crypto import descriptor_ids_for_day
+from repro.client.client import TorClient
+from repro.crypto.descriptor_id import descriptor_ids_for_day
+from repro.crypto.keys import KeyPair
+from repro.hs.service import HiddenService
 from repro.net.address import AddressPool
-from repro.sim import DAY, SimClock, format_date
+from repro.relay.relay import Relay
+from repro.sim.clock import DAY, SimClock, format_date, parse_date
+from repro.sim.rng import derive_rng
+from repro.tornet import TorNetwork
 
 SEED = 7
 START = parse_date("2013-02-04")  # the paper's harvest date
@@ -28,7 +25,7 @@ START = parse_date("2013-02-04")  # the paper's harvest date
 
 def main() -> None:
     rng = derive_rng(SEED, "quickstart")
-    pool = AddressPool(derive_rng(SEED, "ips"))
+    pool = AddressPool(derive_rng(SEED, "quickstart", "ips"))
 
     # --- a small Tor network -------------------------------------------- #
     network = TorNetwork(clock=SimClock(START))

@@ -9,7 +9,10 @@ prints what it convicts.
 Run:  python examples/track_silkroad.py
 """
 
-from repro import SilkroadStudy, SilkroadStudyConfig, TrackingAnalyzer, parse_date
+from repro.detection.analyzer import TrackingAnalyzer
+from repro.detection.silkroad import SilkroadStudy
+from repro.detection.study import SilkroadStudyConfig
+from repro.sim.clock import parse_date
 
 SEED = 3
 SCALE = 0.3  # honest-relay population scale (full = 757 → 1,862 HSDirs)

@@ -21,104 +21,19 @@ The library has three layers:
 
 Quickstart::
 
-    from repro import TorNetwork, HiddenService, KeyPair, derive_rng
-    from repro.sim import SimClock, parse_date
+    from repro.crypto.keys import KeyPair
+    from repro.hs.service import HiddenService
+    from repro.sim.clock import SimClock, parse_date
+    from repro.sim.rng import derive_rng
+    from repro.tornet import TorNetwork
 
     net = TorNetwork(clock=SimClock(parse_date("2013-02-04")))
     ...
 
-See README.md and the ``examples/`` directory.
+Import from the module that defines a name: package ``__init__`` modules
+re-export nothing heavy, so a process loads only the code it runs (a
+store replay never loads the simulator).  See README.md and the
+``examples/`` directory.
 """
 
-from repro.errors import (
-    ReproError,
-    SimulationError,
-    CryptoError,
-    NetworkError,
-    ConsensusError,
-    DescriptorError,
-    AttackError,
-    ClassificationError,
-    PopulationError,
-)
-from repro.sim import SimClock, EventEngine, derive_rng, parse_date, format_date
-from repro.crypto import (
-    KeyPair,
-    FingerprintRing,
-    onion_address_from_key,
-    descriptor_id,
-    descriptor_ids_for_day,
-)
-from repro.relay import Relay, RelayFlags
-from repro.dirauth import Consensus, ConsensusArchive, DirectoryAuthoritySet, FlagPolicy
-from repro.tornet import TorNetwork, FetchTrace
-from repro.hs import HiddenService, PublishScheduler
-from repro.client import TorClient, GuardSet, PopularityWorkload, WorkloadSpec
-from repro.population import PopulationSpec, generate_population
-from repro.trawl import TrawlAttack, TrawlConfig
-from repro.scan import PortScanner, ScanSchedule
-from repro.crawl import Crawler, apply_exclusions
-from repro.classify import build_language_detector, build_topic_classifier
-from repro.popularity import DescriptorResolver, PopularityRanking
-from repro.tracking import ClientDeanonAttack, ClientGeoMap, ServiceDeanonAttack
-from repro.detection import SilkroadStudy, SilkroadStudyConfig, TrackingAnalyzer
-from repro.worldbuild import HonestNetworkSpec, build_honest_network
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ReproError",
-    "SimulationError",
-    "CryptoError",
-    "NetworkError",
-    "ConsensusError",
-    "DescriptorError",
-    "AttackError",
-    "ClassificationError",
-    "PopulationError",
-    "SimClock",
-    "EventEngine",
-    "derive_rng",
-    "parse_date",
-    "format_date",
-    "KeyPair",
-    "FingerprintRing",
-    "onion_address_from_key",
-    "descriptor_id",
-    "descriptor_ids_for_day",
-    "Relay",
-    "RelayFlags",
-    "Consensus",
-    "ConsensusArchive",
-    "DirectoryAuthoritySet",
-    "FlagPolicy",
-    "TorNetwork",
-    "FetchTrace",
-    "HiddenService",
-    "PublishScheduler",
-    "TorClient",
-    "GuardSet",
-    "PopularityWorkload",
-    "WorkloadSpec",
-    "PopulationSpec",
-    "generate_population",
-    "TrawlAttack",
-    "TrawlConfig",
-    "PortScanner",
-    "ScanSchedule",
-    "Crawler",
-    "apply_exclusions",
-    "build_language_detector",
-    "build_topic_classifier",
-    "DescriptorResolver",
-    "PopularityRanking",
-    "ClientDeanonAttack",
-    "ClientGeoMap",
-    "ServiceDeanonAttack",
-    "SilkroadStudy",
-    "SilkroadStudyConfig",
-    "TrackingAnalyzer",
-    "HonestNetworkSpec",
-    "build_honest_network",
-    "__version__",
-]

@@ -1,21 +1,1 @@
 """Reporting and statistics helpers shared by the experiments."""
-
-from repro.analysis.stats import (
-    relative_error,
-    l1_distance,
-    share_table,
-    pearson_rank_correlation,
-)
-from repro.analysis.report import ExperimentReport, ComparisonRow
-from repro.analysis.tables import format_rows, format_bar_chart
-
-__all__ = [
-    "relative_error",
-    "l1_distance",
-    "share_table",
-    "pearson_rank_correlation",
-    "ExperimentReport",
-    "ComparisonRow",
-    "format_rows",
-    "format_bar_chart",
-]

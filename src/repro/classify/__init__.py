@@ -5,23 +5,3 @@ Mallet / uClassify for topics.  Both are reimplemented from scratch on a
 shared multinomial naive Bayes core and trained on the built-in synthetic
 corpus, so the whole pipeline runs offline.
 """
-
-from repro.classify.tokenize import word_tokens, char_ngrams
-from repro.classify.naive_bayes import MultinomialNaiveBayes
-from repro.classify.language import LanguageDetector
-from repro.classify.topics import TopicClassifier, is_torhost_default
-from repro.classify.training import (
-    build_language_detector,
-    build_topic_classifier,
-)
-
-__all__ = [
-    "word_tokens",
-    "char_ngrams",
-    "MultinomialNaiveBayes",
-    "LanguageDetector",
-    "TopicClassifier",
-    "is_torhost_default",
-    "build_language_detector",
-    "build_topic_classifier",
-]

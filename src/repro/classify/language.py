@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.classify.tokenize import char_ngrams
 from repro.errors import ClassificationError
-from repro.parallel import pmap
+from repro.parallel.executor import pmap
 
 
 class LanguageDetector:

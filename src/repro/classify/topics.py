@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.classify.tokenize import word_tokens
 from repro.errors import ClassificationError
-from repro.parallel import pmap
+from repro.parallel.executor import pmap
 from repro.population.corpus import TORHOST_DEFAULT_PAGE
 
 

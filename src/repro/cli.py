@@ -90,7 +90,7 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
 
 def _open_store(args):
     """The run's ArtifactStore, or None when no store is configured."""
-    from repro.store import open_store
+    from repro.store.config import open_store
 
     return open_store(getattr(args, "store", None))
 
@@ -110,7 +110,7 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
 
 def _write_metrics(observer, args) -> None:
     """Write the observer snapshot when --metrics-out / $REPRO_METRICS asks."""
-    from repro.obs import resolve_metrics_out, write_snapshot
+    from repro.obs.export import resolve_metrics_out, write_snapshot
 
     path = resolve_metrics_out(getattr(args, "metrics_out", None))
     if path is None or observer is None:
@@ -463,7 +463,7 @@ def _emit(report: ExperimentReport, extra: str = "", json_path: Optional[str] = 
 
 
 def _run_fig1(args) -> ExperimentReport:
-    from repro.experiments import run_fig1
+    from repro.experiments.fig1_ports import run_fig1
 
     result = run_fig1(
         seed=args.seed,
@@ -478,7 +478,7 @@ def _run_fig1(args) -> ExperimentReport:
 
 
 def _run_table1(args) -> ExperimentReport:
-    from repro.experiments import run_table1
+    from repro.experiments.table1_http import run_table1
 
     result = run_table1(
         seed=args.seed,
@@ -493,7 +493,7 @@ def _run_table1(args) -> ExperimentReport:
 
 
 def _run_fig2(args) -> ExperimentReport:
-    from repro.experiments import run_fig2
+    from repro.experiments.fig2_topics import run_fig2
 
     result = run_fig2(
         seed=args.seed,
@@ -509,7 +509,7 @@ def _run_fig2(args) -> ExperimentReport:
 
 def _run_chaos(args) -> ExperimentReport:
     from repro.errors import FaultConfigError
-    from repro.experiments import run_chaos_sweep
+    from repro.experiments.chaos_sweep import run_chaos_sweep
 
     try:
         rates = [
@@ -531,7 +531,7 @@ def _run_chaos(args) -> ExperimentReport:
 
 
 def _run_table2(args) -> ExperimentReport:
-    from repro.experiments import run_table2
+    from repro.experiments.table2_popularity import run_table2
 
     result = run_table2(
         seed=args.seed,
@@ -548,7 +548,7 @@ def _run_table2(args) -> ExperimentReport:
 
 
 def _run_fig3(args) -> ExperimentReport:
-    from repro.experiments import run_fig3
+    from repro.experiments.fig3_geomap import run_fig3
 
     result = run_fig3(
         seed=args.seed,
@@ -562,7 +562,7 @@ def _run_fig3(args) -> ExperimentReport:
 
 
 def _run_sec6(args) -> ExperimentReport:
-    from repro.experiments import run_sec6
+    from repro.experiments.sec6_sellers import run_sec6
 
     result = run_sec6(
         seed=args.seed,
@@ -577,7 +577,7 @@ def _run_sec6(args) -> ExperimentReport:
 
 
 def _run_sec7(args) -> ExperimentReport:
-    from repro.experiments import run_sec7
+    from repro.experiments.sec7_tracking import run_sec7
 
     result = run_sec7(
         seed=args.seed,
@@ -590,7 +590,7 @@ def _run_sec7(args) -> ExperimentReport:
 
 
 def _run_harvest(args) -> ExperimentReport:
-    from repro.experiments import run_harvest
+    from repro.experiments.harvest import run_harvest
 
     result = run_harvest(
         seed=args.seed,
@@ -605,16 +605,14 @@ def _run_harvest(args) -> ExperimentReport:
 
 
 def _run_all(args) -> ExperimentReport:
-    from repro.experiments import (
-        run_fig1,
-        run_fig2,
-        run_fig3,
-        run_harvest,
-        run_sec7,
-        run_table1,
-        run_table2,
-    )
+    from repro.experiments.fig1_ports import run_fig1
+    from repro.experiments.fig2_topics import run_fig2
+    from repro.experiments.fig3_geomap import run_fig3
+    from repro.experiments.harvest import run_harvest
     from repro.experiments.pipeline import MeasurementPipeline
+    from repro.experiments.sec7_tracking import run_sec7
+    from repro.experiments.table1_http import run_table1
+    from repro.experiments.table2_popularity import run_table2
 
     # One store serves the whole run: the pipeline stages and the
     # table2/fig3/sec7/harvest experiments all checkpoint into it, so a
@@ -691,7 +689,7 @@ def _run_all(args) -> ExperimentReport:
 
 def _run_obs(args) -> int:
     from repro.experiments.pipeline import MeasurementPipeline
-    from repro.obs import render_json, render_text
+    from repro.obs.export import render_json, render_text
 
     pipeline = MeasurementPipeline(
         seed=args.seed,
@@ -756,10 +754,10 @@ def _run_store(args) -> int:
 def _run_lint(args) -> int:
     import json
 
-    from repro.devtools import run_lint
     from repro.devtools.astcache import AstCache
     from repro.devtools.autofix import apply_fixes
     from repro.devtools.baseline import write_baseline
+    from repro.devtools.engine import run_lint
     from repro.devtools.sarif import render_sarif
     from repro.errors import ConfigError
 
@@ -835,7 +833,9 @@ def _campaign_document(pipeline) -> dict:
     experiment runners only read; this is the document the crashtest
     byte-compares between the crashed-and-resumed run and the clean one.
     """
-    from repro.experiments import run_fig1, run_fig2, run_table1
+    from repro.experiments.fig1_ports import run_fig1
+    from repro.experiments.fig2_topics import run_fig2
+    from repro.experiments.table1_http import run_table1
 
     return {
         "fig1": codec.encode(run_fig1(pipeline=pipeline).report),
@@ -851,13 +851,9 @@ def _run_crashtest(args) -> int:
 
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.obs.scope import Observer
-    from repro.store import ArtifactStore
-    from repro.supervise import (
-        CRASHES_ENV,
-        PIPELINE_STAGES,
-        EpochSupervisor,
-        build_crash_plan,
-    )
+    from repro.store.checkpoint import ArtifactStore
+    from repro.supervise.crashplan import CRASHES_ENV, PIPELINE_STAGES, build_crash_plan
+    from repro.supervise.supervisor import EpochSupervisor
 
     # --crash-profile, then $REPRO_CRASHES, then moderate: an inert plan
     # would make the whole exercise vacuous, so the fallback injects.
@@ -989,14 +985,12 @@ def _run_crashtest(args) -> int:
 def _run_serve(args) -> int:
     from repro.errors import ConfigError
     from repro.obs.scope import Observer
-    from repro.service import (
-        EpochController,
-        ServiceConfig,
-        ServiceRouter,
-        serve,
-    )
+    from repro.service.api import ServiceRouter
+    from repro.service.config import ServiceConfig
+    from repro.service.controller import EpochController
+    from repro.service.http import serve
     from repro.service.schema import SCHEMA_VERSION
-    from repro.store import resolve_store_dir
+    from repro.store.config import resolve_store_dir
 
     try:
         config = ServiceConfig(

@@ -1,18 +1,1 @@
 """Tor clients: guard management, descriptor fetching, popularity workload."""
-
-from repro.client.guards import GuardSet, GUARD_SET_SIZE
-from repro.client.client import TorClient
-from repro.client.workload import (
-    PopularityWorkload,
-    WorkloadSpec,
-    zipf_weights,
-)
-
-__all__ = [
-    "GuardSet",
-    "GUARD_SET_SIZE",
-    "TorClient",
-    "PopularityWorkload",
-    "WorkloadSpec",
-    "zipf_weights",
-]

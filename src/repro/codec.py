@@ -1,7 +1,9 @@
 """One dataclass-driven JSON codec for every measured artifact.
 
 :func:`encode` and :func:`decode` are driven by ``dataclasses.fields`` and
-``typing.get_type_hints``, resolved once per class and cached.  Store
+the type hints of the encoded fields, resolved once per class and cached.
+Skipped fields' hints are never evaluated, so they may name types that
+their module imports only under ``TYPE_CHECKING``.  Store
 stages and ``--json`` archives use them, so the store's content addresses
 are hashes of exactly these encodings.  The rules, all read off the types:
 
@@ -69,14 +71,33 @@ def _expect(value: Any, json_type: type, what: str, path: str) -> None:
         )
 
 
+def _encoded_hints(cls: type, names: Tuple[str, ...]) -> Dict[str, Any]:
+    """The resolved type hints of ``cls``'s fields ``names``, and no others."""
+    hints: Dict[str, Any] = {}
+    for base in reversed(cls.__mro__):
+        own = {
+            name: hint
+            for name, hint in base.__dict__.get("__annotations__", {}).items()
+            if name in names
+        }
+        if own:
+            namespace = {"__annotations__": own, "__module__": base.__module__}
+            hints.update(typing.get_type_hints(type(base.__name__, (), namespace)))
+    return hints
+
+
 @functools.lru_cache(maxsize=None)
 def _dataclass_codec(cls: type) -> Codec:
-    hints = typing.get_type_hints(cls)
     kind = getattr(cls, "KIND", None)
-    fields = [
-        (f.name, *_compile(hints[f.name], f.metadata.get("codec") == "sorted"))
+    encoded = [
+        f
         for f in dataclasses.fields(cls)
         if f.init and f.metadata.get("codec") != "skip"
+    ]
+    hints = _encoded_hints(cls, tuple(f.name for f in encoded))
+    fields = [
+        (f.name, *_compile(hints[f.name], f.metadata.get("codec") == "sorted"))
+        for f in encoded
     ]
 
     def encode_object(obj: Any) -> Dict[str, Any]:

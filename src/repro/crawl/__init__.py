@@ -1,14 +1,1 @@
 """HTTP(S) crawling of scanned destinations (Section IV)."""
-
-from repro.crawl.page import FetchedPage, PageKind
-from repro.crawl.crawler import Crawler, CrawlResults
-from repro.crawl.filters import ClassifiableSet, apply_exclusions
-
-__all__ = [
-    "FetchedPage",
-    "PageKind",
-    "Crawler",
-    "CrawlResults",
-    "ClassifiableSet",
-    "apply_exclusions",
-]

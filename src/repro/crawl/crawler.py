@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
+from repro.crawl.page import FetchedPage, PageKind
 from repro.crypto.onion import OnionAddress
 from repro.errors import CrawlError
 from repro.faults.retry import RetryPolicy, connect_with_retry
@@ -19,8 +20,7 @@ from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
 from repro.net.endpoint import ConnectOutcome
 from repro.net.transport import TorTransport
 from repro.obs.scope import Observer, ensure_observer
-from repro.parallel import pmap
-from repro.crawl.page import FetchedPage, PageKind
+from repro.parallel.executor import pmap
 from repro.population.content import strip_html
 from repro.sim.clock import Timestamp
 

@@ -7,46 +7,3 @@ Key *signing* is out of scope — no analysed mechanism in the paper depends on
 signature verification, only on digests of key material — so key pairs are
 opaque random blobs with real SHA-1 fingerprints.
 """
-
-from repro.crypto.keys import KeyPair, Fingerprint, fingerprint_hex, fingerprint_int
-from repro.crypto.onion import (
-    OnionAddress,
-    onion_address_from_key,
-    permanent_id_from_onion,
-    is_valid_onion,
-)
-from repro.crypto.descriptor_id import (
-    REPLICAS,
-    DescriptorId,
-    descriptor_id,
-    descriptor_ids_for_day,
-    time_period_for,
-    time_period_boundaries,
-)
-from repro.crypto.ring import (
-    RING_SIZE,
-    ring_distance,
-    responsible_positions,
-    FingerprintRing,
-)
-
-__all__ = [
-    "KeyPair",
-    "Fingerprint",
-    "fingerprint_hex",
-    "fingerprint_int",
-    "OnionAddress",
-    "onion_address_from_key",
-    "permanent_id_from_onion",
-    "is_valid_onion",
-    "REPLICAS",
-    "DescriptorId",
-    "descriptor_id",
-    "descriptor_ids_for_day",
-    "time_period_for",
-    "time_period_boundaries",
-    "RING_SIZE",
-    "ring_distance",
-    "responsible_positions",
-    "FingerprintRing",
-]

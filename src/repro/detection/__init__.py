@@ -1,21 +1,1 @@
 """Tracking detection via consensus-history analysis (Section VII)."""
-
-from repro.detection.rules import DetectionThresholds, binomial_threshold
-from repro.detection.analyzer import (
-    TrackingAnalyzer,
-    TrackingReport,
-    ServerRecord,
-    ResponsibilityEvent,
-)
-from repro.detection.silkroad import SilkroadStudy, SilkroadStudyConfig
-
-__all__ = [
-    "DetectionThresholds",
-    "binomial_threshold",
-    "TrackingAnalyzer",
-    "TrackingReport",
-    "ServerRecord",
-    "ResponsibilityEvent",
-    "SilkroadStudy",
-    "SilkroadStudyConfig",
-]

@@ -18,7 +18,7 @@ from repro.crypto.onion import OnionAddress, permanent_id_from_onion
 from repro.detection.rules import DetectionThresholds, binomial_threshold
 from repro.dirauth.archive import ConsensusArchive
 from repro.errors import ConsensusError
-from repro.parallel import pmap
+from repro.parallel.executor import pmap
 from repro.sim.clock import DAY, Timestamp
 
 ServerKey = Tuple[int, int]  # (ip, or_port)

@@ -28,54 +28,30 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.descriptor_id import descriptor_id
 from repro.crypto.keys import KeyPair
 from repro.crypto.onion import OnionAddress, onion_address_from_key
 from repro.crypto.ring import RING_SIZE
 from repro.detection.analyzer import ServerKey
+from repro.detection.study import SilkroadStudyConfig
 from repro.dirauth.archive import ConsensusArchive
-from repro.errors import AttackError
 from repro.net.address import AddressPool
 from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, SimClock, Timestamp, parse_date
 from repro.sim.rng import derive_rng
-from repro.tornet import TorNetwork
 
-SILKROAD_LAUNCH = parse_date("2011-02-01")
+if TYPE_CHECKING:
+    from repro.tornet import TorNetwork
+
 SILKROAD_TAKEDOWN = parse_date("2013-10-02")
-STUDY_END = parse_date("2013-10-31")
 
 OUR_TRACKING_START = parse_date("2012-11-15")
 OUR_TRACKING_END = parse_date("2012-12-31")
 MAY_EPISODE_START = parse_date("2013-05-21")
 MAY_EPISODE_END = parse_date("2013-06-03")
 AUG_EPISODE_DAY = parse_date("2013-08-31")
-
-
-@dataclass(frozen=True)
-class SilkroadStudyConfig:
-    """Study parameters (defaults reproduce the paper's setting)."""
-
-    start: Timestamp = SILKROAD_LAUNCH
-    end: Timestamp = STUDY_END
-    hsdir_start_count: int = 757
-    hsdir_end_count: int = 1862
-    seed: int = 0
-    scale: float = 1.0  # scales the honest relay population
-    period_death_probability: float = 0.0006
-    period_rotation_probability: float = 0.00005
-    inject_year1_oddity: bool = True
-    inject_our_trackers: bool = True
-    inject_may_episode: bool = True
-    inject_aug_episode: bool = True
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise AttackError(f"scale must be positive: {self.scale}")
-        if self.hsdir_start_count * self.scale < 20:
-            raise AttackError("ring too small for a meaningful study")
 
 
 @dataclass
@@ -101,6 +77,8 @@ class SilkroadStudy:
 
     def build(self) -> SilkroadWorld:
         """Run the 33-month simulation and return the archive."""
+        from repro.tornet import TorNetwork
+
         cfg = self.config
         seed = cfg.seed
         honest_rng = derive_rng(seed, "silkroad", "honest")

@@ -199,23 +199,23 @@ class ProjectContext:
         ``("class", "module:Class")``, ``("module", dotted)`` for an
         imported module, and ``("name", base_module, attr)`` for a name
         imported from elsewhere (function, class, or constant — resolved
-        on demand).
+        on demand).  Imports inside function bodies bind too, unless a
+        top-level name is spelled the same: a module that imports its
+        heavy dependencies only where it computes still has its calls
+        resolved.
         """
         if ctx.module in self._bindings:
             return self._bindings[ctx.module]
         bindings: Dict[str, Tuple[str, ...]] = {}
         package_parts = ctx.module.split(".")[:-1]
-        for stmt in ctx.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                bindings[stmt.name] = ("def", f"{ctx.module}:{stmt.name}")
-            elif isinstance(stmt, ast.ClassDef):
-                bindings[stmt.name] = ("class", f"{ctx.module}:{stmt.name}")
-            elif isinstance(stmt, ast.Import):
+
+        def bind_import(stmt: ast.stmt, target: Dict[str, Tuple[str, ...]]) -> None:
+            if isinstance(stmt, ast.Import):
                 for alias in stmt.names:
                     if alias.asname:
-                        bindings[alias.asname] = ("module", alias.name)
+                        target[alias.asname] = ("module", alias.name)
                     elif "." not in alias.name:
-                        bindings[alias.name] = ("module", alias.name)
+                        target[alias.name] = ("module", alias.name)
             elif isinstance(stmt, ast.ImportFrom):
                 if stmt.level == 0:
                     base = stmt.module or ""
@@ -225,14 +225,29 @@ class ProjectContext:
                     if stmt.module:
                         base = f"{base}.{stmt.module}" if base else stmt.module
                 if not base:
-                    continue
+                    return
                 for alias in stmt.names:
                     local = alias.asname or alias.name
                     submodule = f"{base}.{alias.name}"
                     if submodule in self.by_module:
-                        bindings[local] = ("module", submodule)
+                        target[local] = ("module", submodule)
                     else:
-                        bindings[local] = ("name", base, alias.name)
+                        target[local] = ("name", base, alias.name)
+
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bindings[stmt.name] = ("def", f"{ctx.module}:{stmt.name}")
+            elif isinstance(stmt, ast.ClassDef):
+                bindings[stmt.name] = ("class", f"{ctx.module}:{stmt.name}")
+            else:
+                bind_import(stmt, bindings)
+        local_imports: Dict[str, Tuple[str, ...]] = {}
+        for node in ctx.nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for stmt in ast.walk(node):
+                    bind_import(stmt, local_imports)
+        for name, binding in local_imports.items():
+            bindings.setdefault(name, binding)
         self._bindings[ctx.module] = bindings
         return bindings
 

@@ -6,29 +6,3 @@ after 25 hours — and publish consensuses subject to the two-relays-per-IP
 rule.  The consensus archive retains history for the Section VII
 tracking-detection analysis.
 """
-
-from repro.dirauth.voting import FlagPolicy
-from repro.dirauth.consensus import Consensus, ConsensusEntry
-from repro.dirauth.authority import DirectoryAuthoritySet
-from repro.dirauth.council import AuthorityCouncil, DirectoryAuthority
-from repro.dirauth.archive import ConsensusArchive
-from repro.dirauth.format import (
-    format_consensus,
-    parse_consensus,
-    format_archive,
-    parse_archive,
-)
-
-__all__ = [
-    "FlagPolicy",
-    "Consensus",
-    "ConsensusEntry",
-    "DirectoryAuthoritySet",
-    "AuthorityCouncil",
-    "DirectoryAuthority",
-    "ConsensusArchive",
-    "format_consensus",
-    "parse_consensus",
-    "format_archive",
-    "parse_archive",
-]

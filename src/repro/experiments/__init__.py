@@ -5,27 +5,3 @@ Each module exposes a ``run_*`` function returning a typed report plus an
 rows.  Benchmarks call these drivers; examples use smaller slices of the
 same code.
 """
-
-from repro.experiments.pipeline import MeasurementPipeline
-from repro.experiments.fig1_ports import run_fig1
-from repro.experiments.table1_http import run_table1
-from repro.experiments.fig2_topics import run_fig2
-from repro.experiments.table2_popularity import run_table2
-from repro.experiments.fig3_geomap import run_fig3
-from repro.experiments.sec6_sellers import run_sec6
-from repro.experiments.sec7_tracking import run_sec7
-from repro.experiments.harvest import run_harvest
-from repro.experiments.chaos_sweep import run_chaos_sweep
-
-__all__ = [
-    "MeasurementPipeline",
-    "run_chaos_sweep",
-    "run_fig1",
-    "run_table1",
-    "run_fig2",
-    "run_table2",
-    "run_fig3",
-    "run_sec6",
-    "run_sec7",
-    "run_harvest",
-]

@@ -23,14 +23,14 @@ from typing import List, Optional, Sequence
 from repro.analysis.report import ExperimentReport
 from repro.errors import FaultConfigError
 from repro.experiments.pipeline import MeasurementPipeline
-from repro.faults import (
+from repro.faults.plan import (
     CircuitTimeoutFault,
     DescriptorFlapFault,
     FaultPlan,
-    RetryPolicy,
     SlowCircuitFault,
     TruncationFault,
 )
+from repro.faults.retry import RetryPolicy
 
 # Paper headline totals (full scale), re-stated here so the sweep report is
 # self-contained.

@@ -8,8 +8,8 @@ from typing import Optional
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_bar_chart
 from repro.experiments.pipeline import MeasurementPipeline
-from repro.store import ArtifactStore
 from repro.scan.results import PortDistribution
+from repro.store.checkpoint import ArtifactStore
 
 # Published Fig 1 counts (full scale).
 PAPER_FIG1 = {

@@ -11,24 +11,17 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro import codec
 from repro.analysis.report import ExperimentReport
 from repro.analysis.stats import l1_distance
-from repro.client.client import TorClient
-from repro.crypto.descriptor_id import REPLICAS, descriptor_id
-from repro.crypto.keys import KeyPair
-from repro.crypto.ring import RING_SIZE
-from repro.hs.service import HiddenService
-from repro.net.geoip import GeoIP
-from repro.relay.flags import RelayFlags
-from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, Timestamp, parse_date
 from repro.sim.rng import derive_rng
-from repro.store import ArtifactStore, Stage
-from repro.tracking import ClientDeanonAttack, ClientGeoMap, deploy_attacker_guards
-from repro.worldbuild import HonestNetworkSpec, build_honest_network
+from repro.store.checkpoint import ArtifactStore, Stage
+
+if TYPE_CHECKING:
+    from repro.tracking.geomap import ClientGeoMap
 
 
 @dataclass
@@ -98,6 +91,18 @@ def _compute_fig3(
     observation_days: int,
     fetches_per_client_per_day: float,
 ) -> Fig3Result:
+    from repro.client.client import TorClient
+    from repro.crypto.descriptor_id import REPLICAS, descriptor_id
+    from repro.crypto.keys import KeyPair
+    from repro.crypto.ring import RING_SIZE
+    from repro.hs.service import HiddenService
+    from repro.net.geoip import GeoIP
+    from repro.relay.flags import RelayFlags
+    from repro.relay.relay import Relay
+    from repro.tracking.deanon import ClientDeanonAttack, deploy_attacker_guards
+    from repro.tracking.geomap import ClientGeoMap
+    from repro.worldbuild import HonestNetworkSpec, build_honest_network
+
     start = parse_date("2013-02-10")
     network, pool = build_honest_network(
         seed,

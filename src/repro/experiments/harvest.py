@@ -9,17 +9,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro import codec
 from repro.analysis.report import ExperimentReport
-from repro.hs.publisher import PublishScheduler
-from repro.population import GeneratedPopulation, LazyPopulation
+from repro.population.lazy import LazyPopulation
 from repro.sim.clock import DAY, HOUR, Timestamp
 from repro.sim.rng import derive_rng
-from repro.store import ArtifactStore, Stage
-from repro.trawl import HarvestResult, TrawlAttack, TrawlConfig, naive_ip_requirement
-from repro.worldbuild import HonestNetworkSpec, build_honest_network
+from repro.store.checkpoint import ArtifactStore, Stage
+
+if TYPE_CHECKING:
+    from repro.population.generator import GeneratedPopulation
+    from repro.trawl.harvest import HarvestResult
 
 PAPER_ONIONS = 39_824
 PAPER_ATTACK_IPS = 58
@@ -57,7 +58,7 @@ def run_harvest(
     """Run the shadow-relay harvest and score its coverage.
 
     ``population`` reuses the caller's world, built or still a
-    :class:`~repro.population.LazyPopulation`.  A given ``scale`` stays
+    :class:`~repro.population.lazy.LazyPopulation`.  A given ``scale`` stays
     authoritative (it sizes the honest network and the paper
     expectations); omitted, it is 0.1 for a new world and
     ``total_onions / PAPER_ONIONS`` for a passed one.
@@ -99,6 +100,11 @@ def run_harvest(
                 sweep_hours=sweep_hours,
             ),
         )
+
+    from repro.hs.publisher import PublishScheduler
+    from repro.trawl.attack import TrawlAttack, TrawlConfig
+    from repro.trawl.coverage import naive_ip_requirement
+    from repro.worldbuild import HonestNetworkSpec, build_honest_network
 
     population = world.get()
     start: Timestamp = population.harvest_date - (26 + 2) * HOUR

@@ -11,41 +11,35 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro import codec
-from repro.classify import (
-    LanguageDetector,
-    TopicClassifier,
-    build_language_detector,
-    build_topic_classifier,
-    is_torhost_default,
-)
-from repro.crawl import ClassifiableSet, Crawler, CrawlResults, apply_exclusions
+from repro.crawl.crawler import Crawler, CrawlResults
+from repro.crawl.filters import ClassifiableSet, apply_exclusions
 from repro.crawl.page import FetchedPage
-from repro.faults import (
-    FaultPlan,
-    RetryPolicy,
-    build_fault_plan,
-    default_retry_policy,
-    wrap_transport,
-)
+from repro.faults.plan import FaultPlan
+from repro.faults.profiles import build_fault_plan, default_retry_policy
+from repro.faults.retry import RetryPolicy
+from repro.faults.transport import wrap_transport
 from repro.net.transport import OnionRegistry, TorTransport
 from repro.obs.scope import Observer, ensure_observer
-from repro.parallel import QUARANTINED, ShardQuarantine, pmap, resolve_workers
-from repro.population import GeneratedPopulation, LazyPopulation
+from repro.parallel.executor import QUARANTINED, ShardQuarantine, pmap, resolve_workers
+from repro.population.lazy import LazyPopulation
 from repro.population.spec import PORT_SKYNET
-from repro.scan import (
+from repro.scan.results import ScanResults
+from repro.scan.tls import (
     CertificateAnalysis,
-    PortScanner,
-    ScanResults,
-    ScanSchedule,
     analyze_certificates,
     collect_certificates,
 )
 from repro.sim.clock import DAY
 from repro.sim.rng import derive_rng
-from repro.store import ArtifactStore, Stage, StateCursor
+from repro.store.checkpoint import ArtifactStore, Stage, StateCursor
+
+if TYPE_CHECKING:
+    from repro.classify.language import LanguageDetector
+    from repro.classify.topics import TopicClassifier
+    from repro.population.generator import GeneratedPopulation
 
 
 class _TransportCursor(StateCursor):
@@ -92,6 +86,8 @@ def _classify_page(
     observer :func:`repro.parallel.pmap` hands in; the counters recorded
     here are additive, so the merged snapshot is worker-count-invariant.
     """
+    from repro.classify.topics import is_torhost_default
+
     obs = ensure_observer(observer)
     language = detector.detect(page.text)
     obs.count("classify_pages_total", language=language)
@@ -316,6 +312,9 @@ class MeasurementPipeline:
         return self._scan
 
     def _compute_scan(self) -> ScanResults:
+        from repro.scan.scanner import PortScanner
+        from repro.scan.schedule import ScanSchedule
+
         schedule = ScanSchedule(start=self.population.scan_start, days=self.scan_days)
         with self.observer.span("pipeline.scan"):
             return PortScanner(
@@ -441,11 +440,15 @@ class MeasurementPipeline:
     @property
     def language_detector(self) -> LanguageDetector:
         """The shipped (pre-trained) language model, shared process-wide."""
+        from repro.classify.training import build_language_detector
+
         return build_language_detector()
 
     @property
     def topic_classifier(self) -> TopicClassifier:
         """The shipped (pre-trained) topic model, shared process-wide."""
+        from repro.classify.training import build_topic_classifier
+
         return build_topic_classifier()
 
     # -- conveniences ------------------------------------------------------ #

@@ -25,14 +25,14 @@ from repro.hs.service import HiddenService
 from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, parse_date
 from repro.sim.rng import derive_rng
-from repro.worldbuild import HonestNetworkSpec, build_honest_network
-from repro.tracking import ClientDeanonAttack, deploy_attacker_guards
+from repro.tracking.deanon import ClientDeanonAttack, deploy_attacker_guards
 from repro.tracking.patterns import (
     SellerCriteria,
     SellerIdentification,
     classify_visitors,
     patterns_from_captures,
 )
+from repro.worldbuild import HonestNetworkSpec, build_honest_network
 
 
 @dataclass

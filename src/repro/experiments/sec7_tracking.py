@@ -4,25 +4,18 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro import codec
 from repro.analysis.report import ExperimentReport
-from repro.detection import (
-    SilkroadStudy,
-    SilkroadStudyConfig,
-    TrackingAnalyzer,
-    TrackingReport,
-)
-from repro.detection.analyzer import ServerKey
-from repro.detection.silkroad import SilkroadWorld
-from repro.parallel import resolve_workers
-from repro.popularity.timeseries import (
-    RequestTimeSeries,
-    classify_services_by_shape,
-)
+from repro.detection.study import SilkroadStudyConfig
+from repro.parallel.executor import resolve_workers
 from repro.sim.clock import DAY, Timestamp, parse_date
-from repro.store import ArtifactStore, Stage
+from repro.store.checkpoint import ArtifactStore, Stage
+
+if TYPE_CHECKING:
+    from repro.detection.analyzer import ServerKey, TrackingReport
+    from repro.detection.silkroad import SilkroadWorld
 
 YEAR_WINDOWS: Tuple[Tuple[str, str, str], ...] = (
     ("year1", "2011-02-01", "2011-12-31"),
@@ -109,6 +102,11 @@ def _occupancy_labels(
     is two full periods' worth of slots, so one-off placements stay
     ``low-volume`` instead of reading as evidence either way.
     """
+    from repro.popularity.timeseries import (
+        RequestTimeSeries,
+        classify_services_by_shape,
+    )
+
     if not yearly.servers:
         return {}
     length = 1 + max(
@@ -161,6 +159,9 @@ def run_sec7(
             key_config,
             lambda: run_sec7(seed=seed, scale=scale, config=config, workers=workers),
         )
+    from repro.detection.analyzer import TrackingAnalyzer
+    from repro.detection.silkroad import SilkroadStudy
+
     if world is None:
         if config is None:
             config = SilkroadStudyConfig(seed=seed, scale=scale)

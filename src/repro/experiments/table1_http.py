@@ -9,7 +9,7 @@ from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_rows
 from repro.crawl.filters import destinations_summary
 from repro.experiments.pipeline import MeasurementPipeline
-from repro.store import ArtifactStore
+from repro.store.checkpoint import ArtifactStore
 
 # Published Table I (full scale) plus the Section IV funnel numbers.
 PAPER_TABLE1 = {"80": 3_741, "443": 1_289, "22": 1_094, "8080": 4, "Other": 451}

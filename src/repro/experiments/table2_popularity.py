@@ -11,34 +11,27 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro import codec
 from repro.analysis.report import ExperimentReport
-from repro.client.workload import PopularityWorkload, WorkloadReport
-from repro.crypto.keys import KeyPair
 from repro.crypto.onion import OnionAddress
 from repro.errors import ConfigError
-from repro.hs.publisher import PublishScheduler
-from repro.net.address import AddressPool
-from repro.net.geoip import GeoIP
-from repro.net.transport import TorTransport
-from repro.popularity import (
-    DescriptorResolver,
-    PopularityRanking,
-    ResolutionResult,
-    ServiceLabeler,
-    investigate_goldnet,
-)
-from repro.popularity.labels import GoldnetFinding
-from repro.population import GeneratedPopulation, LazyPopulation
-from repro.parallel import resolve_workers
-from repro.relay.relay import Relay
+from repro.parallel.executor import resolve_workers
+from repro.popularity.ranking import PopularityRanking
+from repro.population.lazy import LazyPopulation
 from repro.sim.clock import DAY, HOUR, SimClock, Timestamp, parse_date
 from repro.sim.rng import derive_rng
-from repro.store import ArtifactStore, Stage
-from repro.tornet import TorNetwork
-from repro.trawl import TrawlAttack, TrawlConfig
+from repro.store.checkpoint import ArtifactStore, Stage
+
+if TYPE_CHECKING:
+    from repro.client.workload import WorkloadReport
+    from repro.net.address import AddressPool
+    from repro.popularity.labels import GoldnetFinding
+    from repro.popularity.resolver import ResolutionResult
+    from repro.population.generator import GeneratedPopulation
+    from repro.tornet import TorNetwork
+    from repro.trawl.attack import TrawlAttack
 
 # Section V aggregates (full scale).
 PAPER_TOTAL_REQUESTS = 1_031_176
@@ -165,6 +158,11 @@ def _classify_resolved_shapes(
 def _build_honest_network(
     seed: int, relay_count: int, start: Timestamp
 ) -> tuple[TorNetwork, AddressPool]:
+    from repro.crypto.keys import KeyPair
+    from repro.net.address import AddressPool
+    from repro.relay.relay import Relay
+    from repro.tornet import TorNetwork
+
     rng = derive_rng(seed, "table2", "honest")
     pool = AddressPool(derive_rng(seed, "table2", "ips"))
     network = TorNetwork(clock=SimClock(start), keep_archive=False)
@@ -210,7 +208,7 @@ def run_table2(
     service still emits its per-2h volume at least once).
 
     ``population`` reuses the caller's world, built or still a
-    :class:`~repro.population.LazyPopulation`.  A given ``scale`` stays
+    :class:`~repro.population.lazy.LazyPopulation`.  A given ``scale`` stays
     authoritative (it sizes the honest network and the paper
     expectations); omitted, it is 1.0 for a new world and
     ``total_onions / 39,824`` for a passed one.
@@ -274,6 +272,14 @@ def _compute_table2(
     thinning: float,
     workers: Optional[int],
 ) -> Table2Result:
+    from repro.client.workload import PopularityWorkload, WorkloadReport
+    from repro.hs.publisher import PublishScheduler
+    from repro.net.geoip import GeoIP
+    from repro.net.transport import TorTransport
+    from repro.popularity.labels import ServiceLabeler, investigate_goldnet
+    from repro.popularity.resolver import DescriptorResolver
+    from repro.trawl.attack import TrawlAttack, TrawlConfig
+
     spec = population.spec
     if relay_count is None:
         relay_count = max(60, round(1_450 * scale))

@@ -9,51 +9,3 @@ seed-replayable way to recover.  Failures are accounted in a
 :class:`~repro.faults.taxonomy.FailureTaxonomy` so reports can show what
 was transient, what was exhausted, and what was truly gone.
 """
-
-from repro.faults.plan import (
-    CircuitTimeoutFault,
-    DescriptorFlapFault,
-    FaultPlan,
-    FaultRule,
-    HSDirOutageFault,
-    SlowCircuitFault,
-    TruncationFault,
-)
-from repro.faults.profiles import (
-    FAULTS_ENV,
-    build_fault_plan,
-    default_retry_policy,
-    fault_profile_names,
-    resolve_fault_profile,
-)
-from repro.faults.retry import (
-    RetryOutcome,
-    RetryPolicy,
-    connect_with_retry,
-    fetch_descriptor_with_retry,
-)
-from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
-from repro.faults.transport import FaultInjectingTransport, wrap_transport
-
-__all__ = [
-    "CircuitTimeoutFault",
-    "DescriptorFlapFault",
-    "FAULTS_ENV",
-    "FailureCategory",
-    "FailureTaxonomy",
-    "FaultInjectingTransport",
-    "FaultPlan",
-    "FaultRule",
-    "HSDirOutageFault",
-    "RetryOutcome",
-    "RetryPolicy",
-    "SlowCircuitFault",
-    "TruncationFault",
-    "build_fault_plan",
-    "connect_with_retry",
-    "default_retry_policy",
-    "fault_profile_names",
-    "fetch_descriptor_with_retry",
-    "resolve_fault_profile",
-    "wrap_transport",
-]

@@ -1,20 +1,1 @@
 """Hidden services: identity, descriptors, publication lifecycle."""
-
-from repro.hs.descriptor import HSDescriptor, make_descriptors
-from repro.hs.service import HiddenService
-from repro.hs.publisher import PublishScheduler
-from repro.hs.rendezvous import (
-    RendezvousCircuit,
-    RendezvousProtocol,
-    connect_to_service,
-)
-
-__all__ = [
-    "HSDescriptor",
-    "make_descriptors",
-    "HiddenService",
-    "PublishScheduler",
-    "RendezvousCircuit",
-    "RendezvousProtocol",
-    "connect_to_service",
-]

@@ -6,14 +6,3 @@ answer client fetches.  The attacker-controlled instances of
 stored descriptor leaks an onion address and every fetch is logged, which is
 precisely the data Sections III–V are built on.
 """
-
-from repro.hsdir.directory import HSDirServer, RequestRecord, StoredDescriptor
-from repro.hsdir.ring_view import responsible_hsdirs, responsible_for_replica
-
-__all__ = [
-    "HSDirServer",
-    "RequestRecord",
-    "StoredDescriptor",
-    "responsible_hsdirs",
-    "responsible_for_replica",
-]

@@ -5,30 +5,3 @@ behaviours (open / refused / timeout / the Skynet abnormal error), a
 simulated Tor transport that the scanner and crawler drive, and a synthetic
 GeoIP database for the client-deanonymisation geography (Fig 3).
 """
-
-from repro.net.address import IPv4, AddressPool, ip_to_str, str_to_ip
-from repro.net.endpoint import (
-    ConnectOutcome,
-    ConnectResult,
-    ServiceEndpoint,
-    Host,
-    SimpleHost,
-)
-from repro.net.transport import TorTransport, OnionRegistry
-from repro.net.geoip import GeoIP, COUNTRY_WEIGHTS
-
-__all__ = [
-    "IPv4",
-    "AddressPool",
-    "ip_to_str",
-    "str_to_ip",
-    "ConnectOutcome",
-    "ConnectResult",
-    "ServiceEndpoint",
-    "Host",
-    "SimpleHost",
-    "TorTransport",
-    "OnionRegistry",
-    "GeoIP",
-    "COUNTRY_WEIGHTS",
-]

@@ -45,7 +45,6 @@ from __future__ import annotations
 import os
 import pickle
 import random
-from concurrent import futures
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ParallelError
@@ -413,6 +412,10 @@ def pmap(
             path,
             observed=observer is not None,
         )
+
+    # Imported here, not at module level: a serial run never loads the
+    # process-pool machinery.
+    from concurrent import futures
 
     with futures.ProcessPoolExecutor(
         max_workers=min(worker_count, len(bounds)), initializer=_mark_worker

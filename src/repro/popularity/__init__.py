@@ -1,14 +1,1 @@
 """Popularity measurement (Section V)."""
-
-from repro.popularity.resolver import DescriptorResolver, ResolutionResult
-from repro.popularity.ranking import PopularityRanking, RankedService
-from repro.popularity.labels import ServiceLabeler, investigate_goldnet
-
-__all__ = [
-    "DescriptorResolver",
-    "ResolutionResult",
-    "PopularityRanking",
-    "RankedService",
-    "ServiceLabeler",
-    "investigate_goldnet",
-]

@@ -26,7 +26,12 @@ from repro.crypto.onion import OnionAddress
 from repro.faults.retry import RetryPolicy, fetch_descriptor_with_retry
 from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
 from repro.obs.scope import Observer, ensure_observer
-from repro.parallel import SHARDS_PER_WORKER, pmap, resolve_workers, shard_bounds
+from repro.parallel.executor import (
+    SHARDS_PER_WORKER,
+    pmap,
+    resolve_workers,
+    shard_bounds,
+)
 from repro.sim.clock import DAY, Timestamp
 
 

@@ -6,20 +6,3 @@ popularity are calibrated to the marginals the paper reports.  The pipeline
 (scan → crawl → classify → rank) must *recover* these planted distributions;
 no experiment reads the generator's ground truth directly.
 """
-
-from repro.population.spec import PopulationSpec
-from repro.population.generator import (
-    GeneratedPopulation,
-    LazyPopulation,
-    generate_population,
-)
-from repro.population.corpus import TOPICS, LANGUAGES
-
-__all__ = [
-    "PopulationSpec",
-    "GeneratedPopulation",
-    "LazyPopulation",
-    "generate_population",
-    "TOPICS",
-    "LANGUAGES",
-]

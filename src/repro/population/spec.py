@@ -19,7 +19,7 @@ The derivation for each constant is in DESIGN.md §4 and EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import PopulationError
 
@@ -358,3 +358,16 @@ class PopulationSpec:
             scaled_spec,
             total_onions=accounted + no_port + scaled_spec.dead_by_scan_count,
         )
+
+
+def population_spec(
+    scale: float = 1.0, spec: Optional[PopulationSpec] = None
+) -> PopulationSpec:
+    """The spec :func:`~repro.population.generator.generate_population`
+    builds at ``scale``.
+
+    ``spec`` defaults to the paper's full-scale spec.  Stage cache keys
+    name a world by this spec and its seed, so deriving both from here
+    keeps a key and the world it names from drifting apart.
+    """
+    return (spec if spec is not None else PopulationSpec()).scaled(scale)

@@ -1,6 +1,1 @@
 """Tor relay model: identity, flags, uptime and reachability accounting."""
-
-from repro.relay.flags import RelayFlags
-from repro.relay.relay import Relay, KeyChange
-
-__all__ = ["RelayFlags", "Relay", "KeyChange"]

@@ -1,17 +1,1 @@
 """Port scanning of harvested onion addresses (Section III)."""
-
-from repro.scan.schedule import ScanSchedule
-from repro.scan.scanner import PortScanner
-from repro.scan.results import ScanResults, PortDistribution, FIG1_BINS
-from repro.scan.tls import CertificateAnalysis, analyze_certificates, collect_certificates
-
-__all__ = [
-    "ScanSchedule",
-    "PortScanner",
-    "ScanResults",
-    "PortDistribution",
-    "FIG1_BINS",
-    "CertificateAnalysis",
-    "analyze_certificates",
-    "collect_certificates",
-]

@@ -20,7 +20,7 @@ from repro.faults.taxonomy import FailureCategory
 from repro.net.endpoint import ConnectOutcome
 from repro.net.transport import TorTransport
 from repro.obs.scope import Observer, ensure_observer
-from repro.parallel import pmap
+from repro.parallel.executor import pmap
 from repro.scan.results import ScanResults
 from repro.scan.schedule import ScanSchedule
 from repro.sim.clock import DAY

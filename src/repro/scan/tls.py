@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List
+from typing import TYPE_CHECKING, ClassVar, Dict, List
 
 from repro.crypto.onion import OnionAddress
 from repro.net.transport import TorTransport
-from repro.population.webserver import TlsCertificate
 from repro.sim.clock import Timestamp
+
+if TYPE_CHECKING:
+    from repro.population.webserver import TlsCertificate
 
 
 def collect_certificates(

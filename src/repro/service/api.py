@@ -36,7 +36,7 @@ from repro.obs.scope import Observer, ensure_observer
 from repro.service.controller import EpochRecord
 from repro.service.results import dossier_envelope
 from repro.service.schema import SCHEMA_VERSION, VIEW_KINDS, error_envelope
-from repro.store import digest_of
+from repro.store.cas import digest_of
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 

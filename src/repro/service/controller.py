@@ -26,18 +26,14 @@ from repro.experiments.harvest import HarvestExperimentResult, run_harvest
 from repro.experiments.pipeline import MeasurementPipeline
 from repro.experiments.table2_popularity import Table2Result, run_table2
 from repro.obs.scope import Observer
-from repro.parallel import ShardQuarantine, resolve_workers
+from repro.parallel.executor import ShardQuarantine, resolve_workers
 from repro.service.config import ServiceConfig
 from repro.service.results import build_views
-from repro.store import ArtifactStore, Stage, digest_of
-from repro.supervise import (
-    CompletenessManifest,
-    EpochSupervisor,
-    build_crash_plan,
-    observer_sim_seconds,
-    stage_enter,
-    stage_exit,
-)
+from repro.store.cas import digest_of
+from repro.store.checkpoint import ArtifactStore, Stage
+from repro.supervise.crashplan import build_crash_plan, stage_enter, stage_exit
+from repro.supervise.manifest import CompletenessManifest
+from repro.supervise.supervisor import EpochSupervisor, observer_sim_seconds
 from repro.worldbuild import EpochWorld, advance_epoch
 
 #: The supervised stage methods of one service epoch, in dependency

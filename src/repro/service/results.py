@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.experiments.pipeline import ClassificationOutcome
 from repro.experiments.table2_popularity import Table2Result
-from repro.scan import ScanResults
+from repro.scan.results import ScanResults
 from repro.service.schema import view_envelope
 from repro.worldbuild import EpochWorld
 

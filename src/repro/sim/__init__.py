@@ -6,21 +6,3 @@ driven by an :class:`~repro.sim.engine.EventEngine`, and all randomness comes
 from :func:`~repro.sim.rng.derive_rng`, so every experiment is reproducible
 from a single integer seed.
 """
-
-from repro.sim.clock import SimClock, Timestamp, parse_date, format_date, DAY, HOUR, MINUTE
-from repro.sim.engine import EventEngine, Event
-from repro.sim.rng import derive_rng, derive_seed, split_rng
-
-__all__ = [
-    "SimClock",
-    "Timestamp",
-    "parse_date",
-    "format_date",
-    "DAY",
-    "HOUR",
-    "MINUTE",
-    "EventEngine",
-    "Event",
-    "derive_rng",
-    "derive_seed",
-]

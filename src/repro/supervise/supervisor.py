@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulatedCrashError, SupervisionError
 from repro.obs.scope import Observer, ensure_observer
-from repro.parallel import ShardQuarantine
+from repro.parallel.executor import ShardQuarantine
 from repro.sim.clock import Timestamp
 from repro.sim.rng import derive_rng
 from repro.supervise.crashplan import PIPELINE_STAGES, CrashPlan, CrashPoints

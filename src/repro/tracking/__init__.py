@@ -1,17 +1,1 @@
 """Opportunistic deanonymisation of hidden-service clients (Section VI)."""
-
-from repro.tracking.signature import TrafficSignature, SignatureDetector
-from repro.tracking.deanon import ClientDeanonAttack, CapturedClient, deploy_attacker_guards
-from repro.tracking.service_deanon import ServiceDeanonAttack, CapturedService
-from repro.tracking.geomap import ClientGeoMap
-
-__all__ = [
-    "TrafficSignature",
-    "SignatureDetector",
-    "ClientDeanonAttack",
-    "CapturedClient",
-    "deploy_attacker_guards",
-    "ServiceDeanonAttack",
-    "CapturedService",
-    "ClientGeoMap",
-]

@@ -6,23 +6,3 @@ knocks active relays out so shadow relays rotate in and sweep the HSDir
 ring — collecting hidden-service descriptors (onion addresses) and client
 request statistics.
 """
-
-from repro.trawl.attack import TrawlAttack, TrawlConfig
-from repro.trawl.harvest import HarvestResult, RingHistory
-from repro.trawl.shadowing import ShadowFleet
-from repro.trawl.coverage import (
-    naive_ip_requirement,
-    expected_capture_probability,
-    CoverageTracker,
-)
-
-__all__ = [
-    "TrawlAttack",
-    "TrawlConfig",
-    "HarvestResult",
-    "RingHistory",
-    "ShadowFleet",
-    "naive_ip_requirement",
-    "expected_capture_probability",
-    "CoverageTracker",
-]

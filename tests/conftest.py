@@ -11,14 +11,14 @@ import sys
 
 import pytest
 
-from repro.classify import build_language_detector, build_topic_classifier
+from repro.classify.training import build_language_detector, build_topic_classifier
+from repro.crypto.keys import KeyPair
 from repro.experiments.pipeline import MeasurementPipeline
-from repro.population import generate_population
+from repro.net.address import AddressPool
+from repro.population.generator import generate_population
+from repro.relay.relay import Relay
 from repro.sim.clock import DAY, SimClock, parse_date
 from repro.sim.rng import derive_rng
-from repro.crypto.keys import KeyPair
-from repro.net.address import AddressPool
-from repro.relay.relay import Relay
 from repro.tornet import TorNetwork
 
 TEST_SCALE = 0.04

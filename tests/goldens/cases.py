@@ -62,7 +62,8 @@ def pipeline_artifacts(
     The profile is pinned explicitly (never read from ``REPRO_FAULTS``) so
     the goldens mean the same bytes no matter what environment CI exports.
     """
-    from repro.experiments import run_fig1, run_fig2
+    from repro.experiments.fig1_ports import run_fig1
+    from repro.experiments.fig2_topics import run_fig2
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.obs import render_text
 
@@ -92,7 +93,7 @@ def faulted_pipeline_artifacts(workers: Optional[int] = None) -> dict:
 
 def table2_artifact(workers: Optional[int] = None) -> str:
     """Table II report + ranking text for the tiny sweep."""
-    from repro.experiments import run_table2
+    from repro.experiments.table2_popularity import run_table2
 
     result = run_table2(
         seed=TABLE2_SEED,
@@ -115,7 +116,7 @@ def table2_detail_artifact() -> str:
     """
     import hashlib
 
-    from repro.experiments import run_table2
+    from repro.experiments.table2_popularity import run_table2
 
     result = run_table2(
         seed=TABLE2_SEED,
@@ -148,7 +149,8 @@ def table2_detail_artifact() -> str:
 
 def build_sec7_world():
     """The Silk Road consensus history; independent of the worker count."""
-    from repro.detection import SilkroadStudy, SilkroadStudyConfig
+    from repro.detection.silkroad import SilkroadStudy
+    from repro.detection.study import SilkroadStudyConfig
 
     return SilkroadStudy(
         SilkroadStudyConfig(seed=SEC7_SEED, scale=SEC7_SCALE)
@@ -157,7 +159,7 @@ def build_sec7_world():
 
 def sec7_artifact(workers: Optional[int] = None, world=None) -> str:
     """Section VII report text; pass ``world`` to amortise the build."""
-    from repro.experiments import run_sec7
+    from repro.experiments.sec7_tracking import run_sec7
 
     if world is None:
         world = build_sec7_world()
@@ -173,7 +175,7 @@ def harvest_artifact() -> str:
     """
     import hashlib
 
-    from repro.experiments import run_harvest
+    from repro.experiments.harvest import run_harvest
 
     result = run_harvest(
         seed=HARVEST_SEED,
@@ -200,7 +202,7 @@ def harvest_artifact() -> str:
 
 def fig3_artifact() -> str:
     """Fig 3 report plus the geomap, as ``repro fig3`` prints them."""
-    from repro.experiments import run_fig3
+    from repro.experiments.fig3_geomap import run_fig3
 
     result = run_fig3(
         seed=FIG3_SEED,
@@ -213,7 +215,7 @@ def fig3_artifact() -> str:
 
 def sec6_artifact() -> str:
     """Section VI seller-identification report text."""
-    from repro.experiments import run_sec6
+    from repro.experiments.sec6_sellers import run_sec6
 
     result = run_sec6(
         seed=SEC6_SEED,
@@ -388,8 +390,12 @@ def store_payloads_artifact() -> str:
     import tempfile
 
     from repro import codec
-    from repro.experiments import run_fig1, run_fig3, run_harvest, run_sec7, run_table2
+    from repro.experiments.fig1_ports import run_fig1
+    from repro.experiments.fig3_geomap import run_fig3
+    from repro.experiments.harvest import run_harvest
     from repro.experiments.pipeline import MeasurementPipeline
+    from repro.experiments.sec7_tracking import run_sec7
+    from repro.experiments.table2_popularity import run_table2
     from repro.popularity.timeseries import RequestTimeSeries
     from repro.sim.clock import HOUR
     from repro.store import ArtifactStore
@@ -461,7 +467,7 @@ def models_artifact() -> str:
     import hashlib
     import json
 
-    from repro.classify import build_language_detector, build_topic_classifier
+    from repro.classify.training import build_language_detector, build_topic_classifier
 
     lines = []
     for name, model in (

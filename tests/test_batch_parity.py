@@ -267,7 +267,7 @@ class TestBatchedStageCrashResume:
 
     def test_harvest_checkpoint_resumes_byte_identical(self, tmp_path):
         from repro.experiments.harvest import run_harvest
-        from repro.population import generate_population
+        from repro.population.generator import generate_population
         from repro.store import STORE_COMMIT_POINT, ArtifactStore
 
         population = generate_population(seed=5, scale=0.02)

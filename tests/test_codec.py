@@ -2,12 +2,14 @@
 
 import json
 import re
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.report import ComparisonRow, ExperimentReport
-from repro.codec import decode, encode
+from repro.codec import SKIP, decode, encode
 from repro.crawl.crawler import CrawlResults
 from repro.crawl.page import FetchedPage, PageKind
 from repro.errors import ReproError
@@ -23,6 +25,14 @@ from repro.scan.results import ScanResults
 
 ONION_A = "aa" * 8 + ".onion"
 ONION_B = "bb" * 8 + ".onion"
+
+
+@dataclass
+class TypeOnlySkip:
+    """A skipped field may name a type its module imports only for checkers."""
+
+    count: int = 0
+    world: Optional["NotImportedHere"] = field(default=None, metadata=SKIP)  # noqa: F821
 
 
 def dig(data, path):
@@ -82,6 +92,11 @@ class TestDerivedEncoding:
     )
     def test_skipped_fields_stay_out(self, result, fields):
         assert set(encode(result)) == fields
+
+    def test_skipped_field_hints_are_never_resolved(self):
+        data = encode(TypeOnlySkip(count=3))
+        assert data == {"count": 3}
+        assert decode(TypeOnlySkip, data) == TypeOnlySkip(count=3)
 
     def test_sorted_rows_go_in_key_order(self):
         scan = ScanResults()

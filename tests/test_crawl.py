@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.crawl import apply_exclusions
 from repro.crawl.crawler import Crawler, CrawlResults
-from repro.crawl.filters import MIN_WORDS, destinations_summary
+from repro.crawl.filters import apply_exclusions, MIN_WORDS, destinations_summary
 from repro.crawl.page import FetchedPage, PageKind
 from repro.errors import CrawlError
 from repro.net.transport import TorTransport

@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.detection import (
-    SilkroadStudy,
-    SilkroadStudyConfig,
-    TrackingAnalyzer,
-)
+from repro.detection.analyzer import TrackingAnalyzer
+from repro.detection.silkroad import SilkroadStudy
+from repro.detection.study import SilkroadStudyConfig
 from repro.errors import AttackError
 from repro.sim.clock import parse_date
 

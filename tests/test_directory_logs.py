@@ -12,11 +12,11 @@ provisions and on the ``TrawlAttack`` each experiment builds.
 import pytest
 
 from repro import tornet
-from repro.experiments import harvest as harvest_module
-from repro.experiments import run_harvest, run_table2
-from repro.experiments import table2_popularity
+from repro.experiments.harvest import run_harvest
+from repro.experiments.table2_popularity import run_table2
 from repro.hsdir.directory import HSDirServer
-from repro.trawl import TrawlAttack
+from repro.trawl import attack as attack_module
+from repro.trawl.attack import TrawlAttack
 from tests.goldens.cases import (
     HARVEST_IPS,
     HARVEST_RELAYS_PER_IP,
@@ -46,8 +46,9 @@ def spies(monkeypatch):
             attacks.append(self)
 
     monkeypatch.setattr(tornet, "HSDirServer", SpyDirectory)
-    monkeypatch.setattr(table2_popularity, "TrawlAttack", SpyAttack)
-    monkeypatch.setattr(harvest_module, "TrawlAttack", SpyAttack)
+    # Both experiments import the attack when they compute, so one patch
+    # on its defining module reaches them.
+    monkeypatch.setattr(attack_module, "TrawlAttack", SpyAttack)
     return directories, attacks
 
 

@@ -8,15 +8,13 @@ in EXPERIMENTS.md.
 import pytest
 
 from repro.analysis.stats import l1_distance, share_table
-from repro.experiments import (
-    run_fig1,
-    run_fig2,
-    run_fig3,
-    run_harvest,
-    run_sec7,
-    run_table1,
-    run_table2,
-)
+from repro.experiments.fig1_ports import run_fig1
+from repro.experiments.fig2_topics import run_fig2
+from repro.experiments.fig3_geomap import run_fig3
+from repro.experiments.harvest import run_harvest
+from repro.experiments.sec7_tracking import run_sec7
+from repro.experiments.table1_http import run_table1
+from repro.experiments.table2_popularity import run_table2
 from repro.population.spec import TOPIC_SHARES
 from tests.conftest import TEST_SCALE
 
@@ -198,7 +196,7 @@ class TestFig3(object):
 class TestSec7(object):
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.detection import SilkroadStudyConfig
+        from repro.detection.study import SilkroadStudyConfig
 
         return run_sec7(config=SilkroadStudyConfig(scale=0.2, seed=6))
 

@@ -16,13 +16,14 @@ from repro.hs.publisher import PublishScheduler
 from repro.hs.service import HiddenService
 from repro.net.endpoint import ConnectOutcome, ServiceEndpoint, SimpleHost
 from repro.net.transport import OnionRegistry, TorTransport
-from repro.population import generate_population
+from repro.population.generator import generate_population
 from repro.relay.relay import Relay
-from repro.scan import PortScanner, ScanSchedule
+from repro.scan.scanner import PortScanner
+from repro.scan.schedule import ScanSchedule
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import derive_rng
 from repro.tornet import TorNetwork
-from repro.trawl import TrawlAttack, TrawlConfig
+from repro.trawl.attack import TrawlAttack, TrawlConfig
 from tests.conftest import make_network
 
 
@@ -184,7 +185,7 @@ class TestDegenerateWorlds:
 
 class TestLossyTransport:
     def test_crawler_survives_circuit_timeouts(self, small_population):
-        from repro.crawl import Crawler
+        from repro.crawl.crawler import Crawler
         from repro.crawl.page import PageKind
 
         transport = TorTransport(

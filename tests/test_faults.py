@@ -11,25 +11,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FaultConfigError, RetryExhaustedError
-from repro.faults import (
+from repro.faults.plan import (
     CircuitTimeoutFault,
     DescriptorFlapFault,
-    FailureCategory,
-    FailureTaxonomy,
-    FaultInjectingTransport,
     FaultPlan,
     HSDirOutageFault,
-    RetryPolicy,
     SlowCircuitFault,
     TruncationFault,
+)
+from repro.faults.profiles import (
     build_fault_plan,
-    connect_with_retry,
     default_retry_policy,
     fault_profile_names,
-    fetch_descriptor_with_retry,
     resolve_fault_profile,
-    wrap_transport,
 )
+from repro.faults.retry import (
+    RetryPolicy,
+    connect_with_retry,
+    fetch_descriptor_with_retry,
+)
+from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
+from repro.faults.transport import FaultInjectingTransport, wrap_transport
 from repro.net.endpoint import ConnectOutcome, ConnectResult
 
 ONION = "abcdefghijklmnop.onion"

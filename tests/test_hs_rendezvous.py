@@ -4,8 +4,8 @@ import pytest
 
 from repro.client.client import TorClient
 from repro.crypto.keys import KeyPair
-from repro.hs import HiddenService, connect_to_service
-from repro.hs.rendezvous import RendezvousProtocol
+from repro.hs.rendezvous import connect_to_service, RendezvousProtocol
+from repro.hs.service import HiddenService
 from repro.net.endpoint import ConnectOutcome, ServiceEndpoint
 from repro.sim.clock import DAY
 from repro.sim.rng import derive_rng

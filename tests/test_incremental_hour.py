@@ -14,7 +14,8 @@ import pytest
 import repro.crypto.ring as ring_module
 from repro.crypto.ring import LOOKUP_MEMO_LIMIT, FingerprintRing
 from repro.dirauth.authority import DirectoryAuthoritySet
-from repro.experiments import run_harvest, run_sec7
+from repro.experiments.harvest import run_harvest
+from repro.experiments.sec7_tracking import run_sec7
 from repro.sim.clock import HOUR
 from tests.goldens import cases
 from tests.test_tornet import make_service

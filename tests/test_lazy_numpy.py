@@ -1,12 +1,13 @@
-"""numpy loads at the first batch-kernel call, never at import.
+"""numpy and the simulator load when a stage computes, never at import.
 
 A warm ``repro all`` replays every checkpointed stage from the store and
-calls no kernel, so it must not pay numpy's import time and memory.  Each
-check runs in a fresh interpreter: the test process itself has long since
-imported numpy through other tests.
+calls no kernel and no simulator, so it must not pay their import time
+and memory.  Each check runs in a fresh interpreter: the test process
+itself has long since imported all of them through other tests.
 """
 
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -15,7 +16,22 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-_NUMPY_IMPORT = re.compile(r"^import time:.*\|\s*numpy$", re.MULTILINE)
+#: Modules only a store miss runs: a replay whose every stage hits must
+#: load none of them.
+SIMULATOR = (
+    "repro.tornet",
+    "repro.worldbuild",
+    "repro.population.generator",
+    "repro.trawl.attack",
+    "repro.client.workload",
+    "repro.dirauth.authority",
+)
+
+
+def _imported(stderr, module):
+    """Whether ``-X importtime`` output shows ``module`` being imported."""
+    pattern = rf"^import time:.*\|\s*{re.escape(module)}$"
+    return re.search(pattern, stderr, re.MULTILINE) is not None
 
 
 def _python(*args, cwd):
@@ -43,20 +59,32 @@ def _repro_all(store, cwd):
 
 
 def test_importing_the_entry_points_leaves_numpy_unloaded(tmp_path):
+    # The CLI and the experiments load no simulator; the service may, but
+    # none of the three loads numpy.
     done = _python(
         "-c",
-        "import sys, repro.cli, repro.experiments, repro.service; "
-        "print('numpy' in sys.modules)",
+        "import json, sys, repro.cli, repro.experiments.pipeline, "
+        "repro.experiments.fig1_ports, repro.experiments.fig2_topics, "
+        "repro.experiments.fig3_geomap, repro.experiments.harvest, "
+        "repro.experiments.sec7_tracking, repro.experiments.table1_http, "
+        "repro.experiments.table2_popularity; "
+        f"simulator = sorted(set({SIMULATOR!r}) & set(sys.modules)); "
+        "import repro.service; "
+        "print(json.dumps([simulator, 'numpy' in sys.modules]))",
         cwd=tmp_path,
     )
-    assert done.stdout.strip() == "False"
+    assert json.loads(done.stdout) == [[], False]
 
 
 def test_warm_replay_never_loads_numpy(tmp_path):
     store = tmp_path / "store"
     cold = _repro_all(store, tmp_path)
     warm = _repro_all(store, tmp_path)
-    assert _NUMPY_IMPORT.search(warm.stderr) is None
+    for module in ("numpy",) + SIMULATOR:
+        assert not _imported(warm.stderr, module), module
+    # The cold run computes, so the check above can see these modules.
+    for module in SIMULATOR:
+        assert _imported(cold.stderr, module), module
     if importlib.util.find_spec("numpy") is not None:
         # The cold run's kernels still take the numpy path.
-        assert _NUMPY_IMPORT.search(cold.stderr) is not None
+        assert _imported(cold.stderr, "numpy")

@@ -9,6 +9,7 @@ The properties that make ``pmap`` safe to sprinkle over the experiments:
   so re-sharding or changing the worker count cannot perturb a draw.
 """
 
+import concurrent.futures
 import time
 
 import pytest
@@ -141,7 +142,7 @@ class TestPmapSerial:
                 raise AssertionError("nested pmap must not fork grandchildren")
 
         monkeypatch.setattr(
-            executor_module.futures, "ProcessPoolExecutor", Forbidden
+            concurrent.futures, "ProcessPoolExecutor", Forbidden
         )
         assert pmap(square, range(9), workers=4) == [v * v for v in range(9)]
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.descriptor_id import descriptor_ids_for_day
 from repro.crypto.onion import onion_address_from_key
-from repro.faults import RetryPolicy
+from repro.faults.retry import RetryPolicy
 from repro.obs.scope import ensure_observer
 from repro.popularity import resolver as resolver_module
 from repro.popularity.resolver import DescriptorResolver, ResolutionResult

@@ -2,12 +2,7 @@
 
 from collections import Counter
 
-from repro.population.generator import (
-    CRAWL_DATE,
-    HARVEST_DATE,
-    SCAN_END,
-    SCAN_START,
-)
+from repro.population.generator import CRAWL_DATE, HARVEST_DATE, SCAN_END, SCAN_START
 from repro.population.spec import PORT_SKYNET
 
 
@@ -128,7 +123,7 @@ class TestContentAssignments:
         assert record.topic == "drugs"
 
     def test_determinism(self):
-        from repro.population import generate_population
+        from repro.population.generator import generate_population
 
         a = generate_population(seed=42, scale=0.01)
         b = generate_population(seed=42, scale=0.01)
@@ -136,7 +131,7 @@ class TestContentAssignments:
         assert a.named_onions == b.named_onions
 
     def test_different_seeds_differ(self):
-        from repro.population import generate_population
+        from repro.population.generator import generate_population
 
         a = generate_population(seed=1, scale=0.01)
         b = generate_population(seed=2, scale=0.01)

@@ -8,13 +8,10 @@ from repro.net.endpoint import ConnectOutcome
 from repro.net.transport import TorTransport
 from repro.obs import Observer
 from repro.population.spec import PORT_SKYNET
-from repro.scan import (
-    PortScanner,
-    ScanSchedule,
-    analyze_certificates,
-    collect_certificates,
-)
 from repro.scan.results import FIG1_BINS, ScanResults
+from repro.scan.scanner import PortScanner
+from repro.scan.schedule import ScanSchedule
+from repro.scan.tls import analyze_certificates, collect_certificates
 from repro.sim.clock import DAY
 from repro.sim.rng import derive_rng
 

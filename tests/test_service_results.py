@@ -4,7 +4,7 @@ from repro.experiments.pipeline import ClassificationOutcome
 from repro.experiments.table2_popularity import Table2Result
 from repro.net.endpoint import ConnectOutcome
 from repro.popularity.ranking import PopularityRanking
-from repro.scan import ScanResults
+from repro.scan.results import ScanResults
 from repro.service import VIEW_KINDS, build_views, check_views, dossier_envelope
 from repro.store import digest_of
 from repro.worldbuild import EpochWorld

@@ -263,7 +263,23 @@ class TestImportClosure:
         # A root is hashed wherever it lives.
         assert import_closure(("repro.store.cas",)) == {"repro.store.cas"}
 
+    def test_src_imports_name_defining_modules(self):
+        # An import binds its deepest module, so a name taken from a
+        # package's re-exports puts that package's __init__ into the
+        # closure instead of the module that defines the name.
+        via_package = set()
+        for path in sorted(REPRO_SRC.rglob("*.py")):
+            for base, name in ast_imports(path.read_text(encoding="utf-8")):
+                package = REPRO_SRC.parent.joinpath(*base.split("."), "__init__.py")
+                if name and package.is_file() and resolve_import(base, name) == base:
+                    via_package.add(f"{module_name(path)}: from {base} import {name}")
+        assert via_package == set()
+
     def test_closure_reaches_transitive_imports(self):
-        # harvest imports repro.trawl, whose package imports the attack.
-        closure = import_closure(("repro.experiments.harvest",))
-        assert {"repro.trawl", "repro.trawl.attack"} <= closure
+        # harvest imports the attack where it computes, and only the
+        # attack imports the shadow fleet: a two-hop chain.
+        harvest = "repro.experiments.harvest"
+        assert "repro.trawl.shadowing" not in scan_module(harvest)[1]
+        assert "repro.trawl.shadowing" in scan_module("repro.trawl.attack")[1]
+        closure = import_closure((harvest,))
+        assert {"repro.trawl.attack", "repro.trawl.shadowing"} <= closure

@@ -13,9 +13,9 @@ import json
 import pytest
 
 from repro.cli import _campaign_document
-from repro.experiments.pipeline import MeasurementPipeline
 from repro.experiments import pipeline as pipeline_module
-from repro.population import generate_population
+from repro.experiments.pipeline import MeasurementPipeline
+from repro.population.generator import generate_population
 from repro.store import ArtifactStore
 from repro.supervise import (
     LEDGER_APPEND,

@@ -103,7 +103,7 @@ class TestSellerIdentificationScoring:
 class TestSec6Experiment:
     @pytest.fixture(scope="class")
     def result(self):
-        from repro.experiments import run_sec6
+        from repro.experiments.sec6_sellers import run_sec6
 
         return run_sec6(
             seed=2,

@@ -7,7 +7,8 @@ from repro.hs.service import HiddenService
 from repro.net.endpoint import ServiceEndpoint
 from repro.sim.clock import DAY
 from repro.sim.rng import derive_rng
-from repro.tracking import ServiceDeanonAttack, deploy_attacker_guards
+from repro.tracking.deanon import deploy_attacker_guards
+from repro.tracking.service_deanon import ServiceDeanonAttack
 
 
 @pytest.fixture()

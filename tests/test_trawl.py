@@ -5,19 +5,14 @@ import pytest
 from repro.errors import AttackError
 from repro.hs.publisher import PublishScheduler
 from repro.hsdir.directory import HSDirServer
-from repro.population import generate_population
+from repro.population.generator import generate_population
 from repro.relay.flags import RelayFlags
 from repro.sim.clock import HOUR
 from repro.sim.rng import derive_rng
-from repro.trawl import (
-    RingHistory,
-    ShadowFleet,
-    TrawlAttack,
-    TrawlConfig,
-    expected_capture_probability,
-    naive_ip_requirement,
-)
-from repro.trawl.harvest import HarvestResult
+from repro.trawl.attack import TrawlAttack, TrawlConfig
+from repro.trawl.coverage import expected_capture_probability, naive_ip_requirement
+from repro.trawl.harvest import RingHistory, HarvestResult
+from repro.trawl.shadowing import ShadowFleet
 from tests.conftest import make_network
 
 

@@ -20,11 +20,15 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.experiments import fig3_geomap, run_harvest, run_table2
+from repro.experiments import fig3_geomap
+from repro.experiments.harvest import run_harvest
 from repro.experiments.pipeline import MeasurementPipeline, _TransportCursor
-from repro.faults import build_fault_plan, wrap_transport
+from repro.experiments.table2_popularity import run_table2
+from repro.faults.profiles import build_fault_plan
+from repro.faults.transport import wrap_transport
 from repro.net.transport import TorTransport
-from repro.population import LazyPopulation, generate_population
+from repro.population.generator import generate_population
+from repro.population.lazy import LazyPopulation
 from repro.sim.rng import derive_rng
 from repro.store.ledger import Ledger
 
