@@ -8,12 +8,11 @@ sharing a script the affix n-grams discriminate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.classify.tokenize import char_ngrams
 from repro.errors import ClassificationError
-from repro.parallel.executor import pmap
 
 
 class LanguageDetector:
@@ -43,18 +42,6 @@ class LanguageDetector:
         if not text.strip():
             raise ClassificationError("cannot detect language of empty text")
         return self._model.predict(char_ngrams(text, self._orders))
-
-    def detect_many(
-        self, texts: Sequence[str], workers: Optional[int] = None
-    ) -> List[str]:
-        """Language codes for many texts, in input order.
-
-        Detection is pure per text, and the detector pickles (the model is
-        plain dict state), so :func:`repro.parallel.pmap` can genuinely
-        fan the scoring out across processes at ``workers>1`` while the
-        result stays byte-identical to the serial loop.
-        """
-        return pmap(self.detect, texts, workers=workers)
 
     def detect_with_confidence(self, text: str) -> Tuple[str, float]:
         """(language code, posterior probability)."""

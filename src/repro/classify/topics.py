@@ -7,12 +7,11 @@ page is detected separately and excluded from the topic distribution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.classify.tokenize import word_tokens
 from repro.errors import ClassificationError
-from repro.parallel.executor import pmap
 from repro.population.corpus import TORHOST_DEFAULT_PAGE
 
 
@@ -52,13 +51,6 @@ class TopicClassifier:
         if not text.strip():
             raise ClassificationError("cannot classify empty text")
         return self._model.predict(word_tokens(text))
-
-    def classify_many(
-        self, texts: Sequence[str], workers: Optional[int] = None
-    ) -> List[str]:
-        """Topics for many texts, in input order (see
-        :meth:`LanguageDetector.detect_many` for the parallel contract)."""
-        return pmap(self.classify, texts, workers=workers)
 
     def classify_with_confidence(self, text: str) -> Tuple[str, float]:
         """(topic, posterior probability)."""

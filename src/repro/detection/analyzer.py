@@ -113,22 +113,6 @@ class TrackingReport:
             flags.append("consecutive")
         return flags
 
-    def suspicious_servers(self, min_flags: int = 2) -> Dict[ServerKey, List[str]]:
-        """Servers tripping at least ``min_flags`` rules.
-
-        A single rule can fire by chance ("statistically it is impossible to
-        distinguish attempts to track ... for one time period only from the
-        case when a relay becomes a responsible HSDir by chance"); requiring
-        a conjunction is the paper's conclusion — fingerprint changes plus
-        positioning distance is the most reliable detector.
-        """
-        result: Dict[ServerKey, List[str]] = {}
-        for server, record in self.servers.items():
-            flags = self.flags_for(record)
-            if len(flags) >= min_flags:
-                result[server] = flags
-        return result
-
     def servers_with_flag(self, flag: str) -> List[ServerKey]:
         """Servers tripping one specific rule."""
         return [

@@ -159,15 +159,3 @@ class PortScanner:
         obs.gauge("scan_probes_answered", results.probes_answered)
         obs.gauge("scan_timeouts", results.timeouts)
         return results
-
-    def scan_single(
-        self, onion: OnionAddress, ports: Iterable[int], when: int
-    ) -> dict:
-        """Probe specific ports on one onion right now (ad-hoc follow-ups)."""
-        return {
-            port: result.outcome
-            for port, result in self._transport.scan_ports(
-                onion, list(ports), when
-            ).items()
-            if result.outcome is not ConnectOutcome.REFUSED
-        }

@@ -11,7 +11,7 @@ functions — never with simulator ground truth.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.crypto.descriptor_id import REPLICAS, DescriptorId, descriptor_id
 from repro.crypto.keys import Fingerprint
@@ -149,11 +149,6 @@ class TorNetwork:
         self._hsdir_servers[relay.relay_id] = HSDirServer(
             relay.relay_id, keep_log=False
         )
-
-    def add_relays(self, relays: Iterable[Relay]) -> None:
-        """Register many relays."""
-        for relay in relays:
-            self.add_relay(relay)
 
     def hsdir_server_for(self, relay: Relay) -> HSDirServer:
         """The directory-side store of ``relay``."""
@@ -311,12 +306,6 @@ class TorNetwork:
                         observer(trace)
         service.publish_count += 1
         return delivered
-
-    def publish_all(
-        self, services: Iterable[HiddenService], now: Optional[Timestamp] = None
-    ) -> int:
-        """Publish every online service; returns total accepted uploads."""
-        return sum(self.publish_service(service, now) for service in services)
 
     # ------------------------------------------------------------------ #
     # Descriptor fetch (client side)

@@ -156,11 +156,3 @@ class TrawlAttack:
         for relay in relays:
             server = self.network.hsdir_server_for(relay)
             self.harvest.absorb_server(server, now)
-
-    @property
-    def attacker_fingerprints(self) -> frozenset:
-        """Current fingerprints of every attacker relay (for detection
-        experiments that must exclude the authors' own trackers)."""
-        if self.fleet is None:
-            return frozenset()
-        return frozenset(relay.fingerprint for relay in self.fleet.all_relays)

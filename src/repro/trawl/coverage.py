@@ -91,8 +91,3 @@ class CoverageTracker:
         self.positions_swept |= attacker_positions
         self.total_hsdirs = total_hsdirs
         self.waves_completed += 1
-
-    @property
-    def distinct_positions(self) -> int:
-        """How many distinct ring positions attacker relays have held."""
-        return len(self.positions_swept)
