@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "check determinism & convention rules "
-            "(REP001-REP011, REP013-REP015)"
+            "(REP001-REP010, REP014, REP015)"
         ),
         description=(
             "Static analysis over the given paths: seeded-RNG discipline, "
@@ -267,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
             "ordering, import layering, raw-concurrency containment, "
             "ad-hoc instrumentation (use repro.obs, not print/perf_counter), "
             "artifact-write containment (use repro.io/repro.store, not "
-            "raw open/json.dump), plus the whole-program analyses: RNG "
-            "stream-label lineage (REP011), pmap shard safety (REP013), and "
-            "supervision containment (REP014: teardown interception is "
-            "repro.supervise's alone). Exits 1 when findings remain."
+            "raw open/json.dump), supervision containment (REP014: teardown "
+            "interception is repro.supervise's alone) and raw-socket "
+            "containment (REP015: network handling is repro.service's "
+            "alone). Exits 1 when findings remain."
         ),
     )
     lint.add_argument(

@@ -1,8 +1,8 @@
 """Parse-once AST cache shared by every lint rule and analysis pass.
 
-``repro lint`` grew from per-file AST rules into whole-program analyses
-(import graph, call graph, RNG lineage).  Each of those passes needs the
-same parsed trees, so parsing is centralised here: an :class:`AstCache`
+``repro lint`` runs per-file AST rules and one project-wide analysis (the
+import graph).  Each of those passes needs the same parsed trees, so
+parsing is centralised here: an :class:`AstCache`
 maps absolute paths to :class:`~repro.devtools.registry.FileContext`
 objects and guarantees each file is read and parsed exactly once per
 process, however many rules or passes consume it.

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.devtools.astcache import AstCache, module_name_for, parse_file
 from repro.devtools.baseline import apply_baseline, load_baseline
-from repro.devtools.callgraph import ProjectContext
 from repro.devtools.findings import Finding
 from repro.devtools.registry import (
     AstRule,
@@ -132,7 +131,7 @@ def run_lint(
     caller reuse parses across runs (``--fix`` re-lints through the same
     cache after invalidating only the rewritten files); without one a
     fresh cache still guarantees each file parses exactly once within the
-    run, shared by every per-file and whole-program rule.
+    run, shared by every per-file and project-wide rule.
     """
     if rule_ids is not None:
         rules: List[Rule] = [get_rule(rule_id) for rule_id in sorted(set(rule_ids))]
@@ -154,13 +153,11 @@ def run_lint(
                 continue
             for finding in rule.check(ctx):
                 raw.append((finding, ctx))
-    if project_rules:
-        project = ProjectContext(contexts)
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                ctx = by_path[finding.file]
-                if rule.applies_to(ctx):
-                    raw.append((finding, ctx))
+    for rule in project_rules:
+        for finding in rule.check_project(contexts):
+            ctx = by_path[finding.file]
+            if rule.applies_to(ctx):
+                raw.append((finding, ctx))
 
     kept: List[Finding] = []
     suppression_cache: Dict[str, Tuple[Dict, Set[str]]] = {}

@@ -5,9 +5,7 @@ and net layers must never import the trawl/experiments/analysis layers that
 drive them, and the module graph must stay acyclic (module-level imports
 only — ``TYPE_CHECKING`` blocks and function-local imports are runtime
 no-ops and are excluded, matching how Python actually executes the code).
-The graph itself comes from the shared
-:class:`~repro.devtools.callgraph.ProjectContext`, so this rule and the
-whole-program determinism rules walk each file's imports once between them.
+:func:`runtime_import_graph` builds that graph from the parsed files.
 
 Six capabilities — the wall clock, raw concurrency, ad-hoc output and
 timing, raw artifact writes, teardown interception and raw sockets — each
@@ -20,9 +18,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.devtools.callgraph import ProjectContext
 from repro.devtools.findings import Finding
 from repro.devtools.registry import AstRule, FileContext, ProjectRule, register
 from repro.devtools.rules import caught_names
@@ -75,6 +82,92 @@ def _subpackage_of(module: str) -> str:
     """The layer name: second dotted component (``repro.net.geoip`` → ``net``)."""
     parts = module.split(".")
     return parts[1] if len(parts) > 1 else parts[0]
+
+
+def _is_type_checking_test(test: ast.AST) -> bool:
+    if isinstance(test, ast.Name):
+        return test.id == "TYPE_CHECKING"
+    return isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+
+
+def iter_imports(tree: ast.Module, module: str) -> Iterator[Tuple[str, int]]:
+    """Yield ``(imported_module_candidate, lineno)`` for a module's imports.
+
+    Walks only statements that execute at import time — class bodies and
+    plain ``if``/``try`` blocks, but not function bodies or ``if
+    TYPE_CHECKING:`` guards.
+
+    ``from pkg import name`` yields both ``pkg`` and ``pkg.name`` — the
+    name may bind a submodule or an attribute; :func:`runtime_import_graph`
+    keeps whichever actually exists in the scanned set.  Relative imports
+    are resolved against ``module``.
+    """
+    package_parts = module.split(".")[:-1]
+
+    def resolve_from(node: ast.ImportFrom) -> List[Tuple[str, int]]:
+        if node.level == 0:
+            base = node.module or ""
+        else:
+            anchor = package_parts[: len(package_parts) - (node.level - 1)]
+            base = ".".join(anchor)
+            if node.module:
+                base = f"{base}.{node.module}" if base else node.module
+        if not base:
+            return []
+        out = [(base, node.lineno)]
+        out.extend((f"{base}.{alias.name}", node.lineno) for alias in node.names)
+        return out
+
+    def walk(body: Sequence[ast.stmt]) -> Iterator[Tuple[str, int]]:
+        for stmt in body:
+            if isinstance(stmt, ast.Import):
+                for alias in stmt.names:
+                    yield alias.name, stmt.lineno
+            elif isinstance(stmt, ast.ImportFrom):
+                yield from resolve_from(stmt)
+            elif isinstance(stmt, ast.If):
+                if not _is_type_checking_test(stmt.test):
+                    yield from walk(stmt.body)
+                yield from walk(stmt.orelse)
+            elif isinstance(stmt, ast.Try):
+                yield from walk(stmt.body)
+                for handler in stmt.handlers:
+                    yield from walk(handler.body)
+                yield from walk(stmt.orelse)
+                yield from walk(stmt.finalbody)
+            elif isinstance(stmt, ast.ClassDef):
+                yield from walk(stmt.body)
+            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                yield from walk(stmt.body)
+
+    yield from walk(tree.body)
+
+
+def runtime_import_graph(
+    files: Sequence[FileContext],
+) -> Tuple[Dict[str, Set[str]], Dict[Tuple[str, str], int]]:
+    """Module → imported scanned modules, import-time edges only.
+
+    Resolution matches Python's runtime behaviour for layering purposes:
+    ``from pkg import name`` edges to both ``pkg`` and ``pkg.name`` when
+    both are scanned, ``import pkg.sub`` walks up to the deepest scanned
+    prefix, and importing one's own ancestor package is not an edge.  The
+    second map gives the line of each edge's first import.
+    """
+    graph: Dict[str, Set[str]] = {ctx.module: set() for ctx in files}
+    edge_lines: Dict[Tuple[str, str], int] = {}
+    for ctx in files:
+        for target, lineno in iter_imports(ctx.tree, ctx.module):
+            resolved = target
+            while "." in resolved and resolved not in graph:
+                resolved = resolved.rsplit(".", 1)[0]
+            if resolved not in graph or resolved == ctx.module:
+                continue
+            if ctx.module.startswith(resolved + "."):
+                continue
+            graph[ctx.module].add(resolved)
+            edge_lines.setdefault((ctx.module, resolved), lineno)
+    return graph, edge_lines
 
 
 def _strongly_connected(graph: Dict[str, Set[str]]) -> List[List[str]]:
@@ -136,9 +229,9 @@ class LayeringRule(ProjectRule):
     id = "REP006"
     summary = "import-layer violation or cycle"
 
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        by_module = project.by_module
-        graph, edge_lines = project.runtime_import_graph()
+    def check_project(self, files: Sequence[FileContext]) -> Iterator[Finding]:
+        by_module = {ctx.module: ctx for ctx in files}
+        graph, edge_lines = runtime_import_graph(files)
 
         reported: Set[Tuple[str, int, str]] = set()
         for source in sorted(graph):
@@ -302,10 +395,6 @@ def _artifact_write(call: ast.Call) -> Optional[str]:
     return None
 
 
-#: The one package allowed to touch process pools raw: it *implements*
-#: the deterministic shard-map executor (REP013 exempts it too).
-PARALLEL_PACKAGE_FRAGMENT = "repro/parallel/"
-
 FENCES = (
     Fence(
         "REP003",
@@ -336,7 +425,7 @@ FENCES = (
         # Every module of the executor package may use the primitives it
         # wraps; elsewhere ad-hoc pools bring back completion-order
         # nondeterminism, so all fan-out goes through pmap.
-        allowed=(PARALLEL_PACKAGE_FRAGMENT,),
+        allowed=("repro/parallel/",),
         imports=("multiprocessing", "concurrent"),
         import_message="raw concurrency import {name!r}; fan work out "
         "through repro.parallel.pmap so shard order, RNG streams, and merges "

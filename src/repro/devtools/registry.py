@@ -1,16 +1,15 @@
 """Rule registry: rules self-register at import time via a decorator.
 
 Two rule shapes exist.  :class:`AstRule` sees one file at a time (a parsed
-:class:`FileContext`); :class:`ProjectRule` sees the whole scanned project
-at once through a :class:`~repro.devtools.callgraph.ProjectContext`, which
-is what the import-graph, RNG-lineage, and shard-safety analyses need.
+:class:`FileContext`); :class:`ProjectRule` sees every scanned file at
+once, which is what the import-graph analysis (REP006) needs.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 from repro.errors import ConfigError
 
@@ -123,12 +122,11 @@ class AstRule(Rule):
 class ProjectRule(Rule):
     """A rule evaluated once over the whole project (cross-file analysis).
 
-    ``project`` is a :class:`~repro.devtools.callgraph.ProjectContext`;
-    its import graphs, call graph, and constant folder are shared across
-    every project rule in the run, so each is computed at most once.
+    ``files`` is every scanned :class:`FileContext`, parsed once and
+    shared with the per-file rules.
     """
 
-    def check_project(self, project) -> Iterator:
+    def check_project(self, files: Sequence[FileContext]) -> Iterator:
         raise NotImplementedError
 
 
@@ -164,9 +162,4 @@ def get_rule(rule_id: str) -> Rule:
 
 def _ensure_loaded() -> None:
     # Importing the rule modules triggers their @register decorators.
-    from repro.devtools import (  # noqa: F401
-        layering,
-        rng_lineage,
-        rules,
-        shard_safety,
-    )
+    from repro.devtools import layering, rules  # noqa: F401

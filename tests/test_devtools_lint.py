@@ -1,13 +1,16 @@
 """Tests for the ``repro lint`` static-analysis engine and its per-file rules."""
 
+import argparse
 import json
 import os
+import re
 import textwrap
 
 import pytest
 
+from repro.cli import build_parser
 from repro.cli import main as cli_main
-from repro.devtools import run_lint
+from repro.devtools import all_rules, run_lint
 from repro.devtools.baseline import load_baseline, write_baseline
 from repro.devtools.engine import iter_python_files, module_name_for, parse_file
 from repro.errors import ConfigError
@@ -835,9 +838,7 @@ class TestLintCli:
         target.write_text("import random\nrng = random.Random(0)\n")
         assert cli_main(["lint", str(target), "--format", "json"]) == 1
         records = json.loads(capsys.readouterr().out)
-        # REP001 flags the raw construction; REP011 flags the same RNG
-        # escaping into a module global.
-        assert [record["rule"] for record in records] == ["REP001", "REP011"]
+        assert [record["rule"] for record in records] == ["REP001"]
         record = records[0]
         assert record["file"].endswith("bad.py")
         assert record["line"] == 2
@@ -860,6 +861,23 @@ class TestLintCli:
 
     def test_cli_bad_path_exits_two(self, capsys):
         assert cli_main(["lint", "/no/such/dir"]) == 2
+
+    def test_help_lists_the_registered_rules(self):
+        parser = build_parser()
+        commands = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        help_text = next(
+            choice.help for choice in commands._choices_actions if choice.dest == "lint"
+        )
+        listed = []
+        for span in re.search(r"\((REP[^)]*)\)", help_text).group(1).split(", "):
+            first, _, last = span.partition("-")
+            low, high = int(first[3:]), int((last or first)[3:])
+            listed += [f"REP{number:03d}" for number in range(low, high + 1)]
+        assert listed == [rule.id for rule in all_rules()]
 
 
 class TestSplitRng:

@@ -1,7 +1,6 @@
-"""Tests for the whole-program analysis layer.
+"""Tests for the lint engine's project-wide layer.
 
-Covers the shared engine (:mod:`repro.devtools.callgraph` and the AST
-cache), the project rules REP011/REP013 against seeded fixture packages,
+Covers the runtime import graph REP006 reads, the parse-once AST cache,
 SARIF byte-stability, and autofix idempotency.
 """
 
@@ -9,11 +8,12 @@ import json
 import textwrap
 
 from repro.cli import main as cli_main
-from repro.devtools import run_lint
+from repro.devtools import all_rules, run_lint
 from repro.devtools.astcache import AstCache
-from repro.devtools.callgraph import ProjectContext
 from repro.devtools.engine import iter_python_files
+from repro.devtools.layering import runtime_import_graph
 from repro.devtools.sarif import render_sarif
+
 
 def write_package(root, files):
     """Materialise ``{relative_path: source}`` as a package tree."""
@@ -29,91 +29,26 @@ def write_package(root, files):
             probe = probe.parent
 
 
-def project_for(root):
-    cache = AstCache()
-    return ProjectContext(cache.contexts(iter_python_files([str(root)])))
-
-
-def lint_package(root, rules=None):
-    return run_lint([str(root)], rule_ids=rules).findings
-
-
-class TestCallGraph:
-    def fixture(self, tmp_path):
+class TestRuntimeImportGraph:
+    def test_runtime_graph_skips_function_local_imports(self, tmp_path):
+        # REP006 layering sees import-time edges only.
         write_package(
             tmp_path,
             {
-                "demo/core.py": """
-                    LABEL = "alpha"
-
-                    def helper(x):
-                        return x
-
-                    class Engine:
-                        def run(self):
-                            return helper(1)
-                """,
+                "demo/core.py": "LABEL = 1\n",
                 "demo/app.py": """
-                    from demo.core import LABEL, helper
+                    from demo.core import LABEL
 
                     def main():
                         from demo import extra
-                        return helper(LABEL)
+                        return LABEL
                 """,
                 "demo/extra.py": "VALUE = 2\n",
             },
         )
-        return project_for(tmp_path / "demo")
-
-    def test_indexes_functions_and_methods(self, tmp_path):
-        project = self.fixture(tmp_path)
-        assert "demo.core:helper" in project.functions
-        assert "demo.core:Engine.run" in project.functions
-        assert "demo.app:main" in project.functions
-        assert project.functions["demo.core:Engine.run"].is_method
-
-    def test_calls_resolve_across_modules(self, tmp_path):
-        project = self.fixture(tmp_path)
-        sites = project.calls_to["demo.core:helper"]
-        callers = sorted(site.caller for site in sites)
-        assert callers == ["demo.app:main", "demo.core:Engine.run"]
-
-    def test_runtime_graph_skips_function_local_imports(self, tmp_path):
-        # REP006 layering sees import-time edges only.
-        graph, _ = self.fixture(tmp_path).runtime_import_graph()
+        files = AstCache().contexts(iter_python_files([str(tmp_path / "demo")]))
+        graph, _ = runtime_import_graph(files)
         assert graph["demo.app"] == {"demo.core"}
-
-    def test_resolves_constants_across_modules(self, tmp_path):
-        project = self.fixture(tmp_path)
-        ctx = project.by_module["demo.app"]
-        call = next(
-            record
-            for record in project.call_records
-            if record.callee == "demo.core:helper" and record.ctx is ctx
-        )
-        folded, value = project.resolve_constant(ctx, call.node.args[0])
-        assert folded and value == "alpha"
-
-    def test_param_bindings_collects_every_call_site(self, tmp_path):
-        write_package(
-            tmp_path,
-            {
-                "wires/flow.py": """
-                    def wire(label):
-                        return label
-
-                    def first():
-                        return wire("x")
-
-                    def second():
-                        return wire("y")
-                """,
-            },
-        )
-        project = project_for(tmp_path / "wires")
-        bindings = project.param_bindings("wires.flow:wire", "label")
-        assert bindings is not None
-        assert [value for _, value in bindings] == ["x", "y"]
 
 
 class TestAstCacheParsesOnce:
@@ -128,167 +63,6 @@ class TestAstCacheParsesOnce:
         assert first == len(cache)
         run_lint([str(tmp_path / "once")], cache=cache)
         assert cache.parses == first
-
-
-class TestRep011Lineage:
-    def test_detects_direct_label_collision(self, tmp_path):
-        write_package(
-            tmp_path,
-            {
-                "lineage/streams.py": """
-                    from repro.sim.rng import derive_rng
-
-                    def one(master):
-                        return derive_rng(master, "scan")
-
-                    def two(master):
-                        return derive_rng(master, "scan")
-                """,
-            },
-        )
-        findings = lint_package(tmp_path / "lineage", rules=["REP011"])
-        assert len(findings) == 1
-        assert "is also derived at" in findings[0].message
-
-    def test_detects_collision_through_parameter_fork(self, tmp_path):
-        write_package(
-            tmp_path,
-            {
-                "forked/flow.py": """
-                    from repro.sim.rng import derive_rng
-
-                    def make(master, label):
-                        return derive_rng(master, label)
-
-                    def first(master):
-                        return make(master, "alpha")
-
-                    def second(master):
-                        return make(master, "alpha")
-                """,
-            },
-        )
-        findings = lint_package(tmp_path / "forked", rules=["REP011"])
-        assert len(findings) == 1
-        assert "alpha" in findings[0].message
-
-    def test_distinct_labels_do_not_collide(self, tmp_path):
-        write_package(
-            tmp_path,
-            {
-                "clean/streams.py": """
-                    from repro.sim.rng import derive_rng
-
-                    def one(master):
-                        return derive_rng(master, "scan")
-
-                    def two(master):
-                        return derive_rng(master, "crawl")
-                """,
-            },
-        )
-        assert lint_package(tmp_path / "clean", rules=["REP011"]) == []
-
-    def test_detects_module_scope_escape(self, tmp_path):
-        write_package(
-            tmp_path,
-            {"escape/state.py": "import random\n\nSTATE = random.Random(3)\n"},
-        )
-        findings = lint_package(tmp_path / "escape", rules=["REP011"])
-        assert len(findings) == 1
-        assert "escapes into a module" in findings[0].message
-
-    def test_detects_default_argument_escape(self, tmp_path):
-        write_package(
-            tmp_path,
-            {
-                "defaults/fn.py": """
-                    import random
-
-                    def draw(rng=random.Random(0)):
-                        return rng.random()
-                """,
-            },
-        )
-        findings = lint_package(tmp_path / "defaults", rules=["REP011"])
-        assert len(findings) == 1
-        assert "default" in findings[0].message
-
-
-class TestRep013ShardSafety:
-    def lint(self, tmp_path, body, name="shard.py"):
-        target = tmp_path / name
-        target.write_text(textwrap.dedent(body))
-        return run_lint([str(target)], rule_ids=["REP013"]).findings
-
-    def test_detects_captured_state_mutation(self, tmp_path):
-        findings = self.lint(
-            tmp_path,
-            """
-            from repro.parallel import pmap
-
-            def run(items):
-                results = []
-
-                def worker(item, item_rng):
-                    results.append(item)
-                    return item
-
-                return pmap(worker, items)
-            """,
-        )
-        assert len(findings) == 1
-        assert "mutates captured state 'results'" in findings[0].message
-
-    def test_detects_argument_mutation(self, tmp_path):
-        findings = self.lint(
-            tmp_path,
-            """
-            from repro.parallel import pmap
-
-            def run(shared, items):
-                def worker(item, item_rng):
-                    shared.update({item: True})
-                    return item
-
-                return pmap(worker, items)
-            """,
-        )
-        assert findings
-        assert any("captured state 'shared'" in f.message for f in findings)
-
-    def test_detects_ambient_randomness(self, tmp_path):
-        findings = self.lint(
-            tmp_path,
-            """
-            import random
-
-            from repro.parallel import pmap
-
-            def run(items):
-                def worker(item, item_rng):
-                    return item + random.random()
-
-                return pmap(worker, items)
-            """,
-        )
-        assert len(findings) == 1
-        assert "random.random()" in findings[0].message
-
-    def test_pure_worker_with_item_rng_is_clean(self, tmp_path):
-        findings = self.lint(
-            tmp_path,
-            """
-            from repro.parallel import pmap
-
-            def run(items):
-                def worker(item, item_rng):
-                    return item + item_rng.random()
-
-                return pmap(worker, items)
-            """,
-        )
-        assert findings == []
 
 
 class TestSarifOutput:
@@ -312,7 +86,7 @@ class TestSarifOutput:
         run = document["runs"][0]
         rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
         assert rule_ids == sorted(rule_ids)
-        assert "REP011" in rule_ids and "REP013" in rule_ids
+        assert rule_ids == [rule.id for rule in all_rules()]
         results = run["results"]
         assert results
         for result in results:
