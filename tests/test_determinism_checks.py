@@ -116,10 +116,10 @@ def collisions(streams: Dict[Stream, Set[Site]]) -> List[str]:
     ]
 
 
-def _defaults(function: types.FunctionType) -> List[object]:
-    return list(function.__defaults__ or ()) + list(
-        (function.__kwdefaults__ or {}).values()
-    )
+def _has_rng_default(function: types.FunctionType) -> bool:
+    defaults = list(function.__defaults__ or ())
+    defaults += (function.__kwdefaults__ or {}).values()
+    return any(isinstance(default, random.Random) for default in defaults)
 
 
 def escaped_rngs(module: types.ModuleType) -> List[str]:
@@ -135,17 +135,15 @@ def escaped_rngs(module: types.ModuleType) -> List[str]:
         if isinstance(value, random.Random):
             found.append(where)
         elif isinstance(value, types.FunctionType):
-            if value.__module__ == module.__name__ and any(
-                isinstance(default, random.Random) for default in _defaults(value)
-            ):
+            if value.__module__ == module.__name__ and _has_rng_default(value):
                 found.append(f"{where} default")
         elif isinstance(value, type) and value.__module__ == module.__name__:
             for attr, member in sorted(vars(value).items()):
                 member = getattr(member, "__func__", member)
                 if isinstance(member, random.Random):
                     found.append(f"{where}.{attr}")
-                elif isinstance(member, types.FunctionType) and any(
-                    isinstance(default, random.Random) for default in _defaults(member)
+                elif isinstance(member, types.FunctionType) and _has_rng_default(
+                    member
                 ):
                     found.append(f"{where}.{attr} default")
     return found
@@ -341,7 +339,7 @@ class TestSpawnPoolCheck:
         end = parse_date("2013-02-08")
         serial = DescriptorResolver(onions, start, end, workers=1)
         pooled = DescriptorResolver(onions, start, end, workers=2)
-        assert spawn_pools and set(spawn_pools) == {2}
+        assert set(spawn_pools) == {2}
         assert serial.index_size > 0
         assert pooled._index == serial._index
         assert pooled.collisions == serial.collisions
