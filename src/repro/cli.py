@@ -29,6 +29,7 @@ Scale 1.0 is the paper's full size; small scales run in seconds.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -1066,10 +1067,30 @@ _RUNNERS = {
 }
 
 
+#: The cyclic collector's generation-0 threshold while a command runs
+#: (CPython's default is 700).  The simulator allocates many long-lived
+#: objects and almost no reference cycles: at the default a cold ``repro
+#: all --scale 0.05`` runs ~1,060 collections that take an eighth of its
+#: time and reclaim ~1,250 objects; at 50,000 it runs 7.  Collection still
+#: runs, so ``repro serve`` stays bounded, and no output depends on when
+#: it runs (DESIGN.md §6.1).
+GC_GEN0_THRESHOLD = 50_000
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Runs the command under :data:`GC_GEN0_THRESHOLD` and restores the
+    caller's collector thresholds on the way out, so an in-process caller
+    sees no lasting change.
+    """
     args = build_parser().parse_args(argv)
-    result = _RUNNERS[args.command](args)
+    thresholds = gc.get_threshold()
+    gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
+    try:
+        result = _RUNNERS[args.command](args)
+    finally:
+        gc.set_threshold(*thresholds)
     return result if isinstance(result, int) else 0
 
 

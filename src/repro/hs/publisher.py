@@ -9,6 +9,7 @@ coarse daily steps can instead call
 
 from __future__ import annotations
 
+import heapq
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
@@ -41,15 +42,22 @@ class PublishScheduler:
     service's two descriptor IDs are derived once per time period, and
     :meth:`maintain` re-places a service only when an input of its
     placement changed: its period rolled, the HSDir ring's membership
-    changed, or it was never placed.  Upload order, delivery targets, and
-    every counter stay byte-identical to re-placing every online service on
-    every call.
+    changed, or it was never placed.  Uploads are batched as well: each
+    call hands its services to one
+    :meth:`~repro.tornet.TorNetwork.publish_services`, and
+    :meth:`publish_due` pops due services off a heap instead of scanning
+    them all.  Upload order, delivery targets, and every counter stay
+    byte-identical to re-placing every online service on every call and
+    uploading one descriptor at a time.
     """
 
     def __init__(self, network: "TorNetwork", services: Iterable[HiddenService]) -> None:
         self.network = network
         self.services: List[HiddenService] = list(services)
         self._next_publish: Dict[int, Timestamp] = {}
+        # A heap of (next_publish, index), one entry per ``_next_publish``
+        # entry, so publish_due reads only the services that are due.
+        self._due: List[Tuple[Timestamp, int]] = []
         self._last_responsible: Dict[int, frozenset] = {}
         # index -> (period start, period end, the period's descriptor IDs)
         self._descriptor_ids: Dict[
@@ -90,16 +98,25 @@ class PublishScheduler:
             for (index, _), ids, lists in zip(targets, id_lists, per_replica)
         }
 
-    def _publish(
-        self, service: HiddenService, now: Timestamp, placement: Placement
+    def _upload(
+        self,
+        targets: List[Tuple[int, HiddenService]],
+        placements: Dict[int, Placement],
+        now: Timestamp,
     ) -> int:
-        descriptor_ids, responsible_per_replica = placement
-        return self.network.publish_service(
-            service,
+        """Upload ``targets`` in order through one network batch call."""
+        return self.network.publish_services(
+            [
+                (service, placements[index][1], placements[index][0])
+                for index, service in targets
+            ],
             now,
-            responsible_per_replica=responsible_per_replica,
-            descriptor_ids=descriptor_ids,
         )
+
+    def _schedule(self, index: int, service: HiddenService, now: Timestamp) -> None:
+        due = service.next_publish_after(now)
+        self._next_publish[index] = due
+        heapq.heappush(self._due, (due, index))
 
     def publish_initial(self, now: Timestamp) -> int:
         """Publish every online service once and prime the schedule."""
@@ -108,38 +125,39 @@ class PublishScheduler:
             for index, service in enumerate(self.services)
             if service.is_online(now)
         ]
-        placements = self._placements(online, now)
-        delivered = 0
-        for index, service in enumerate(self.services):
-            if index in placements:
-                delivered += self._publish(service, now, placements[index])
-            self._next_publish[index] = service.next_publish_after(now)
+        delivered = self._upload(online, self._placements(online, now), now)
+        self._next_publish = {
+            index: service.next_publish_after(now)
+            for index, service in enumerate(self.services)
+        }
+        self._due = [(due, index) for index, due in self._next_publish.items()]
+        heapq.heapify(self._due)
         return delivered
 
     def publish_due(self, now: Timestamp) -> int:
         """Republish services whose period boundary has passed.
 
         Idempotent per period: a service whose boundary has not passed since
-        the previous call is skipped.
+        the previous call is skipped.  A service never scheduled is only
+        scheduled.  Due services come off a heap of ``(boundary, index)``
+        and upload in index order; whether each is online is read now.
         """
+        heap = self._due
+        due = []
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap)[1])
+        due.sort()
+        services = self.services
         due_online = [
-            (index, service)
-            for index, service in enumerate(self.services)
-            if self._next_publish.get(index) is not None
-            and now >= self._next_publish[index]
-            and service.is_online(now)
+            (index, services[index]) for index in due if services[index].is_online(now)
         ]
-        placements = self._placements(due_online, now)
-        delivered = 0
-        for index, service in enumerate(self.services):
-            due = self._next_publish.get(index)
-            if due is None:
-                self._next_publish[index] = service.next_publish_after(now)
-                continue
-            if now >= due:
-                if index in placements:
-                    delivered += self._publish(service, now, placements[index])
-                self._next_publish[index] = service.next_publish_after(now)
+        delivered = self._upload(due_online, self._placements(due_online, now), now)
+        for index in due:
+            self._schedule(index, services[index], now)
+        if len(self._next_publish) < len(services):
+            for index, service in enumerate(services):
+                if index not in self._next_publish:
+                    self._schedule(index, service, now)
         return delivered
 
     def maintain(self, now: Timestamp) -> int:
@@ -179,15 +197,15 @@ class PublishScheduler:
             ):
                 stale.append((index, service))
         placements = self._placements(stale, now)
+        moved = []
         for index, service in stale:
-            placement = placements[index]
             start, end, _ = self._descriptor_ids[index]
             self._placed[index] = (generation, start, end)
-            responsible = frozenset(chain.from_iterable(placement[1]))
+            responsible = frozenset(chain.from_iterable(placements[index][1]))
             if self._last_responsible.get(index) != responsible:
-                delivered += self._publish(service, now, placement)
+                moved.append((index, service))
                 self._last_responsible[index] = responsible
-        return delivered
+        return delivered + self._upload(moved, placements, now)
 
     def attach_to_engine(self, engine: EventEngine, horizon: Timestamp) -> int:
         """Schedule per-service republish events up to ``horizon``.

@@ -13,7 +13,7 @@ published.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.crypto.descriptor_id import DescriptorId
 from repro.errors import DescriptorError, ReproError
@@ -91,24 +91,50 @@ class HSDirServer:
     ) -> None:
         """Accept an uploaded descriptor, replacing any previous version.
 
+        The one-item case of :meth:`store_many`.
+        """
+        self.store_many((descriptor,), now, validate)
+
+    def store_many(
+        self,
+        descriptors: Sequence[StoredDescriptor],
+        now: Timestamp,
+        validate: bool = False,
+    ) -> None:
+        """Accept the uploads that land here at ``now``, in order.
+
+        The store ends as if each descriptor had been stored in turn: every
+        upload at one ``now`` shares one expiry check, later versions
+        replace earlier ones in place, and each upload counts once in
+        ``publishes_received``.  Every descriptor is checked before any
+        lands, so a rejected batch stores nothing.
+
         With ``validate=True`` the directory re-derives the expected
         descriptor ID from the embedded public key and the upload time and
         rejects forgeries — what a real HSDir's signature/ID check buys.
         """
-        if len(descriptor.descriptor_id) != 20:
-            raise DescriptorError(
-                f"descriptor id must be 20 bytes, got {len(descriptor.descriptor_id)}"
-            )
-        if validate and not self._upload_is_consistent(descriptor, now):
-            raise DescriptorError(
-                "descriptor id does not derive from the embedded key at this time"
-            )
+        if not descriptors:
+            return
+        for descriptor in descriptors:
+            if len(descriptor.descriptor_id) != 20:
+                raise DescriptorError(
+                    "descriptor id must be 20 bytes, "
+                    f"got {len(descriptor.descriptor_id)}"
+                )
+            if validate and not self._upload_is_consistent(descriptor, now):
+                raise DescriptorError(
+                    "descriptor id does not derive from the embedded key at this time"
+                )
         if int(now) - self._last_expiry_sweep >= self.EXPIRY_GRANULARITY:
             self._expire(now)
-        self._store[descriptor.descriptor_id] = descriptor
-        if descriptor.published_at < self._oldest_published:
-            self._oldest_published = descriptor.published_at
-        self.publishes_received += 1
+        store = self._store
+        oldest = self._oldest_published
+        for descriptor in descriptors:
+            store[descriptor.descriptor_id] = descriptor
+            if descriptor.published_at < oldest:
+                oldest = descriptor.published_at
+        self._oldest_published = oldest
+        self.publishes_received += len(descriptors)
 
     @staticmethod
     def _upload_is_consistent(descriptor: StoredDescriptor, now: Timestamp) -> bool:

@@ -11,7 +11,7 @@ functions — never with simulator ground truth.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.descriptor_id import REPLICAS, DescriptorId, descriptor_id
 from repro.crypto.keys import Fingerprint
@@ -31,6 +31,14 @@ from repro.hsdir.ring_view import (
 from repro.relay.relay import Relay
 from repro.sim.clock import HOUR, SimClock, Timestamp
 from repro.sim.rng import derive_rng
+
+#: One service's upload: the service, its per-replica responsible
+#: fingerprints and its period's descriptor IDs (each ``None`` to derive).
+PublishJob = Tuple[
+    HiddenService,
+    Optional[Sequence[Sequence[Fingerprint]]],
+    Optional[Sequence[DescriptorId]],
+]
 
 
 class FetchTrace:
@@ -247,64 +255,93 @@ class TorNetwork:
     ) -> int:
         """Upload both replicas of ``service`` to the responsible HSDirs.
 
-        Returns the number of directories that accepted the upload (up to
-        ``REPLICAS * 3``; fewer if responsible relays are not in the network
-        map, which cannot happen for consensus-derived fingerprints).
+        The one-job case of :meth:`publish_services`; returns the number of
+        directories that accepted the upload.
+        """
+        return self.publish_services(
+            [(service, responsible_per_replica, descriptor_ids)], now
+        )
 
+    def publish_services(
+        self, jobs: Sequence[PublishJob], now: Optional[Timestamp] = None
+    ) -> int:
+        """Upload both replicas of every online job's service, in job order.
+
+        Returns the number of directories that accepted an upload (up to
+        ``REPLICAS * 3`` per service; fewer if responsible relays are not in
+        the network map, which cannot happen for consensus-derived
+        fingerprints).
+
+        A job is ``(service, responsible_per_replica, descriptor_ids)``.
         ``responsible_per_replica`` lets a caller that already batched the
         placement (``responsible_replica_lists_batch``) hand the per-replica
-        fingerprint lists in; when omitted the scalar derivation runs here,
-        and both paths deliver to identical directories in identical order.
+        fingerprint lists in; ``None`` derives them here with the scalar
+        chain, which delivers to identical directories in identical order.
         ``descriptor_ids`` likewise hands in the period's two descriptor
         IDs, so the descriptors do not derive them again.
+
+        Publish traces and guard picks follow the per-upload order (job,
+        replica, responsible directory).  Each directory's uploads are
+        collected in that same order and land with one
+        :meth:`~repro.hsdir.directory.HSDirServer.store_many`, so every
+        store ends exactly as one ``store`` per upload would leave it.
         """
         if now is None:
             now = self.clock.now
-        if not service.is_online(now):
-            return 0
-        # Service-side guards are only materialised when someone is watching
-        # the publish path (the §II.B attack): guard upkeep for tens of
-        # thousands of services would otherwise dominate harvest runs.
-        guards = (
-            service.ensure_guards(self, self._publish_rng)
-            if self._publish_observers
-            else None
-        )
+        observers = self._publish_observers
+        relays = self._relays_by_fingerprint
+        uploads: Dict[int, List[StoredDescriptor]] = {}
         delivered = 0
-        # One frozen StoredDescriptor per replica, shared across all its
-        # responsible directories.
-        for stored in make_stored_descriptors(
-            service.keypair, now, service.introduction_points, descriptor_ids
-        ):
-            responsible = (
-                responsible_per_replica[stored.replica]
-                if responsible_per_replica is not None
-                else responsible_for_replica(
-                    self.consensus, service.onion, now, stored.replica
-                )
+        for service, responsible_per_replica, descriptor_ids in jobs:
+            if not service.is_online(now):
+                continue
+            # Service-side guards are only materialised when someone is
+            # watching the publish path (the §II.B attack): guard upkeep for
+            # tens of thousands of services would otherwise dominate harvest
+            # runs.
+            guards = (
+                service.ensure_guards(self, self._publish_rng) if observers else None
             )
-            for fingerprint in responsible:
-                relay = self._relays_by_fingerprint.get(fingerprint)
-                if relay is None:
-                    continue
-                server = self._hsdir_servers[relay.relay_id]
-                server.store(stored, now)
-                delivered += 1
-                if guards is not None:
-                    trace = PublishTrace(
-                        time=int(now),
-                        onion=service.onion,
-                        descriptor_id=stored.descriptor_id,
-                        operator_ip=service.operator_ip,
-                        guard_fingerprint=(
-                            guards.pick() if guards.fingerprints else None
-                        ),
-                        hsdir_relay_id=relay.relay_id,
-                        hsdir_fingerprint=fingerprint,
+            # One frozen StoredDescriptor per replica, shared across all its
+            # responsible directories.
+            for stored in make_stored_descriptors(
+                service.keypair, now, service.introduction_points, descriptor_ids
+            ):
+                responsible = (
+                    responsible_per_replica[stored.replica]
+                    if responsible_per_replica is not None
+                    else responsible_for_replica(
+                        self.consensus, service.onion, now, stored.replica
                     )
-                    for observer in self._publish_observers:
-                        observer(trace)
-        service.publish_count += 1
+                )
+                for fingerprint in responsible:
+                    relay = relays.get(fingerprint)
+                    if relay is None:
+                        continue
+                    batch = uploads.get(relay.relay_id)
+                    if batch is None:
+                        uploads[relay.relay_id] = [stored]
+                    else:
+                        batch.append(stored)
+                    delivered += 1
+                    if guards is not None:
+                        trace = PublishTrace(
+                            time=int(now),
+                            onion=service.onion,
+                            descriptor_id=stored.descriptor_id,
+                            operator_ip=service.operator_ip,
+                            guard_fingerprint=(
+                                guards.pick() if guards.fingerprints else None
+                            ),
+                            hsdir_relay_id=relay.relay_id,
+                            hsdir_fingerprint=fingerprint,
+                        )
+                        for observer in observers:
+                            observer(trace)
+            service.publish_count += 1
+        servers = self._hsdir_servers
+        for relay_id, descriptors in uploads.items():
+            servers[relay_id].store_many(descriptors, now)
         return delivered
 
     # ------------------------------------------------------------------ #

@@ -1,9 +1,11 @@
 """Tests for repro.cli."""
 
+import gc
 import json
 
 import pytest
 
+from repro import cli
 from repro.analysis.report import ExperimentReport
 from repro.cli import build_parser, main
 from repro.codec import decode
@@ -38,6 +40,41 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig9"])
+
+
+class TestCollectorPolicy:
+    """``main`` runs a command under its own gen-0 threshold and gives the
+    caller's thresholds back, also when the command raises."""
+
+    CALLER = (1234, 11, 12)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Thresholds the ``fig1`` runner saw; ``--seed 13`` makes it raise."""
+        thresholds = []
+
+        def runner(args):
+            thresholds.append(gc.get_threshold())
+            if args.seed == 13:
+                raise RuntimeError("runner failed")
+            return 0
+
+        monkeypatch.setitem(cli._RUNNERS, "fig1", runner)
+        saved = gc.get_threshold()
+        gc.set_threshold(*self.CALLER)
+        yield thresholds
+        gc.set_threshold(*saved)
+
+    def test_command_runs_under_the_policy_and_thresholds_come_back(self, seen):
+        assert main(["fig1"]) == 0
+        assert seen == [(cli.GC_GEN0_THRESHOLD, 11, 12)]
+        assert gc.get_threshold() == self.CALLER
+
+    def test_thresholds_come_back_when_the_command_raises(self, seen):
+        with pytest.raises(RuntimeError, match="runner failed"):
+            main(["fig1", "--seed", "13"])
+        assert seen == [(cli.GC_GEN0_THRESHOLD, 11, 12)]
+        assert gc.get_threshold() == self.CALLER
 
 
 class TestExecution:

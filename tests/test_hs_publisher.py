@@ -3,11 +3,14 @@
 import random
 
 from repro.crypto.keys import KeyPair
+from repro.hs.descriptor import make_stored_descriptors
 from repro.hs.publisher import PublishScheduler
 from repro.hs.service import HiddenService
+from repro.hsdir.ring_view import responsible_for_replica
 from repro.sim.clock import DAY, HOUR, parse_date
 from repro.sim.engine import EventEngine
 from repro.sim.rng import derive_rng
+from repro.tornet import PublishTrace
 from repro.trawl.shadowing import ShadowFleet
 from tests.conftest import make_network
 
@@ -97,9 +100,68 @@ class TestMaintain:
         assert scheduler.maintain(network.clock.now) == 0
 
 
-class FullReplacementScheduler(PublishScheduler):
-    """Reference :meth:`PublishScheduler.maintain`: every online service is
-    placed again on every call, whether or not its inputs moved."""
+def upload_one_at_a_time(network, service, now, responsible_per_replica=None):
+    """Reference upload: one ``store`` per directory, in per-service order
+    (replica, then responsible directory), each trace emitted as its upload
+    lands."""
+    if not service.is_online(now):
+        return 0
+    observers = network._publish_observers
+    guards = service.ensure_guards(network, network._publish_rng) if observers else None
+    delivered = 0
+    for stored in make_stored_descriptors(
+        service.keypair, now, service.introduction_points
+    ):
+        responsible = (
+            responsible_per_replica[stored.replica]
+            if responsible_per_replica is not None
+            else responsible_for_replica(
+                network.consensus, service.onion, now, stored.replica
+            )
+        )
+        for fingerprint in responsible:
+            relay = network.relay_for_fingerprint(fingerprint)
+            if relay is None:
+                continue
+            network.hsdir_server_for(relay).store(stored, now)
+            delivered += 1
+            if guards is not None:
+                trace = PublishTrace(
+                    time=int(now),
+                    onion=service.onion,
+                    descriptor_id=stored.descriptor_id,
+                    operator_ip=service.operator_ip,
+                    guard_fingerprint=guards.pick() if guards.fingerprints else None,
+                    hsdir_relay_id=relay.relay_id,
+                    hsdir_fingerprint=fingerprint,
+                )
+                for observer in observers:
+                    observer(trace)
+    service.publish_count += 1
+    return delivered
+
+
+class ReferenceScheduler(PublishScheduler):
+    """Reference :class:`PublishScheduler`: full scans of every service on
+    every call, every online service placed again by ``maintain``, and
+    uploads one ``store`` at a time in per-service order."""
+
+    def publish_initial(self, now):
+        delivered = 0
+        for index, service in enumerate(self.services):
+            delivered += upload_one_at_a_time(self.network, service, now)
+            self._next_publish[index] = service.next_publish_after(now)
+        return delivered
+
+    def publish_due(self, now):
+        delivered = 0
+        for index, service in enumerate(self.services):
+            due = self._next_publish.get(index)
+            if due is not None and now >= due:
+                delivered += upload_one_at_a_time(self.network, service, now)
+            if due is None or now >= due:
+                self._next_publish[index] = service.next_publish_after(now)
+        return delivered
 
     def maintain(self, now):
         delivered = self.publish_due(now)
@@ -114,8 +176,8 @@ class FullReplacementScheduler(PublishScheduler):
         for (index, service), replica_lists in zip(online, placements):
             responsible = frozenset(fp for fps in replica_lists for fp in fps)
             if self._last_responsible.get(index) != responsible:
-                delivered += self.network.publish_service(
-                    service, now, responsible_per_replica=replica_lists
+                delivered += upload_one_at_a_time(
+                    self.network, service, now, replica_lists
                 )
                 self._last_responsible[index] = responsible
         return delivered
@@ -125,32 +187,51 @@ SWEEP_START = parse_date("2013-01-01")
 SWEEP_HOURS = 36
 
 
-def trawl_sweep(scheduler_cls):
+def trace_fields(trace):
+    """A trace as a tuple, without the relay ID: relay IDs come from a
+    process-wide counter, so two sweeps' networks number relays apart
+    (``hsdir_fingerprint`` names the directory)."""
+    return tuple(
+        getattr(trace, name)
+        for name in PublishTrace.__slots__
+        if name != "hsdir_relay_id"
+    )
+
+
+def trawl_sweep(scheduler_cls, relay_count=40, fleet=True, observe=False):
     """Hourly ``maintain`` through a shadow-relay sweep.
 
-    The fleet ripens into HSDir at 25 h and rotates every other hour from
-    27 h, so the ring moves; every service's period rolls once; service 1
-    goes offline at 6 h and comes back at 12 h.  Returns, per hour, the
-    delivered count and service 0's publish count, then every directory's
-    stored descriptors and upload counter.
+    With ``fleet``, shadow relays ripen into HSDir at 25 h and rotate every
+    other hour from 27 h, so the ring moves.  Every service's period rolls
+    once; service 1 goes offline at 6 h and comes back at 12 h.  Returns,
+    per hour, the delivered count and service 0's publish count, then every
+    directory's stored descriptors and upload counter, then the publish
+    traces (with ``observe``; services then pick guards).
     """
-    network, pool = make_network(seed=23, relay_count=40, start=SWEEP_START)
+    network, pool = make_network(seed=23, relay_count=relay_count, start=SWEEP_START)
+    traces = []
+    if observe:
+        network.add_publish_observer(lambda trace: traces.append(trace_fields(trace)))
     services = make_services(30)
     rolling, flapper = services[0], services[1]
-    fleet = ShadowFleet(
-        network,
-        ip_count=3,
-        relays_per_ip=10,
-        rng=derive_rng(23, "fleet"),
-        address_pool=pool,
+    shadows = (
+        ShadowFleet(
+            network,
+            ip_count=3,
+            relays_per_ip=10,
+            rng=derive_rng(23, "fleet"),
+            address_pool=pool,
+        )
+        if fleet
+        else None
     )
     scheduler = scheduler_cls(network, services)
     hourly = [(scheduler.publish_initial(SWEEP_START), rolling.publish_count)]
     now = SWEEP_START
     for hour in range(1, SWEEP_HOURS + 1):
         now = SWEEP_START + hour * HOUR
-        if hour >= 27 and hour % 2:
-            fleet.rotate(now)
+        if shadows is not None and hour >= 27 and hour % 2:
+            shadows.rotate(now)
         if hour == 6:
             flapper.online_until = now
         elif hour == 12:
@@ -162,20 +243,41 @@ def trawl_sweep(scheduler_cls):
         for relay in network.authority.monitored_relays
         for server in (network.hsdir_server_for(relay),)
     ]
-    return hourly, directories
+    return hourly, directories, traces
 
 
 class TestIncrementalMaintain:
+    """The incremental, heap-driven, batched scheduler against
+    :class:`ReferenceScheduler`: same counts, same stores in the same
+    insertion order, same traces."""
+
     def test_matches_full_replacement_through_a_trawl_sweep(self):
-        assert trawl_sweep(PublishScheduler) == trawl_sweep(
-            FullReplacementScheduler
-        )
+        assert trawl_sweep(PublishScheduler) == trawl_sweep(ReferenceScheduler)
+
+    def test_small_ring_puts_both_replicas_on_one_directory(self):
+        sweep = trawl_sweep(PublishScheduler, relay_count=5, fleet=False)
+        _, directories, _ = sweep
+        assert len(directories) < 6
+        replicas_per_upload = {}
+        for fingerprint, descriptors, _ in directories:
+            for stored in descriptors:
+                upload = (fingerprint, stored.public_der, stored.published_at)
+                replicas_per_upload.setdefault(upload, set()).add(stored.replica)
+        assert {0, 1} in replicas_per_upload.values()
+        assert sweep == trawl_sweep(ReferenceScheduler, relay_count=5, fleet=False)
+
+    def test_publish_traces_follow_the_per_upload_order(self):
+        sweep = trawl_sweep(PublishScheduler, observe=True)
+        traces = sweep[2]
+        assert len(traces) == sum(delivered for delivered, _ in sweep[0])
+        assert any(guard is not None for *_, guard, _ in traces)
+        assert sweep == trawl_sweep(ReferenceScheduler, observe=True)
 
     def test_period_roll_uploads_twice(self):
         """At its period roll a service uploads twice: ``publish_due`` sends
         the new period's descriptors, then ``maintain`` sends them again
         because the responsible set moved with the descriptor IDs."""
-        hourly, _ = trawl_sweep(PublishScheduler)
+        hourly, _, _ = trawl_sweep(PublishScheduler)
         roll = make_services(1)[0].next_publish_after(SWEEP_START)
         hour = -(-(roll - SWEEP_START) // HOUR)
         assert hourly[hour][1] - hourly[hour - 1][1] == 2

@@ -30,6 +30,13 @@ class TestStoreAndFetch:
         with pytest.raises(DescriptorError):
             server.store(make_stored(desc_id=b"short"), now=0)
 
+    def test_rejected_batch_stores_nothing(self):
+        server = HSDirServer(relay_id=1)
+        with pytest.raises(DescriptorError):
+            server.store_many([make_stored(), make_stored(desc_id=b"short")], now=0)
+        assert server.stored_descriptors(now=0) == []
+        assert server.publishes_received == 0
+
     def test_store_replaces(self):
         server = HSDirServer(relay_id=1)
         server.store(make_stored(der=b"old"), now=0)
@@ -152,6 +159,17 @@ operation = st.one_of(
         st.integers(0, 2 * DAY),
         st.binary(min_size=1, max_size=2),
     ),
+    st.tuples(
+        st.just("batch"),
+        st.lists(
+            st.tuples(
+                st.sampled_from(IDS),
+                st.integers(0, 2 * DAY),
+                st.binary(min_size=1, max_size=2),
+            ),
+            max_size=4,
+        ),
+    ),
     st.tuples(st.just("fetch"), st.sampled_from(IDS), st.booleans()),
     st.tuples(st.just("read")),
     st.tuples(st.just("clock"), st.integers(-2 * HOUR, DAY // 2)),
@@ -162,7 +180,8 @@ class TestExpiryWatermark:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(operation, max_size=60))
     def test_matches_walking_reference(self, operations):
-        """Stores (with arbitrary publication ages), logged and unlogged
+        """Stores (with arbitrary publication ages), batches landed with
+        one ``store_many`` against one ``store`` each, logged and unlogged
         fetches, read-outs and a clock that also steps back, as client
         fetch times inside a window do: the watermark server keeps the
         same descriptors in the same order with the same accounting."""
@@ -174,6 +193,14 @@ class TestExpiryWatermark:
                 stored = make_stored(desc_id, published_at=now - age, der=der)
                 server.store(stored, now)
                 reference.store(stored, now)
+            elif op[0] == "batch":
+                batch = [
+                    make_stored(desc_id, published_at=now - age, der=der)
+                    for desc_id, age, der in op[1]
+                ]
+                server.store_many(batch, now)
+                for stored in batch:
+                    reference.store(stored, now)
             elif op[0] == "fetch":
                 _, desc_id, log = op
                 assert server.fetch(desc_id, now, log=log) == reference.fetch(
