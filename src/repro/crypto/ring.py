@@ -19,19 +19,12 @@ import bisect
 import weakref
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro import accel
 from repro.crypto.keys import Fingerprint, fingerprint_int
 from repro.errors import CryptoError
 
 RING_SIZE = 1 << 160  # SHA-1 output space
 
 HSDIRS_PER_REPLICA = 3
-
-#: Ring positions are 160-bit; the vectorised kernel bisects on their top 64
-#: bits (exactly representable as uint64) and refines the rare prefix ties
-#: with exact integer bisect, so the batch result equals the scalar one.
-_PREFIX_SHIFT = 160 - 64
-
 
 def ring_distance(from_point: int, to_point: int) -> int:
     """Clockwise distance from ``from_point`` to ``to_point`` on the ring."""
@@ -60,85 +53,31 @@ def responsible_positions_batch(
 ) -> List[List[int]]:
     """Batched :func:`responsible_positions` over many descriptor points.
 
-    The SHA-1 ring-placement hot-path kernel: one vectorised ``searchsorted``
-    over the queries' 64-bit prefixes replaces a Python ``bisect`` per query,
-    and exact integer bisect refines only queries whose prefix collides with
-    a ring member's (vanishingly rare for SHA-1-distributed points, but
-    handled so the kernel is exact, not probabilistic).  Falls back to the
-    scalar loop when numpy is unavailable; either way every element equals
-    ``responsible_positions(point, sorted_points, count)``.
+    The SHA-1 ring-placement hot-path kernel: one ``bisect_right`` per
+    query (:func:`ring_start_indices`), then one C-level slice of the ring
+    extended past its wrap point, so a successor run that wraps needs no
+    modulo loop.  Element *i* equals
+    ``responsible_positions(descriptor_points[i], sorted_points, count)``.
     """
     points = list(sorted_points)
-    if not points or not descriptor_points:
-        return [[] for _ in descriptor_points]
-    np = accel.numpy() if len(descriptor_points) >= 8 else None
-    if np is None:
-        return [
-            responsible_positions(point, points, count)
-            for point in descriptor_points
-        ]
-    size = len(points)
-    take = min(count, size)
-    member_prefix = np.fromiter(
-        (p >> _PREFIX_SHIFT for p in points), dtype=np.uint64, count=size
-    )
-    query_prefix = np.fromiter(
-        (q >> _PREFIX_SHIFT for q in descriptor_points),
-        dtype=np.uint64,
-        count=len(descriptor_points),
-    )
-    low = np.searchsorted(member_prefix, query_prefix, side="left")
-    high = np.searchsorted(member_prefix, query_prefix, side="right")
-    results: List[List[int]] = []
-    for query, lo, hi in zip(descriptor_points, low.tolist(), high.tolist()):
-        # Equal-prefix members (the [lo, hi) run) need the exact comparison;
-        # everything below lo is < query and everything at hi and beyond is
-        # greater, so this bisect equals bisect_right over the whole list.
-        start = hi if lo == hi else bisect.bisect_right(points, query, lo, hi)
-        end = start + take
-        if end <= size:
-            # The successor run does not wrap; a C-level slice beats the
-            # per-index modulo loop on the overwhelmingly common case.
-            results.append(points[start:end])
-        else:
-            results.append([points[(start + i) % size] for i in range(take)])
-    return results
+    take = min(count, len(points))
+    wrapped = points + points[:take]
+    return [
+        wrapped[start : start + take]
+        for start in ring_start_indices(descriptor_points, points)
+    ]
 
 
 def ring_start_indices(
     descriptor_points: Sequence[int], sorted_points: Sequence[int]
 ) -> List[int]:
-    """``bisect_right(sorted_points, q)`` for every query, vectorised.
+    """``bisect_right(sorted_points, q)`` for every query.
 
     The shared first half of every placement query: the index where each
     descriptor point's successor run starts (``len(sorted_points)`` means
-    "wraps to index 0").  Same 64-bit-prefix ``searchsorted`` + exact-tie
-    refinement as :func:`responsible_positions_batch`, same scalar fallback,
-    and element *i* always equals ``bisect.bisect_right(sorted_points,
-    descriptor_points[i])``.
+    "wraps to index 0").
     """
-    points = list(sorted_points)
-    if not descriptor_points:
-        return []
-    if not points:
-        return [0 for _ in descriptor_points]
-    np = accel.numpy() if len(descriptor_points) >= 8 else None
-    if np is None:
-        return [bisect.bisect_right(points, q) for q in descriptor_points]
-    member_prefix = np.fromiter(
-        (p >> _PREFIX_SHIFT for p in points), dtype=np.uint64, count=len(points)
-    )
-    query_prefix = np.fromiter(
-        (q >> _PREFIX_SHIFT for q in descriptor_points),
-        dtype=np.uint64,
-        count=len(descriptor_points),
-    )
-    low = np.searchsorted(member_prefix, query_prefix, side="left")
-    high = np.searchsorted(member_prefix, query_prefix, side="right")
-    return [
-        hi if lo == hi else bisect.bisect_right(points, query, lo, hi)
-        for query, lo, hi in zip(descriptor_points, low.tolist(), high.tolist())
-    ]
+    return [bisect.bisect_right(sorted_points, q) for q in descriptor_points]
 
 
 #: Entries one ring's :meth:`FingerprintRing.responsible_for` memo holds
@@ -293,8 +232,8 @@ class FingerprintRing:
         """Batched :meth:`responsible_for`: one fingerprint list per ID.
 
         Element *i* is byte-identical to ``responsible_for(descriptor_ids[i],
-        count)``; the batch only changes throughput (one vectorised bisect
-        over all IDs instead of a Python bisect per ID).
+        count)``; the batch only changes throughput (no memo traffic, and a
+        slice per ID instead of a modulo loop).
         """
         points = [int.from_bytes(desc, "big") for desc in descriptor_ids]
         resolve = self._by_position.__getitem__

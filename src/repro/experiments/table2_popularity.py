@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro import codec
@@ -123,35 +124,27 @@ def _classify_resolved_shapes(
 ) -> Dict[OnionAddress, str]:
     """Shape-classify every resolved onion from the attacker's own logs.
 
-    The attacker relays' detailed request logs are merged into one
-    synthetic directory log, each resolved onion's per-hour series is one
-    packed-array gather over its descriptor IDs, and the whole population
-    is labelled in a single :func:`classify_services_by_shape` batch — the
-    Section V forensic that separates botnet beacons from human browsing
-    without touching any content.
+    One pass over the attacker relays' detailed request logs counts each
+    record into its onion's per-hour bucket (:func:`series_by_owner`), and
+    the whole population is labelled in a single
+    :func:`classify_services_by_shape` call — the Section V forensic that
+    separates botnet beacons from human browsing without touching any
+    content.
     """
-    from repro.hsdir.directory import HSDirServer
     from repro.popularity.timeseries import (
         classify_services_by_shape,
-        series_from_log,
+        series_by_owner,
     )
 
     if attack.fleet is None or not resolution.id_to_onion:
         return {}
-    merged = HSDirServer(relay_id=-1, keep_log=True)
-    for relay in attack.fleet.all_relays:
-        merged.request_log.extend(
-            network.hsdir_server_for(relay).logged_requests()
-        )
-    ids_per_onion: Dict[OnionAddress, List[bytes]] = {}
-    for desc_id, onion in resolution.id_to_onion.items():
-        ids_per_onion.setdefault(onion, []).append(desc_id)
-    series = {
-        onion: series_from_log(
-            merged, window_start, window_end, descriptor_ids=ids
-        )
-        for onion, ids in sorted(ids_per_onion.items())
-    }
+    records = chain.from_iterable(
+        network.hsdir_server_for(relay).logged_requests()
+        for relay in attack.fleet.all_relays
+    )
+    series = series_by_owner(
+        records, resolution.id_to_onion, window_start, window_end
+    )
     return classify_services_by_shape(series)
 
 

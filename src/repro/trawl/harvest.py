@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro import accel
 from repro.crypto.descriptor_id import DescriptorId
 from repro.crypto.onion import OnionAddress, onion_address_from_key
 from repro.crypto.ring import HSDIRS_PER_REPLICA, ring_start_indices
@@ -206,8 +206,8 @@ class RingHistory:
     ) -> List[Optional[List[int]]]:
         """Per snapshot, the attacker slot count of every query point.
 
-        The batched half of the observation pass: one vectorised ring
-        bisect (:func:`ring_start_indices`) plus a wrapped prefix sum over
+        The batched half of the observation pass: one ring bisect per
+        point (:func:`ring_start_indices`) plus a wrapped prefix sum over
         the snapshot's attacker-membership flags answers all points at
         once.  Row ``None`` stands for an empty-ring snapshot (slot 0 for
         every ID, as the scalar loop records).  Entry ``[s][i]`` always
@@ -215,30 +215,22 @@ class RingHistory:
         snapshot *s*.
         """
         matrix: List[Optional[List[int]]] = []
-        np = accel.numpy() if len(points) >= 8 else None
         for _, positions, attacker in self.snapshots:
             if not positions:
                 matrix.append(None)
                 continue
-            size = len(positions)
-            take = min(per_replica, size)
-            starts = ring_start_indices(points, positions)
+            take = min(per_replica, len(positions))
             flags = [1 if p in attacker else 0 for p in positions]
             # ``flags`` extended past the wrap point: index ``start + i``
             # reads the same member the scalar ``(start + i) % size`` does,
             # for any bisect_right result in [0, size].
-            extended = flags + flags[:take]
-            if np is not None:
-                prefix = np.concatenate(
-                    ([0], np.cumsum(np.asarray(extended, dtype=np.int64)))
-                )
-                starts_arr = np.asarray(starts, dtype=np.int64)
-                matrix.append((prefix[starts_arr + take] - prefix[starts_arr]).tolist())
-            else:
-                prefix = [0]
-                for flag in extended:
-                    prefix.append(prefix[-1] + flag)
-                matrix.append([prefix[s + take] - prefix[s] for s in starts])
+            prefix = list(accumulate(flags + flags[:take], initial=0))
+            matrix.append(
+                [
+                    prefix[start + take] - prefix[start]
+                    for start in ring_start_indices(points, positions)
+                ]
+            )
         return matrix
 
     def normalized_rates_batch(

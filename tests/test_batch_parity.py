@@ -4,19 +4,16 @@ Every batch API the experiment wiring now calls must match the scalar
 oracle it replaced — byte-for-byte for descriptor IDs and placements,
 bit-for-bit for floats — on the happy path, on the degenerate shapes the
 sweeps actually hit (empty onion sets, rings smaller than the replica
-fan-out, zero-length windows) and on the numpy-absent fallback path.
-When these disagree, the bug is in the batch kernel: the scalar oracle
+fan-out, successor runs that wrap past the top of the ring, zero-length
+windows).  When these disagree, the bug is in the batch kernel: the scalar oracle
 is the specification and is never adjusted to make a test pass.
 """
 
 import bisect
-import random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import accel
 from repro.crypto.descriptor_id import (
     REPLICAS,
     descriptor_ids_for_day,
@@ -85,47 +82,51 @@ class TestDescriptorBatchParity:
 
 @st.composite
 def ring_cases(draw):
-    """A sorted ring plus queries biased toward ties and prefix collisions."""
+    """A sorted ring plus queries biased toward members and their neighbours."""
     points = sorted(set(draw(st.lists(_POINT, max_size=24))))
     queries = []
     for _ in range(draw(st.integers(min_value=0, max_value=24))):
         choice = draw(st.integers(min_value=0, max_value=2))
         if choice == 0 and points:
-            # Exact tie: bisect_right must step past every equal point.
+            # Exact tie: bisect_right must step past the equal point.
             queries.append(draw(st.sampled_from(points)))
         elif choice == 1 and points:
-            # Same uint64 prefix, different low bits: forces the exact
-            # refinement pass rather than the searchsorted shortcut.
+            # One below or above a member: the run starts at it or after it.
             base = draw(st.sampled_from(points))
-            queries.append(base ^ draw(st.integers(0, 2**96 - 1)))
+            queries.append(max(0, base + draw(st.sampled_from((-1, 1)))))
         else:
             queries.append(draw(_POINT))
     return points, queries
 
 
+#: A five-member ring spaced evenly around the 160-bit circle.
+_FIVE = [k << 156 for k in range(1, 6)]
+
+
 class TestRingStartIndices:
     @settings(max_examples=80, deadline=None)
     @given(case=ring_cases())
+    @example(case=(_FIVE, [_FIVE[2], _FIVE[-1], 0]))  # a query equal to a member
     def test_matches_bisect(self, case):
         points, queries = case
         expected = [bisect.bisect_right(points, query) for query in queries]
         assert ring_start_indices(queries, points) == expected
 
-    @settings(max_examples=25, deadline=None)
-    @given(case=ring_cases())
-    def test_matches_bisect_without_numpy(self, case):
-        points, queries = case
-        expected = [bisect.bisect_right(points, query) for query in queries]
-        with mock.patch.object(accel, "numpy", lambda: None):
-            assert ring_start_indices(queries, points) == expected
 
-    def test_positions_batch_without_numpy(self):
-        rng = random.Random(7)
-        points = sorted({rng.getrandbits(160) for _ in range(40)})
-        queries = [rng.getrandbits(160) for _ in range(60)] + points[:5]
-        expected = [responsible_positions(query, points) for query in queries]
-        with mock.patch.object(accel, "numpy", lambda: None):
-            assert responsible_positions_batch(queries, points) == expected
+class TestResponsiblePositionsBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(case=ring_cases(), count=st.integers(min_value=1, max_value=4))
+    # The successor run wraps: start + take > size.
+    @example(case=(_FIVE, [_FIVE[-2], _FIVE[-1] + 1, _FIVE[3] - 1]), count=3)
+    # Rings smaller than the replica fan-out repeat members.
+    @example(case=(_FIVE[:2], [0, _FIVE[0], _FIVE[1] + 7]), count=3)
+    @example(case=(_FIVE[:1], [_FIVE[0], 0]), count=3)
+    # A query equal to a member point starts the run after that member.
+    @example(case=(_FIVE, [_FIVE[0], _FIVE[2]]), count=3)
+    def test_matches_per_item_reference(self, case, count):
+        points, queries = case
+        expected = [responsible_positions(query, points, count) for query in queries]
+        assert responsible_positions_batch(queries, points, count) == expected
 
 
 class TestSmallRingDuplicates:
@@ -225,17 +226,34 @@ def _covered_and_uncovered():
     whatever Hypothesis draws.
     """
     history = RingHistory()
-    points = [k << 156 for k in range(1, 6)]
-    history.record(BASE + HOUR, points, {points[0]})
-    covered = (points[0] - 1).to_bytes(20, "big")
-    uncovered = (points[0] + 1).to_bytes(20, "big")
+    history.record(BASE + HOUR, _FIVE, {_FIVE[0]})
+    covered = (_FIVE[0] - 1).to_bytes(20, "big")
+    uncovered = (_FIVE[0] + 1).to_bytes(20, "big")
     return history, [(covered, 2, 1, None), (uncovered, 3, 0, None)]
+
+
+def _wrapped_runs():
+    """Responsible runs that wrap past the top of the ring, and a ring of
+    fewer members than the replica fan-out.
+
+    The attacker holds the two lowest points of a five-point ring, so IDs
+    whose run starts near the top reach them only through the wrap; the
+    second snapshot's two-member ring has every ID's run cover both.
+    """
+    history = RingHistory()
+    history.record(BASE + HOUR, _FIVE, set(_FIVE[:2]))
+    history.record(BASE + 2 * HOUR, _FIVE[:2], {_FIVE[1]})
+    ids = (_FIVE[-1] + 1, _FIVE[-1] - 1, _FIVE[3], _FIVE[0])
+    return history, [
+        (point.to_bytes(20, "big"), 4, 1, None) for point in ids
+    ]
 
 
 class TestNormalizedRatesBatch:
     @settings(max_examples=80, deadline=None)
     @given(case=histories_and_requests())
     @example(case=_covered_and_uncovered())
+    @example(case=_wrapped_runs())
     def test_matches_scalar_bit_for_bit(self, case):
         history, requests = case
         expected = [
@@ -243,18 +261,6 @@ class TestNormalizedRatesBatch:
             for desc_id, found, missing, validity in requests
         ]
         assert history.normalized_rates_batch(requests) == expected
-
-    @settings(max_examples=25, deadline=None)
-    @given(case=histories_and_requests())
-    @example(case=_covered_and_uncovered())
-    def test_matches_scalar_without_numpy(self, case):
-        history, requests = case
-        expected = [
-            history.normalized_rate(desc_id, found, missing, validity=validity)
-            for desc_id, found, missing, validity in requests
-        ]
-        with mock.patch.object(accel, "numpy", lambda: None):
-            assert history.normalized_rates_batch(requests) == expected
 
     def test_empty_requests(self):
         assert RingHistory().normalized_rates_batch([]) == []

@@ -2,12 +2,12 @@
 
 The experiments run the batch kernels, so a speedup in one is only safe
 because every batch kernel is *exactly* its scalar reference: same bytes
-out for every input, with and without numpy, at every worker count.
-These tests pin that contract — property tests over adversarial inputs
-for the descriptor window (including the rollover edge that
-``time_period_boundaries`` defines), randomized equivalence sweeps for
-ring placement, consensus admission, and the time-series pipeline, and a
-worker sweep through the resolver's pmap fan-out.
+out for every input, at every worker count.  These tests pin that
+contract — property tests over adversarial inputs for the descriptor
+window (including the rollover edge that ``time_period_boundaries``
+defines), for ring placement and for the time-series pipeline (window
+edges included), randomized sweeps for consensus admission, and a worker
+sweep through the resolver's pmap fan-out.
 """
 
 import random
@@ -15,7 +15,6 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro import accel
 from repro.crypto.descriptor_id import (
     descriptor_ids_for_window,
     descriptor_ids_for_window_batch,
@@ -35,15 +34,14 @@ from repro.dirauth.consensus import (
     apply_per_ip_limit,
     apply_per_ip_limit_scalar,
 )
+from repro.errors import ReproError
 from repro.hsdir.directory import HSDirServer, RequestRecord
 from repro.popularity.resolver import DescriptorResolver
 from repro.popularity.timeseries import (
+    RequestTimeSeries,
     classify_services_by_shape,
-    classify_services_by_shape_scalar,
-    merge_series,
-    merge_series_scalar,
+    series_by_owner,
     series_from_log,
-    series_from_log_scalar,
 )
 from repro.relay.flags import RelayFlags
 from repro.sim.clock import DAY, HOUR, parse_date
@@ -124,6 +122,9 @@ class TestDescriptorWindowEquivalence:
         assert batch != descriptor_index_entries_batch(onions, JAN28, FEB8)
 
 
+_POINT = st.integers(min_value=0, max_value=2**160 - 1)
+
+
 class TestRingPlacementEquivalence:
     def _points(self, members, seed):
         rng = random.Random(seed)
@@ -135,30 +136,29 @@ class TestRingPlacementEquivalence:
         points = self._points(200, seed=1)
         rng = random.Random(2)
         queries = [int.from_bytes(rng.randbytes(20), "big") for _ in range(500)]
-        # Exact members and near-misses exercise the prefix-tie refinement.
+        # Exact members and their neighbours sit on the bisect's edges.
         queries += points[:20]
         queries += [p - 1 for p in points[:20]] + [p + 1 for p in points[:20]]
         assert responsible_positions_batch(queries, points) == [
             responsible_positions(q, points) for q in queries
         ]
 
-    def test_shared_prefix_collisions(self):
-        # Members and queries that agree on the top 64 bits force the exact
-        # integer bisect to decide every placement.
-        base = 0xDEADBEEF << 96
-        points = sorted(base + low for low in (5, 9, 14, 200, 3000))
-        queries = [base + low for low in range(0, 3100, 7)]
-        assert responsible_positions_batch(queries, points) == [
-            responsible_positions(q, points) for q in queries
-        ]
-
-    def test_numpy_fallback(self, monkeypatch):
-        monkeypatch.setattr(accel, "numpy", lambda: None)
-        points = self._points(64, seed=3)
-        rng = random.Random(4)
-        queries = [int.from_bytes(rng.randbytes(20), "big") for _ in range(64)]
-        assert responsible_positions_batch(queries, points) == [
-            responsible_positions(q, points) for q in queries
+    @settings(max_examples=60, deadline=None)
+    @given(
+        members=st.lists(_POINT, max_size=12, unique=True),
+        queries=st.lists(_POINT, max_size=12),
+        count=st.integers(min_value=1, max_value=4),
+    )
+    # The top member's run wraps to the bottom: start + take > size.
+    @example(members=[10, 20, 30, 40], queries=[35, 40, 2**160 - 1], count=3)
+    # A ring of fewer than three members.
+    @example(members=[7, 99], queries=[0, 7, 50, 100], count=3)
+    # Queries equal to member points.
+    @example(members=[5, 9, 14], queries=[5, 9, 14], count=2)
+    def test_batch_equals_per_item_reference(self, members, queries, count):
+        points = sorted(members)
+        assert responsible_positions_batch(queries, points, count) == [
+            responsible_positions(q, points, count) for q in queries
         ]
 
     def test_ring_responsible_for_many(self):
@@ -225,67 +225,142 @@ def _loaded_servers(directories, services, per_service, seed):
     return servers, ids
 
 
+def _reference_labels(series_per_service, tolerance=2.0, min_requests=50):
+    """Per-series labels from :class:`RequestTimeSeries`'s own methods."""
+    return {
+        service: "low-volume"
+        if series.total < min_requests
+        else "machine"
+        if series.is_machine_like(tolerance)
+        else "human"
+        for service, series in series_per_service.items()
+    }
+
+
+def _log_server(records):
+    server = HSDirServer(relay_id=0, keep_log=True)
+    server.request_log.extend(records)
+    return server
+
+
+_IDS = [bytes([value]) * 20 for value in range(5)]
+
+
+@st.composite
+def owned_logs(draw):
+    """A request log, an ID → owner map and a window over the log's span."""
+    start = draw(st.integers(min_value=0, max_value=3 * HOUR))
+    end = start + draw(st.integers(min_value=1, max_value=5 * HOUR))
+    bucket = draw(st.sampled_from((1, 600, HOUR, 2 * HOUR)))
+    records = draw(
+        st.lists(
+            st.builds(
+                RequestRecord,
+                time=st.one_of(
+                    st.sampled_from((start, end, start - 1, end - 1)),
+                    st.integers(min_value=0, max_value=9 * HOUR),
+                ),
+                descriptor_id=st.sampled_from(_IDS),
+                found=st.booleans(),
+            ),
+            max_size=40,
+        )
+    )
+    owned = draw(st.lists(st.sampled_from(_IDS), unique=True, max_size=4))
+    owner_of = {desc: draw(st.sampled_from("abc")) for desc in owned}
+    return records, owner_of, start, end, bucket
+
+
+#: Records at exactly ``start`` (counted) and exactly ``end`` (not).
+_WINDOW_EDGES = (
+    [
+        RequestRecord(HOUR, _IDS[0], True),
+        RequestRecord(3 * HOUR, _IDS[0], True),
+        RequestRecord(3 * HOUR, _IDS[1], False),
+        RequestRecord(3 * HOUR - 1, _IDS[1], True),
+    ],
+    {_IDS[0]: "a", _IDS[1]: "b", _IDS[2]: "b"},
+    HOUR,
+    3 * HOUR,
+    HOUR,
+)
+#: An ``end`` that falls inside the last bucket, not on its edge.
+_RAGGED_END = (
+    [RequestRecord(0, _IDS[0], True), RequestRecord(90, _IDS[0], True)],
+    {_IDS[0]: "a"},
+    0,
+    90,
+    60,
+)
+
+
 class TestTimeseriesEquivalence:
-    def test_series_and_merge_and_classify(self):
+    @settings(max_examples=80, deadline=None)
+    @given(case=owned_logs())
+    @example(case=_WINDOW_EDGES)
+    @example(case=_RAGGED_END)
+    def test_series_by_owner_matches_per_owner_scan(self, case):
+        records, owner_of, start, end, bucket = case
+        server = _log_server(records)
+        expected = {
+            owner: series_from_log(
+                server,
+                start,
+                end,
+                bucket,
+                descriptor_ids=[d for d, o in owner_of.items() if o == owner],
+            )
+            for owner in sorted(set(owner_of.values()))
+        }
+        got = series_by_owner(records, owner_of, start, end, bucket)
+        assert list(got) == list(expected)
+        assert got == expected
+
+    def test_window_edges_by_hand(self):
+        records, owner_of, start, end, bucket = _WINDOW_EDGES
+        got = series_by_owner(records, owner_of, start, end, bucket)
+        assert got["a"].counts == [1, 0]
+        assert got["b"].counts == [0, 1]
+
+    def test_series_by_owner_rejects_an_empty_window(self):
+        with pytest.raises(ReproError):
+            series_by_owner([], {}, HOUR, HOUR)
+
+    def test_loaded_servers_merged(self):
         servers, ids = _loaded_servers(3, 12, 120, seed=10)
         start, end = JAN28, JAN28 + 4 * DAY
-        merged = {}
-        for service, desc in ids.items():
-            per_server_batch = [
-                series_from_log(s, start, end, descriptor_ids=[desc])
-                for s in servers
-            ]
-            per_server_scalar = [
-                series_from_log_scalar(s, start, end, descriptor_ids=[desc])
-                for s in servers
-            ]
-            assert per_server_batch == per_server_scalar
-            merged[service] = merge_series(per_server_batch)
-            assert merged[service] == merge_series_scalar(per_server_scalar)
-        assert classify_services_by_shape(merged) == (
-            classify_services_by_shape_scalar(merged)
-        )
-
-    def test_whole_log_series(self):
-        servers, _ = _loaded_servers(2, 4, 80, seed=11)
-        for server in servers:
-            assert series_from_log(
-                server, JAN28, JAN28 + 4 * DAY, bucket_seconds=HOUR
-            ) == series_from_log_scalar(
-                server, JAN28, JAN28 + 4 * DAY, bucket_seconds=HOUR
-            )
-
-    def test_numpy_fallback(self, monkeypatch):
-        servers, ids = _loaded_servers(2, 6, 60, seed=12)
-        start, end = JAN28, JAN28 + 2 * DAY
-        with_numpy = {
-            service: merge_series(
-                [
-                    series_from_log(s, start, end, descriptor_ids=[desc])
-                    for s in servers
-                ]
-            )
-            for service, desc in ids.items()
+        records = [record for server in servers for record in server.request_log]
+        owner_of = {desc: service for service, desc in ids.items()}
+        merged = _log_server(records)
+        by_owner = series_by_owner(records, owner_of, start, end)
+        assert by_owner == {
+            service: series_from_log(merged, start, end, descriptor_ids=[desc])
+            for service, desc in sorted(ids.items())
         }
-        labels_numpy = classify_services_by_shape(with_numpy)
-        monkeypatch.setattr(accel, "numpy", lambda: None)
-        without_numpy = {
-            service: merge_series(
-                [
-                    series_from_log(s, start, end, descriptor_ids=[desc])
-                    for s in servers
-                ]
-            )
-            for service, desc in ids.items()
+        assert classify_services_by_shape(by_owner) == _reference_labels(by_owner)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        counts=st.lists(
+            st.lists(st.integers(min_value=0, max_value=400), max_size=30),
+            max_size=8,
+        ),
+        tolerance=st.sampled_from((0.5, 1.0, 2.0, 3.0)),
+        min_requests=st.integers(min_value=0, max_value=200),
+    )
+    def test_classify_matches_is_machine_like(self, counts, tolerance, min_requests):
+        services = {
+            f"s{index}": RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=row)
+            for index, row in enumerate(counts)
         }
-        assert without_numpy == with_numpy
-        assert classify_services_by_shape(without_numpy) == labels_numpy
+        assert classify_services_by_shape(
+            services, tolerance, min_requests
+        ) == _reference_labels(services, tolerance, min_requests)
 
     def test_classification_at_the_tolerance_boundary(self):
         # The machine/human call divides at cv == tolerance * floor; exact
-        # integer moments keep scalar and batch on the same side even there.
-        from repro.popularity.timeseries import RequestTimeSeries
-
+        # integer moments keep the batch and the per-series call on the
+        # same side even there.
         flat = RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=[100] * 24)
         spiky = RequestTimeSeries(
             start=0, bucket_seconds=HOUR, counts=[0, 400] * 12
@@ -297,7 +372,7 @@ class TestTimeseriesEquivalence:
             "flat": flat, "spiky": spiky, "quiet": quiet, "flat2": flat, "edge": edge
         }
         assert classify_services_by_shape(services) == (
-            classify_services_by_shape_scalar(services)
+            _reference_labels(services)
         ) == {
             "flat": "machine",
             "spiky": "human",

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DescriptorError, ReproError
 from repro.hsdir.directory import HSDirServer, StoredDescriptor
-from repro.popularity.timeseries import series_from_log, series_from_log_scalar
+from repro.popularity.timeseries import series_from_log
 from repro.sim.clock import DAY, HOUR
 
 
@@ -105,9 +105,8 @@ class TestRequestAccounting:
         [
             lambda server: server.requests_between(0, 2 * HOUR),
             lambda server: series_from_log(server, 0, 2 * HOUR),
-            lambda server: series_from_log_scalar(server, 0, 2 * HOUR),
         ],
-        ids=["requests_between", "series_from_log", "series_from_log_scalar"],
+        ids=["requests_between", "series_from_log"],
     )
     def test_log_less_directory_refuses_log_reads(self, read):
         # Without a log the honest answer is "unknown", not zero traffic.

@@ -7,7 +7,6 @@ from repro.hsdir.directory import HSDirServer
 from repro.popularity.timeseries import (
     RequestTimeSeries,
     classify_services_by_shape,
-    merge_series,
     series_from_log,
 )
 from repro.sim.clock import DAY, HOUR
@@ -115,24 +114,12 @@ class TestSeriesFromLog:
         with pytest.raises(ReproError):
             series_from_log(HSDirServer(relay_id=1), 10, 10)
 
-
-class TestMergeAndClassify:
-    def test_merge_sums_counts(self):
-        a = RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=[1, 2])
-        b = RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=[3, 4])
-        merged = merge_series([a, b])
-        assert merged.counts == [4, 6]
-
-    def test_merge_misaligned_rejected(self):
-        a = RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=[1])
-        b = RequestTimeSeries(start=HOUR, bucket_seconds=HOUR, counts=[1])
+    def test_zero_bucket_width_rejected(self):
         with pytest.raises(ReproError):
-            merge_series([a, b])
+            series_from_log(HSDirServer(relay_id=1), 0, HOUR, bucket_seconds=0)
 
-    def test_merge_empty_rejected(self):
-        with pytest.raises(ReproError):
-            merge_series([])
 
+class TestClassify:
     def test_classification_labels(self):
         labels = classify_services_by_shape(
             {

@@ -245,17 +245,18 @@ class TestImportScan:
 
 class TestImportClosure:
     def test_import_closure_includes_function_local_imports(self):
-        # Table II imports repro.hsdir.directory only inside a function.
+        # Table II imports repro.popularity.timeseries only inside a
+        # function.
         source = (REPRO_SRC / "experiments" / "table2_popularity.py").read_text()
         top_level = ast.parse(source).body
         assert not any(
             isinstance(node, ast.ImportFrom)
-            and (node.module or "").startswith("repro.hsdir")
+            and (node.module or "") == "repro.popularity.timeseries"
             for node in top_level
         )
         table2 = "repro.experiments.table2_popularity"
-        assert "repro.hsdir.directory" in scan_module(table2)[1]
-        assert "repro.hsdir.directory" in import_closure((table2,))
+        assert "repro.popularity.timeseries" in scan_module(table2)[1]
+        assert "repro.popularity.timeseries" in import_closure((table2,))
 
     def test_exempt_layers_are_not_entered(self):
         closure = import_closure(("repro.experiments.pipeline",))
