@@ -7,6 +7,7 @@ nothing but the wall-clock.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 
 import pytest
@@ -127,6 +128,25 @@ def spy_on_world_builds(monkeypatch):
     for module in binders:
         monkeypatch.setattr(module, "generate_population", counting)
     return calls
+
+
+@contextlib.contextmanager
+def numpy_unimportable():
+    """Make ``import numpy`` raise ``ImportError`` inside the block.
+
+    The batch kernels are pure Python; a kernel run under this block
+    proves it needs no numpy, even where numpy is installed.  Only the
+    ``numpy`` entry of ``sys.modules`` is touched and restored.
+    """
+    saved = sys.modules.get("numpy")
+    sys.modules["numpy"] = None
+    try:
+        yield
+    finally:
+        if saved is None:
+            del sys.modules["numpy"]
+        else:
+            sys.modules["numpy"] = saved
 
 
 def make_service_config(**overrides):

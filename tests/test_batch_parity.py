@@ -5,11 +5,13 @@ oracle it replaced — byte-for-byte for descriptor IDs and placements,
 bit-for-bit for floats — on the happy path, on the degenerate shapes the
 sweeps actually hit (empty onion sets, rings smaller than the replica
 fan-out, successor runs that wrap past the top of the ring, zero-length
-windows).  When these disagree, the bug is in the batch kernel: the scalar oracle
-is the specification and is never adjusted to make a test pass.
+windows), and with numpy made unimportable.  When these disagree, the
+bug is in the batch kernel: the scalar oracle is the specification and
+is never adjusted to make a test pass.
 """
 
 import bisect
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,7 +40,7 @@ from repro.hsdir.ring_view import (
 from repro.scan.schedule import ScanSchedule
 from repro.sim.clock import DAY, HOUR, parse_date
 from repro.trawl.harvest import RingHistory
-from tests.conftest import make_network
+from tests.conftest import make_network, numpy_unimportable
 
 BASE = parse_date("2013-02-04")
 
@@ -111,6 +113,22 @@ class TestRingStartIndices:
         points, queries = case
         expected = [bisect.bisect_right(points, query) for query in queries]
         assert ring_start_indices(queries, points) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=ring_cases())
+    def test_matches_bisect_without_numpy(self, case):
+        points, queries = case
+        expected = [bisect.bisect_right(points, query) for query in queries]
+        with numpy_unimportable():
+            assert ring_start_indices(queries, points) == expected
+
+    def test_positions_batch_without_numpy(self):
+        rng = random.Random(7)
+        points = sorted({rng.getrandbits(160) for _ in range(40)})
+        queries = [rng.getrandbits(160) for _ in range(60)] + points[:5]
+        expected = [responsible_positions(query, points) for query in queries]
+        with numpy_unimportable():
+            assert responsible_positions_batch(queries, points) == expected
 
 
 class TestResponsiblePositionsBatch:
@@ -261,6 +279,19 @@ class TestNormalizedRatesBatch:
             for desc_id, found, missing, validity in requests
         ]
         assert history.normalized_rates_batch(requests) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=histories_and_requests())
+    @example(case=_covered_and_uncovered())
+    @example(case=_wrapped_runs())
+    def test_matches_scalar_without_numpy(self, case):
+        history, requests = case
+        expected = [
+            history.normalized_rate(desc_id, found, missing, validity=validity)
+            for desc_id, found, missing, validity in requests
+        ]
+        with numpy_unimportable():
+            assert history.normalized_rates_batch(requests) == expected
 
     def test_empty_requests(self):
         assert RingHistory().normalized_rates_batch([]) == []

@@ -7,9 +7,11 @@ contract — property tests over adversarial inputs for the descriptor
 window (including the rollover edge that ``time_period_boundaries``
 defines), for ring placement and for the time-series pipeline (window
 edges included), randomized sweeps for consensus admission, and a worker
-sweep through the resolver's pmap fan-out.
+sweep through the resolver's pmap fan-out.  The ring and time-series
+kernels also run with numpy made unimportable: none of them needs it.
 """
 
+import itertools
 import random
 
 import pytest
@@ -45,6 +47,7 @@ from repro.popularity.timeseries import (
 )
 from repro.relay.flags import RelayFlags
 from repro.sim.clock import DAY, HOUR, parse_date
+from tests.conftest import numpy_unimportable
 
 JAN28 = parse_date("2013-01-28")
 FEB8 = parse_date("2013-02-08")
@@ -142,6 +145,24 @@ class TestRingPlacementEquivalence:
         assert responsible_positions_batch(queries, points) == [
             responsible_positions(q, points) for q in queries
         ]
+
+    def test_shared_prefix_collisions(self):
+        # Members and queries that agree on their top 64 bits: only the
+        # low bits of the full 160-bit comparison decide each placement.
+        base = 0xDEADBEEF << 96
+        points = sorted(base + low for low in (5, 9, 14, 200, 3000))
+        queries = [base + low for low in range(0, 3100, 7)]
+        assert responsible_positions_batch(queries, points) == [
+            responsible_positions(q, points) for q in queries
+        ]
+
+    def test_numpy_fallback(self):
+        points = self._points(64, seed=3)
+        rng = random.Random(4)
+        queries = [int.from_bytes(rng.randbytes(20), "big") for _ in range(64)]
+        with numpy_unimportable():
+            got = responsible_positions_batch(queries, points)
+        assert got == [responsible_positions(q, points) for q in queries]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -295,6 +316,59 @@ _RAGGED_END = (
 
 
 class TestTimeseriesEquivalence:
+    def test_series_and_merge_and_classify(self):
+        # Counting the fleet's chained logs in one pass equals bucketing
+        # each directory's log per service and summing bucket by bucket.
+        servers, ids = _loaded_servers(3, 12, 120, seed=10)
+        start, end = JAN28, JAN28 + 4 * DAY
+        summed = {}
+        for service, desc in sorted(ids.items()):
+            per_server = [
+                series_from_log(s, start, end, descriptor_ids=[desc])
+                for s in servers
+            ]
+            summed[service] = RequestTimeSeries(
+                start=start,
+                bucket_seconds=HOUR,
+                counts=[sum(column) for column in zip(*(p.counts for p in per_server))],
+            )
+        records = itertools.chain.from_iterable(s.request_log for s in servers)
+        owner_of = {desc: service for service, desc in ids.items()}
+        by_owner = series_by_owner(records, owner_of, start, end)
+        assert by_owner == summed
+        assert classify_services_by_shape(by_owner) == _reference_labels(summed)
+
+    def test_whole_log_series(self):
+        # One owner for every ID: its series is the directory's whole log.
+        servers, ids = _loaded_servers(2, 4, 80, seed=11)
+        for server in servers:
+            whole = series_from_log(
+                server, JAN28, JAN28 + 4 * DAY, bucket_seconds=HOUR
+            )
+            assert sum(whole.counts) == len(server.request_log)
+            assert series_by_owner(
+                server.request_log,
+                {desc: "all" for desc in ids.values()},
+                JAN28,
+                JAN28 + 4 * DAY,
+                bucket_seconds=HOUR,
+            ) == {"all": whole}
+
+    def test_numpy_fallback(self):
+        servers, ids = _loaded_servers(2, 6, 60, seed=12)
+        start, end = JAN28, JAN28 + 2 * DAY
+        records = [record for server in servers for record in server.request_log]
+        owner_of = {desc: service for service, desc in ids.items()}
+        with numpy_unimportable():
+            by_owner = series_by_owner(records, owner_of, start, end)
+            labels = classify_services_by_shape(by_owner)
+        merged = _log_server(records)
+        assert by_owner == {
+            service: series_from_log(merged, start, end, descriptor_ids=[desc])
+            for service, desc in sorted(ids.items())
+        }
+        assert labels == _reference_labels(by_owner)
+
     @settings(max_examples=80, deadline=None)
     @given(case=owned_logs())
     @example(case=_WINDOW_EDGES)
