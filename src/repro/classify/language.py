@@ -8,7 +8,7 @@ sharing a script the affix n-grams discriminate.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.classify.tokenize import char_ngrams
@@ -31,10 +31,9 @@ class LanguageDetector:
         """Language codes the detector knows."""
         return self._model.classes
 
-    def fit(self, texts: List[str], labels: List[str]) -> "LanguageDetector":
-        """Train on raw texts with language-code labels."""
-        documents = [char_ngrams(text, self._orders) for text in texts]
-        self._model.fit(documents, labels)
+    def fit(self, texts: Iterable[str], labels: Iterable[str]) -> "LanguageDetector":
+        """Train on raw texts with language-code labels, one text at a time."""
+        self._model.fit((char_ngrams(text, self._orders) for text in texts), labels)
         return self
 
     def detect(self, text: str) -> str:

@@ -7,13 +7,17 @@ probability so exotic inputs degrade gracefully instead of crashing.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ClassificationError
+
+#: Pads the shorter of ``fit``'s documents and labels.
+_MISSING = object()
 
 
 @dataclass
@@ -55,20 +59,34 @@ class MultinomialNaiveBayes:
 
     def fit(
         self,
-        documents: Sequence[Iterable[str]],
-        labels: Sequence[str],
+        documents: Iterable[Iterable[str]],
+        labels: Iterable[str],
     ) -> "MultinomialNaiveBayes":
-        """Train on ``documents`` (token iterables) with parallel ``labels``."""
-        if len(documents) != len(labels):
-            raise ClassificationError(
-                f"{len(documents)} documents but {len(labels)} labels"
-            )
-        if not documents:
+        """Train on ``documents`` (token iterables) with parallel ``labels``.
+
+        One pass: each document is counted as it arrives and dropped, so a
+        generator of documents never holds the corpus's tokens at once.
+        The fitted fields are assigned only after the whole corpus has been
+        counted and checked, so a failed refit leaves the previous fit intact.
+        """
+        # Per-class token counts, classes in first-seen order, and each
+        # class's document count.
+        token_counts: Dict[str, Counter] = {}
+        class_doc_counts: Counter = Counter()
+        # A sentinel, not zip(strict=True): its ValueError would be
+        # indistinguishable from one raised by a document generator.
+        pairs = itertools.zip_longest(documents, labels, fillvalue=_MISSING)
+        for tokens, label in pairs:
+            if tokens is _MISSING or label is _MISSING:
+                seen = sum(class_doc_counts.values())
+                missing = "documents" if tokens is _MISSING else "labels"
+                raise ClassificationError(
+                    f"documents and labels differ in length: {missing} ran out after {seen}"
+                )
+            token_counts.setdefault(label, Counter()).update(tokens)
+            class_doc_counts[label] += 1
+        if not class_doc_counts:
             raise ClassificationError("cannot fit on an empty corpus")
-        class_doc_counts: Counter = Counter(labels)
-        token_counts: Dict[str, Counter] = {label: Counter() for label in class_doc_counts}
-        for tokens, label in zip(documents, labels):
-            token_counts[label].update(tokens)
         vocabulary = set().union(*token_counts.values())
         if not vocabulary:
             raise ClassificationError("training corpus contains no tokens")
@@ -80,7 +98,7 @@ class MultinomialNaiveBayes:
         self._log_prior = {}
         self._log_likelihood = {}
         self._log_unseen = {}
-        total_docs = len(documents)
+        total_docs = sum(class_doc_counts.values())
         vocab = len(vocabulary)
         for label in self._classes:
             self._log_prior[label] = math.log(class_doc_counts[label] / total_docs)

@@ -7,7 +7,7 @@ page is detected separately and excluded from the topic distribution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.classify.tokenize import word_tokens
@@ -40,10 +40,9 @@ class TopicClassifier:
         """Topic labels the classifier knows."""
         return self._model.classes
 
-    def fit(self, texts: List[str], labels: List[str]) -> "TopicClassifier":
-        """Train on raw texts with topic labels."""
-        documents = [word_tokens(text) for text in texts]
-        self._model.fit(documents, labels)
+    def fit(self, texts: Iterable[str], labels: Iterable[str]) -> "TopicClassifier":
+        """Train on raw texts with topic labels, one text at a time."""
+        self._model.fit((word_tokens(text) for text in texts), labels)
         return self
 
     def classify(self, text: str) -> str:

@@ -12,6 +12,13 @@ once per process and shared by every caller (pipelines, service epochs,
 crash incarnations).  The shared models are read-only: refitting one
 would change it for all of them.  Training is deliberately not a store
 stage: a cold store would never hit it and a warm replay never trains.
+
+The corpora are plain text; each model tokenises one document at a time
+as ``fit`` counts it, so training never holds a corpus's tokens at once.
+Training both models this way takes a fresh interpreter (Python 3.11)
+from 18 to 23 MB of peak RSS.  Holding every document's tokens (1.2 M
+n-gram references for the language model alone) took it to 42 MB, and
+the allocator kept most of that for the rest of the run.
 """
 
 from __future__ import annotations

@@ -678,11 +678,14 @@ def _run_all(args) -> ExperimentReport:
         # Monotonic, not wall-clock (REP003): this measures elapsed runtime
         # only and must never feed simulated time.
         started = time.perf_counter()
-        result = runner()
+        # Keep only the report: a result can hold a whole world (sec7's
+        # keeps its consensus archive), which the next stage must not run
+        # beside.
+        report = runner().report
         elapsed = time.perf_counter() - started
-        print(result.report.format())
+        print(report.format())
         print(f"[{name} done in {elapsed:.1f}s]\n")
-        summary.add(f"{name} max rel. error", None, round(result.report.max_error(), 3))
+        summary.add(f"{name} max rel. error", None, round(report.max_error(), 3))
     _emit(summary, json_path=args.json)
     _write_metrics(pipeline.observer, args)
     return summary

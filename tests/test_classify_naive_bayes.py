@@ -100,6 +100,47 @@ class TestRefit:
         assert fitted_state(model) == before
 
 
+class TestOnePassFit:
+    """``fit`` counts each document as it arrives, so any iterables do."""
+
+    DOCS = [["cat", "meow"], ["dog", "woof", "dog"], ["cat", "purr", "cat"], ["bark"]]
+    LABELS = ["cat", "dog", "cat", "dog"]
+
+    def test_generators_fit_like_lists(self):
+        from_lists = MultinomialNaiveBayes().fit(self.DOCS, self.LABELS)
+        from_generators = MultinomialNaiveBayes().fit(
+            (iter(doc) for doc in self.DOCS), iter(self.LABELS)
+        )
+        assert fitted_state(from_generators) == fitted_state(from_lists)
+        # Dict order is part of the fitted artifact, not just its contents.
+        assert list(from_generators._token_rows) == list(from_lists._token_rows)
+        assert [list(row) for row in from_generators._log_likelihood.values()] == [
+            list(row) for row in from_lists._log_likelihood.values()
+        ]
+
+    @pytest.mark.parametrize(
+        "docs, labels",
+        [(DOCS, LABELS[:-1]), (DOCS[:-1], LABELS)],
+        ids=["more-documents", "more-labels"],
+    )
+    def test_length_mismatch_rejected(self, docs, labels):
+        with pytest.raises(ClassificationError, match="differ in length"):
+            MultinomialNaiveBayes().fit(iter(docs), iter(labels))
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ClassificationError, match="empty corpus"):
+            MultinomialNaiveBayes().fit((doc for doc in []), iter([]))
+
+    def test_failed_refit_keeps_the_fitted_model(self):
+        model = fitted_model()
+        before = fitted_state(model)
+        with pytest.raises(ClassificationError):
+            # Fails only after three documents have been counted.
+            model.fit(iter(self.DOCS), iter(self.LABELS[:-1]))
+        assert fitted_state(model) == before
+        assert model.predict(["meow", "purr"]) == "cat"
+
+
 class TestPredict:
     def test_obvious_cases(self):
         model = fitted_model()

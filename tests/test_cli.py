@@ -1,7 +1,9 @@
 """Tests for repro.cli."""
 
 import gc
+import importlib
 import json
+import weakref
 
 import pytest
 
@@ -100,6 +102,45 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "fig3-client-geomap" in out
+
+
+class TestRunAllDropsFinishedStages:
+    """``repro all`` keeps only each stage's report: no stage's result, which
+    can hold a whole world, is alive while the next stage runs."""
+
+    RUNNERS = [
+        ("repro.experiments.fig1_ports", "run_fig1"),
+        ("repro.experiments.table1_http", "run_table1"),
+        ("repro.experiments.fig2_topics", "run_fig2"),
+        ("repro.experiments.table2_popularity", "run_table2"),
+        ("repro.experiments.fig3_geomap", "run_fig3"),
+        ("repro.experiments.sec7_tracking", "run_sec7"),
+        ("repro.experiments.harvest", "run_harvest"),
+    ]
+
+    def test_each_result_is_dead_when_the_next_stage_starts(self, monkeypatch, capsys):
+        finished = []  # (runner name, weakref to its result)
+        alive_at_start = []
+
+        def watched(name, real):
+            def runner(*args, **kwargs):
+                alive = [done for done, ref in finished if ref() is not None]
+                alive_at_start.append((name, alive))
+                result = real(*args, **kwargs)
+                finished.append((name, weakref.ref(result)))
+                return result
+
+            return runner
+
+        for module_name, name in self.RUNNERS:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, name, watched(name, getattr(module, name)))
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.delenv("REPRO_METRICS", raising=False)
+        assert main(["all", "--scale", "0.01", "--seed", "1", "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert alive_at_start == [(name, []) for _, name in self.RUNNERS]
+        assert [ref() for _, ref in finished] == [None] * len(self.RUNNERS)
 
 
 class TestCrashtest:
