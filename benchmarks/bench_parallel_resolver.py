@@ -13,6 +13,7 @@ import time
 
 from conftest import save_report
 
+from repro.crypto.descriptor_id import descriptor_ids_for_window_batch
 from repro.crypto.onion import onion_address_from_key
 from repro.popularity.resolver import DescriptorResolver
 from repro.sim.clock import parse_date
@@ -28,18 +29,27 @@ def _onions():
     return [onion_address_from_key(rng.randbytes(140)) for _ in range(ONION_COUNT)]
 
 
+def _requested(onions):
+    """One day's IDs of every fourth onion, as a harvest requests a few."""
+    ids = descriptor_ids_for_window_batch(onions[::4], WINDOW_START, WINDOW_START)
+    return [desc for onion_ids in ids for desc in onion_ids]
+
+
 def test_parallel_resolver_index_build(benchmark, report_dir, workers):
     onions = _onions()
+    requested = _requested(onions)
     pool_workers = max(2, workers)
 
     started = time.perf_counter()
-    serial = DescriptorResolver(onions, WINDOW_START, WINDOW_END, workers=1)
+    serial = DescriptorResolver(
+        onions, WINDOW_START, WINDOW_END, requested, workers=1
+    )
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     parallel = benchmark.pedantic(
         lambda: DescriptorResolver(
-            onions, WINDOW_START, WINDOW_END, workers=pool_workers
+            onions, WINDOW_START, WINDOW_END, requested, workers=pool_workers
         ),
         rounds=1,
         iterations=1,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro import codec
@@ -101,8 +100,8 @@ class Table2Result:
     label_to_onion: Dict[str, OnionAddress] = field(default_factory=dict)
     #: Traffic-shape label (``machine``/``human``/``low-volume``) per
     #: resolved onion, from the batched shape kernel over the attacker's
-    #: merged request logs.  Intermediate state like ``resolution``: ``None``
-    #: when replayed from a store checkpoint.
+    #: hourly request tallies.  Intermediate state like ``resolution``:
+    #: ``None`` when replayed from a store checkpoint.
     shape_labels: Optional[Dict[OnionAddress, str]] = field(
         default=None, metadata=codec.SKIP
     )
@@ -122,11 +121,12 @@ def _classify_resolved_shapes(
     window_start: Timestamp,
     window_end: Timestamp,
 ) -> Dict[OnionAddress, str]:
-    """Shape-classify every resolved onion from the attacker's own logs.
+    """Shape-classify every resolved onion from the attacker's own tallies.
 
-    One pass over the attacker relays' detailed request logs counts each
-    record into its onion's per-hour bucket (:func:`series_by_owner`), and
-    the whole population is labelled in a single
+    One pass over the attacker relays' per-hour request tallies adds each
+    resolved ID's fetches to its onion's hourly bucket
+    (:func:`series_by_owner`), and the whole population is labelled in a
+    single
     :func:`classify_services_by_shape` call — the Section V forensic that
     separates botnet beacons from human browsing without touching any
     content.
@@ -138,12 +138,12 @@ def _classify_resolved_shapes(
 
     if attack.fleet is None or not resolution.id_to_onion:
         return {}
-    records = chain.from_iterable(
-        network.hsdir_server_for(relay).logged_requests()
+    tallies = (
+        network.hsdir_server_for(relay).hourly_requests()
         for relay in attack.fleet.all_relays
     )
     series = series_by_owner(
-        records, resolution.id_to_onion, window_start, window_end
+        tallies, resolution.id_to_onion, window_start, window_end
     )
     return classify_services_by_shape(series)
 
@@ -319,17 +319,20 @@ def _compute_table2(
             network, planned, sweep_hour, now - HOUR, now, report=workload_report
         )
 
-    # The fleet's request logs feed the shape forensic below; they are the
-    # only logs anything reads, so only these directories keep one.
+    # The fleet's hourly request tallies feed the shape forensic below;
+    # they are the only tallies anything reads, so only these directories
+    # keep one.
     for relay in attack.deploy().all_relays:
         network.hsdir_server_for(relay).keep_log = True
     harvest_result = attack.run(population.services, publisher, hour_hook=hour_hook)
 
-    # Resolution over the paper's window: 28 Jan – 8 Feb 2013.
+    # Resolution over the paper's window: 28 Jan – 8 Feb 2013, of the IDs
+    # the harvest saw requested (the only ones resolved and normalised).
     resolver = DescriptorResolver(
         sorted(harvest_result.onions),
         parse_date("2013-01-28"),
         parse_date("2013-02-08"),
+        harvest_result.request_counts,
         workers=workers,
     )
     # Rate normalisation, batched: one observation pass over the ring

@@ -1,19 +1,18 @@
-"""Descriptor storage and request logging at one HSDir.
+"""Descriptor storage and request accounting at one HSDir.
 
 An :class:`HSDirServer` is the directory-side state of one relay: a cache of
 descriptors keyed by descriptor ID with 24-hour retention ("HS directories
 responsible for the previous time period erase its descriptor from the
-memory"), plus per-ID fetch counters and an optional append-only fetch
-log.  The paper's harvest reads the stores and the counters: stored
-descriptors yield onion addresses, and the counters yield popularity —
-including the ~80% of fetches that ask for descriptors that were never
-published.
+memory"), plus per-ID fetch counters and an optional per-hour fetch tally.
+The paper's harvest reads the stores and the counters: stored descriptors
+yield onion addresses, and the counters yield popularity — including the
+~80% of fetches that ask for descriptors that were never published.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.crypto.descriptor_id import DescriptorId
 from repro.errors import DescriptorError, ReproError
@@ -36,25 +35,18 @@ class StoredDescriptor:
     introduction_points: tuple = ()
 
 
-class RequestRecord(NamedTuple):
-    """One client descriptor fetch observed at this directory."""
-
-    time: Timestamp
-    descriptor_id: DescriptorId
-    found: bool
-
-
 class HSDirServer:
     """Directory-side state of a single relay.
 
     Request accounting has two granularities: per-descriptor-ID aggregate
-    counters (always on — cheap, and all Section V needs) and a detailed
-    per-request log (``keep_log``) for analyses that need timestamps, such as
-    windowed rate plots.  At the paper's volume (~10⁶ requests) the detailed
-    log is the memory hog, so the directories a
-    :class:`~repro.tornet.TorNetwork` provisions keep none; Table II turns
-    the log on for its attacker fleet only, whose logs its traffic-shape
-    forensic reads.  Reading the log of a directory that keeps none raises
+    counters (always on — cheap, and all Section V's ranking needs) and,
+    with ``keep_log``, a tally of fetches per (descriptor ID, hour) for
+    analyses that need request timing, such as hourly rate series.  The
+    tally grows with the distinct IDs fetched each hour, not with the
+    fetches.  The directories a :class:`~repro.tornet.TorNetwork`
+    provisions keep none; Table II turns it on for its attacker fleet
+    only, whose tallies its traffic-shape forensic reads.  Reading the
+    tally of a directory that keeps none raises
     :class:`~repro.errors.ReproError` rather than reporting zero traffic.
     """
 
@@ -77,7 +69,8 @@ class HSDirServer:
         self.relay_id = relay_id
         self.keep_log = keep_log
         self._store: Dict[DescriptorId, StoredDescriptor] = {}
-        self.request_log: List[RequestRecord] = []
+        # hour start -> descriptor_id -> fetches in that hour (keep_log only)
+        self._hourly: Dict[Timestamp, Dict[DescriptorId, int]] = {}
         # descriptor_id -> [found_count, not_found_count]
         self.request_counts: Dict[DescriptorId, List[int]] = {}
         self.publishes_received = 0
@@ -169,7 +162,11 @@ class HSDirServer:
             else:
                 counts[0 if found else 1] += 1
             if self.keep_log:
-                self.request_log.append(RequestRecord(when, descriptor_id, found))
+                hour = when - when % HOUR
+                tally = self._hourly.get(hour)
+                if tally is None:
+                    tally = self._hourly[hour] = {}
+                tally[descriptor_id] = tally.get(descriptor_id, 0) + 1
         return descriptor
 
     @property
@@ -177,31 +174,23 @@ class HSDirServer:
         """Total logged fetches (found + not found)."""
         return sum(found + missing for found, missing in self.request_counts.values())
 
-    def logged_requests(self) -> List[RequestRecord]:
-        """The detailed fetch log; raises when this directory keeps none."""
+    def hourly_requests(self) -> Dict[Timestamp, Dict[DescriptorId, int]]:
+        """Logged fetches per hour: hour start → descriptor ID → count.
+
+        Raises when this directory keeps no tally.
+        """
         if not self.keep_log:
             raise ReproError(
                 f"HSDir {self.relay_id} keeps no request log (keep_log=False); "
                 "only its per-ID request_counts are recorded"
             )
-        return self.request_log
+        return self._hourly
 
     def stored_descriptors(self, now: Timestamp) -> List[StoredDescriptor]:
         """All unexpired descriptors currently held (harvest read-out)."""
         self._expire(now)
         cutoff = int(now) - self.RETENTION
         return [d for d in self._store.values() if d.published_at > cutoff]
-
-    def requests_between(
-        self, start: Timestamp, end: Timestamp
-    ) -> List[RequestRecord]:
-        """Fetches logged in ``[start, end)``."""
-        return [r for r in self.logged_requests() if start <= r.time < end]
-
-    def clear_log(self) -> None:
-        """Drop request accounting (attacker rotates its harvest windows)."""
-        self.request_log = []
-        self.request_counts = {}
 
     def _expire(self, now: Timestamp) -> None:
         """The hourly sweep: drop every descriptor past retention.

@@ -1,6 +1,6 @@
 """Descriptor-ID → onion-address resolution.
 
-The request logs harvested at the attacker's directories are keyed by
+The request counts harvested at the attacker's directories are keyed by
 descriptor ID, not onion address.  Because the derivation is deterministic,
 the attacker can invert it *for onions it knows*: "For each address in the
 list we computed corresponding descriptor IDs for each day between 28
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.crypto.descriptor_id import (
     DescriptorId,
@@ -86,30 +86,48 @@ class ResolutionVerification:
         return self.lost / self.checked if self.checked else 0.0
 
 
+def _requested_entries(
+    chunk: List[OnionAddress],
+    requested: FrozenSet[DescriptorId],
+    start: Timestamp,
+    end: Timestamp,
+) -> List[List[Tuple[DescriptorId, Timestamp]]]:
+    """Each onion's window entries, keeping only the requested IDs."""
+    return [
+        [entry for entry in entries if entry[0] in requested]
+        for entries in descriptor_index_entries_batch(chunk, start, end)
+    ]
+
+
 class DescriptorResolver:
-    """Inverts descriptor IDs over a harvested onion database."""
+    """Inverts requested descriptor IDs over a harvested onion database."""
 
     def __init__(
         self,
         onion_database: Iterable[OnionAddress],
         window_start: Timestamp,
         window_end: Timestamp,
+        requested: Iterable[DescriptorId],
         workers: Optional[int] = None,
         observer: Optional[Observer] = None,
     ) -> None:
-        """Precompute every descriptor ID each onion uses in the window.
+        """Index the requested descriptor IDs the database uses in the window.
 
-        The index covers every day in ``[window_start, window_end]`` × both
-        replicas — exactly the paper's multi-day derivation — and maps each
-        ID to the onion that claimed it first.  An ID's *validity period*
-        (when the service actually used it), which rate normalisation
-        needs, is not stored: :meth:`validity_of` re-derives it on demand,
-        only for the few IDs a harvest actually requested.
+        Every onion's IDs are derived for every day in
+        ``[window_start, window_end]`` × both replicas — exactly the paper's
+        multi-day derivation — but only the IDs in ``requested`` (a
+        harvest's request-count keys) are indexed: each maps to the onion
+        that claimed it first, together with its *validity period* (when
+        that onion used it), which rate normalisation needs.  An ID outside
+        ``requested`` never resolves, so the index grows with what a harvest
+        saw, not with the database.
 
-        The per-onion SHA-1 derivations are independent, so they fan out
-        through :func:`repro.parallel.pmap` (``workers`` defaults to
-        ``$REPRO_WORKERS``, then 1); the merge walks onions in database
-        order, so the index is identical at every worker count.
+        The per-onion SHA-1 derivations are independent, so chunks of the
+        database fan out through one :func:`repro.parallel.pmap` call
+        (``workers`` defaults to ``$REPRO_WORKERS``, then 1), each chunk
+        amortising the batched kernel's shared secret-part table and
+        returning only requested entries.  The merge walks onions in
+        database order, so the index is identical at every worker count.
 
         Two *different* onions deriving the same descriptor ID is a SHA-1
         collision the paper's attacker would also have suffered; instead
@@ -120,52 +138,41 @@ class DescriptorResolver:
         self.window = (window_start, window_end)
         self._observer = ensure_observer(observer)
         self._index: Dict[DescriptorId, OnionAddress] = {}
-        #: owner onion → (its IDs → validity), derived on first request.
-        self._validity_by_onion: Dict[
-            OnionAddress, Dict[DescriptorId, Tuple[Timestamp, Timestamp]]
-        ] = {}
-        #: descriptor ID → every onion that derived it, in database order
-        #: (first entry owns the index slot).
+        self._validity: Dict[DescriptorId, Tuple[Timestamp, Timestamp]] = {}
+        #: requested descriptor ID → every onion that derived it, in
+        #: database order (first entry owns the index slot).
         self.collisions: Dict[DescriptorId, List[OnionAddress]] = {}
         onions = list(onion_database)
         self.database_size = len(onions)
-        # Fan whole *chunks* of the database through the batched kernel so
-        # each pmap item amortises the shared secret-id-part table and its
-        # pickle round-trip over many onions.  Per-onion output does not
-        # depend on chunking, so the merged index is byte-identical at any
-        # worker count — including against the old per-onion fan-out.
-        # Chunks go through pmap a wave of one chunk per worker at a time,
-        # so only one wave's entry lists is alive while the index grows.
-        wave = resolve_workers(workers)
         chunks = [
             onions[lo:hi]
-            for lo, hi in shard_bounds(len(onions), wave * SHARDS_PER_WORKER)
+            for lo, hi in shard_bounds(
+                len(onions), resolve_workers(workers) * SHARDS_PER_WORKER
+            )
         ]
-        for first in range(0, len(chunks), wave):
-            self._claim_wave(chunks[first : first + wave], workers)
+        derive = functools.partial(
+            _requested_entries,
+            requested=frozenset(requested),
+            start=window_start,
+            end=window_end,
+        )
+        derived = pmap(derive, chunks, workers=workers)
+        for chunk, chunk_entries in zip(chunks, derived):
+            for onion, entries in zip(chunk, chunk_entries):
+                for desc, period_start in entries:
+                    owner = self._index.get(desc)
+                    if owner is None:
+                        self._index[desc] = onion
+                        self._validity[desc] = (period_start, period_start + DAY)
+                    elif owner != onion:
+                        self.collisions.setdefault(desc, [owner]).append(onion)
         self._observer.gauge("resolver_database_size", self.database_size)
         self._observer.gauge("resolver_index_size", len(self._index))
         self._observer.gauge("resolver_collisions", self.collision_count)
 
-    def _claim_wave(
-        self, chunks: List[List[OnionAddress]], workers: Optional[int]
-    ) -> None:
-        """Index one wave of chunks; its entry lists die on return."""
-        start, end = self.window
-        derive = functools.partial(descriptor_index_entries_batch, start=start, end=end)
-        derived = pmap(derive, chunks, workers=workers)
-        for chunk, chunk_entries in zip(chunks, derived):
-            for onion, entries in zip(chunk, chunk_entries):
-                for desc, _period_start in entries:
-                    owner = self._index.get(desc)
-                    if owner is None:
-                        self._index[desc] = onion
-                    elif owner != onion:
-                        self.collisions.setdefault(desc, [owner]).append(onion)
-
     @property
     def index_size(self) -> int:
-        """Number of (descriptor ID → onion) entries derived."""
+        """Number of requested descriptor IDs that resolved."""
         return len(self._index)
 
     @property
@@ -182,21 +189,10 @@ class DescriptorResolver:
     ) -> Optional[Tuple[Timestamp, Timestamp]]:
         """[start, end) during which a resolvable ID was in service.
 
-        Derived on demand from the owning onion's window entries (once per
-        onion, then memoised); the first entry carrying the ID wins, as the
-        first claim does in the index.
+        The first claimant's first entry carrying the ID sets it, as that
+        claim sets the index slot.
         """
-        onion = self._index.get(desc_id)
-        if onion is None:
-            return None
-        validity = self._validity_by_onion.get(onion)
-        if validity is None:
-            validity = {}
-            (entries,) = descriptor_index_entries_batch([onion], *self.window)
-            for desc, period_start in entries:
-                validity.setdefault(desc, (period_start, period_start + DAY))
-            self._validity_by_onion[onion] = validity
-        return validity[desc_id]
+        return self._validity.get(desc_id)
 
     def resolve(
         self, request_counts: Dict[DescriptorId, List[int]]

@@ -4,19 +4,18 @@ Part of what betrayed Goldnet (Section V) was traffic *shape*: "traffic to
 these servers remained constant at about 330 KBytes/sec and had about 10
 client requests per second, almost exclusively POST requests".  Botnets
 phone home on timers; people sleep.  This module builds per-bucket request
-series from directory logs and scores their constancy, giving measurement
-code a second, content-free botnet detector.
+series from directories' hourly request tallies and scores their
+constancy, giving measurement code a second, content-free botnet detector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
+from typing import ClassVar, Dict, Iterable, List, Mapping, Tuple, TypeVar
 
 from repro.crypto.descriptor_id import DescriptorId
 from repro.errors import ReproError
-from repro.hsdir.directory import HSDirServer, RequestRecord
 from repro.sim.clock import HOUR, Timestamp
 
 K = TypeVar("K")
@@ -115,60 +114,40 @@ def _bucket_count(start: Timestamp, end: Timestamp, bucket_seconds: int) -> int:
     return max(1, (int(end) - int(start) + bucket_seconds - 1) // bucket_seconds)
 
 
-def series_from_log(
-    server: HSDirServer,
-    start: Timestamp,
-    end: Timestamp,
-    bucket_seconds: int = HOUR,
-    descriptor_ids: Optional[Iterable[DescriptorId]] = None,
-) -> RequestTimeSeries:
-    """Bucket one directory's detailed request log.
-
-    Requires the server to keep its log (``keep_log=True``); a log-less
-    directory raises :class:`~repro.errors.ReproError`.
-    ``descriptor_ids`` restricts the series to specific IDs (one service).
-    Also the per-service reference :func:`series_by_owner` is tested
-    against.
-    """
-    buckets = [0] * _bucket_count(start, end, bucket_seconds)
-    wanted = set(descriptor_ids) if descriptor_ids is not None else None
-    for record in server.logged_requests():
-        if not start <= record.time < end:
-            continue
-        if wanted is not None and record.descriptor_id not in wanted:
-            continue
-        buckets[(record.time - int(start)) // bucket_seconds] += 1
-    return RequestTimeSeries(
-        start=int(start), bucket_seconds=bucket_seconds, counts=buckets
-    )
-
-
 def series_by_owner(
-    records: Iterable[RequestRecord],
+    tallies: Iterable[Mapping[Timestamp, Mapping[DescriptorId, int]]],
     owner_of: Mapping[DescriptorId, K],
     start: Timestamp,
     end: Timestamp,
     bucket_seconds: int = HOUR,
 ) -> Dict[K, RequestTimeSeries]:
-    """Every owner's request series from one pass over ``records``.
+    """Every owner's request series from directories' hourly tallies.
 
-    ``owner_of`` maps each descriptor ID to the service that owns it.
-    Each record inside ``[start, end)`` whose ID has an owner counts into
-    that owner's bucket; every owner gets a series, in sorted owner order,
-    even one no record names.  Owner *k*'s series equals
-    :func:`series_from_log` over a directory logging ``records``,
-    restricted to *k*'s IDs — one scan instead of one per service.
+    ``tallies`` are :meth:`~repro.hsdir.directory.HSDirServer.hourly_requests`
+    maps (hour start → descriptor ID → fetches); ``owner_of`` maps each
+    descriptor ID to the service that owns it.  Each tallied hour inside
+    ``[start, end)`` adds its owned IDs' fetches to their owner's bucket;
+    every owner gets a series, in sorted owner order, even one no fetch
+    names.  An hour tally cannot be split, so the window and the bucket
+    must lie on whole hours.
     """
     length = _bucket_count(start, end, bucket_seconds)
     start, end = int(start), int(end)
+    if start % HOUR or end % HOUR or bucket_seconds % HOUR:
+        raise ReproError(
+            f"window [{start}, {end}) with {bucket_seconds} s buckets "
+            "is not on whole hours"
+        )
     counts = {owner: [0] * length for owner in sorted(set(owner_of.values()))}
     row_of = {desc: counts[owner] for desc, owner in owner_of.items()}
-    for record in records:
-        time = record.time
-        if start <= time < end:
-            row = row_of.get(record.descriptor_id)
-            if row is not None:
-                row[(time - start) // bucket_seconds] += 1
+    for tally in tallies:
+        for hour, fetches in tally.items():
+            if start <= hour < end:
+                bucket = (hour - start) // bucket_seconds
+                for desc, count in fetches.items():
+                    row = row_of.get(desc)
+                    if row is not None:
+                        row[bucket] += count
     return {
         owner: RequestTimeSeries(start=start, bucket_seconds=bucket_seconds, counts=row)
         for owner, row in counts.items()

@@ -149,8 +149,8 @@ class TorNetwork:
     def add_relay(self, relay: Relay) -> None:
         """Register a relay and provision its directory-side store.
 
-        The store keeps per-ID request counters but no per-request log;
-        an analysis that reads a directory's log turns ``keep_log`` on for
+        The store keeps per-ID request counters but no hourly tally; an
+        analysis that reads a directory's tally turns ``keep_log`` on for
         that directory (Table II does so for its attacker fleet).
         """
         self.authority.register(relay)

@@ -37,17 +37,16 @@ from repro.dirauth.consensus import (
     apply_per_ip_limit_scalar,
 )
 from repro.errors import ReproError
-from repro.hsdir.directory import HSDirServer, RequestRecord
 from repro.popularity.resolver import DescriptorResolver
 from repro.popularity.timeseries import (
     RequestTimeSeries,
     classify_services_by_shape,
     series_by_owner,
-    series_from_log,
 )
 from repro.relay.flags import RelayFlags
 from repro.sim.clock import DAY, HOUR, parse_date
 from tests.conftest import numpy_unimportable
+from tests.test_popularity_timeseries import RecordingHSDirServer, series_from_log
 
 JAN28 = parse_date("2013-01-28")
 FEB8 = parse_date("2013-02-08")
@@ -232,17 +231,11 @@ class TestConsensusEquivalence:
 
 def _loaded_servers(directories, services, per_service, seed):
     rng = random.Random(seed)
-    servers = [HSDirServer(relay_id=i, keep_log=True) for i in range(directories)]
+    servers = [RecordingHSDirServer(relay_id=i) for i in range(directories)]
     ids = {f"svc{i}": rng.randbytes(20) for i in range(services)}
     for desc in ids.values():
         for _ in range(per_service):
-            rng.choice(servers).request_log.append(
-                RequestRecord(
-                    time=JAN28 + rng.randrange(0, 4 * DAY),
-                    descriptor_id=desc,
-                    found=True,
-                )
-            )
+            rng.choice(servers).fetch(desc, now=JAN28 + rng.randrange(0, 4 * DAY))
     return servers, ids
 
 
@@ -258,73 +251,81 @@ def _reference_labels(series_per_service, tolerance=2.0, min_requests=50):
     }
 
 
-def _log_server(records):
-    server = HSDirServer(relay_id=0, keep_log=True)
-    server.request_log.extend(records)
-    return server
+def _records(servers):
+    return [record for server in servers for record in server.records]
+
+
+def _tallies(servers):
+    return [server.hourly_requests() for server in servers]
 
 
 _IDS = [bytes([value]) * 20 for value in range(5)]
 
 
 @st.composite
-def owned_logs(draw):
-    """A request log, an ID → owner map and a window over the log's span."""
-    start = draw(st.integers(min_value=0, max_value=3 * HOUR))
-    end = start + draw(st.integers(min_value=1, max_value=5 * HOUR))
-    bucket = draw(st.sampled_from((1, 600, HOUR, 2 * HOUR)))
-    records = draw(
+def owned_fetches(draw):
+    """Fetch streams at a few directories, an ID → owner map and a window.
+
+    The window and bucket lie on whole hours, and fetch times favour the
+    window's edges: exactly ``start`` (counted), exactly ``end`` (not) and
+    one second either side.
+    """
+    start = draw(st.integers(min_value=0, max_value=3)) * HOUR
+    end = start + draw(st.integers(min_value=1, max_value=5)) * HOUR
+    bucket = draw(st.sampled_from((HOUR, 2 * HOUR, 3 * HOUR)))
+    fetches = draw(
         st.lists(
-            st.builds(
-                RequestRecord,
-                time=st.one_of(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),  # directory
+                st.one_of(
                     st.sampled_from((start, end, start - 1, end - 1)),
                     st.integers(min_value=0, max_value=9 * HOUR),
                 ),
-                descriptor_id=st.sampled_from(_IDS),
-                found=st.booleans(),
+                st.sampled_from(_IDS),
+                st.booleans(),  # logged
             ),
             max_size=40,
         )
     )
     owned = draw(st.lists(st.sampled_from(_IDS), unique=True, max_size=4))
     owner_of = {desc: draw(st.sampled_from("abc")) for desc in owned}
-    return records, owner_of, start, end, bucket
+    return fetches, owner_of, start, end, bucket
 
 
-#: Records at exactly ``start`` (counted) and exactly ``end`` (not).
+def _replay(fetches):
+    servers = [RecordingHSDirServer(relay_id=i) for i in range(3)]
+    for directory, time, desc, logged in fetches:
+        servers[directory].fetch(desc, now=time, log=logged)
+    return servers
+
+
+#: Fetches at exactly ``start`` (counted) and exactly ``end`` (not).
 _WINDOW_EDGES = (
     [
-        RequestRecord(HOUR, _IDS[0], True),
-        RequestRecord(3 * HOUR, _IDS[0], True),
-        RequestRecord(3 * HOUR, _IDS[1], False),
-        RequestRecord(3 * HOUR - 1, _IDS[1], True),
+        (0, HOUR, _IDS[0], True),
+        (1, 3 * HOUR, _IDS[0], True),
+        (0, 3 * HOUR, _IDS[1], True),
+        (2, 3 * HOUR - 1, _IDS[1], True),
+        (2, 2 * HOUR, _IDS[1], False),
     ],
     {_IDS[0]: "a", _IDS[1]: "b", _IDS[2]: "b"},
     HOUR,
     3 * HOUR,
     HOUR,
 )
-#: An ``end`` that falls inside the last bucket, not on its edge.
-_RAGGED_END = (
-    [RequestRecord(0, _IDS[0], True), RequestRecord(90, _IDS[0], True)],
-    {_IDS[0]: "a"},
-    0,
-    90,
-    60,
-)
 
 
 class TestTimeseriesEquivalence:
     def test_series_and_merge_and_classify(self):
-        # Counting the fleet's chained logs in one pass equals bucketing
-        # each directory's log per service and summing bucket by bucket.
+        # Adding the fleet's hourly tallies in one pass equals bucketing
+        # each directory's fetch records per service and summing bucket by
+        # bucket.
         servers, ids = _loaded_servers(3, 12, 120, seed=10)
         start, end = JAN28, JAN28 + 4 * DAY
         summed = {}
         for service, desc in sorted(ids.items()):
             per_server = [
-                series_from_log(s, start, end, descriptor_ids=[desc])
+                series_from_log(s.records, start, end, descriptor_ids=[desc])
                 for s in servers
             ]
             summed[service] = RequestTimeSeries(
@@ -332,9 +333,8 @@ class TestTimeseriesEquivalence:
                 bucket_seconds=HOUR,
                 counts=[sum(column) for column in zip(*(p.counts for p in per_server))],
             )
-        records = itertools.chain.from_iterable(s.request_log for s in servers)
         owner_of = {desc: service for service, desc in ids.items()}
-        by_owner = series_by_owner(records, owner_of, start, end)
+        by_owner = series_by_owner(_tallies(servers), owner_of, start, end)
         assert by_owner == summed
         assert classify_services_by_shape(by_owner) == _reference_labels(summed)
 
@@ -343,11 +343,11 @@ class TestTimeseriesEquivalence:
         servers, ids = _loaded_servers(2, 4, 80, seed=11)
         for server in servers:
             whole = series_from_log(
-                server, JAN28, JAN28 + 4 * DAY, bucket_seconds=HOUR
+                server.records, JAN28, JAN28 + 4 * DAY, bucket_seconds=HOUR
             )
-            assert sum(whole.counts) == len(server.request_log)
+            assert sum(whole.counts) == len(server.records)
             assert series_by_owner(
-                server.request_log,
+                [server.hourly_requests()],
                 {desc: "all" for desc in ids.values()},
                 JAN28,
                 JAN28 + 4 * DAY,
@@ -357,28 +357,27 @@ class TestTimeseriesEquivalence:
     def test_numpy_fallback(self):
         servers, ids = _loaded_servers(2, 6, 60, seed=12)
         start, end = JAN28, JAN28 + 2 * DAY
-        records = [record for server in servers for record in server.request_log]
         owner_of = {desc: service for service, desc in ids.items()}
         with numpy_unimportable():
-            by_owner = series_by_owner(records, owner_of, start, end)
+            by_owner = series_by_owner(_tallies(servers), owner_of, start, end)
             labels = classify_services_by_shape(by_owner)
-        merged = _log_server(records)
+        records = _records(servers)
         assert by_owner == {
-            service: series_from_log(merged, start, end, descriptor_ids=[desc])
+            service: series_from_log(records, start, end, descriptor_ids=[desc])
             for service, desc in sorted(ids.items())
         }
         assert labels == _reference_labels(by_owner)
 
     @settings(max_examples=80, deadline=None)
-    @given(case=owned_logs())
+    @given(case=owned_fetches())
     @example(case=_WINDOW_EDGES)
-    @example(case=_RAGGED_END)
     def test_series_by_owner_matches_per_owner_scan(self, case):
-        records, owner_of, start, end, bucket = case
-        server = _log_server(records)
+        fetches, owner_of, start, end, bucket = case
+        servers = _replay(fetches)
+        records = _records(servers)
         expected = {
             owner: series_from_log(
-                server,
+                records,
                 start,
                 end,
                 bucket,
@@ -386,13 +385,15 @@ class TestTimeseriesEquivalence:
             )
             for owner in sorted(set(owner_of.values()))
         }
-        got = series_by_owner(records, owner_of, start, end, bucket)
+        got = series_by_owner(_tallies(servers), owner_of, start, end, bucket)
         assert list(got) == list(expected)
         assert got == expected
 
     def test_window_edges_by_hand(self):
-        records, owner_of, start, end, bucket = _WINDOW_EDGES
-        got = series_by_owner(records, owner_of, start, end, bucket)
+        fetches, owner_of, start, end, bucket = _WINDOW_EDGES
+        got = series_by_owner(
+            _tallies(_replay(fetches)), owner_of, start, end, bucket
+        )
         assert got["a"].counts == [1, 0]
         assert got["b"].counts == [0, 1]
 
@@ -403,12 +404,11 @@ class TestTimeseriesEquivalence:
     def test_loaded_servers_merged(self):
         servers, ids = _loaded_servers(3, 12, 120, seed=10)
         start, end = JAN28, JAN28 + 4 * DAY
-        records = [record for server in servers for record in server.request_log]
         owner_of = {desc: service for service, desc in ids.items()}
-        merged = _log_server(records)
-        by_owner = series_by_owner(records, owner_of, start, end)
+        by_owner = series_by_owner(_tallies(servers), owner_of, start, end)
+        records = _records(servers)
         assert by_owner == {
-            service: series_from_log(merged, start, end, descriptor_ids=[desc])
+            service: series_from_log(records, start, end, descriptor_ids=[desc])
             for service, desc in sorted(ids.items())
         }
         assert classify_services_by_shape(by_owner) == _reference_labels(by_owner)
@@ -459,9 +459,17 @@ class TestTimeseriesEquivalence:
 class TestResolverWorkerEquivalence:
     def test_index_identical_at_any_worker_count(self):
         onions = make_onions(60, seed=13)
-        baseline = DescriptorResolver(onions, JAN28, FEB8, workers=1)
+        # Every ID the database derives, so the whole index is compared.
+        requested = [
+            desc
+            for ids in descriptor_ids_for_window_batch(onions, JAN28, FEB8)
+            for desc in ids
+        ]
+        baseline = DescriptorResolver(onions, JAN28, FEB8, requested, workers=1)
         for workers in (2, 8):
-            other = DescriptorResolver(onions, JAN28, FEB8, workers=workers)
+            other = DescriptorResolver(
+                onions, JAN28, FEB8, requested, workers=workers
+            )
             assert other._index == baseline._index
             assert [other.validity_of(d) for d in other._index] == [
                 baseline.validity_of(d) for d in baseline._index

@@ -39,6 +39,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
+from repro.crypto.descriptor_id import descriptor_ids_for_window_batch
 from repro.crypto.onion import onion_address_from_key
 from repro.parallel.executor import pmap
 from repro.popularity.resolver import DescriptorResolver
@@ -337,9 +338,14 @@ class TestSpawnPoolCheck:
         onions = [onion_address_from_key(rng.randbytes(140)) for _ in range(40)]
         start = parse_date("2013-01-28")
         end = parse_date("2013-02-08")
-        serial = DescriptorResolver(onions, start, end, workers=1)
-        pooled = DescriptorResolver(onions, start, end, workers=2)
-        assert set(spawn_pools) == {2}
+        requested = [
+            desc
+            for ids in descriptor_ids_for_window_batch(onions, start, end)
+            for desc in ids
+        ]
+        serial = DescriptorResolver(onions, start, end, requested, workers=1)
+        pooled = DescriptorResolver(onions, start, end, requested, workers=2)
+        assert spawn_pools == [2]
         assert serial.index_size > 0
         assert pooled._index == serial._index
         assert pooled.collisions == serial.collisions

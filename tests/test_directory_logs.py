@@ -1,9 +1,9 @@
-"""Which simulated directories keep a per-request log.
+"""Which simulated directories keep an hourly request tally.
 
-Per-ID request counters are on everywhere; the detailed log is kept only
-where an analysis reads it.  Table II's shape forensic reads its attacker
-fleet's logs, so those directories — and no others — log.  The harvest
-reads counters and stores only, so none of its directories log.
+Per-ID request counters are on everywhere; the per-(ID, hour) tally is
+kept only where an analysis reads it.  Table II's shape forensic reads its
+attacker fleet's tallies, so those directories — and no others — keep one.
+The harvest reads counters and stores only, so none of its directories do.
 
 The networks are observed through spies on the directories ``TorNetwork``
 provisions and on the ``TrawlAttack`` each experiment builds.
@@ -67,11 +67,17 @@ def test_table2_logs_only_at_its_fleet(spies):
     fleet_ids = {id(server) for server in fleet}
     honest = [server for server in directories if id(server) not in fleet_ids]
     assert len(directories) == len(honest) + len(fleet)
-    assert honest and all(not s.keep_log and not s.request_log for s in honest)
+    assert honest and all(not s.keep_log and not s._hourly for s in honest)
     # Clients fetched from the honest directories too; only counters saw it.
     assert any(server.request_counts for server in honest)
     assert all(server.keep_log for server in fleet)
-    assert sum(len(server.request_log) for server in fleet) > 0
+    # Every fetch a fleet directory counted is in its hourly tally too.
+    tallied = [
+        sum(sum(hour.values()) for hour in server.hourly_requests().values())
+        for server in fleet
+    ]
+    assert tallied == [server.total_requests for server in fleet]
+    assert sum(tallied) > 0
 
 
 def test_harvest_keeps_no_log(spies):
@@ -85,4 +91,4 @@ def test_harvest_keeps_no_log(spies):
     )
     (attack,) = attacks
     assert len(directories) > len(attack.fleet.all_relays)
-    assert all(not s.keep_log and not s.request_log for s in directories)
+    assert all(not s.keep_log and not s._hourly for s in directories)

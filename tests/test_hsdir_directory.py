@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import DescriptorError, ReproError
 from repro.hsdir.directory import HSDirServer, StoredDescriptor
-from repro.popularity.timeseries import series_from_log
+from repro.popularity.timeseries import series_by_owner
 from repro.sim.clock import DAY, HOUR
 
 
@@ -86,49 +86,43 @@ class TestRequestAccounting:
         server.fetch(b"\x01" * 20, now=1, log=False)
         assert server.total_requests == 0
 
-    def test_detailed_log_kept_by_default(self):
+    def test_hourly_tally_kept_by_default(self):
         server = HSDirServer(relay_id=1)
-        server.fetch(b"\x01" * 20, now=5)
-        assert len(server.request_log) == 1
-        record = server.request_log[0]
-        assert record.time == 5
-        assert not record.found
+        for t in (5, HOUR - 1, HOUR, 3 * HOUR + 7):
+            server.fetch(b"\x01" * 20, now=t)
+        server.fetch(b"\x02" * 20, now=HOUR + 1)
+        server.fetch(b"\x02" * 20, now=HOUR + 2, log=False)
+        assert server.hourly_requests() == {
+            0: {b"\x01" * 20: 2},
+            HOUR: {b"\x01" * 20: 1, b"\x02" * 20: 1},
+            3 * HOUR: {b"\x01" * 20: 1},
+        }
+        assert server.total_requests == 5
 
     def test_keep_log_false_skips_detail(self):
         server = HSDirServer(relay_id=1, keep_log=False)
         server.fetch(b"\x01" * 20, now=5)
-        assert server.request_log == []
+        assert server._hourly == {}
         assert server.total_requests == 1
 
     @pytest.mark.parametrize(
         "read",
         [
-            lambda server: server.requests_between(0, 2 * HOUR),
-            lambda server: series_from_log(server, 0, 2 * HOUR),
+            lambda server: server.hourly_requests(),
+            lambda server: series_by_owner(
+                [server.hourly_requests()], {b"\x01" * 20: "a"}, 0, 2 * HOUR
+            ),
         ],
-        ids=["requests_between", "series_from_log"],
+        ids=["hourly_requests", "series_by_owner"],
     )
     def test_log_less_directory_refuses_log_reads(self, read):
-        # Without a log the honest answer is "unknown", not zero traffic.
+        # Without a tally the honest answer is "unknown", not zero traffic.
         server = HSDirServer(relay_id=7, keep_log=False)
         for t in (HOUR + 1, HOUR + 2, HOUR + 3):
             server.fetch(b"\x01" * 20, now=t)
         assert server.request_counts[b"\x01" * 20] == [0, 3]
         with pytest.raises(ReproError, match="HSDir 7 keeps no request log"):
             read(server)
-
-    def test_requests_between(self):
-        server = HSDirServer(relay_id=1)
-        for t in (10, 20, 30):
-            server.fetch(b"\x01" * 20, now=t)
-        assert len(server.requests_between(15, 30)) == 1
-
-    def test_clear_log(self):
-        server = HSDirServer(relay_id=1)
-        server.fetch(b"\x01" * 20, now=1)
-        server.clear_log()
-        assert server.total_requests == 0
-        assert server.request_log == []
 
 
 class WalkingHSDirServer(HSDirServer):
@@ -214,7 +208,7 @@ class TestExpiryWatermark:
             assert list(server._store) == list(reference._store)
         assert server.stored_descriptors(now) == reference.stored_descriptors(now)
         assert server.request_counts == reference.request_counts
-        assert server.request_log == reference.request_log
+        assert server.hourly_requests() == reference.hourly_requests()
         assert server.publishes_received == reference.publishes_received
 
     def test_sweep_without_due_descriptors_skips_the_walk(self, monkeypatch):

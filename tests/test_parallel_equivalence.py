@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.crypto.descriptor_id import descriptor_ids_for_window_batch
 from repro.crypto.onion import onion_address_from_key
 from repro.popularity.resolver import DescriptorResolver
 from repro.sim.clock import parse_date
@@ -34,11 +35,19 @@ class TestResolverEquivalence:
         rng = random.Random(5)
         return [onion_address_from_key(rng.randbytes(140)) for _ in range(120)]
 
-    def test_index_identical_at_every_worker_count(self, onions):
+    @pytest.fixture(scope="class")
+    def requested(self, onions):
+        """Half of every onion's IDs, as a harvest would request some."""
+        ids = descriptor_ids_for_window_batch(
+            onions, parse_date("2013-01-28"), parse_date("2013-02-08")
+        )
+        return [desc for onion_ids in ids for desc in onion_ids[::2]]
+
+    def test_index_identical_at_every_worker_count(self, onions, requested):
         start = parse_date("2013-01-28")
         end = parse_date("2013-02-08")
         resolvers = [
-            DescriptorResolver(onions, start, end, workers=workers)
+            DescriptorResolver(onions, start, end, requested, workers=workers)
             for workers in WORKER_COUNTS
         ]
         baseline = resolvers[0]
@@ -50,12 +59,14 @@ class TestResolverEquivalence:
             ]
             assert other.collisions == baseline.collisions
 
-    def test_env_variable_is_equivalent_to_argument(self, onions, monkeypatch):
+    def test_env_variable_is_equivalent_to_argument(
+        self, onions, requested, monkeypatch
+    ):
         start = parse_date("2013-01-28")
         end = parse_date("2013-02-08")
-        explicit = DescriptorResolver(onions, start, end, workers=2)
+        explicit = DescriptorResolver(onions, start, end, requested, workers=2)
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        from_env = DescriptorResolver(onions, start, end)
+        from_env = DescriptorResolver(onions, start, end, requested)
         assert from_env._index == explicit._index
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.popularity.timeseries — traffic-shape forensics."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.errors import ReproError
@@ -7,10 +9,63 @@ from repro.hsdir.directory import HSDirServer
 from repro.popularity.timeseries import (
     RequestTimeSeries,
     classify_services_by_shape,
-    series_from_log,
+    series_by_owner,
 )
 from repro.sim.clock import DAY, HOUR
 from repro.sim.rng import derive_rng
+
+
+class FetchRecord(NamedTuple):
+    """One logged fetch, as :class:`RecordingHSDirServer` keeps it."""
+
+    time: int
+    descriptor_id: bytes
+    found: bool
+
+
+class RecordingHSDirServer(HSDirServer):
+    """Reference: a directory that also keeps a record per logged fetch.
+
+    The per-request log the hourly tallies replaced: every fetch the
+    tally counts is appended to :attr:`records` as well, so tally-built
+    series can be checked against :func:`series_from_log` over the same
+    fetch stream.
+    """
+
+    def __init__(self, relay_id, keep_log=True):
+        super().__init__(relay_id, keep_log)
+        self.records = []
+
+    def fetch(self, descriptor_id, now, log=True):
+        descriptor = super().fetch(descriptor_id, now, log)
+        if log and self.keep_log:
+            self.records.append(
+                FetchRecord(int(now), descriptor_id, descriptor is not None)
+            )
+        return descriptor
+
+
+def series_from_log(
+    records, start, end, bucket_seconds=HOUR, descriptor_ids=None
+):
+    """Reference: bucket per-fetch records into ``[start, end)``.
+
+    ``descriptor_ids`` restricts the series to specific IDs (one service).
+    Works at any window and bucket width, whole hours or not.
+    """
+    if end <= start:
+        raise ReproError(f"empty window: [{start}, {end})")
+    if bucket_seconds <= 0:
+        raise ReproError(f"bucket width must be positive: {bucket_seconds}")
+    buckets = [0] * max(1, -(-(end - start) // bucket_seconds))
+    wanted = set(descriptor_ids) if descriptor_ids is not None else None
+    for record in records:
+        if not start <= record.time < end:
+            continue
+        if wanted is not None and record.descriptor_id not in wanted:
+            continue
+        buckets[(record.time - start) // bucket_seconds] += 1
+    return RequestTimeSeries(start=start, bucket_seconds=bucket_seconds, counts=buckets)
 
 
 def constant_series(rate=50, buckets=24, seed=0):
@@ -86,37 +141,83 @@ class TestRequestTimeSeries:
 
 class TestSeriesFromLog:
     def make_server_with_requests(self, times, desc_id=b"\x01" * 20):
-        server = HSDirServer(relay_id=1)
+        server = RecordingHSDirServer(relay_id=1)
         for t in times:
             server.fetch(desc_id, now=t)
         return server
 
     def test_bucketing(self):
         server = self.make_server_with_requests([10, 20, HOUR + 5, 3 * HOUR - 1])
-        series = series_from_log(server, 0, 4 * HOUR)
+        series = series_from_log(server.records, 0, 4 * HOUR)
         assert series.counts == [2, 1, 1, 0]
 
     def test_window_filtering(self):
         server = self.make_server_with_requests([10, 5 * HOUR])
-        series = series_from_log(server, 0, 2 * HOUR)
+        series = series_from_log(server.records, 0, 2 * HOUR)
         assert series.total == 1
 
     def test_descriptor_filter(self):
-        server = HSDirServer(relay_id=1)
+        server = RecordingHSDirServer(relay_id=1)
         server.fetch(b"\x01" * 20, now=10)
         server.fetch(b"\x02" * 20, now=20)
         series = series_from_log(
-            server, 0, HOUR, descriptor_ids=[b"\x01" * 20]
+            server.records, 0, HOUR, descriptor_ids=[b"\x01" * 20]
         )
         assert series.total == 1
 
     def test_empty_window_rejected(self):
         with pytest.raises(ReproError):
-            series_from_log(HSDirServer(relay_id=1), 10, 10)
+            series_from_log([], 10, 10)
 
     def test_zero_bucket_width_rejected(self):
         with pytest.raises(ReproError):
-            series_from_log(HSDirServer(relay_id=1), 0, HOUR, bucket_seconds=0)
+            series_from_log([], 0, HOUR, bucket_seconds=0)
+
+
+class TestSeriesByOwner:
+    def test_sums_hour_tallies_into_buckets(self):
+        server = RecordingHSDirServer(relay_id=1)
+        for t in (10, 20, HOUR + 5, 3 * HOUR - 1, 5 * HOUR):
+            server.fetch(b"\x01" * 20, now=t)
+        server.fetch(b"\x01" * 20, now=30, log=False)
+        server.fetch(b"\x02" * 20, now=40)
+        assert server.hourly_requests() == {
+            0: {b"\x01" * 20: 2, b"\x02" * 20: 1},
+            HOUR: {b"\x01" * 20: 1},
+            2 * HOUR: {b"\x01" * 20: 1},
+            5 * HOUR: {b"\x01" * 20: 1},
+        }
+        owner_of = {b"\x01" * 20: "a", b"\x03" * 20: "c"}
+        got = series_by_owner(
+            [server.hourly_requests()], owner_of, 0, 4 * HOUR, 2 * HOUR
+        )
+        assert got["a"].counts == [3, 1]
+        assert got["c"].counts == [0, 0]
+        assert got == {
+            owner: series_from_log(
+                server.records, 0, 4 * HOUR, 2 * HOUR, descriptor_ids=[desc]
+            )
+            for desc, owner in owner_of.items()
+        }
+
+    @pytest.mark.parametrize(
+        "start, end, bucket",
+        [
+            (HOUR + 1, 3 * HOUR, HOUR),
+            (HOUR, 3 * HOUR - 1, HOUR),
+            (0, 2 * HOUR, HOUR // 2),
+            (0, 3 * HOUR, 90 * 60),
+        ],
+        ids=["start", "end", "sub-hour-bucket", "ragged-bucket"],
+    )
+    def test_window_not_on_whole_hours_rejected(self, start, end, bucket):
+        # An hour's tally cannot be split across buckets or window edges.
+        server = HSDirServer(relay_id=1)
+        server.fetch(b"\x01" * 20, now=HOUR)
+        with pytest.raises(ReproError, match="not on whole hours"):
+            series_by_owner(
+                [server.hourly_requests()], {b"\x01" * 20: "a"}, start, end, bucket
+            )
 
 
 class TestClassify:
