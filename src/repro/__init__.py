@@ -3,8 +3,8 @@ services* (Biryukov, Pustogarov, Thill, Weinmann; ICDCS 2014).
 
 The library has three layers:
 
-* **Substrates** — a deterministic discrete-event Tor network simulator:
-  :mod:`repro.sim` (time/events/RNG), :mod:`repro.crypto` (v2 onion and
+* **Substrates** — a deterministic Tor network simulator:
+  :mod:`repro.sim` (time/RNG), :mod:`repro.crypto` (v2 onion and
   descriptor-ID math), :mod:`repro.net` (addresses, transport, GeoIP),
   :mod:`repro.relay` / :mod:`repro.dirauth` (relays, flags, consensus),
   :mod:`repro.hsdir` / :mod:`repro.hs` / :mod:`repro.client` (directories,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.errors import ReproError
 
@@ -40,32 +40,6 @@ def share_table(counts: Dict[str, int]) -> Dict[str, float]:
     if total == 0:
         return {key: 0.0 for key in counts}
     return {key: value / total for key, value in counts.items()}
-
-
-def pearson_rank_correlation(
-    expected_order: Sequence[str], measured_order: Sequence[str]
-) -> float:
-    """Spearman's rho between two orderings of (a superset of) one item set.
-
-    Items missing from either ordering are ignored; with fewer than two
-    common items the correlation is defined as 1.0 (nothing to disagree
-    about).
-    """
-    common = [item for item in expected_order if item in set(measured_order)]
-    if len(common) < 2:
-        return 1.0
-    expected_rank = {item: i for i, item in enumerate(common)}
-    measured_rank = {
-        item: i
-        for i, item in enumerate(
-            [item for item in measured_order if item in expected_rank]
-        )
-    }
-    n = len(common)
-    d_squared = sum(
-        (expected_rank[item] - measured_rank[item]) ** 2 for item in common
-    )
-    return 1.0 - 6.0 * d_squared / (n * (n * n - 1))
 
 
 def head_counts(

@@ -41,9 +41,3 @@ class LanguageDetector:
         if not text.strip():
             raise ClassificationError("cannot detect language of empty text")
         return self._model.predict(char_ngrams(text, self._orders))
-
-    def detect_with_confidence(self, text: str) -> Tuple[str, float]:
-        """(language code, posterior probability)."""
-        if not text.strip():
-            raise ClassificationError("cannot detect language of empty text")
-        return self._model.predict_with_confidence(char_ngrams(text, self._orders))

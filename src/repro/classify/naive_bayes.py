@@ -138,11 +138,3 @@ class MultinomialNaiveBayes:
         """Most probable class (ties broken alphabetically for determinism)."""
         scores = self.log_scores(list(tokens))
         return min(scores, key=lambda label: (-scores[label], label))
-
-    def predict_with_confidence(self, tokens: Iterable[str]) -> Tuple[str, float]:
-        """(label, posterior probability) via a stable soft-max."""
-        scores = self.log_scores(list(tokens))
-        best = min(scores, key=lambda label: (-scores[label], label))
-        peak = scores[best]
-        total = sum(math.exp(score - peak) for score in scores.values())
-        return best, 1.0 / total

@@ -7,7 +7,7 @@ page is detected separately and excluded from the topic distribution.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from repro.classify.naive_bayes import MultinomialNaiveBayes
 from repro.classify.tokenize import word_tokens
@@ -50,9 +50,3 @@ class TopicClassifier:
         if not text.strip():
             raise ClassificationError("cannot classify empty text")
         return self._model.predict(word_tokens(text))
-
-    def classify_with_confidence(self, text: str) -> Tuple[str, float]:
-        """(topic, posterior probability)."""
-        if not text.strip():
-            raise ClassificationError("cannot classify empty text")
-        return self._model.predict_with_confidence(word_tokens(text))

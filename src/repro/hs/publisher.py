@@ -1,10 +1,10 @@
 """Descriptor publication scheduling.
 
 Each service republishes at its own 24-hour period boundary (staggered by
-the first byte of its permanent ID).  The scheduler drives republication on
-an :class:`~repro.sim.engine.EventEngine`; experiments that advance in
-coarse daily steps can instead call
-:meth:`PublishScheduler.publish_due` directly.
+the first byte of its permanent ID).  Experiments advance the clock hour by
+hour and call :meth:`PublishScheduler.maintain` after each consensus
+rebuild; it runs :meth:`PublishScheduler.publish_due` and re-uploads every
+service whose responsible directories moved.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.crypto.ring import FingerprintRing
 from repro.hs.service import HiddenService
 from repro.hsdir.ring_view import responsible_replica_lists_for_ids
 from repro.sim.clock import Timestamp
-from repro.sim.engine import EventEngine
 
 if TYPE_CHECKING:  # avoid a circular import: tornet imports repro.hs.service
     from repro.tornet import TorNetwork
@@ -206,30 +205,3 @@ class PublishScheduler:
                 moved.append((index, service))
                 self._last_responsible[index] = responsible
         return delivered + self._upload(moved, placements, now)
-
-    def attach_to_engine(self, engine: EventEngine, horizon: Timestamp) -> int:
-        """Schedule per-service republish events up to ``horizon``.
-
-        Returns the number of events scheduled.  Intended for fine-grained
-        simulations; the measurement experiments use :meth:`publish_due`
-        from their coarse phase loops.
-        """
-        scheduled = 0
-        for service in self.services:
-            due = service.next_publish_after(engine.now)
-            while due <= horizon:
-                engine.schedule_at(
-                    due,
-                    self._make_publish_callback(service),
-                    label=f"publish:{service.onion}",
-                )
-                scheduled += 1
-                due += 24 * 3600
-        return scheduled
-
-    def _make_publish_callback(self, service: HiddenService):
-        def _publish() -> None:
-            if service.is_online(self.network.clock.now):
-                self.network.publish_service(service, self.network.clock.now)
-
-        return _publish

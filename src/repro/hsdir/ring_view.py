@@ -90,22 +90,3 @@ def responsible_replica_lists_for_ids(
     return [
         placed[i * REPLICAS : (i + 1) * REPLICAS] for i in range(len(id_lists))
     ]
-
-
-def responsible_hsdirs_batch(
-    consensus: Consensus,
-    onions: Sequence[OnionAddress],
-    now: Timestamp,
-    count: int = HSDIRS_PER_REPLICA,
-) -> List[List[Fingerprint]]:
-    """Batched :func:`responsible_hsdirs`: one replica-ordered list per onion.
-
-    Element *i* equals ``responsible_hsdirs(consensus, onions[i], now,
-    count)`` byte for byte, duplicates-on-tiny-rings behaviour included.
-    """
-    return [
-        [fp for replica_fps in per_replica for fp in replica_fps]
-        for per_replica in responsible_replica_lists_batch(
-            consensus, onions, now, count
-        )
-    ]

@@ -23,8 +23,6 @@ from repro.crypto.descriptor_id import (
     descriptor_index_entries_batch,
 )
 from repro.crypto.onion import OnionAddress
-from repro.faults.retry import RetryPolicy, fetch_descriptor_with_retry
-from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
 from repro.obs.scope import Observer, ensure_observer
 from repro.parallel.executor import (
     SHARDS_PER_WORKER,
@@ -61,29 +59,6 @@ class ResolutionResult:
         """Share of request volume that resolved to nothing."""
         total = self.resolved_requests + self.unresolved_requests
         return self.unresolved_requests / total if total else 0.0
-
-
-@dataclass
-class ResolutionVerification:
-    """Which resolved onions still had a fetchable descriptor when probed.
-
-    The paper's popularity ranking is only as good as the resolution behind
-    it; descriptor churn between harvest and analysis silently shrinks the
-    resolvable set.  Verification re-probes each resolved onion (optionally
-    with retries) and splits the outcome into still-resolvable vs lost.
-    """
-
-    checked: int = 0
-    still_resolvable: int = 0
-    lost: int = 0
-    #: Total descriptor-fetch attempts spent, retries included.
-    attempts: int = 0
-    failures: FailureTaxonomy = field(default_factory=FailureTaxonomy)
-
-    @property
-    def lost_fraction(self) -> float:
-        """Share of resolved onions whose descriptor was gone."""
-        return self.lost / self.checked if self.checked else 0.0
 
 
 def _requested_entries(
@@ -213,53 +188,6 @@ class DescriptorResolver:
                 result.requests_per_onion.get(onion, 0) + count
             )
         return result
-
-    def verify_resolution(
-        self,
-        resolution: ResolutionResult,
-        transport,
-        when: Timestamp,
-        retry_policy: Optional[RetryPolicy] = None,
-        workers: Optional[int] = None,
-    ) -> ResolutionVerification:
-        """Re-probe every resolved onion's descriptor at time ``when``.
-
-        With a retry policy, a fetch that fails and then succeeds within the
-        re-fetch budget counts as transient (and still resolvable); one that
-        stays gone is permanent churn.  The probe closure captures the live
-        transport, so :func:`repro.parallel.pmap` keeps it in-process and in
-        sorted-onion order — byte-identical at every worker count.
-        """
-        onions = sorted(resolution.requests_per_onion)
-        obs = self._observer
-
-        def check(onion):
-            if retry_policy is None:
-                return transport.has_descriptor(onion, when), 1
-            return fetch_descriptor_with_retry(
-                transport, onion, when, retry_policy, observer=obs
-            )
-
-        verification = ResolutionVerification()
-        for onion, (found, attempts) in zip(
-            onions, pmap(check, onions, workers=workers)
-        ):
-            verification.checked += 1
-            verification.attempts += attempts
-            if found:
-                verification.still_resolvable += 1
-                if attempts > 1:
-                    verification.failures.record(
-                        FailureCategory.TRANSIENT_RECOVERED, attempts
-                    )
-            else:
-                verification.lost += 1
-                verification.failures.record(FailureCategory.PERMANENT, attempts)
-            obs.count(
-                "resolver_verified_total",
-                result="still_resolvable" if found else "lost",
-            )
-        return verification
 
     def resolve_normalized(
         self,

@@ -94,16 +94,6 @@ class RequestTimeSeries:
             return False
         return self.coefficient_of_variation() <= tolerance * self.poisson_floor()
 
-    def format_sparkline(self) -> str:
-        """One-line bar rendering of the series."""
-        if not self.counts:
-            return "(empty)"
-        blocks = " ▁▂▃▄▅▆▇█"
-        peak = max(self.counts) or 1
-        return "".join(
-            blocks[min(8, round(8 * count / peak))] for count in self.counts
-        )
-
 
 def _bucket_count(start: Timestamp, end: Timestamp, bucket_seconds: int) -> int:
     """Buckets covering ``[start, end)``; rejects an empty window."""

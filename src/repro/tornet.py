@@ -237,15 +237,6 @@ class TorNetwork:
             now = self.clock.now
         return responsible_replica_lists_batch(self.consensus, onions, now)
 
-    def responsible_sets_batch(
-        self, onions: Sequence[OnionAddress], now: Optional[Timestamp] = None
-    ) -> List[frozenset]:
-        """Batched :meth:`responsible_set`: one frozenset per onion."""
-        return [
-            frozenset(fp for replica_fps in per_replica for fp in replica_fps)
-            for per_replica in self.responsible_replica_lists_batch(onions, now)
-        ]
-
     def publish_service(
         self,
         service: HiddenService,

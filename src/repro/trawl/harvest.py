@@ -127,24 +127,6 @@ class RingHistory:
             slots.append(count)
         return slots
 
-    def covered_seconds(
-        self,
-        desc_id: DescriptorId,
-        per_replica: int = HSDIRS_PER_REPLICA,
-        validity: Optional[Tuple[Timestamp, Timestamp]] = None,
-    ) -> int:
-        """For how long ≥ 1 attacker relay was responsible for ``desc_id``.
-
-        Each snapshot is assumed to hold for one hour (the consensus
-        cadence).  Note a descriptor ID is fixed here — rotation to the next
-        day's ID is a different ID with its own coverage.
-        """
-        return sum(
-            HOUR
-            for slots in self._attacker_slots(desc_id, per_replica, validity)
-            if slots
-        )
-
     def slot_weighted_seconds(
         self,
         desc_id: DescriptorId,

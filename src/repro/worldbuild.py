@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.crypto.keys import KeyPair
-from repro.dirauth.authority import DirectoryAuthoritySet
 from repro.errors import ConfigError
 from repro.net.address import AddressPool
 from repro.relay.relay import Relay
@@ -77,7 +76,6 @@ def build_honest_network(
     start: Timestamp,
     spec: Optional[HonestNetworkSpec] = None,
     keep_archive: bool = False,
-    authority: Optional[DirectoryAuthoritySet] = None,
     rng_label: str = "honest-network",
 ) -> Tuple[TorNetwork, AddressPool]:
     """Stand up a network of seasoned honest relays with a live consensus.
@@ -89,9 +87,7 @@ def build_honest_network(
         spec = HonestNetworkSpec()
     rng = derive_rng(seed, rng_label, "relays")
     pool = AddressPool(derive_rng(seed, rng_label, "ips"))
-    network = TorNetwork(
-        clock=SimClock(start), keep_archive=keep_archive, authority=authority
-    )
+    network = TorNetwork(clock=SimClock(start), keep_archive=keep_archive)
     for index in range(spec.relay_count):
         network.add_relay(
             Relay(

@@ -7,7 +7,6 @@ from repro.analysis.report import ComparisonRow, ExperimentReport
 from repro.analysis.stats import (
     head_counts,
     l1_distance,
-    pearson_rank_correlation,
     relative_error,
     share_table,
 )
@@ -35,18 +34,6 @@ class TestStats:
 
     def test_share_table_empty(self):
         assert share_table({"x": 0}) == {"x": 0.0}
-
-    def test_rank_correlation_identical(self):
-        assert pearson_rank_correlation(["a", "b", "c"], ["a", "b", "c"]) == 1.0
-
-    def test_rank_correlation_reversed(self):
-        assert pearson_rank_correlation(["a", "b", "c"], ["c", "b", "a"]) == -1.0
-
-    def test_rank_correlation_ignores_missing(self):
-        assert pearson_rank_correlation(["a", "b", "zz"], ["a", "b"]) == 1.0
-
-    def test_rank_correlation_tiny_overlap(self):
-        assert pearson_rank_correlation(["a"], ["a"]) == 1.0
 
     def test_head_counts(self):
         rows = [("a", 1), ("b", 5), ("c", 3)]

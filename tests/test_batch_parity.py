@@ -33,8 +33,6 @@ from repro.crypto.ring import (
 from repro.errors import AttackError
 from repro.hsdir.ring_view import (
     responsible_for_replica,
-    responsible_hsdirs,
-    responsible_hsdirs_batch,
     responsible_replica_lists_batch,
 )
 from repro.scan.schedule import ScanSchedule
@@ -162,9 +160,6 @@ class TestSmallRingDuplicates:
         onions = _onions(bytes([value]) * 9 for value in range(12))
         now = parse_date("2013-01-02")
         consensus = tiny_network.consensus
-        assert responsible_hsdirs_batch(consensus, onions, now) == [
-            responsible_hsdirs(consensus, onion, now) for onion in onions
-        ]
         per_replica = responsible_replica_lists_batch(consensus, onions, now)
         for onion, lists in zip(onions, per_replica):
             assert lists == [
@@ -173,20 +168,12 @@ class TestSmallRingDuplicates:
             ]
 
     def test_empty_onions_on_tiny_ring(self, tiny_network):
-        assert responsible_hsdirs_batch(tiny_network.consensus, [], BASE) == []
+        assert responsible_replica_lists_batch(tiny_network.consensus, [], BASE) == []
 
 
 class TestNetworkBatchPlacement:
     """The TorNetwork batch APIs the publisher rides must equal the scalar
     per-onion lookups on a realistically sized ring."""
-
-    def test_responsible_sets_batch_matches_scalar(self, network):
-        onions = _onions(bytes([value + 1]) * 11 for value in range(10))
-        now = network.clock.now
-        assert network.responsible_sets_batch(onions, now) == [
-            frozenset(responsible_hsdirs(network.consensus, onion, now))
-            for onion in onions
-        ]
 
     def test_replica_lists_batch_matches_scalar(self, network):
         onions = _onions(bytes([value + 1]) * 11 for value in range(10))

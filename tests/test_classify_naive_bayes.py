@@ -160,11 +160,6 @@ class TestPredict:
         # Equal priors → deterministic alphabetical tie-break.
         assert model.predict(["zebra"]) == "cat"
 
-    def test_confidence_is_probability(self):
-        label, confidence = fitted_model().predict_with_confidence(["meow"])
-        assert label == "cat"
-        assert 0.5 < confidence <= 1.0
-
     def test_log_scores_finite(self):
         scores = fitted_model().log_scores(["cat", "dog"])
         assert all(math.isfinite(v) for v in scores.values())
@@ -186,9 +181,3 @@ class TestProperties:
         scores = model.log_scores(tokens)
         predicted = model.predict(tokens)
         assert scores[predicted] == max(scores.values())
-
-    def test_duplicating_evidence_strengthens_confidence(self):
-        model = fitted_model()
-        _, weak = model.predict_with_confidence(["meow"])
-        _, strong = model.predict_with_confidence(["meow"] * 5)
-        assert strong >= weak

@@ -34,13 +34,6 @@ class TestTopicClassifier:
         with pytest.raises(ClassificationError):
             topic_classifier.classify("")
 
-    def test_confidence(self, topic_classifier):
-        rng = derive_rng(90, "eval")
-        text = synth_topic_page("weapon", rng, word_count=150)
-        topic, confidence = topic_classifier.classify_with_confidence(text)
-        assert topic == "weapon"
-        assert confidence > 0.5
-
 
 class TestTorhostDefaultDetection:
     def test_exact_page_detected(self):

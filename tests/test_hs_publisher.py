@@ -8,7 +8,6 @@ from repro.hs.publisher import PublishScheduler
 from repro.hs.service import HiddenService
 from repro.hsdir.ring_view import responsible_for_replica
 from repro.sim.clock import DAY, HOUR, parse_date
-from repro.sim.engine import EventEngine
 from repro.sim.rng import derive_rng
 from repro.tornet import PublishTrace
 from repro.trawl.shadowing import ShadowFleet
@@ -282,19 +281,3 @@ class TestIncrementalMaintain:
         hour = -(-(roll - SWEEP_START) // HOUR)
         assert hourly[hour][1] - hourly[hour - 1][1] == 2
 
-
-class TestEngineAttachment:
-    def test_events_scheduled_per_period(self, network):
-        services = make_services(2)
-        scheduler = PublishScheduler(network, services)
-        engine = EventEngine(network.clock)
-        scheduled = scheduler.attach_to_engine(engine, network.clock.now + 3 * DAY)
-        assert scheduled == 2 * 3
-
-    def test_engine_driven_republish(self, network):
-        service = make_services(1)[0]
-        scheduler = PublishScheduler(network, [service])
-        engine = EventEngine(network.clock)
-        scheduler.attach_to_engine(engine, network.clock.now + DAY)
-        engine.run_until(network.clock.now + DAY)
-        assert service.publish_count >= 1

@@ -12,10 +12,9 @@ from repro.crypto.descriptor_id import (
     descriptor_ids_for_window_batch,
 )
 from repro.crypto.onion import onion_address_from_key
-from repro.faults.retry import RetryPolicy
 from repro.obs.scope import ensure_observer
 from repro.popularity import resolver as resolver_module
-from repro.popularity.resolver import DescriptorResolver, ResolutionResult
+from repro.popularity.resolver import DescriptorResolver
 from repro.sim.clock import DAY, parse_date
 
 JAN28 = parse_date("2013-01-28")
@@ -368,81 +367,3 @@ def test_resolver_peak_memory_is_bounded():
     assert resolver.index_size == 480
     assert peak / 1e6 < RESOLVER_PEAK_LIMIT_MB
 
-
-class FakeDescriptorTransport:
-    """Answers has_descriptor from per-onion scripted sequences."""
-
-    def __init__(self, answers):
-        self.answers = {onion: list(seq) for onion, seq in answers.items()}
-        self.fetches = 0
-
-    def has_descriptor(self, onion, now):
-        self.fetches += 1
-        seq = self.answers.get(onion, [False])
-        return seq.pop(0) if len(seq) > 1 else seq[0]
-
-
-class TestVerifyResolution:
-    ONIONS = ["a" * 16 + ".onion", "b" * 16 + ".onion", "c" * 16 + ".onion"]
-
-    def _resolution(self):
-        return ResolutionResult(
-            requests_per_onion={onion: 1 for onion in self.ONIONS}
-        )
-
-    def test_without_retries_every_flap_counts_as_lost(self):
-        transport = FakeDescriptorTransport(
-            {
-                self.ONIONS[0]: [True],
-                self.ONIONS[1]: [False, True],  # flap: second fetch never happens
-                self.ONIONS[2]: [False],
-            }
-        )
-        resolver = DescriptorResolver(make_onions(1), JAN28, FEB8, ())
-        verification = resolver.verify_resolution(
-            self._resolution(), transport, JAN28
-        )
-        assert verification.checked == 3
-        assert verification.still_resolvable == 1
-        assert verification.lost == 2
-        assert verification.attempts == 3
-        assert verification.failures.transient_recovered == 0
-        assert verification.lost_fraction == pytest.approx(2 / 3)
-
-    def test_retries_recover_the_flap(self):
-        transport = FakeDescriptorTransport(
-            {
-                self.ONIONS[0]: [True],
-                self.ONIONS[1]: [False, True],
-                self.ONIONS[2]: [False],
-            }
-        )
-        resolver = DescriptorResolver(make_onions(1), JAN28, FEB8, ())
-        verification = resolver.verify_resolution(
-            self._resolution(),
-            transport,
-            JAN28,
-            retry_policy=RetryPolicy(descriptor_refetches=1, seed=3),
-        )
-        assert verification.still_resolvable == 2
-        assert verification.lost == 1
-        assert verification.failures.transient_recovered == 1
-        assert verification.failures.permanent == 1
-        # a: 1 fetch; b: 2 fetches; c: 1 + 1 re-fetch.
-        assert verification.attempts == 5
-
-    def test_worker_count_does_not_change_the_verdict(self):
-        resolver = DescriptorResolver(make_onions(1), JAN28, FEB8, ())
-        runs = []
-        for workers in (1, 2, 8):
-            transport = FakeDescriptorTransport(
-                {self.ONIONS[0]: [True], self.ONIONS[2]: [False]}
-            )
-            runs.append(
-                resolver.verify_resolution(
-                    self._resolution(), transport, JAN28, workers=workers
-                )
-            )
-        baseline = runs[0]
-        for other in runs[1:]:
-            assert other == baseline

@@ -132,12 +132,6 @@ class TestRequestTimeSeries:
         labels = classify_services_by_shape({"ghost": silent}, min_requests=0)
         assert labels["ghost"] != "machine"
 
-    def test_sparkline(self):
-        series = RequestTimeSeries(start=0, bucket_seconds=HOUR, counts=[0, 4, 8])
-        line = series.format_sparkline()
-        assert len(line) == 3
-        assert line[-1] == "█"
-
 
 class TestSeriesFromLog:
     def make_server_with_requests(self, times, desc_id=b"\x01" * 20):

@@ -127,15 +127,15 @@ class TestHarvestResult:
 
 
 class TestRingHistory:
-    def test_covered_seconds(self):
+    def test_slot_weighting_counts_only_responsible_attackers(self):
         history = RingHistory()
         positions = sorted([100, 200, 300, 400])
         desc_id = (150).to_bytes(20, "big")
-        # Hour 1: attacker at 200 (first follower of 150) → covered.
+        # Hour 1: attacker at 200 (first follower of 150) → one of three slots.
         history.record(0, positions, {200})
         # Hour 2: attacker at 100 only (not among 3 followers of 150: 200,300,400).
         history.record(3600, positions, {100})
-        assert history.covered_seconds(desc_id) == 3600
+        assert history.slot_weighted_seconds(desc_id) == 3600 / 3
 
     def test_slot_weighting(self):
         history = RingHistory()
