@@ -11,6 +11,13 @@ from repro.analysis.stats import (
     share_table,
 )
 from repro.analysis.tables import format_bar_chart, format_rows
+from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
+from repro.supervise.manifest import (
+    STAGE_COMPLETE,
+    STAGE_MISSING,
+    CompletenessManifest,
+    StageStatus,
+)
 
 
 class TestStats:
@@ -70,6 +77,55 @@ class TestExperimentReport:
         row = ComparisonRow(label="a", paper=1, measured=2)
         with pytest.raises(AttributeError):
             row.measured = 3  # type: ignore[misc]
+
+
+class TestReportSections:
+    def test_failure_taxonomy_adds_one_row_per_category(self):
+        taxonomy = FailureTaxonomy()
+        taxonomy.record(FailureCategory.PERMANENT)
+        taxonomy.record(FailureCategory.TRANSIENT_RECOVERED, attempts=2)
+        report = ExperimentReport("x")
+        report.add_failure_taxonomy(taxonomy, prefix="scan ")
+        assert [(row.label, row.paper, row.measured) for row in report.rows] == [
+            ("scan transient recovered", None, 1),
+            ("scan retries exhausted", None, 0),
+            ("scan permanent failures", None, 1),
+        ]
+
+    def test_failure_rows_do_not_count_towards_max_error(self):
+        report = ExperimentReport("x")
+        report.add("paper row", 100, 90)
+        taxonomy = FailureTaxonomy()
+        taxonomy.record(FailureCategory.PERMANENT)
+        report.add_failure_taxonomy(taxonomy)
+        assert report.max_error() == pytest.approx(0.1)
+
+    def test_max_error_without_paper_values_is_zero(self):
+        report = ExperimentReport("x")
+        report.add("no counterpart", None, 5)
+        assert report.max_error() == 0.0
+
+    def test_complete_run_adds_one_confirming_note(self):
+        manifest = CompletenessManifest(stages=[StageStatus("scan", STAGE_COMPLETE)])
+        report = ExperimentReport("x")
+        report.add_completeness(manifest)
+        assert report.notes == ["supervision: run complete (no degradation)"]
+
+    def test_partial_run_names_what_is_missing(self):
+        manifest = CompletenessManifest(
+            stages=[
+                StageStatus("scan", STAGE_COMPLETE),
+                StageStatus("crawl", STAGE_MISSING),
+            ],
+            degraded=True,
+            reason="restarts-exhausted",
+        )
+        report = ExperimentReport("x")
+        report.add_completeness(manifest)
+        assert report.notes[0] == "supervision: PARTIAL RESULT"
+        assert "supervision: stage crawl: missing" in report.notes
+        assert "supervision: DEGRADED: restarts-exhausted" in report.notes
+        assert "PARTIAL RESULT" in report.format()
 
 
 class TestTables:

@@ -1,6 +1,26 @@
 """Smoke test for the chaos sweep: degrade gracefully, recover by retrying."""
 
-from repro.experiments.chaos_sweep import chaos_plan, run_chaos_sweep
+import pytest
+
+from repro.errors import FaultConfigError
+from repro.experiments.chaos_sweep import (
+    ChaosPoint,
+    ChaosSweepResult,
+    chaos_plan,
+    run_chaos_sweep,
+)
+
+
+def point(rate, open_retry):
+    return ChaosPoint(
+        rate=rate,
+        open_no_retry=open_retry // 2,
+        open_retry=open_retry,
+        classified_no_retry=0,
+        classified_retry=0,
+        transient_recovered=0,
+        retries_exhausted=0,
+    )
 
 
 class TestChaosSweep:
@@ -39,3 +59,34 @@ class TestChaosSweep:
         assert plan.active
         assert plan.name == "chaos-0.1"
         assert not chaos_plan(0.0).active
+
+
+class TestSweepSummary:
+    def test_baseline_is_the_first_point_with_retries(self):
+        result = ChaosSweepResult(points=[point(0.0, 200), point(0.1, 150)])
+        assert result.baseline_open == 200
+
+    def test_empty_sweep_has_no_baseline_and_no_threshold(self):
+        result = ChaosSweepResult()
+        assert result.baseline_open == 0
+        assert result.recovery_threshold_rate is None
+
+    def test_threshold_is_the_highest_recovered_rate(self):
+        result = ChaosSweepResult(
+            points=[point(0.0, 200), point(0.05, 195), point(0.1, 189), point(0.2, 120)]
+        )
+        # 0.95 * 200 = 190: the 0.1 point falls just short.
+        assert result.recovery_threshold_rate == 0.05
+
+    def test_zero_baseline_counts_every_point_as_recovered(self):
+        assert point(0.2, 0).recovered(baseline_open=0)
+
+    def test_rates_outside_the_unit_interval_rejected(self):
+        with pytest.raises(FaultConfigError):
+            chaos_plan(1.5)
+        with pytest.raises(FaultConfigError):
+            chaos_plan(-0.1)
+
+    def test_empty_rate_list_rejected(self):
+        with pytest.raises(FaultConfigError):
+            run_chaos_sweep(fault_rates=())

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.classify.language import LanguageDetector
+from repro.classify.training import language_training_corpus
 from repro.errors import ClassificationError
 from repro.population.content import synth_language_page
 from repro.population.corpus import LANGUAGES
@@ -47,3 +49,19 @@ class TestLanguageDetector:
         assert language_detector.detect("匿名 网络 服务 安全 隐藏") == "zh"
         assert language_detector.detect("サービス 匿名 ネットワーク ようこそ") == "ja"
         assert language_detector.detect("خدمة أمن شبكة مخفي حرية") == "ar"
+
+
+class TestLanguageTrainingCorpus:
+    def test_every_language_gets_the_same_number_of_documents(self):
+        texts, labels = language_training_corpus(docs_per_language=2, words_per_doc=15)
+        assert len(texts) == len(labels) == 2 * len(LANGUAGES)
+        assert sorted(set(labels)) == sorted(LANGUAGES)
+        assert all(labels.count(language) == 2 for language in LANGUAGES)
+
+    def test_corpus_is_a_fixed_artifact(self):
+        first = language_training_corpus(docs_per_language=1, words_per_doc=20)
+        assert language_training_corpus(docs_per_language=1, words_per_doc=20) == first
+
+    def test_unfitted_detector_rejected(self):
+        with pytest.raises(ClassificationError):
+            LanguageDetector().detect("bonjour tout le monde")

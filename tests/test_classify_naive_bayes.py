@@ -160,6 +160,10 @@ class TestPredict:
         # Equal priors → deterministic alphabetical tie-break.
         assert model.predict(["zebra"]) == "cat"
 
+    def test_is_fitted_only_after_fit(self):
+        assert not MultinomialNaiveBayes().is_fitted
+        assert fitted_model().is_fitted
+
     def test_log_scores_finite(self):
         scores = fitted_model().log_scores(["cat", "dog"])
         assert all(math.isfinite(v) for v in scores.values())

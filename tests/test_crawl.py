@@ -122,6 +122,35 @@ class TestExclusionFunnel:
         assert out.total_excluded == 0
 
 
+    def test_ssh_banners_are_inside_the_short_count(self):
+        results = CrawlResults(
+            pages=[
+                make_page(port=22, kind=PageKind.BANNER, text="SSH-2.0-X"),
+                make_page(port=80, text="short page"),
+                make_page(port=80, text="Error 404 Not Found " * 10, onion="b" * 16 + ".onion"),
+            ]
+        )
+        out = apply_exclusions(results)
+        assert (out.short_excluded, out.ssh_banner_excluded) == (2, 1)
+        assert out.total_excluded == 3
+
+    def test_funnel_keeps_every_connected_page_accounted_for(self):
+        text = "alpha beta gamma delta " * MIN_WORDS
+        results = CrawlResults(
+            pages=[
+                make_page(port=80, text=text),
+                make_page(port=443, text=text),
+                make_page(port=8080, text="tiny"),
+                make_page(port=80, text="Error 404 Not Found " * 10, onion="b" * 16 + ".onion"),
+                make_page(port=81, kind=PageKind.DEAD),
+            ]
+        )
+        out = apply_exclusions(results)
+        connected = sum(page.connected for page in results.pages)
+        assert out.classified_count + out.total_excluded == connected == 4
+        assert [page.port for page in out.pages] == [80]
+
+
 class TestDestinationsSummary:
     def test_port_buckets(self):
         results = CrawlResults(

@@ -252,3 +252,52 @@ class TestLookupMemo:
         for ring in rings:
             ring.responsible_for(POOL[-1])
         assert [ring._memo is not None for ring in rings] == [False] * 4 + [True]
+
+
+class TestDistanceTo:
+    def test_equals_the_clockwise_ring_distance(self):
+        fps = make_fingerprints(10)
+        ring = FingerprintRing(fps)
+        desc_id = make_fingerprints(1, seed=3)[0]
+        for fp in fps:
+            assert ring.distance_to(desc_id, fp) == ring_distance(
+                int.from_bytes(desc_id, "big"), int.from_bytes(fp, "big")
+            )
+
+    def test_first_responsible_relay_is_the_nearest(self):
+        ring = FingerprintRing(make_fingerprints(40))
+        desc_id = make_fingerprints(1, seed=4)[0]
+        nearest = ring.responsible_for(desc_id)[0]
+        assert ring.distance_to(desc_id, nearest) == min(
+            ring.distance_to(desc_id, fp) for fp in ring.fingerprints
+        )
+
+    def test_distance_to_itself_is_zero(self):
+        fp = make_fingerprints(1)[0]
+        assert FingerprintRing([fp]).distance_to(fp, fp) == 0
+
+
+class TestSameMembers:
+    def test_same_fingerprints_in_another_order(self):
+        fps = make_fingerprints(12)
+        assert FingerprintRing(fps).same_members(FingerprintRing(fps[::-1]))
+
+    def test_one_member_more_differs(self):
+        fps = make_fingerprints(12)
+        assert not FingerprintRing(fps[:-1]).same_members(FingerprintRing(fps))
+
+
+class TestResponsibleCount:
+    def test_custom_count_takes_that_many_successors(self):
+        ring = FingerprintRing(make_fingerprints(30))
+        desc_id = make_fingerprints(1, seed=8)[0]
+        five = ring.responsible_for(desc_id, count=5)
+        assert len(five) == 5
+        assert five[:HSDIRS_PER_REPLICA] == ring.responsible_for(desc_id)
+
+    def test_many_matches_one_at_a_time(self):
+        ring = FingerprintRing(make_fingerprints(30))
+        desc_ids = make_fingerprints(8, seed=9)
+        assert ring.responsible_for_many(desc_ids, count=4) == [
+            ring.responsible_for(desc_id, count=4) for desc_id in desc_ids
+        ]

@@ -8,7 +8,12 @@ from repro.crypto.descriptor_id import descriptor_id
 from repro.crypto.keys import KeyPair
 from repro.crypto.onion import onion_address_from_key
 from repro.crypto.ring import RING_SIZE
-from repro.detection.analyzer import TrackingAnalyzer
+from repro.detection.analyzer import (
+    ResponsibilityEvent,
+    ServerRecord,
+    TrackingAnalyzer,
+    TrackingReport,
+)
 from repro.detection.rules import DetectionThresholds
 from repro.dirauth.archive import ConsensusArchive
 from repro.dirauth.consensus import Consensus, ConsensusEntry
@@ -190,3 +195,78 @@ class TestAnalyzer:
         lax = DetectionThresholds(ratio_suspicious=10**7, ratio_extreme=10**8)
         report = TrackingAnalyzer(archive, lax).analyze(TARGET, *window(30))
         assert report.likely_trackers() == {}
+
+
+def event(period, ratio=1.0, fresh=False, replica=0, fingerprint=b"\x01" * 20):
+    return ResponsibilityEvent(
+        period_index=period,
+        period_start=period * DAY,
+        fingerprint=fingerprint,
+        nickname="n",
+        replica=replica,
+        ratio=ratio,
+        fresh_fingerprint=fresh,
+    )
+
+
+def report_over(periods, records):
+    return TrackingReport(
+        onion="a" * 16 + ".onion",
+        window=(0, periods * DAY),
+        periods_analyzed=periods,
+        mean_hsdir_count=1200.0,
+        thresholds=DetectionThresholds(),
+        servers={record.server: record for record in records},
+    )
+
+
+class TestServerRecord:
+    def test_both_replicas_in_one_period_count_once(self):
+        record = ServerRecord(server=(1, 9001), events=[event(4, replica=0), event(4, replica=1)])
+        assert record.periods_responsible == 1
+
+    def test_longest_run_of_consecutive_periods(self):
+        record = ServerRecord(server=(1, 9001), events=[event(p) for p in (1, 2, 3, 5, 6, 9)])
+        assert record.periods_responsible == 6
+        assert record.max_consecutive_periods == 3
+
+    def test_empty_record_scores_zero(self):
+        record = ServerRecord(server=(1, 9001))
+        assert (
+            record.periods_responsible,
+            record.max_ratio,
+            record.fresh_fingerprint_events,
+            record.max_consecutive_periods,
+        ) == (0, 0.0, 0, 0)
+
+    def test_ratio_and_fresh_events_summarised(self):
+        record = ServerRecord(
+            server=(1, 9001),
+            events=[event(1, ratio=3.0), event(5, ratio=250.0, fresh=True), event(8, fresh=True)],
+        )
+        assert record.max_ratio == 250.0
+        assert record.fresh_fingerprint_events == 2
+
+
+class TestReportVerdicts:
+    def test_extreme_ratio_alone_convicts(self):
+        record = ServerRecord(server=(1, 9001), events=[event(3, ratio=20_000.0)])
+        report = report_over(100, [record])
+        assert report.flags_for(record) == ["ratio", "ratio-extreme"]
+        assert report.likely_trackers() == {(1, 9001): ["ratio", "ratio-extreme"]}
+
+    def test_suspicious_ratio_needs_a_fingerprint_signal(self):
+        lone = ServerRecord(server=(1, 9001), events=[event(3, ratio=500.0)])
+        rotating = ServerRecord(
+            server=(2, 9001),
+            events=[event(3, ratio=500.0, fresh=True), event(40, fresh=True)],
+        )
+        report = report_over(100, [lone, rotating])
+        assert list(report.likely_trackers()) == [(2, 9001)]
+        assert report.servers_with_flag("fresh-fingerprint") == [(2, 9001)]
+
+    def test_many_fingerprints_trip_the_churn_rule(self):
+        record = ServerRecord(
+            server=(1, 9001), fingerprints_used={bytes([i]) * 20 for i in range(4)}
+        )
+        assert report_over(10, [record]).flags_for(record) == ["fingerprint-churn"]

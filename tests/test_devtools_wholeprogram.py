@@ -10,7 +10,10 @@ import textwrap
 from repro.cli import main as cli_main
 from repro.devtools import all_rules, run_lint
 from repro.devtools.astcache import AstCache
+from repro.devtools.autofix import apply_fixes
+from repro.devtools.baseline import apply_baseline
 from repro.devtools.engine import iter_python_files
+from repro.devtools.findings import Finding, Fix
 from repro.devtools.layering import runtime_import_graph
 from repro.devtools.sarif import render_sarif
 
@@ -124,3 +127,72 @@ class TestCliFix:
         assert target.read_text() == (
             "def names(xs):\n    return sorted(set(sorted(set(xs))))\n"
         )
+
+
+def finding_with_fix(path, line, start_col, end_col, replacement, end_line=None):
+    return Finding(
+        rule="REP005",
+        file=str(path),
+        line=line,
+        message="m",
+        fix=Fix(line, start_col, end_line or line, end_col, replacement),
+    )
+
+
+class TestApplyFixes:
+    """The span rewrites behind ``--fix``, fed hand-made findings."""
+
+    def test_replaces_the_span(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("items = list(set(xs))\n")
+        result = apply_fixes([finding_with_fix(target, 1, 8, 21, "sorted(xs)")])
+        assert target.read_text() == "items = sorted(xs)\n"
+        assert (result.applied, result.skipped_overlaps) == (1, 0)
+        assert result.files == [str(target)]
+
+    def test_two_spans_on_one_line_both_land(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("a, b = list(set(x)), list(set(y))\n")
+        result = apply_fixes(
+            [
+                finding_with_fix(target, 1, 7, 19, "sorted(x)"),
+                finding_with_fix(target, 1, 21, 33, "sorted(y)"),
+            ]
+        )
+        assert target.read_text() == "a, b = sorted(x), sorted(y)\n"
+        assert result.applied == 2
+
+    def test_overlapping_fix_is_skipped(self, tmp_path):
+        target = tmp_path / "m.py"
+        source = "v = list(set(list(set(x))))\n"
+        target.write_text(source)
+        result = apply_fixes(
+            [
+                finding_with_fix(target, 1, 13, 25, "sorted(x)"),
+                finding_with_fix(target, 1, 4, 27, "sorted(list(set(x)))"),
+            ]
+        )
+        # The outer span starts first in document order, so it wins.
+        assert target.read_text() == "v = sorted(list(set(x)))\n"
+        assert (result.applied, result.skipped_overlaps) == (1, 1)
+
+    def test_multi_line_span_collapses(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("v = list(set(\n    xs\n))\nw = 1\n")
+        apply_fixes([finding_with_fix(target, 1, 4, 2, "sorted(xs)", end_line=3)])
+        assert target.read_text() == "v = sorted(xs)\nw = 1\n"
+
+    def test_findings_without_fixes_touch_nothing(self, tmp_path):
+        target = tmp_path / "m.py"
+        target.write_text("x = 1\n")
+        result = apply_fixes([Finding(rule="REP001", file=str(target), line=1, message="m")])
+        assert (result.applied, result.files) == (0, [])
+        assert target.read_text() == "x = 1\n"
+
+
+class TestApplyBaseline:
+    def test_only_findings_outside_the_baseline_remain(self):
+        old = Finding(rule="REP001", file="a.py", line=3, message="m", snippet="rng = R(0)")
+        moved = Finding(rule="REP001", file="a.py", line=9, message="m", snippet="rng = R(0)")
+        new = Finding(rule="REP001", file="a.py", line=4, message="m", snippet="rng = R(1)")
+        assert apply_baseline([moved, new], {old.fingerprint}) == [new]

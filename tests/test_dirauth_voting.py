@@ -1,6 +1,9 @@
 """Tests for repro.dirauth.voting — flag assignment policy."""
 
+import math
 import random
+
+from hypothesis import given, strategies as st
 
 from repro.crypto.keys import KeyPair
 from repro.dirauth.voting import FlagPolicy
@@ -72,3 +75,48 @@ class TestFlagPolicy:
         policy = FlagPolicy(hsdir_min_uptime=HOUR)
         relay = make_relay()
         assert policy.flags_for(relay, 2 * HOUR) & RelayFlags.HSDIR
+
+
+class TestNextFlagChange:
+    def setup_method(self):
+        self.policy = FlagPolicy()
+
+    def test_fresh_relay_changes_first_at_hsdir_threshold(self):
+        relay = make_relay(started_at=0)
+        assert self.policy.next_flag_change(relay, 0) == 25 * HOUR
+
+    def test_after_hsdir_the_stable_threshold_is_next(self):
+        relay = make_relay(started_at=0)
+        assert self.policy.next_flag_change(relay, 25 * HOUR) == 5 * DAY
+
+    def test_after_stable_the_guard_threshold_is_next(self):
+        relay = make_relay(started_at=0)
+        assert self.policy.next_flag_change(relay, 6 * DAY) == 8 * DAY
+
+    def test_no_threshold_left_ahead_is_infinite(self):
+        relay = make_relay(started_at=0)
+        assert self.policy.next_flag_change(relay, 8 * DAY) == math.inf
+
+    def test_unreachable_relay_never_changes(self):
+        relay = make_relay(reachable=False)
+        assert self.policy.next_flag_change(relay, 0) == math.inf
+
+    def test_restart_counts_from_the_new_uptime(self):
+        relay = make_relay(started_at=0)
+        relay.set_reachable(False, 30 * HOUR)
+        relay.set_reachable(True, 31 * HOUR)
+        assert self.policy.next_flag_change(relay, 32 * HOUR) == 31 * HOUR + 25 * HOUR
+
+    @given(
+        started_at=st.integers(0, 10 * DAY),
+        offset=st.integers(0, 12 * DAY),
+        bandwidth=st.integers(0, 2000),
+    )
+    def test_flags_hold_until_the_next_change(self, started_at, offset, bandwidth):
+        relay = make_relay(bandwidth=bandwidth, started_at=started_at)
+        now = started_at + offset
+        change = self.policy.next_flag_change(relay, now)
+        last_unchanged = now + 30 * DAY if change == math.inf else change - 1
+        assert self.policy.flags_for(relay, now) == self.policy.flags_for(
+            relay, last_unchanged
+        )

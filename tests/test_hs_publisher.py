@@ -53,6 +53,38 @@ class TestPublishDue:
         assert scheduler.publish_due(network.clock.now) == 0
 
 
+    def test_one_republish_per_period_over_three_days(self, network):
+        services = make_services(2)
+        scheduler = PublishScheduler(network, services)
+        start = network.clock.now
+        scheduler.publish_initial(start)
+        for hour in range(1, 72 + 1):
+            scheduler.publish_due(start + hour * HOUR)
+        assert [service.publish_count for service in services] == [4, 4]
+
+    def test_service_added_later_is_scheduled_before_it_publishes(self, network):
+        first, late = make_services(2)
+        scheduler = PublishScheduler(network, [first])
+        scheduler.publish_initial(network.clock.now)
+        scheduler.services.append(late)
+        assert scheduler.publish_due(network.clock.now) == 0
+        assert late.publish_count == 0
+        scheduler.publish_due(network.clock.now + DAY)
+        assert late.publish_count == 1
+
+    def test_service_coming_online_publishes_at_its_next_boundary(self, network):
+        service = make_services(1, online_from=network.clock.now + 2 * HOUR)[0]
+        scheduler = PublishScheduler(network, [service])
+        assert scheduler.publish_initial(network.clock.now) == 0
+        boundary = service.next_publish_after(network.clock.now)
+        # A boundary that passes while the service is still offline is
+        # skipped; the next one, a period later, publishes.
+        first = boundary if boundary >= service.online_from else boundary + DAY
+        assert scheduler.publish_due(first - 1) == 0
+        assert scheduler.publish_due(first) == 6
+        assert service.publish_count == 1
+
+
 class TestMaintain:
     def test_republish_when_responsible_set_changes(self, network_and_pool):
         """The behaviour the trawl exploits: a new HSDir in the right ring

@@ -1,8 +1,12 @@
 """Tests for repro.hsdir.ring_view — responsible directory computation."""
 
-from repro.crypto.descriptor_id import REPLICAS
+from repro.crypto.descriptor_id import REPLICAS, descriptor_id
 from repro.crypto.onion import onion_address_from_key
-from repro.hsdir.ring_view import responsible_for_replica, responsible_hsdirs
+from repro.hsdir.ring_view import (
+    responsible_for_replica,
+    responsible_hsdirs,
+    responsible_replica_lists_for_ids,
+)
 from repro.relay.flags import RelayFlags
 from repro.sim.clock import DAY, parse_date
 
@@ -46,3 +50,28 @@ class TestResponsibleHsdirs:
     def test_count_parameter(self, network):
         result = responsible_for_replica(network.consensus, ONION, FEB4, 0, count=5)
         assert len(result) == 5
+
+
+class TestPlacementForIds:
+    def test_places_each_replica_id_like_the_scalar_chain(self, network):
+        onions = [onion_address_from_key(f"service-{i}".encode()) for i in range(5)]
+        id_lists = [
+            [descriptor_id(onion, FEB4, replica) for replica in range(REPLICAS)]
+            for onion in onions
+        ]
+        placed = responsible_replica_lists_for_ids(network.consensus, id_lists)
+        assert placed == [
+            [
+                responsible_for_replica(network.consensus, onion, FEB4, replica)
+                for replica in range(REPLICAS)
+            ]
+            for onion in onions
+        ]
+
+    def test_count_reaches_every_replica(self, network):
+        ids = [descriptor_id(ONION, FEB4, replica) for replica in range(REPLICAS)]
+        (placed,) = responsible_replica_lists_for_ids(network.consensus, [ids], count=2)
+        assert [len(fingerprints) for fingerprints in placed] == [2] * REPLICAS
+
+    def test_no_ids_no_placements(self, network):
+        assert responsible_replica_lists_for_ids(network.consensus, []) == []

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import NetworkError
+from repro.errors import AddressExhaustedError, NetworkError
 from repro.net.address import AddressPool, ip_to_str, str_to_ip
 
 
@@ -61,3 +61,28 @@ class TestAddressPool:
         pool = AddressPool(random.Random(0))
         with pytest.raises(NetworkError):
             pool.allocate_many(-1)
+
+
+class ConstantBits:
+    """An rng stand-in whose every draw is the same 32-bit value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def getrandbits(self, bits):
+        return self.value
+
+
+class TestExhaustion:
+    def test_only_reserved_draws_exhaust_the_pool(self):
+        pool = AddressPool(ConstantBits(0x0A000001))  # always 10.0.0.1
+        with pytest.raises(AddressExhaustedError):
+            pool.allocate()
+        assert pool.allocated_count == 0
+
+    def test_repeated_draws_exhaust_after_the_first(self):
+        pool = AddressPool(ConstantBits(0x01020304))
+        assert pool.allocate() == 0x01020304
+        with pytest.raises(AddressExhaustedError):
+            pool.allocate()
+        assert pool.allocated_count == 1

@@ -168,6 +168,42 @@ class TestSpans:
             with pytest.raises(ObservabilityError):
                 observer.add_time(-1)
 
+    def test_current_span_follows_the_stack(self):
+        observer = Observer()
+        assert observer.current_span is None
+        with observer.span("scan") as scan:
+            assert observer.current_span is scan
+            with observer.span("day") as day:
+                assert observer.current_span is day
+            assert observer.current_span is scan
+        assert observer.current_span is None
+
+    def test_attrs_are_canonical_strings(self):
+        observer = Observer()
+        with observer.span("probe", port=80, onion="x.onion"):
+            pass
+        assert observer.spans[0].attrs == (("onion", "x.onion"), ("port", "80"))
+
+    def test_disabled_observer_records_no_span(self):
+        observer = Observer.disabled()
+        with observer.span("scan") as opened:
+            observer.add_time(5)
+            assert observer.current_span is None
+        assert observer.spans == []
+        assert opened.duration == 0
+
+    def test_empty_span_name_rejected(self):
+        with pytest.raises(ObservabilityError):
+            with Observer().span(""):
+                pass
+
+    def test_time_outside_any_span_is_dropped(self):
+        observer = Observer()
+        observer.add_time(7)
+        with observer.span("s"):
+            pass
+        assert observer.spans[0].duration == 0
+
 
 class TestEventLog:
     def test_bound_counts_overflow(self):

@@ -3,10 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.crypto.keys import KeyPair
 from repro.errors import SimulationError
-from repro.relay.flags import RelayFlags
+from repro.relay.flags import RelayFlags, flags_overlap
 from repro.relay.relay import Relay
 from repro.sim.clock import HOUR
 
@@ -126,3 +127,27 @@ class TestStateVersion:
         before = relay.state_version
         relay.bandwidth = 900
         assert relay.state_version != before
+
+
+class TestFlagsOverlap:
+    def test_shared_flag_overlaps(self):
+        flags = RelayFlags.RUNNING | RelayFlags.HSDIR
+        assert flags_overlap(flags, RelayFlags.HSDIR | RelayFlags.GUARD)
+
+    def test_disjoint_flags_do_not_overlap(self):
+        flags = RelayFlags.RUNNING | RelayFlags.VALID
+        assert not flags_overlap(flags, RelayFlags.HSDIR | RelayFlags.GUARD)
+
+    def test_empty_mask_never_overlaps(self):
+        assert not flags_overlap(RelayFlags.RUNNING | RelayFlags.HSDIR, RelayFlags.NONE)
+
+    def test_returns_a_plain_bool(self):
+        assert flags_overlap(RelayFlags.GUARD, RelayFlags.GUARD) is True
+
+    @given(
+        flags=st.integers(0, (1 << len(RelayFlags)) - 1),
+        mask=st.integers(0, (1 << len(RelayFlags)) - 1),
+    )
+    def test_agrees_with_the_enum_operator(self, flags, mask):
+        flags, mask = RelayFlags(flags), RelayFlags(mask)
+        assert flags_overlap(flags, mask) == bool(flags & mask)

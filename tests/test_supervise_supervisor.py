@@ -24,6 +24,7 @@ from repro.supervise import (
     EpochSupervisor,
     RestartPolicy,
     StageStatus,
+    merge_quarantine,
     stage_enter,
     stage_exit,
     stage_methods,
@@ -310,6 +311,30 @@ class TestManifest:
     def test_unknown_stage_status_rejected(self):
         with pytest.raises(SupervisionError):
             StageStatus("alpha", "half-done")
+
+    def test_completed_stages_keep_pipeline_order(self):
+        manifest = CompletenessManifest(
+            stages=[
+                StageStatus("scan", STAGE_COMPLETE),
+                StageStatus("crawl", STAGE_MISSING),
+                StageStatus("classify", STAGE_COMPLETE),
+            ]
+        )
+        assert manifest.completed_stages() == ["scan", "classify"]
+
+    def test_merged_quarantine_keeps_item_order_and_breaks_completeness(self):
+        manifest = CompletenessManifest(stages=[StageStatus("alpha", STAGE_COMPLETE)])
+        merge_quarantine(manifest, [{"index": 2, "error": "a"}])
+        merge_quarantine(manifest, [{"index": 5, "error": "b"}, {"index": 7, "error": "c"}])
+        assert [item["index"] for item in manifest.quarantined_items] == [2, 5, 7]
+        assert not manifest.complete
+        assert "items quarantined: 3" in manifest.summary_lines()
+
+    def test_clean_manifest_summary_has_no_degradation_line(self):
+        manifest = CompletenessManifest(stages=[StageStatus("alpha", STAGE_COMPLETE)])
+        lines = manifest.summary_lines()
+        assert lines[0] == "stages complete: 1/1 (alpha)"
+        assert not any(line.startswith("DEGRADED") for line in lines)
 
     def test_summary_lines_name_the_degradation(self):
         text = "\n".join(self.make_manifest().summary_lines())

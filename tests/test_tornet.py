@@ -11,6 +11,7 @@ from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, parse_date
 from repro.sim.rng import derive_rng
 from repro.tornet import TorNetwork
+from tests.conftest import make_network
 
 FEB4 = parse_date("2013-02-04")
 
@@ -140,3 +141,74 @@ class TestFetchObservers:
         network.fetch_descriptor_id(b"\x13" * 20, rng)
         assert len(traces) == 3
         assert all(not trace.found for trace in traces)
+
+
+def stored_by_relay(network):
+    """What each listed relay's directory holds, keyed by fingerprint."""
+    return {
+        fingerprint: sorted(
+            (d.descriptor_id, d.replica)
+            for d in network.hsdir_server_for(relay).stored_descriptors(
+                network.clock.now
+            )
+        )
+        for fingerprint, relay in network._relays_by_fingerprint.items()
+    }
+
+
+class TestPublishServices:
+    def make_services(self):
+        services = [make_service(seed) for seed in (11, 12, 13, 14)]
+        services[2].online_until = 1  # offline long before the clock
+        return services
+
+    def test_batch_matches_one_upload_at_a_time(self):
+        batched, _ = make_network(seed=31)
+        single, _ = make_network(seed=31)
+        batch_services, single_services = self.make_services(), self.make_services()
+        delivered = batched.publish_services(
+            [(service, None, None) for service in batch_services]
+        )
+        assert delivered == sum(
+            single.publish_service(service) for service in single_services
+        )
+        assert any(stored_by_relay(batched).values())
+        assert stored_by_relay(batched) == stored_by_relay(single)
+        assert [s.publish_count for s in batch_services] == [
+            s.publish_count for s in single_services
+        ]
+
+    def test_offline_jobs_are_skipped(self, network):
+        services = self.make_services()
+        delivered = network.publish_services([(s, None, None) for s in services])
+        assert delivered == 3 * 6
+        assert [s.publish_count for s in services] == [1, 1, 0, 1]
+
+    def test_handed_in_placement_reaches_the_same_directories(self):
+        derived, _ = make_network(seed=32)
+        handed, _ = make_network(seed=32)
+        services = self.make_services()
+        placements = handed.responsible_replica_lists_batch(
+            [service.onion for service in services]
+        )
+        derived.publish_services([(s, None, None) for s in services])
+        handed.publish_services(
+            [(s, lists, None) for s, lists in zip(services, placements)]
+        )
+        assert any(stored_by_relay(derived).values())
+        assert stored_by_relay(derived) == stored_by_relay(handed)
+
+    def test_empty_batch_delivers_nothing(self, network):
+        assert network.publish_services([]) == 0
+        assert all(stored == [] for stored in stored_by_relay(network).values())
+
+    def test_publish_observer_sees_every_delivery(self, network):
+        traces = []
+        network.add_publish_observer(traces.append)
+        service = make_service()
+        delivered = network.publish_services([(service, None, None)])
+        assert len(traces) == delivered == 6
+        assert {t.hsdir_fingerprint for t in traces} == network.responsible_set(
+            service.onion
+        )
+        assert all(t.onion == service.onion for t in traces)

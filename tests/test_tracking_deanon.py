@@ -11,6 +11,7 @@ from repro.errors import AttackError
 from repro.hs.service import HiddenService
 from repro.relay.flags import RelayFlags
 from repro.sim.rng import derive_rng
+from repro.tornet import FetchTrace
 from repro.tracking.deanon import ClientDeanonAttack, deploy_attacker_guards
 
 
@@ -150,3 +151,69 @@ class TestClientDeanonAttack:
         consensus = network.rebuild_consensus(network.clock.now)
         for relay in guards:
             assert consensus.entry_for(relay.fingerprint).has(RelayFlags.GUARD)
+
+
+OUR_HSDIR, OTHER_HSDIR = 7, 8
+OUR_GUARD, OTHER_GUARD = b"\x01" * 20, b"\x02" * 20
+TARGET, OTHER_ID = b"\xaa" * 20, b"\xbb" * 20
+
+
+def fetch(client_ip, hsdir=OUR_HSDIR, guard=OUR_GUARD, desc_id=TARGET, time=0):
+    return FetchTrace(
+        time=time,
+        client_ip=client_ip,
+        guard_fingerprint=guard,
+        hsdir_relay_id=hsdir,
+        hsdir_fingerprint=b"\x03" * 20,
+        descriptor_id=desc_id,
+        found=True,
+    )
+
+
+class TestFetchClassification:
+    """The per-fetch verdicts, fed synthetic traces instead of a network."""
+
+    def make_attack(self):
+        return ClientDeanonAttack(
+            hsdir_relay_ids={OUR_HSDIR},
+            guard_fingerprints=frozenset({OUR_GUARD}),
+            target_descriptor_ids={TARGET},
+        )
+
+    def test_our_directory_and_our_guard_capture_the_client(self):
+        attack = self.make_attack()
+        attack._observe(fetch(client_ip=42, time=5))
+        assert attack.signatures_injected == 1
+        assert [(c.client_ip, c.time, c.guard_fingerprint) for c in attack.captures] == [
+            (42, 5, OUR_GUARD)
+        ]
+        assert attack.capture_rate() == 1.0
+
+    def test_a_foreign_guard_sees_the_signature_go_unread(self):
+        attack = self.make_attack()
+        attack._observe(fetch(client_ip=42, guard=OTHER_GUARD))
+        assert attack.signatures_injected == attack.target_fetches_seen == 1
+        assert attack.captures == []
+        assert attack.capture_rate() == 0.0
+
+    def test_a_foreign_directory_injects_nothing(self):
+        attack = self.make_attack()
+        attack._observe(fetch(client_ip=42, hsdir=OTHER_HSDIR))
+        assert attack.signatures_injected == 0
+        assert attack.captures == []
+
+    def test_untargeted_descriptor_at_our_directory_is_ignored(self):
+        attack = self.make_attack()
+        attack._observe(fetch(client_ip=42, desc_id=OTHER_ID))
+        assert attack.target_fetches_seen == 0
+        assert attack.captures == []
+
+    def test_unique_client_ips_collapse_repeat_visits(self):
+        attack = self.make_attack()
+        for time, ip in enumerate([42, 42, 43, 42]):
+            attack._observe(fetch(client_ip=ip, time=time))
+        assert attack.unique_client_ips == {42, 43}
+        assert attack.visit_counts() == {42: 3, 43: 1}
+
+    def test_capture_rate_is_zero_before_any_injection(self):
+        assert self.make_attack().capture_rate() == 0.0

@@ -10,7 +10,11 @@ from repro.relay.flags import RelayFlags
 from repro.sim.clock import HOUR
 from repro.sim.rng import derive_rng
 from repro.trawl.attack import TrawlAttack, TrawlConfig
-from repro.trawl.coverage import expected_capture_probability, naive_ip_requirement
+from repro.trawl.coverage import (
+    CoverageTracker,
+    expected_capture_probability,
+    naive_ip_requirement,
+)
 from repro.trawl.harvest import RingHistory, HarvestResult
 from repro.trawl.shadowing import ShadowFleet
 from tests.conftest import make_network
@@ -45,6 +49,27 @@ class TestCoverageMath:
     def test_capture_probability_empty_ring_rejected(self):
         with pytest.raises(AttackError):
             expected_capture_probability(1, 0)
+
+
+class TestCoverageTracker:
+    def test_waves_accumulate_the_swept_positions(self):
+        tracker = CoverageTracker()
+        tracker.record_wave({1, 2, 3}, total_hsdirs=100)
+        tracker.record_wave({3, 4}, total_hsdirs=100)
+        assert tracker.positions_swept == {1, 2, 3, 4}
+        assert tracker.waves_completed == 2
+
+    def test_keeps_the_latest_ring_size(self):
+        tracker = CoverageTracker()
+        tracker.record_wave({1}, total_hsdirs=100)
+        tracker.record_wave({2}, total_hsdirs=120)
+        assert tracker.total_hsdirs == 120
+
+    def test_an_empty_wave_still_counts(self):
+        tracker = CoverageTracker()
+        tracker.record_wave(set(), total_hsdirs=50)
+        assert tracker.waves_completed == 1
+        assert tracker.positions_swept == set()
 
 
 class TestShadowFleet:
@@ -95,6 +120,27 @@ class TestShadowFleet:
         fleet = ShadowFleet(network, ip_count=2, relays_per_ip=6,
                             rng=derive_rng(5, "f"), address_pool=pool)
         assert fleet.waves_remaining() == 3
+
+    def test_rotation_burns_exactly_the_listed_relays(self, network_and_pool):
+        network, pool = network_and_pool
+        fleet = ShadowFleet(network, ip_count=2, relays_per_ip=6,
+                            rng=derive_rng(7, "f"), address_pool=pool)
+        network.clock.advance_by(HOUR)
+        network.rebuild_consensus()
+        assert len(fleet.reachable_relays()) == 12
+        retired = fleet.rotate(network.clock.now)
+        assert len(retired) == 4
+        reachable = fleet.reachable_relays()
+        assert len(reachable) == 8
+        assert not set(r.relay_id for r in retired) & set(r.relay_id for r in reachable)
+        assert fleet.waves_remaining() == 2
+
+    def test_rotation_with_nothing_listed_burns_nothing(self, network_and_pool):
+        network, pool = network_and_pool
+        fleet = ShadowFleet(network, ip_count=1, relays_per_ip=4,
+                            rng=derive_rng(8, "f"), address_pool=pool)
+        assert fleet.rotate(network.clock.now) == []
+        assert len(fleet.reachable_relays()) == 4
 
     def test_degenerate_fleet_rejected(self, network_and_pool):
         network, pool = network_and_pool
