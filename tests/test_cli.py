@@ -1,5 +1,6 @@
 """Tests for repro.cli."""
 
+import argparse
 import gc
 import importlib
 import json
@@ -12,6 +13,175 @@ from repro.analysis.report import ExperimentReport
 from repro.cli import build_parser, main
 from repro.codec import decode
 from repro.io import load_json
+
+
+#: Every subcommand's options as ``build_parser()`` declares them, sorted:
+#: (option, dest, default, type, choices).
+OPTION_TABLE = {
+    "fig1": [
+        ("--fault-profile", "fault_profile", None, None, None),
+        ("--json", "json", None, None, None),
+        ("--metrics-out", "metrics_out", None, None, None),
+        ("--scale", "scale", 0.1, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "table1": [
+        ("--fault-profile", "fault_profile", None, None, None),
+        ("--json", "json", None, None, None),
+        ("--metrics-out", "metrics_out", None, None, None),
+        ("--scale", "scale", 0.1, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "fig2": [
+        ("--fault-profile", "fault_profile", None, None, None),
+        ("--json", "json", None, None, None),
+        ("--metrics-out", "metrics_out", None, None, None),
+        ("--scale", "scale", 0.1, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "table2": [
+        ("--json", "json", None, None, None),
+        ("--relays-per-ip", "relays_per_ip", 16, "int", None),
+        ("--rotation-hours", "rotation_hours", 1, "int", None),
+        ("--scale", "scale", 0.05, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--sweep-hours", "sweep_hours", 6, "int", None),
+        ("--thinning", "thinning", 1.0, "float", None),
+        ("--top", "top", 30, "int", None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "fig3": [
+        ("--clients", "clients", 1500, "int", None),
+        ("--days", "days", 2, "int", None),
+        ("--guards", "guards", 12, "int", None),
+        ("--json", "json", None, None, None),
+        ("--relays", "relays", 400, "int", None),
+        ("--seed", "seed", 0, "int", None),
+    ],
+    "sec6": [
+        ("--buyers", "buyers", 800, "int", None),
+        ("--days", "days", 7, "int", None),
+        ("--guards", "guards", 14, "int", None),
+        ("--json", "json", None, None, None),
+        ("--relays", "relays", 400, "int", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--sellers", "sellers", 40, "int", None),
+    ],
+    "sec7": [
+        ("--json", "json", None, None, None),
+        ("--scale", "scale", 0.25, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "harvest": [
+        ("--ips", "ips", 20, "int", None),
+        ("--json", "json", None, None, None),
+        ("--relays-per-ip", "relays_per_ip", 16, "int", None),
+        ("--scale", "scale", 0.05, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--sweep-hours", "sweep_hours", 10, "int", None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "all": [
+        ("--fault-profile", "fault_profile", None, None, None),
+        ("--json", "json", None, None, None),
+        ("--metrics-out", "metrics_out", None, None, None),
+        ("--scale", "scale", 0.05, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "store": [
+        ("--keep-epochs", "keep_epochs", None, "int", None),
+        ("--store", "store", None, None, None),
+        ("action", "action", None, None, ("ls", "gc", "verify")),
+    ],
+    "obs": [
+        ("--fault-profile", "fault_profile", None, None, None),
+        ("--format", "format", "text", None, ("text", "json")),
+        ("--metrics-out", "metrics_out", None, None, None),
+        ("--scale", "scale", 0.02, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "chaos": [
+        ("--json", "json", None, None, None),
+        ("--rates", "rates", "0,0.02,0.05,0.1,0.2", None, None),
+        ("--scale", "scale", 0.02, "float", None),
+        ("--scan-days", "scan_days", 8, "int", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "lint": [
+        ("--baseline", "baseline", None, None, None),
+        ("--fix", "fix", False, None, None),
+        ("--format", "format", "human", None, ("human", "json", "sarif")),
+        ("--rules", "rules", None, None, None),
+        ("--write-baseline", "write_baseline", None, None, None),
+        ("paths", "paths", ["src/repro"], None, None),
+    ],
+    "crashtest": [
+        ("--clean-json", "clean_json", None, None, None),
+        ("--crash-profile", "crash_profile", None, None, None),
+        ("--fault-profile", "fault_profile", None, None, None),
+        ("--json", "json", None, None, None),
+        ("--manifest-out", "manifest_out", None, None, None),
+        ("--metrics-out", "metrics_out", None, None, None),
+        ("--min-crashes", "min_crashes", 5, "int", None),
+        ("--scale", "scale", 0.02, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", ".repro-crashtest-store", None, None),
+        ("--workers", "workers", None, "int", None),
+    ],
+    "serve": [
+        ("--crash-profile", "crash_profile", None, None, None),
+        ("--epochs", "epochs", 3, "int", None),
+        ("--fault-profile", "fault_profile", None, None, None),
+        ("--host", "host", "127.0.0.1", None, None),
+        ("--http-workers", "http_workers", 8, "int", None),
+        ("--json", "json", None, None, None),
+        ("--metrics-out", "metrics_out", None, None, None),
+        ("--no-serve", "no_serve", False, None, None),
+        ("--port", "port", 8750, "int", None),
+        ("--scale", "scale", 0.05, "float", None),
+        ("--seed", "seed", 0, "int", None),
+        ("--store", "store", None, None, None),
+        ("--sweep-hours", "sweep_hours", 12, "int", None),
+        ("--workers", "workers", None, "int", None),
+    ],
+}
+
+
+def option_table(parser):
+    """``OPTION_TABLE``'s rows, read off ``parser``."""
+    commands = next(
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    table = {}
+    for name, command in commands.choices.items():
+        rows = [
+            (
+                "/".join(action.option_strings) or action.dest,
+                action.dest,
+                action.default,
+                getattr(action.type, "__name__", action.type),
+                action.choices,
+            )
+            for action in command._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        table[name] = sorted(rows)
+    return table
 
 
 class TestParser:
@@ -34,6 +204,9 @@ class TestParser:
         assert args.sweep_hours == 4
         assert args.thinning == 0.5
         assert args.top == 10
+
+    def test_option_table_is_pinned(self):
+        assert option_table(build_parser()) == OPTION_TABLE
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):

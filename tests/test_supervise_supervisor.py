@@ -6,6 +6,8 @@ exercised without paying for real campaigns; crash-resume equivalence on
 the real ``MeasurementPipeline`` lives in test_supervise_equivalence.py.
 """
 
+import json
+
 import pytest
 
 from repro.errors import SupervisionError
@@ -281,6 +283,22 @@ class TestManifest:
             reason=REASON_DEADLINE,
             crash_plan={"name": "custom", "seed": 0, "rules": ["stage:alpha:exit@1"]},
         )
+
+    #: The manifest's JSON encoding, as ``crashtest --manifest-out`` archives
+    #: it: key order and every value are pinned.
+    PINNED_JSON = (
+        '{"schema": 1, "kind": "completeness-manifest", "stages": ['
+        '{"name": "alpha", "status": "complete", "sim_seconds": 12}, '
+        '{"name": "beta", "status": "deadline-exceeded", "sim_seconds": 99}], '
+        '"crashes": [{"point": "stage:alpha:exit", "visit": 1}], '
+        '"restarts_used": 1, "backoff_sim_seconds": 2, '
+        '"quarantined_items": [{"path": "classify", "index": 4, "error": "E: x"}], '
+        '"degraded": true, "reason": "deadline-exceeded", '
+        '"crash_plan": {"name": "custom", "seed": 0, "rules": ["stage:alpha:exit@1"]}}'
+    )
+
+    def test_encoding_is_pinned(self):
+        assert json.dumps(self.make_manifest().to_dict()) == self.PINNED_JSON
 
     def test_round_trips_through_dict(self):
         manifest = self.make_manifest()
