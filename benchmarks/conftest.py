@@ -22,7 +22,8 @@ import pytest
 
 from repro.experiments.pipeline import MeasurementPipeline
 from repro.parallel import resolve_workers
-from repro.store import open_store
+from repro.runconfig import RunConfig
+from repro.store import ArtifactStore
 
 REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 
@@ -64,7 +65,8 @@ def workers():
 @pytest.fixture(scope="session")
 def store():
     """Artifact store under bench: $REPRO_STORE, else off."""
-    return open_store(None)
+    directory = RunConfig.resolve({"store_dir": None}).store_dir
+    return ArtifactStore(directory) if directory else None
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 from repro.errors import ReproError
 
@@ -40,10 +40,3 @@ def share_table(counts: Dict[str, int]) -> Dict[str, float]:
     if total == 0:
         return {key: 0.0 for key in counts}
     return {key: value / total for key, value in counts.items()}
-
-
-def head_counts(
-    pairs: Iterable[Tuple[str, int]], head: int
-) -> List[Tuple[str, int]]:
-    """The ``head`` largest (label, count) pairs, descending."""
-    return sorted(pairs, key=lambda p: (-p[1], p[0]))[:head]

@@ -16,6 +16,12 @@
     python -m repro store ls --store .repro-store
     python -m repro crashtest --scale 0.02 --crash-profile moderate
 
+Each run option is declared once (:data:`_RUN_OPTIONS`), and every
+command builds one :class:`~repro.runconfig.RunConfig` from the options
+it takes before any work starts: a flag, else its ``$REPRO_*`` variable,
+else the command's own fallback.  An invalid setting exits 2 with one
+``repro <cmd>: error: ...`` line.
+
 ``--json PATH`` archives the paper-vs-measured report, encoded by
 :mod:`repro.codec`.
 ``--metrics-out PATH`` (or ``$REPRO_METRICS``) additionally archives the
@@ -23,13 +29,17 @@ run's deterministic metrics/span snapshot (see :mod:`repro.obs`).
 ``--store DIR`` (or ``$REPRO_STORE``) checkpoints stage artifacts through
 :mod:`repro.store`; a warm re-run replays every cached stage and emits
 byte-identical reports.
+``fig1``, ``table1`` and ``fig2`` print the sections ``repro all`` prints
+for the same world.
 Scale 1.0 is the paper's full size; small scales run in seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import importlib
 import os
 import sys
 import time
@@ -38,21 +48,19 @@ from typing import List, Optional
 from repro import codec
 from repro import io as repro_io
 from repro.analysis.report import ExperimentReport
+from repro.errors import ConfigError
+from repro.runconfig import RunConfig
 
 
-def _add_common(parser: argparse.ArgumentParser, scale_default: float = 0.1) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=scale_default,
-        help="world scale (1.0 = the paper's 39,824 onions)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None, help="archive the report as JSON"
-    )
-    parser.add_argument(
-        "--workers",
+#: The options commands share, declared once: ``--json`` and every option
+#: a run setting comes from.  A command takes the subset it uses through
+#: :func:`_add_run_options`, and :func:`_run_config` reads the settings
+#: into one :class:`RunConfig`.
+_RUN_OPTIONS = {
+    "seed": dict(type=int, default=0, help="master RNG seed"),
+    "scale": dict(type=float, help="world scale (1.0 = the paper's 39,824 onions)"),
+    "json": dict(metavar="PATH", default=None, help="archive the report as JSON"),
+    "workers": dict(
         type=int,
         default=None,
         metavar="N",
@@ -60,12 +68,8 @@ def _add_common(parser: argparse.ArgumentParser, scale_default: float = 0.1) -> 
             "deterministic parallel workers (default: $REPRO_WORKERS, then 1; "
             "any value produces byte-identical output)"
         ),
-    )
-
-
-def _add_fault_profile(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fault-profile",
+    ),
+    "fault_profile": dict(
         default=None,
         metavar="NAME",
         help=(
@@ -73,32 +77,8 @@ def _add_fault_profile(parser: argparse.ArgumentParser) -> None:
             "(default: $REPRO_FAULTS, then none; deterministic at any "
             "worker count)"
         ),
-    )
-
-
-def _add_store(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=(
-            "checkpoint stage artifacts in this store directory (default: "
-            "$REPRO_STORE, then off; warm re-runs skip cached stages and "
-            "emit byte-identical reports)"
-        ),
-    )
-
-
-def _open_store(args):
-    """The run's ArtifactStore, or None when no store is configured."""
-    from repro.store.config import open_store
-
-    return open_store(getattr(args, "store", None))
-
-
-def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics-out",
+    ),
+    "metrics_out": dict(
         default=None,
         metavar="PATH",
         help=(
@@ -106,18 +86,102 @@ def _add_metrics_out(parser: argparse.ArgumentParser) -> None:
             "$REPRO_METRICS, then off; .json extension selects JSON, "
             "anything else the Prometheus-style text rendering)"
         ),
-    )
+    ),
+    "store": dict(
+        default=None,
+        metavar="DIR",
+        help=(
+            "checkpoint stage artifacts in this store directory (default: "
+            "$REPRO_STORE, then off; warm re-runs skip cached stages and "
+            "emit byte-identical reports)"
+        ),
+    ),
+    "crash_profile": dict(
+        default=None,
+        metavar="NAME",
+        help=(
+            "crash schedule: none, light, moderate, heavy, or an explicit "
+            "label@visit,label@visit schedule (default: $REPRO_CRASHES, "
+            "then moderate)"
+        ),
+    ),
+}
+
+#: The options most experiment commands take.
+_COMMON = ("seed", "scale", "json", "workers")
+#: ... and those of a command that runs the scan/crawl/classify campaign.
+_CAMPAIGN = _COMMON + ("fault_profile", "metrics_out")
+
+#: :class:`RunConfig` field -> the option it is read from.
+_RUN_FIELDS = {
+    "seed": "seed",
+    "scale": "scale",
+    "workers": "workers",
+    "fault_profile": "fault_profile",
+    "store_dir": "store",
+    "metrics_path": "metrics_out",
+    "crash_profile": "crash_profile",
+}
+
+#: A command's own fallbacks for an unset setting, after the environment.
+_FALLBACKS = {
+    "crashtest": {"crash_profile": "moderate"},
+    "serve": {"store_dir": ".repro-service-store"},
+}
 
 
-def _write_metrics(observer, args) -> None:
-    """Write the observer snapshot when --metrics-out / $REPRO_METRICS asks."""
-    from repro.obs.export import resolve_metrics_out, write_snapshot
+def _add_run_options(
+    parser: argparse.ArgumentParser,
+    names,
+    scale: Optional[float] = None,
+    **overrides: dict,
+) -> None:
+    """Add the run options ``names``, ``--scale`` defaulting to ``scale``.
 
-    path = resolve_metrics_out(getattr(args, "metrics_out", None))
-    if path is None or observer is None:
+    ``overrides`` maps an option name to keywords that replace its
+    declared ones (a command's own default or help text).
+    """
+    for name in names:
+        keywords = {**_RUN_OPTIONS[name], **overrides.get(name, {})}
+        if name == "scale":
+            keywords["default"] = scale
+        parser.add_argument("--" + name.replace("_", "-"), **keywords)
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The command's run settings: its flags, then the environment, then
+    its own fallbacks.  A setting the command has no flag for keeps the
+    :class:`RunConfig` default."""
+    flags = vars(args)
+    settings = {
+        name: flags[option] for name, option in _RUN_FIELDS.items() if option in flags
+    }
+    return RunConfig.resolve(settings, _FALLBACKS.get(args.command))
+
+
+def _fail(command: str, message: object) -> int:
+    """Report a usage error the way argparse does, and give its exit code."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _open_store(config: RunConfig):
+    """The run's ArtifactStore, or None when it has no store directory."""
+    if config.store_dir is None:
+        return None
+    from repro.store.checkpoint import ArtifactStore
+
+    return ArtifactStore(config.store_dir)
+
+
+def _write_metrics(observer, config: RunConfig) -> None:
+    """Write the observer snapshot when the run has a metrics path."""
+    if config.metrics_path is None:
         return
-    write_snapshot(observer, path)
-    print(f"[metrics snapshot written to {path}]")
+    from repro.obs.export import write_snapshot
+
+    write_snapshot(observer, config.metrics_path)
+    print(f"[metrics snapshot written to {config.metrics_path}]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,14 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("fig2", "Fig 2: topic distribution + language statistics"),
     ):
         command = sub.add_parser(name, help=text)
-        _add_common(command)
-        _add_fault_profile(command)
-        _add_metrics_out(command)
-        _add_store(command)
+        _add_run_options(command, _CAMPAIGN + ("store",), scale=0.1)
 
     table2 = sub.add_parser("table2", help="Table II: popularity ranking")
-    _add_common(table2, scale_default=0.05)
-    _add_store(table2)
+    _add_run_options(table2, _COMMON + ("store",), scale=0.05)
     table2.add_argument("--sweep-hours", type=int, default=6)
     table2.add_argument("--rotation-hours", type=int, default=1)
     table2.add_argument("--relays-per-ip", type=int, default=16)
@@ -151,38 +211,31 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--top", type=int, default=30, help="ranking rows to print")
 
     fig3 = sub.add_parser("fig3", help="Fig 3: client deanonymisation geomap")
-    fig3.add_argument("--seed", type=int, default=0)
+    _add_run_options(fig3, ("seed", "json"))
     fig3.add_argument("--relays", type=int, default=400)
     fig3.add_argument("--guards", type=int, default=12)
     fig3.add_argument("--clients", type=int, default=1500)
     fig3.add_argument("--days", type=int, default=2)
-    fig3.add_argument("--json", metavar="PATH", default=None)
 
     sec6 = sub.add_parser("sec6", help="§VI: Silk Road seller identification")
-    sec6.add_argument("--seed", type=int, default=0)
+    _add_run_options(sec6, ("seed", "json"))
     sec6.add_argument("--relays", type=int, default=400)
     sec6.add_argument("--guards", type=int, default=14)
     sec6.add_argument("--buyers", type=int, default=800)
     sec6.add_argument("--sellers", type=int, default=40)
     sec6.add_argument("--days", type=int, default=7)
-    sec6.add_argument("--json", metavar="PATH", default=None)
 
     sec7 = sub.add_parser("sec7", help="§VII: Silk Road tracking detection")
-    _add_common(sec7, scale_default=0.25)
-    _add_store(sec7)
+    _add_run_options(sec7, _COMMON + ("store",), scale=0.25)
 
     harvest = sub.add_parser("harvest", help="shadow-relay harvest validation")
-    _add_common(harvest, scale_default=0.05)
+    _add_run_options(harvest, _COMMON + ("store",), scale=0.05)
     harvest.add_argument("--ips", type=int, default=20)
     harvest.add_argument("--relays-per-ip", type=int, default=16)
     harvest.add_argument("--sweep-hours", type=int, default=10)
-    _add_store(harvest)
 
     everything = sub.add_parser("all", help="run every experiment (small scale)")
-    _add_common(everything, scale_default=0.05)
-    _add_fault_profile(everything)
-    _add_metrics_out(everything)
-    _add_store(everything)
+    _add_run_options(everything, _CAMPAIGN + ("store",), scale=0.05)
 
     store = sub.add_parser(
         "store",
@@ -206,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
             "everything older, then sweep unreferenced objects"
         ),
     )
-    _add_store(store)
+    _add_run_options(store, ("store",))
 
     obs = sub.add_parser(
         "obs",
@@ -217,25 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
             "(byte-identical at every --workers value)."
         ),
     )
-    obs.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    obs.add_argument(
-        "--scale",
-        type=float,
-        default=0.02,
-        help="world scale (1.0 = the paper's 39,824 onions)",
+    _add_run_options(
+        obs,
+        ("seed", "scale", "workers", "fault_profile", "metrics_out"),
+        scale=0.02,
     )
-    obs.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "deterministic parallel workers (default: $REPRO_WORKERS, then 1; "
-            "any value produces byte-identical output)"
-        ),
-    )
-    _add_fault_profile(obs)
-    _add_metrics_out(obs)
     obs.add_argument(
         "--format",
         choices=("text", "json"),
@@ -247,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="chaos sweep: headline counts vs fault rate, ± retries",
     )
-    _add_common(chaos, scale_default=0.02)
+    _add_run_options(chaos, _COMMON, scale=0.02)
     chaos.add_argument(
         "--rates",
         default="0,0.02,0.05,0.1,0.2",
@@ -327,27 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
             "run, or fewer than --min-crashes injected deaths."
         ),
     )
-    _add_common(crashtest, scale_default=0.02)
-    _add_fault_profile(crashtest)
-    _add_metrics_out(crashtest)
-    crashtest.add_argument(
-        "--crash-profile",
-        default=None,
-        metavar="NAME",
-        help=(
-            "crash schedule: none, light, moderate, heavy, or an explicit "
-            "label@visit,label@visit schedule (default: $REPRO_CRASHES, "
-            "then moderate)"
-        ),
-    )
-    crashtest.add_argument(
-        "--store",
-        default=".repro-crashtest-store",
-        metavar="DIR",
-        help=(
-            "scratch checkpoint store for the supervised run; wiped at the "
-            "start of every invocation so each crashtest starts cold (a "
-            "directory holding anything but a store is refused, exit 2)"
+    _add_run_options(
+        crashtest,
+        _CAMPAIGN + ("crash_profile", "store"),
+        scale=0.02,
+        store=dict(
+            default=".repro-crashtest-store",
+            help=(
+                "scratch checkpoint store for the supervised run; wiped at the "
+                "start of every invocation so each crashtest starts cold (a "
+                "directory holding anything but a store is refused, exit 2)"
+            ),
         ),
     )
     crashtest.add_argument(
@@ -386,9 +415,26 @@ def build_parser() -> argparse.ArgumentParser:
             "digest ETags and conditional 304s."
         ),
     )
-    _add_common(serve, scale_default=0.05)
-    _add_fault_profile(serve)
-    _add_metrics_out(serve)
+    _add_run_options(
+        serve,
+        _CAMPAIGN + ("crash_profile", "store"),
+        scale=0.05,
+        crash_profile=dict(
+            help=(
+                "per-epoch crash schedule: none, light, moderate, heavy, or an "
+                "explicit label@visit,... schedule (default: $REPRO_CRASHES, "
+                "then none); epochs warm-resume through the store after every "
+                "injected death"
+            )
+        ),
+        store=dict(
+            help=(
+                "epoch checkpoint store (default: $REPRO_STORE, then "
+                ".repro-service-store); a warm store replays finished epochs "
+                "instead of recomputing them"
+            )
+        ),
+    )
     serve.add_argument(
         "--epochs",
         type=int,
@@ -417,32 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on concurrently handled HTTP requests (default: 8)",
     )
     serve.add_argument(
-        "--crash-profile",
-        default=None,
-        metavar="NAME",
-        help=(
-            "per-epoch crash schedule: none, light, moderate, heavy, or an "
-            "explicit label@visit,... schedule (default: $REPRO_CRASHES, "
-            "then none); epochs warm-resume through the store after every "
-            "injected death"
-        ),
-    )
-    serve.add_argument(
         "--sweep-hours",
         type=int,
         default=12,
         metavar="H",
         help="harvest/popularity sweep length per epoch (default: 12)",
-    )
-    serve.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help=(
-            "epoch checkpoint store (default: $REPRO_STORE, then "
-            ".repro-service-store); a warm store replays finished epochs "
-            "instead of recomputing them"
-        ),
     )
     serve.add_argument(
         "--no-serve",
@@ -463,52 +488,35 @@ def _emit(report: ExperimentReport, extra: str = "", json_path: Optional[str] = 
         print(f"\n[report archived to {json_path}]")
 
 
-def _run_fig1(args) -> ExperimentReport:
-    from repro.experiments.fig1_ports import run_fig1
+#: fig1, table1 and fig2: the module and runner of each, and the method
+#: rendering its figure or table.
+_CAMPAIGN_RUNNERS = {
+    "fig1": ("repro.experiments.fig1_ports", "run_fig1", "format_figure"),
+    "table1": ("repro.experiments.table1_http", "run_table1", "format_table"),
+    "fig2": ("repro.experiments.fig2_topics", "run_fig2", "format_figure"),
+}
 
-    result = run_fig1(
-        seed=args.seed,
-        scale=args.scale,
-        workers=args.workers,
-        fault_profile=args.fault_profile,
-        store=_open_store(args),
-    )
-    _emit(result.report, result.format_figure(), args.json)
-    _write_metrics(result.pipeline.observer if result.pipeline else None, args)
+
+def _campaign_result(name: str, pipeline):
+    """``name``'s result off ``pipeline``, the campaign every one reads."""
+    module, runner, _ = _CAMPAIGN_RUNNERS[name]
+    return getattr(importlib.import_module(module), runner)(pipeline)
+
+
+def _run_campaign(args, config: RunConfig) -> ExperimentReport:
+    """``repro fig1``, ``table1`` or ``fig2``: the section ``repro all``
+    prints for the same world, plus the figure or table."""
+    from repro.experiments.pipeline import MeasurementPipeline
+
+    pipeline = MeasurementPipeline.for_run(config, store=_open_store(config))
+    result = _campaign_result(args.command, pipeline)
+    render = getattr(result, _CAMPAIGN_RUNNERS[args.command][2])
+    _emit(result.report, render(), args.json)
+    _write_metrics(pipeline.observer, config)
     return result.report
 
 
-def _run_table1(args) -> ExperimentReport:
-    from repro.experiments.table1_http import run_table1
-
-    result = run_table1(
-        seed=args.seed,
-        scale=args.scale,
-        workers=args.workers,
-        fault_profile=args.fault_profile,
-        store=_open_store(args),
-    )
-    _emit(result.report, result.format_table(), args.json)
-    _write_metrics(result.pipeline.observer if result.pipeline else None, args)
-    return result.report
-
-
-def _run_fig2(args) -> ExperimentReport:
-    from repro.experiments.fig2_topics import run_fig2
-
-    result = run_fig2(
-        seed=args.seed,
-        scale=args.scale,
-        workers=args.workers,
-        fault_profile=args.fault_profile,
-        store=_open_store(args),
-    )
-    _emit(result.report, result.format_figure(), args.json)
-    _write_metrics(result.pipeline.observer if result.pipeline else None, args)
-    return result.report
-
-
-def _run_chaos(args) -> ExperimentReport:
+def _run_chaos(args, config: RunConfig) -> ExperimentReport:
     from repro.errors import FaultConfigError
     from repro.experiments.chaos_sweep import run_chaos_sweep
 
@@ -521,38 +529,38 @@ def _run_chaos(args) -> ExperimentReport:
             f"--rates must be comma-separated floats: {exc}"
         ) from exc
     result = run_chaos_sweep(
-        seed=args.seed,
-        scale=args.scale,
+        seed=config.seed,
+        scale=config.scale,
         fault_rates=rates,
-        workers=args.workers,
+        workers=config.workers,
         scan_days=args.scan_days,
     )
     _emit(result.report, result.format_table(), args.json)
     return result.report
 
 
-def _run_table2(args) -> ExperimentReport:
+def _run_table2(args, config: RunConfig) -> ExperimentReport:
     from repro.experiments.table2_popularity import run_table2
 
     result = run_table2(
-        seed=args.seed,
-        scale=args.scale,
+        seed=config.seed,
+        scale=config.scale,
         sweep_hours=args.sweep_hours,
         rotation_interval_hours=args.rotation_hours,
         relays_per_ip=args.relays_per_ip,
         thinning=args.thinning,
-        workers=args.workers,
-        store=_open_store(args),
+        workers=config.workers,
+        store=_open_store(config),
     )
     _emit(result.report, result.ranking.format_table(limit=args.top), args.json)
     return result.report
 
 
-def _run_fig3(args) -> ExperimentReport:
+def _run_fig3(args, config: RunConfig) -> ExperimentReport:
     from repro.experiments.fig3_geomap import run_fig3
 
     result = run_fig3(
-        seed=args.seed,
+        seed=config.seed,
         honest_relays=args.relays,
         attacker_guards=args.guards,
         client_count=args.clients,
@@ -562,11 +570,11 @@ def _run_fig3(args) -> ExperimentReport:
     return result.report
 
 
-def _run_sec6(args) -> ExperimentReport:
+def _run_sec6(args, config: RunConfig) -> ExperimentReport:
     from repro.experiments.sec6_sellers import run_sec6
 
     result = run_sec6(
-        seed=args.seed,
+        seed=config.seed,
         honest_relays=args.relays,
         attacker_guards=args.guards,
         buyer_count=args.buyers,
@@ -577,42 +585,39 @@ def _run_sec6(args) -> ExperimentReport:
     return result.report
 
 
-def _run_sec7(args) -> ExperimentReport:
+def _run_sec7(args, config: RunConfig) -> ExperimentReport:
     from repro.experiments.sec7_tracking import run_sec7
 
     result = run_sec7(
-        seed=args.seed,
-        scale=args.scale,
-        workers=args.workers,
-        store=_open_store(args),
+        seed=config.seed,
+        scale=config.scale,
+        workers=config.workers,
+        store=_open_store(config),
     )
     _emit(result.report, json_path=args.json)
     return result.report
 
 
-def _run_harvest(args) -> ExperimentReport:
+def _run_harvest(args, config: RunConfig) -> ExperimentReport:
     from repro.experiments.harvest import run_harvest
 
     result = run_harvest(
-        seed=args.seed,
-        scale=args.scale,
+        seed=config.seed,
+        scale=config.scale,
         ip_count=args.ips,
         relays_per_ip=args.relays_per_ip,
         sweep_hours=args.sweep_hours,
-        store=_open_store(args),
+        store=_open_store(config),
     )
     _emit(result.report, json_path=args.json)
     return result.report
 
 
-def _run_all(args) -> ExperimentReport:
-    from repro.experiments.fig1_ports import run_fig1
-    from repro.experiments.fig2_topics import run_fig2
+def _run_all(args, config: RunConfig) -> ExperimentReport:
     from repro.experiments.fig3_geomap import run_fig3
     from repro.experiments.harvest import run_harvest
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.experiments.sec7_tracking import run_sec7
-    from repro.experiments.table1_http import run_table1
     from repro.experiments.table2_popularity import run_table2
 
     # One store serves the whole run: the pipeline stages and the
@@ -621,52 +626,46 @@ def _run_all(args) -> ExperimentReport:
     # One world serves it too: table2 and harvest share the pipeline's
     # on-demand world, which is generated only if a stage misses, with
     # the run's scale passed on so it stays authoritative.
-    store = _open_store(args)
-    pipeline = MeasurementPipeline(
-        seed=args.seed,
-        scale=args.scale,
-        workers=args.workers,
-        fault_profile=args.fault_profile,
-        store=store,
-    )
+    store = _open_store(config)
+    pipeline = MeasurementPipeline.for_run(config, store=store)
     summary = ExperimentReport(experiment="all-experiments")
     stages = [
-        ("fig1", lambda: run_fig1(pipeline=pipeline)),
-        ("table1", lambda: run_table1(pipeline=pipeline)),
-        ("fig2", lambda: run_fig2(pipeline=pipeline)),
+        (name, functools.partial(_campaign_result, name, pipeline))
+        for name in _CAMPAIGN_RUNNERS
+    ] + [
         (
             "table2",
             lambda: run_table2(
-                seed=args.seed,
-                scale=args.scale,
+                seed=config.seed,
+                scale=config.scale,
                 population=pipeline.world,
                 sweep_hours=6,
                 rotation_interval_hours=1,
                 relays_per_ip=16,
-                workers=args.workers,
+                workers=config.workers,
                 store=store,
             ),
         ),
         (
             "fig3",
             lambda: run_fig3(
-                seed=args.seed, honest_relays=300, client_count=800, store=store
+                seed=config.seed, honest_relays=300, client_count=800, store=store
             ),
         ),
         (
             "sec7",
             lambda: run_sec7(
-                seed=args.seed,
-                scale=max(0.1, args.scale * 4),
-                workers=args.workers,
+                seed=config.seed,
+                scale=max(0.1, config.scale * 4),
+                workers=config.workers,
                 store=store,
             ),
         ),
         (
             "harvest",
             lambda: run_harvest(
-                seed=args.seed,
-                scale=args.scale,
+                seed=config.seed,
+                scale=config.scale,
                 population=pipeline.world,
                 ip_count=16,
                 relays_per_ip=16,
@@ -687,20 +686,15 @@ def _run_all(args) -> ExperimentReport:
         print(f"[{name} done in {elapsed:.1f}s]\n")
         summary.add(f"{name} max rel. error", None, round(report.max_error(), 3))
     _emit(summary, json_path=args.json)
-    _write_metrics(pipeline.observer, args)
+    _write_metrics(pipeline.observer, config)
     return summary
 
 
-def _run_obs(args) -> int:
+def _run_obs(args, config: RunConfig) -> int:
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.obs.export import render_json, render_text
 
-    pipeline = MeasurementPipeline(
-        seed=args.seed,
-        scale=args.scale,
-        workers=args.workers,
-        fault_profile=args.fault_profile,
-    )
+    pipeline = MeasurementPipeline.for_run(config)
     pipeline.scan()
     pipeline.certificates()
     pipeline.crawl()
@@ -709,20 +703,16 @@ def _run_obs(args) -> int:
         print(render_json(pipeline.observer))
     else:
         print(render_text(pipeline.observer))
-    _write_metrics(pipeline.observer, args)
+    _write_metrics(pipeline.observer, config)
     return 0
 
 
-def _run_store(args) -> int:
+def _run_store(args, config: RunConfig) -> int:
     from repro.store.admin import gc, ls_lines, verify
 
-    store = _open_store(args)
+    store = _open_store(config)
     if store is None:
-        print(
-            "repro store: no store configured (use --store DIR or $REPRO_STORE)",
-            file=sys.stderr,
-        )
-        return 2
+        return _fail("store", "no store configured (use --store DIR or $REPRO_STORE)")
     if args.action == "ls":
         for line in ls_lines(store):
             print(line)
@@ -737,8 +727,7 @@ def _run_store(args) -> int:
                     store, args.keep_epochs
                 )
             except StoreError as exc:
-                print(f"repro store: error: {exc}", file=sys.stderr)
-                return 2
+                return _fail("store", exc)
             print(
                 f"[gc: retired {unindexed} index entr(ies), removed "
                 f"{removed} object(s), freed {freed} bytes; kept newest "
@@ -755,7 +744,7 @@ def _run_store(args) -> int:
     return 0 if not problems else 1
 
 
-def _run_lint(args) -> int:
+def _run_lint(args, config: RunConfig) -> int:
     import json
 
     from repro.devtools.astcache import AstCache
@@ -763,7 +752,6 @@ def _run_lint(args) -> int:
     from repro.devtools.baseline import write_baseline
     from repro.devtools.engine import run_lint
     from repro.devtools.sarif import render_sarif
-    from repro.errors import ConfigError
 
     rule_ids = None
     if args.rules:
@@ -796,8 +784,7 @@ def _run_lint(args) -> int:
             print(f"[baseline: {recorded} finding(s) recorded to {args.write_baseline}]")
             return 0
     except ConfigError as exc:
-        print(f"repro lint: error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("lint", exc)
 
     try:
         if args.format == "sarif":
@@ -837,18 +824,13 @@ def _campaign_document(pipeline) -> dict:
     experiment runners only read; this is the document the crashtest
     byte-compares between the crashed-and-resumed run and the clean one.
     """
-    from repro.experiments.fig1_ports import run_fig1
-    from repro.experiments.fig2_topics import run_fig2
-    from repro.experiments.table1_http import run_table1
-
     return {
-        "fig1": codec.encode(run_fig1(pipeline=pipeline).report),
-        "table1": codec.encode(run_table1(pipeline=pipeline).report),
-        "fig2": codec.encode(run_fig2(pipeline=pipeline).report),
+        name: codec.encode(_campaign_result(name, pipeline).report)
+        for name in _CAMPAIGN_RUNNERS
     }
 
 
-def _run_crashtest(args) -> int:
+def _run_crashtest(args, config: RunConfig) -> int:
     import json
     import pathlib
     import shutil
@@ -856,15 +838,14 @@ def _run_crashtest(args) -> int:
     from repro.experiments.pipeline import MeasurementPipeline
     from repro.obs.scope import Observer
     from repro.store.checkpoint import ArtifactStore
-    from repro.supervise.crashplan import CRASHES_ENV, PIPELINE_STAGES, build_crash_plan
+    from repro.supervise.crashplan import PIPELINE_STAGES, build_crash_plan
     from repro.supervise.supervisor import EpochSupervisor
 
-    # --crash-profile, then $REPRO_CRASHES, then moderate: an inert plan
-    # would make the whole exercise vacuous, so the fallback injects.
-    spec = args.crash_profile or os.environ.get(CRASHES_ENV, "").strip() or "moderate"
-    plan = build_crash_plan(spec, seed=args.seed)
+    # The crash schedule falls back to moderate: an inert plan would make
+    # the whole exercise vacuous.
+    plan = build_crash_plan(config.crash_profile, seed=config.seed)
 
-    store_root = pathlib.Path(args.store)
+    store_root = pathlib.Path(config.store_dir)
     if store_root.exists():
         # The scratch store is this command's own working directory (see
         # --store help); a stale warm store would replay every stage and
@@ -881,13 +862,11 @@ def _run_crashtest(args) -> int:
             else [store_root.name]
         )
         if foreign:
-            print(
-                f"repro crashtest: error: --store {store_root} is not a "
-                f"checkpoint store (it holds {', '.join(foreign)}); "
-                "refusing to wipe it",
-                file=sys.stderr,
+            return _fail(
+                "crashtest",
+                f"--store {store_root} is not a checkpoint store (it holds "
+                f"{', '.join(foreign)}); refusing to wipe it",
             )
-            return 2
         shutil.rmtree(store_root)
 
     supervisor_observer = Observer(name="crashtest")
@@ -897,11 +876,8 @@ def _run_crashtest(args) -> int:
         # A fresh pipeline AND a fresh store handle per incarnation — a
         # real crash loses all process state; only the store directory
         # survives, exactly as here.
-        return MeasurementPipeline(
-            seed=args.seed,
-            scale=args.scale,
-            workers=args.workers,
-            fault_profile=args.fault_profile,
+        return MeasurementPipeline.for_run(
+            config,
             store=ArtifactStore(store_root),
             crash_point=crash_points,
             quarantine=quarantine,
@@ -927,12 +903,7 @@ def _run_crashtest(args) -> int:
     equal = False
     if manifest.complete:
         crashed_doc = _campaign_document(outcome.pipeline)
-        clean_pipeline = MeasurementPipeline(
-            seed=args.seed,
-            scale=args.scale,
-            workers=args.workers,
-            fault_profile=args.fault_profile,
-        )
+        clean_pipeline = MeasurementPipeline.for_run(config)
         for stage in PIPELINE_STAGES:
             getattr(clean_pipeline, stage)()
         clean_doc = _campaign_document(clean_pipeline)
@@ -956,7 +927,7 @@ def _run_crashtest(args) -> int:
         )
 
     if args.manifest_out:
-        repro_io.save_json(manifest.to_dict(), args.manifest_out)
+        repro_io.save_json(codec.encode(manifest), args.manifest_out)
         print(f"[completeness manifest archived to {args.manifest_out}]")
 
     summary = ExperimentReport(experiment="crashtest")
@@ -974,7 +945,7 @@ def _run_crashtest(args) -> int:
         summary.note("crash points hit: " + ", ".join(distinct))
     summary.add_completeness(manifest)
     _emit(summary)
-    _write_metrics(supervisor_observer, args)
+    _write_metrics(supervisor_observer, config)
 
     for failure in failures:
         print(f"crashtest: FAIL: {failure}", file=sys.stderr)
@@ -986,33 +957,19 @@ def _run_crashtest(args) -> int:
     return 1 if failures else 0
 
 
-def _run_serve(args) -> int:
-    from repro.errors import ConfigError
-    from repro.obs.scope import Observer
+def _run_serve(args, config: RunConfig) -> int:
     from repro.service.api import ServiceRouter
-    from repro.service.config import ServiceConfig
     from repro.service.controller import EpochController
     from repro.service.http import serve
     from repro.service.schema import SCHEMA_VERSION
-    from repro.store.config import resolve_store_dir
 
     try:
-        config = ServiceConfig(
-            seed=args.seed,
-            scale=args.scale,
-            epochs=args.epochs,
-            workers=args.workers,
-            fault_profile=args.fault_profile,
-            crash_profile=args.crash_profile,
-            sweep_hours=args.sweep_hours,
+        controller = EpochController(
+            config, epochs=args.epochs, sweep_hours=args.sweep_hours
         )
     except ConfigError as exc:
-        print(f"repro serve: error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("serve", exc)
 
-    store_root = resolve_store_dir(args.store) or ".repro-service-store"
-    observer = Observer(name="service")
-    controller = EpochController(config, store_root, observer=observer)
     records = controller.run()
     for record in records:
         print(
@@ -1033,11 +990,11 @@ def _run_serve(args) -> int:
     # Snapshot before binding: the epochs are the deterministic part, and a
     # daemon killed by signal (the normal way this command ends) would
     # otherwise never write one.
-    _write_metrics(observer, args)
+    _write_metrics(controller.observer, config)
 
-    router = ServiceRouter(controller.records, observer)
+    router = ServiceRouter(controller.records, controller.observer)
     if args.no_serve:
-        print(f"[{len(records)} epoch(s) computed; store: {store_root}]")
+        print(f"[{len(records)} epoch(s) computed; store: {config.store_dir}]")
         return 0
     server = serve(
         router, host=args.host, port=args.port, workers=args.http_workers
@@ -1052,9 +1009,9 @@ def _run_serve(args) -> int:
 
 
 _RUNNERS = {
-    "fig1": _run_fig1,
-    "table1": _run_table1,
-    "fig2": _run_fig2,
+    "fig1": _run_campaign,
+    "table1": _run_campaign,
+    "fig2": _run_campaign,
     "chaos": _run_chaos,
     "table2": _run_table2,
     "fig3": _run_fig3,
@@ -1088,10 +1045,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     sees no lasting change.
     """
     args = build_parser().parse_args(argv)
+    try:
+        config = _run_config(args)
+    except ConfigError as exc:
+        return _fail(args.command, exc)
     thresholds = gc.get_threshold()
     gc.set_threshold(GC_GEN0_THRESHOLD, *thresholds[1:])
     try:
-        result = _RUNNERS[args.command](args)
+        result = _RUNNERS[args.command](args, config)
     finally:
         gc.set_threshold(*thresholds)
     return result if isinstance(result, int) else 0

@@ -14,11 +14,12 @@ are hashes of exactly these encodings.  The rules, all read off the types:
   ``kind``, checked on decode wherever it is nested;
 * enums encode by value, sets as sorted lists, and a dict keyed by
   tuples as ``[*key, value]`` rows in insertion order (key order under
-  ``field(metadata=SORTED)``).
+  ``field(metadata=SORTED)``);
+* an ``Any`` value is plain JSON already and passes through unchanged.
 
 Decoding is strict: every encoded field is required, primitives are
-type-checked (a bool is not an int), and every failure is a
-:class:`~repro.errors.ReproError` naming the dotted path, e.g.
+type-checked (a bool is not an int, nor an int a bool), and every
+failure is a :class:`~repro.errors.ReproError` naming the dotted path, e.g.
 ``experiment-report.rows[0] is missing required field 'measured'``.
 """
 
@@ -47,6 +48,7 @@ Codec = Tuple[Callable[[Any], Any], Callable[[Any, str], Any]]
 #: Primitive type -> the JSON value types it accepts, matched exactly (so
 #: a bool, though an ``int`` subclass, is not an int).
 _PRIMITIVES: Dict[Any, Tuple[type, ...]] = {
+    bool: (bool,),
     int: (int,),
     float: (int, float),
     str: (str,),
@@ -122,6 +124,8 @@ def _dataclass_codec(cls: type) -> Codec:
 
 def _compile(tp: Any, sort: bool = False) -> Codec:
     """The codec for one resolved type hint."""
+    if tp is Any:
+        return _JSON_CODEC
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is dict and typing.get_origin(args[0]) is tuple:
         return _rows_codec(typing.get_args(args[0]), args[1], sort)
@@ -141,6 +145,14 @@ def _compile(tp: Any, sort: bool = False) -> Codec:
     raise ReproError(f"codec: no rule for type {tp!r}")
 
 
+def _identity(value: Any, path: str = "") -> Any:
+    return value
+
+
+#: ``Any``: the value is JSON as it stands, both ways.
+_JSON_CODEC: Codec = (_identity, _identity)
+
+
 def _primitive_codec(types: Tuple[Any, ...]) -> Codec:
     accepted = tuple(t for tp in types for t in _PRIMITIVES[tp])
     what = " or ".join("None" if tp is type(None) else tp.__name__ for tp in types)
@@ -150,7 +162,7 @@ def _primitive_codec(types: Tuple[Any, ...]) -> Codec:
             raise ReproError(f"{path} must be {what}, got {type(value).__name__}")
         return value
 
-    return (lambda value: value), decode_primitive
+    return _identity, decode_primitive
 
 
 def _enum_codec(cls: type) -> Codec:

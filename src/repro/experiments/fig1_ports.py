@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_bar_chart
 from repro.experiments.pipeline import MeasurementPipeline
 from repro.scan.results import PortDistribution
-from repro.store.checkpoint import ArtifactStore
 
 # Published Fig 1 counts (full scale).
 PAPER_FIG1 = {
@@ -37,9 +35,6 @@ class Fig1Result:
     distribution: PortDistribution
     descriptors_available: int
     report: ExperimentReport
-    #: The pipeline that produced the result; its ``observer`` carries the
-    #: campaign's metrics/span snapshot (``--metrics-out``).
-    pipeline: Optional[MeasurementPipeline] = None
 
     def format_figure(self) -> str:
         """The text rendering of Fig 1."""
@@ -47,25 +42,13 @@ class Fig1Result:
         return format_bar_chart(rows, width=44)
 
 
-def run_fig1(
-    seed: int = 0,
-    scale: float = 1.0,
-    pipeline: Optional[MeasurementPipeline] = None,
-    workers: Optional[int] = None,
-    fault_profile: Optional[str] = None,
-    store: Optional[ArtifactStore] = None,
-) -> Fig1Result:
-    """Regenerate Fig 1 (and the TLS findings) at ``scale``."""
-    if pipeline is None:
-        pipeline = MeasurementPipeline(
-            seed=seed,
-            scale=scale,
-            workers=workers,
-            fault_profile=fault_profile,
-            store=store,
-        )
-    else:
-        scale = pipeline.world.spec.total_onions / 39_824
+def run_fig1(pipeline: MeasurementPipeline) -> Fig1Result:
+    """Regenerate Fig 1 (and the TLS findings) off ``pipeline``'s campaign.
+
+    The paper's counts scale by the world's own size
+    (:attr:`~repro.population.spec.PopulationSpec.paper_scale`).
+    """
+    scale = pipeline.world.spec.paper_scale
     scan = pipeline.scan()
     certs = pipeline.certificates()
     distribution = scan.port_distribution()
@@ -102,5 +85,4 @@ def run_fig1(
         distribution=distribution,
         descriptors_available=len(scan.descriptor_onions),
         report=report,
-        pipeline=pipeline,
     )

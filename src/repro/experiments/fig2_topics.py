@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_bar_chart
@@ -31,9 +31,6 @@ class Fig2Result:
     outcome: ClassificationOutcome
     funnel: Dict[str, int]
     report: ExperimentReport
-    #: The pipeline that produced the result; its ``observer`` carries the
-    #: campaign's metrics/span snapshot (``--metrics-out``).
-    pipeline: Optional[MeasurementPipeline] = None
 
     def format_figure(self) -> str:
         """Text rendering of Fig 2 (topic percentages)."""
@@ -45,25 +42,13 @@ class Fig2Result:
         return format_bar_chart(rows, width=40, unit="%")
 
 
-def run_fig2(
-    seed: int = 0,
-    scale: float = 1.0,
-    pipeline: Optional[MeasurementPipeline] = None,
-    workers: Optional[int] = None,
-    fault_profile: Optional[str] = None,
-    store: Optional[ArtifactStore] = None,
-) -> Fig2Result:
-    """Regenerate Fig 2 at ``scale``."""
-    if pipeline is None:
-        pipeline = MeasurementPipeline(
-            seed=seed,
-            scale=scale,
-            workers=workers,
-            fault_profile=fault_profile,
-            store=store,
-        )
-    else:
-        scale = pipeline.world.spec.total_onions / 39_824
+def run_fig2(pipeline: MeasurementPipeline) -> Fig2Result:
+    """Regenerate Fig 2 off ``pipeline``'s campaign.
+
+    The paper's counts scale by the world's own size
+    (:attr:`~repro.population.spec.PopulationSpec.paper_scale`).
+    """
+    scale = pipeline.world.spec.paper_scale
     classifiable = pipeline.classifiable()
     outcome = pipeline.classify()
 
@@ -110,4 +95,4 @@ def run_fig2(
             round(shares.get(topic, 0.0), 1),
         )
     report.note("topics measured over topic-classified English pages, as Fig 2")
-    return Fig2Result(outcome=outcome, funnel=funnel, report=report, pipeline=pipeline)
+    return Fig2Result(outcome=outcome, funnel=funnel, report=report)

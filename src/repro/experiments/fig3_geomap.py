@@ -9,7 +9,6 @@ IPs through GeoIP yields the country distribution Fig 3 plots as a map.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -73,12 +72,7 @@ def run_fig3(
     }
     if store is None:
         return _compute_fig3(**arguments)
-    stage = Stage(
-        name="fig3",
-        modules=(__name__,),
-        encode=codec.encode,
-        decode=functools.partial(codec.decode, Fig3Result),
-    )
+    stage = Stage.of("fig3", __name__, Fig3Result)
     return store.run(stage, arguments, lambda: _compute_fig3(**arguments))
 
 

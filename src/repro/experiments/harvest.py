@@ -7,13 +7,13 @@ attacker would need (footnote 3).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro import codec
 from repro.analysis.report import ExperimentReport
 from repro.population.lazy import LazyPopulation
+from repro.population.spec import PAPER_ONIONS
 from repro.sim.clock import DAY, HOUR, Timestamp
 from repro.sim.rng import derive_rng
 from repro.store.checkpoint import ArtifactStore, Stage
@@ -22,7 +22,6 @@ if TYPE_CHECKING:
     from repro.population.generator import GeneratedPopulation
     from repro.trawl.harvest import HarvestResult
 
-PAPER_ONIONS = 39_824
 PAPER_ATTACK_IPS = 58
 PAPER_NAIVE_IPS = 300  # "more than 300 IP addresses for at least 27 hours"
 PAPER_HSDIR_COUNT_2013 = 1_300  # ring size at measurement time (approx.)
@@ -61,25 +60,20 @@ def run_harvest(
     :class:`~repro.population.lazy.LazyPopulation`.  A given ``scale`` stays
     authoritative (it sizes the honest network and the paper
     expectations); omitted, it is 0.1 for a new world and
-    ``total_onions / PAPER_ONIONS`` for a passed one.
+    ``spec.paper_scale`` for a passed one.
 
     With ``store`` the whole validation is one checkpoint; a warm run
     replays the aggregates and report without building the world or the
     network.
     """
     if scale is None:
-        scale = 0.1 if population is None else population.spec.total_onions / PAPER_ONIONS
+        scale = 0.1 if population is None else population.spec.paper_scale
     world = LazyPopulation.wrap(population, seed, scale)
     if relay_count is None:
         relay_count = max(60, round(1_450 * scale))
 
     if store is not None:
-        stage = Stage(
-            name="harvest",
-            modules=(__name__,),
-            encode=codec.encode,
-            decode=functools.partial(codec.decode, HarvestExperimentResult),
-        )
+        stage = Stage.of("harvest", __name__, HarvestExperimentResult)
         key_config = {
             "seed": seed,
             "population": world.identity(),

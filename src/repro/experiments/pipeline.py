@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
-from repro import codec
 from repro.crawl.crawler import Crawler, CrawlResults
 from repro.crawl.filters import ClassifiableSet, apply_exclusions
 from repro.crawl.page import FetchedPage
@@ -40,6 +39,7 @@ if TYPE_CHECKING:
     from repro.classify.language import LanguageDetector
     from repro.classify.topics import TopicClassifier
     from repro.population.generator import GeneratedPopulation
+    from repro.runconfig import RunConfig
 
 
 class _TransportCursor(StateCursor):
@@ -210,6 +210,19 @@ class MeasurementPipeline:
         self._classifiable: Optional[ClassifiableSet] = None
         self._classification: Optional[ClassificationOutcome] = None
 
+    @classmethod
+    def for_run(cls, run: RunConfig, **options: Any) -> "MeasurementPipeline":
+        """The campaign ``run`` configures: its seed, scale, workers and
+        fault profile.  ``options`` go to the constructor (a store, an
+        observer, supervision hooks)."""
+        return cls(
+            seed=run.seed,
+            scale=run.scale,
+            workers=run.workers,
+            fault_profile=run.fault_profile,
+            **options,
+        )
+
     # -- the world -------------------------------------------------------- #
 
     @property
@@ -286,12 +299,7 @@ class MeasurementPipeline:
         if self.store is None:
             result = compute()
         else:
-            stage = Stage(
-                name=name,
-                modules=(__name__,),
-                encode=codec.encode,
-                decode=functools.partial(codec.decode, artifact),
-            )
+            stage = Stage.of(name, __name__, artifact)
             result = self.store.run(
                 stage,
                 self._store_config(),

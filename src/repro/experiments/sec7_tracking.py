@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
@@ -140,12 +139,7 @@ def run_sec7(
     run replays just the report.
     """
     if store is not None and world is None:
-        stage = Stage(
-            name="sec7",
-            modules=(__name__,),
-            encode=codec.encode,
-            decode=functools.partial(codec.decode, Sec7Result),
-        )
+        stage = Stage.of("sec7", __name__, Sec7Result)
         study_config = (
             config if config is not None else SilkroadStudyConfig(seed=seed, scale=scale)
         )

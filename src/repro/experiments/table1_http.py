@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis.report import ExperimentReport
 from repro.analysis.tables import format_rows
 from repro.crawl.filters import destinations_summary
 from repro.experiments.pipeline import MeasurementPipeline
-from repro.store.checkpoint import ArtifactStore
 
 # Published Table I (full scale) plus the Section IV funnel numbers.
 PAPER_TABLE1 = {"80": 3_741, "443": 1_289, "22": 1_094, "8080": 4, "Other": 451}
@@ -27,34 +26,19 @@ class Table1Result:
     open_at_crawl: int
     connected: int
     report: ExperimentReport
-    #: The pipeline that produced the result; its ``observer`` carries the
-    #: campaign's metrics/span snapshot (``--metrics-out``).
-    pipeline: Optional[MeasurementPipeline] = None
 
     def format_table(self) -> str:
         """Text rendering of Table I."""
         return format_rows(self.rows, headers=("Port Num", "# of onion addresses"))
 
 
-def run_table1(
-    seed: int = 0,
-    scale: float = 1.0,
-    pipeline: Optional[MeasurementPipeline] = None,
-    workers: Optional[int] = None,
-    fault_profile: Optional[str] = None,
-    store: Optional[ArtifactStore] = None,
-) -> Table1Result:
-    """Regenerate Table I at ``scale``."""
-    if pipeline is None:
-        pipeline = MeasurementPipeline(
-            seed=seed,
-            scale=scale,
-            workers=workers,
-            fault_profile=fault_profile,
-            store=store,
-        )
-    else:
-        scale = pipeline.world.spec.total_onions / 39_824
+def run_table1(pipeline: MeasurementPipeline) -> Table1Result:
+    """Regenerate Table I off ``pipeline``'s campaign.
+
+    The paper's counts scale by the world's own size
+    (:attr:`~repro.population.spec.PopulationSpec.paper_scale`).
+    """
+    scale = pipeline.world.spec.paper_scale
     crawl = pipeline.crawl()
     rows = destinations_summary(crawl)
 
@@ -79,5 +63,4 @@ def run_table1(
         open_at_crawl=crawl.open_at_crawl,
         connected=crawl.connected,
         report=report,
-        pipeline=pipeline,
     )

@@ -9,7 +9,6 @@ addresses and *investigate* the anonymous head (the Goldnet forensics).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
@@ -204,7 +203,7 @@ def run_table2(
     :class:`~repro.population.lazy.LazyPopulation`.  A given ``scale`` stays
     authoritative (it sizes the honest network and the paper
     expectations); omitted, it is 1.0 for a new world and
-    ``total_onions / 39,824`` for a passed one.
+    ``spec.paper_scale`` for a passed one.
 
     With ``store`` the whole experiment is one checkpoint: a warm run
     replays the ranking and report without building the world or the
@@ -214,7 +213,7 @@ def run_table2(
     if not 0 < thinning <= 1:
         raise ConfigError(f"thinning must be in (0, 1]: {thinning}")
     if scale is None:
-        scale = 1.0 if population is None else population.spec.total_onions / 39_824
+        scale = 1.0 if population is None else population.spec.paper_scale
     world = LazyPopulation.wrap(population, seed, scale)
 
     def compute() -> Table2Result:
@@ -232,12 +231,7 @@ def run_table2(
 
     if store is None:
         return compute()
-    stage = Stage(
-        name="table2",
-        modules=(__name__,),
-        encode=codec.encode,
-        decode=functools.partial(codec.decode, Table2Result),
-    )
+    stage = Stage.of("table2", __name__, Table2Result)
     config = {
         "seed": seed,
         # The report's expectations and the default relay count follow

@@ -30,6 +30,7 @@ from repro.faults.plan import (
     TruncationFault,
 )
 from repro.faults.retry import RetryPolicy
+from repro.runconfig import PROFILES
 
 #: Environment variable consulted when no explicit profile is given.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -64,11 +65,6 @@ _PROFILES: Dict[str, Tuple[FaultRule, ...]] = {
 _RETRY_ATTEMPTS = {"light": 2, "moderate": 3, "heavy": 4}
 
 
-def fault_profile_names() -> Tuple[str, ...]:
-    """The known profile names, mildest first."""
-    return ("none", "light", "moderate", "heavy")
-
-
 def resolve_fault_profile(profile: Optional[str] = None) -> str:
     """Effective profile name: explicit argument, else ``$REPRO_FAULTS``, else none."""
     if profile is None:
@@ -77,7 +73,7 @@ def resolve_fault_profile(profile: Optional[str] = None) -> str:
     if name not in _PROFILES:
         raise FaultConfigError(
             f"unknown fault profile {profile!r}; "
-            f"expected one of {', '.join(fault_profile_names())}"
+            f"expected one of {', '.join(PROFILES)}"
         )
     return name
 

@@ -68,11 +68,6 @@ class FailureTaxonomy:
         """Operations that failed at least once (recovered or not)."""
         return self.transient_recovered + self.retries_exhausted + self.permanent
 
-    @property
-    def unrecovered(self) -> int:
-        """Operations that ended in failure."""
-        return self.retries_exhausted + self.permanent
-
     def rows(self) -> Iterator[Tuple[str, int]]:
         """(label, count) rows in fixed order, for report tables."""
         yield "transient recovered", self.transient_recovered

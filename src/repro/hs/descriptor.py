@@ -11,7 +11,7 @@ request logs back to onion addresses requires re-deriving IDs per day.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.crypto.descriptor_id import (
     REPLICAS,
@@ -34,7 +34,6 @@ class HSDescriptor:
     replica: int
     public_der: bytes
     published_at: Timestamp
-    introduction_points: Tuple[str, ...] = ()
 
     def verify(self) -> bool:
         """Check internal consistency: the ID must derive from the key.
@@ -56,14 +55,12 @@ class HSDescriptor:
             public_der=self.public_der,
             replica=self.replica,
             published_at=self.published_at,
-            introduction_points=self.introduction_points,
         )
 
 
 def make_descriptors(
     keypair: KeyPair,
     now: Timestamp,
-    introduction_points: Tuple[str, ...] = (),
     descriptor_ids: Optional[Sequence[DescriptorId]] = None,
 ) -> List[HSDescriptor]:
     """Build both replica descriptors for the period containing ``now``.
@@ -85,7 +82,6 @@ def make_descriptors(
             replica=replica,
             public_der=keypair.public_der,
             published_at=int(now),
-            introduction_points=introduction_points,
         )
         for replica in range(REPLICAS)
     ]
@@ -94,7 +90,6 @@ def make_descriptors(
 def make_stored_descriptors(
     keypair: KeyPair,
     now: Timestamp,
-    introduction_points: Tuple[str, ...] = (),
     descriptor_ids: Optional[Sequence[DescriptorId]] = None,
 ) -> List[StoredDescriptor]:
     """Both replicas as a directory stores them, built directly.
@@ -117,7 +112,6 @@ def make_stored_descriptors(
             public_der=keypair.public_der,
             replica=replica,
             published_at=published_at,
-            introduction_points=introduction_points,
         )
         for replica in range(REPLICAS)
     ]

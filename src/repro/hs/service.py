@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.crypto.descriptor_id import DescriptorId, time_period_boundaries
 from repro.crypto.keys import KeyPair
@@ -45,7 +45,6 @@ class HiddenService:
     host: SimpleHost = field(default_factory=SimpleHost)
     online_from: Timestamp = 0
     online_until: Optional[Timestamp] = None
-    introduction_points: Tuple[str, ...] = ()
     operator_ip: int = 0
     publish_count: int = field(default=0, repr=False)
     _guards: Optional["GuardSet"] = field(default=None, repr=False)
@@ -73,9 +72,7 @@ class HiddenService:
     ) -> List[HSDescriptor]:
         """Both replica descriptors for the period containing ``now``
         (``descriptor_ids``: that period's IDs, when the caller has them)."""
-        return make_descriptors(
-            self.keypair, now, self.introduction_points, descriptor_ids
-        )
+        return make_descriptors(self.keypair, now, descriptor_ids)
 
     def next_publish_after(self, now: Timestamp) -> Timestamp:
         """The next period boundary at which the service republishes."""

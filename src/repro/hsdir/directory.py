@@ -32,7 +32,6 @@ class StoredDescriptor:
     public_der: bytes
     replica: int
     published_at: Timestamp
-    introduction_points: tuple = ()
 
 
 class HSDirServer:
@@ -79,20 +78,15 @@ class HSDirServer:
         # than the cutoff, a sweep has nothing to delete and skips its walk.
         self._oldest_published: Timestamp = self._NOTHING_STORED
 
-    def store(
-        self, descriptor: StoredDescriptor, now: Timestamp, validate: bool = False
-    ) -> None:
+    def store(self, descriptor: StoredDescriptor, now: Timestamp) -> None:
         """Accept an uploaded descriptor, replacing any previous version.
 
         The one-item case of :meth:`store_many`.
         """
-        self.store_many((descriptor,), now, validate)
+        self.store_many((descriptor,), now)
 
     def store_many(
-        self,
-        descriptors: Sequence[StoredDescriptor],
-        now: Timestamp,
-        validate: bool = False,
+        self, descriptors: Sequence[StoredDescriptor], now: Timestamp
     ) -> None:
         """Accept the uploads that land here at ``now``, in order.
 
@@ -101,10 +95,6 @@ class HSDirServer:
         replace earlier ones in place, and each upload counts once in
         ``publishes_received``.  Every descriptor is checked before any
         lands, so a rejected batch stores nothing.
-
-        With ``validate=True`` the directory re-derives the expected
-        descriptor ID from the embedded public key and the upload time and
-        rejects forgeries — what a real HSDir's signature/ID check buys.
         """
         if not descriptors:
             return
@@ -113,10 +103,6 @@ class HSDirServer:
                 raise DescriptorError(
                     "descriptor id must be 20 bytes, "
                     f"got {len(descriptor.descriptor_id)}"
-                )
-            if validate and not self._upload_is_consistent(descriptor, now):
-                raise DescriptorError(
-                    "descriptor id does not derive from the embedded key at this time"
                 )
         if int(now) - self._last_expiry_sweep >= self.EXPIRY_GRANULARITY:
             self._expire(now)
@@ -128,19 +114,6 @@ class HSDirServer:
                 oldest = descriptor.published_at
         self._oldest_published = oldest
         self.publishes_received += len(descriptors)
-
-    @staticmethod
-    def _upload_is_consistent(descriptor: StoredDescriptor, now: Timestamp) -> bool:
-        from repro.crypto.descriptor_id import descriptor_id
-        from repro.crypto.onion import onion_address_from_key
-
-        onion = onion_address_from_key(descriptor.public_der)
-        # Accept the current period and (grace) the one just ended: uploads
-        # race the rotation boundary in flight.
-        for when in (now, now - DAY):
-            if descriptor_id(onion, when, descriptor.replica) == descriptor.descriptor_id:
-                return True
-        return False
 
     def fetch(
         self, descriptor_id: DescriptorId, now: Timestamp, log: bool = True

@@ -19,11 +19,9 @@ from repro.obs.metrics import (
 from repro.obs.scope import NULL_OBSERVER, Observer, ensure_observer
 from repro.obs.trace import Event, EventLog, Span
 from repro.obs.export import (
-    METRICS_ENV,
     render_json,
     render_spans,
     render_text,
-    resolve_metrics_out,
     write_snapshot,
 )
 
@@ -39,10 +37,8 @@ __all__ = [
     "Event",
     "EventLog",
     "Span",
-    "METRICS_ENV",
     "render_json",
     "render_spans",
     "render_text",
-    "resolve_metrics_out",
     "write_snapshot",
 ]

@@ -4,31 +4,20 @@ The text format is Prometheus-style exposition lines followed by the span
 tree and the event log; everything is sorted or sequence-ordered by
 construction, so the same run renders the same bytes at any worker count —
 which is what lets the small-pipeline snapshot live under
-``tests/goldens/``.  ``REPRO_METRICS`` / ``--metrics-out`` choose where a
-CLI run writes its snapshot; a ``.json`` suffix selects the JSON form.
+``tests/goldens/``.  ``--metrics-out`` (or ``$REPRO_METRICS``) chooses
+where a CLI run writes its snapshot; a ``.json`` suffix selects the JSON
+form.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from typing import List, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, LabelItems
 from repro.obs.scope import Observer
 from repro.obs.trace import Span
-
-#: Environment variable consulted when no explicit ``--metrics-out`` is given.
-METRICS_ENV = "REPRO_METRICS"
-
-
-def resolve_metrics_out(explicit: Optional[str] = None) -> Optional[str]:
-    """Snapshot path: explicit argument, else ``$REPRO_METRICS``, else None."""
-    if explicit:
-        return explicit
-    return os.environ.get(METRICS_ENV, "").strip() or None
-
 
 def _fmt_number(value) -> str:
     """Integral floats print as ints; everything else as repr."""

@@ -115,6 +115,9 @@ NAMED_SERVICE_RATES: Tuple[Tuple[str, int], ...] = (
 # the forum = 15).  This is the full-scale default; PopulationSpec scales it.
 SILKROAD_PHISHING_CLONES = 13
 
+#: Onion addresses the paper harvested on 4 Feb 2013 (Section II).
+PAPER_ONIONS = 39_824
+
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -125,7 +128,7 @@ class PopulationSpec:
     """
 
     # Harvest universe -------------------------------------------------- #
-    total_onions: int = 39_824  # kept as a consistency target, see below
+    total_onions: int = PAPER_ONIONS  # kept as a consistency target, see below
     dead_by_scan_count: int = 15_313  # harvested 4 Feb, gone by the scans
 
     # Botnets ------------------------------------------------------------ #
@@ -274,6 +277,15 @@ class PopulationSpec:
             + self.https_only_count
             + self.http_content_count
         )
+
+    @property
+    def paper_scale(self) -> float:
+        """This world's size as a share of the paper's harvest.
+
+        Experiments scale the paper's counts by it, so a report's
+        expectations follow the world it measured.
+        """
+        return self.total_onions / PAPER_ONIONS
 
     def scaled(self, scale: float) -> "PopulationSpec":
         """A proportionally smaller (or larger) world.

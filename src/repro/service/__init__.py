@@ -20,7 +20,6 @@ socket layer:
 
 from repro.service.api import Response, ServiceRouter, etag_of, status_of
 from repro.service.client import ClientResponse, InProcessClient
-from repro.service.config import ServiceConfig
 from repro.service.controller import (
     SERVICE_EPOCH_STAGES,
     EpochController,
@@ -48,7 +47,6 @@ __all__ = [
     "EpochRecord",
     "InProcessClient",
     "Response",
-    "ServiceConfig",
     "ServiceEpochRun",
     "ServiceHTTPServer",
     "ServiceRouter",

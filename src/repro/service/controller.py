@@ -18,16 +18,16 @@ router (:mod:`repro.service.api`) owns request framing, never stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import ConfigError, ServiceError
 from repro.experiments.harvest import HarvestExperimentResult, run_harvest
 from repro.experiments.pipeline import MeasurementPipeline
 from repro.experiments.table2_popularity import Table2Result, run_table2
 from repro.obs.scope import Observer
-from repro.parallel.executor import ShardQuarantine, resolve_workers
-from repro.service.config import ServiceConfig
+from repro.parallel.executor import ShardQuarantine
+from repro.runconfig import RunConfig
 from repro.service.results import build_views
 from repro.store.cas import digest_of
 from repro.store.checkpoint import ArtifactStore, Stage
@@ -92,25 +92,22 @@ class ServiceEpochRun:
     def __init__(
         self,
         world: EpochWorld,
-        config: ServiceConfig,
-        store_root: str,
+        config: RunConfig,
+        sweep_hours: int,
         crash_points: Optional[Callable[[str], None]],
         quarantine: Optional[ShardQuarantine],
         prev_views: Optional[Mapping[str, Dict[str, Any]]] = None,
     ) -> None:
         self.world = world
         self.config = config
+        self.sweep_hours = sweep_hours
         self.observer = Observer(name=epoch_run_id(world.epoch))
         self.crash_point = crash_points
         self.store = ArtifactStore(
-            store_root, observer=self.observer, run_id=epoch_run_id(world.epoch)
+            config.store_dir, observer=self.observer, run_id=epoch_run_id(world.epoch)
         )
-        self.pipeline = MeasurementPipeline(
-            seed=world.seed,
-            scale=world.scale,
-            scan_days=config.scan_days,
-            workers=config.workers,
-            fault_profile=config.fault_profile,
+        self.pipeline = MeasurementPipeline.for_run(
+            replace(config, seed=world.seed, scale=world.scale),
             observer=self.observer,
             store=self.store,
             crash_point=crash_points,
@@ -134,7 +131,7 @@ class ServiceEpochRun:
             self._harvest = run_harvest(
                 seed=self.world.seed,
                 population=self.pipeline.world,
-                sweep_hours=self.config.sweep_hours,
+                sweep_hours=self.sweep_hours,
                 store=self.store,
             )
             self._bracket(stage_exit("harvest"))
@@ -159,7 +156,7 @@ class ServiceEpochRun:
             self._popularity = run_table2(
                 seed=self.world.seed,
                 population=self.pipeline.world,
-                sweep_hours=self.config.sweep_hours,
+                sweep_hours=self.sweep_hours,
                 workers=self.config.workers,
                 store=self.store,
             )
@@ -194,7 +191,7 @@ class ServiceEpochRun:
                     if self.prev_views is not None
                     else None
                 ),
-                "workers": resolve_workers(self.config.workers),
+                "workers": self.config.workers,
             }
             self._views = self.store.run(
                 stage,
@@ -254,16 +251,30 @@ class EpochRecord:
 
 @dataclass
 class EpochController:
-    """Drives supervised epochs and accumulates their records."""
+    """Drives supervised epochs and accumulates their records.
 
-    config: ServiceConfig
-    store_root: str
+    ``config`` carries the run settings and the store directory every
+    epoch checkpoints into; on top of it the service takes only how many
+    epochs to run and each epoch's sweep length.
+    """
+
+    config: RunConfig
+    epochs: int = 3
+    sweep_hours: int = 12
     observer: Observer = field(default_factory=lambda: Observer(name="service"))
     records: List[EpochRecord] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if self.config.store_dir is None:
+            raise ConfigError("the service needs a store directory")
+        if self.epochs < 1:
+            raise ConfigError(f"--epochs must be >= 1, got {self.epochs}")
+        if self.sweep_hours < 1:
+            raise ConfigError(f"--sweep-hours must be >= 1, got {self.sweep_hours}")
+
     def run(self) -> List[EpochRecord]:
         """Run the configured number of epochs (continuing past any done)."""
-        while len(self.records) < self.config.epochs:
+        while len(self.records) < self.epochs:
             self.run_epoch()
         return list(self.records)
 
@@ -281,7 +292,7 @@ class EpochController:
             return ServiceEpochRun(
                 world,
                 self.config,
-                self.store_root,
+                self.sweep_hours,
                 crash_points,
                 quarantine,
                 prev_views=prev_views,

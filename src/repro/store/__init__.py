@@ -11,9 +11,9 @@ and an append-only :class:`~repro.store.ledger.Ledger` records every
 hit/miss so a run can prove it recomputed nothing.
 
 Layering: the store is a substrate like ``parallel`` and ``obs`` — it
-never imports measurement code.  Each stage's encoder/decoder pair is
-supplied by the caller (the pipeline, from :mod:`repro.codec`), keeping
-the dependency arrows pointing down.
+never imports measurement code.  A stage names its artifact class and
+:meth:`~repro.store.checkpoint.Stage.of` derives the encoder/decoder
+pair from :mod:`repro.codec`, keeping the dependency arrows pointing down.
 """
 
 from repro.store.cas import (
@@ -28,7 +28,6 @@ from repro.store.checkpoint import (
     Stage,
     StateCursor,
 )
-from repro.store.config import STORE_ENV, open_store, resolve_store_dir
 from repro.store.keys import CacheKey, canonicalize, code_fingerprint
 from repro.store.ledger import Ledger
 
@@ -39,13 +38,10 @@ __all__ = [
     "LEDGER_APPEND_POINT",
     "Ledger",
     "STORE_COMMIT_POINT",
-    "STORE_ENV",
     "Stage",
     "StateCursor",
     "canonical_json_bytes",
     "canonicalize",
     "code_fingerprint",
     "digest_of",
-    "open_store",
-    "resolve_store_dir",
 ]

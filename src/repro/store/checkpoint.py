@@ -18,11 +18,13 @@ leaving the world exactly as if the stage had run.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
+from repro import codec
 from repro.errors import ReproError, StoreError
 from repro.obs.scope import Observer, ensure_observer
 from repro.store.cas import ContentStore, atomic_write_bytes, canonical_json_bytes, digest_of
@@ -67,15 +69,22 @@ class Stage:
     stage — usually just the wiring module's ``(__name__,)``; the code
     fingerprint hashes them and everything they import (see
     :func:`~repro.store.keys.code_fingerprint`).  ``encode``/``decode``
-    round-trip the artifact through plain JSON (usually
-    :func:`repro.codec.encode` and a ``functools.partial`` of
-    :func:`repro.codec.decode` bound to the artifact class).
+    round-trip the artifact through plain JSON; :meth:`of` builds the usual
+    stage, whose artifact class goes through :mod:`repro.codec`.
     """
 
     name: str
     modules: Tuple[str, ...]
     encode: Callable[[Any], Dict[str, Any]]
     decode: Callable[[Dict[str, Any]], Any]
+
+    @classmethod
+    def of(cls, name: str, module: str, artifact: type) -> "Stage":
+        """The stage ``name``, wired in ``module``, whose artifact is an
+        ``artifact`` encoded by :mod:`repro.codec`."""
+        return cls(
+            name, (module,), codec.encode, functools.partial(codec.decode, artifact)
+        )
 
     def fingerprint(self) -> str:
         """The stage's current code fingerprint."""

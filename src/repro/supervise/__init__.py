@@ -18,7 +18,6 @@ rule REP014 keeps everyone else from catching the simulated deaths.
 """
 
 from repro.supervise.crashplan import (
-    CRASHES_ENV,
     LEDGER_APPEND,
     PIPELINE_STAGES,
     PMAP_SHARD,
@@ -28,9 +27,7 @@ from repro.supervise.crashplan import (
     CrashPoints,
     CrashRule,
     build_crash_plan,
-    crash_profile_names,
     parse_crash_schedule,
-    resolve_crash_spec,
     stage_enter,
     stage_exit,
 )
@@ -56,7 +53,6 @@ from repro.supervise.supervisor import (
 )
 
 __all__ = [
-    "CRASHES_ENV",
     "LEDGER_APPEND",
     "PIPELINE_STAGES",
     "PMAP_SHARD",
@@ -77,12 +73,10 @@ __all__ = [
     "StageStatus",
     "SupervisedOutcome",
     "build_crash_plan",
-    "crash_profile_names",
     "export_supervise_metrics",
     "merge_quarantine",
     "observer_sim_seconds",
     "parse_crash_schedule",
-    "resolve_crash_spec",
     "stage_enter",
     "stage_exit",
     "stage_methods",

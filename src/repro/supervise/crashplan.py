@@ -27,14 +27,11 @@ schedule for surgical tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulatedCrashError, SupervisionError
-
-#: Environment variable consulted when no explicit crash spec is given.
-CRASHES_ENV = "REPRO_CRASHES"
+from repro.runconfig import PROFILES
 
 #: Canonical crash-point labels threaded by the lower layers.
 PMAP_SHARD = "pmap:shard"
@@ -190,11 +187,6 @@ _PROFILES: Dict[str, Tuple[CrashRule, ...]] = {
 }
 
 
-def crash_profile_names() -> Tuple[str, ...]:
-    """The known profile names, mildest first."""
-    return ("none", "light", "moderate", "heavy")
-
-
 def parse_crash_schedule(spec: str) -> Tuple[CrashRule, ...]:
     """Parse an explicit ``label@visit,label@visit`` schedule."""
     rules: List[CrashRule] = []
@@ -217,20 +209,13 @@ def parse_crash_schedule(spec: str) -> Tuple[CrashRule, ...]:
     return tuple(rules)
 
 
-def resolve_crash_spec(spec: Optional[str] = None) -> str:
-    """Effective spec: explicit argument, else ``$REPRO_CRASHES``, else none."""
-    if spec is None:
-        spec = os.environ.get(CRASHES_ENV, "").strip() or "none"
-    return spec.strip()
-
-
-def build_crash_plan(spec: Optional[str] = None, seed: int = 0) -> CrashPlan:
+def build_crash_plan(spec: str = "none", seed: int = 0) -> CrashPlan:
     """The :class:`CrashPlan` for ``spec`` at ``seed``.
 
     ``spec`` is a profile name or an explicit ``label@visit,...`` schedule
     (anything containing ``@`` or ``:`` is treated as a schedule).
     """
-    resolved = resolve_crash_spec(spec)
+    resolved = spec.strip()
     lowered = resolved.lower()
     if lowered in _PROFILES:
         return CrashPlan(seed=seed, rules=_PROFILES[lowered], name=lowered)
@@ -240,5 +225,5 @@ def build_crash_plan(spec: Optional[str] = None, seed: int = 0) -> CrashPlan:
         )
     raise SupervisionError(
         f"unknown crash profile {resolved!r}; expected one of "
-        f"{', '.join(crash_profile_names())} or a label@visit schedule"
+        f"{', '.join(PROFILES)} or a label@visit schedule"
     )

@@ -29,7 +29,7 @@ from repro.hsdir.ring_view import (
     responsible_replica_lists_batch,
 )
 from repro.relay.relay import Relay
-from repro.sim.clock import HOUR, SimClock, Timestamp
+from repro.sim.clock import SimClock, Timestamp
 from repro.sim.rng import derive_rng
 
 #: One service's upload: the service, its per-replica responsible
@@ -191,12 +191,6 @@ class TorNetwork:
             self.archive.append(consensus)
         return consensus
 
-    def run_hours(self, hours: int, archive: bool = True) -> None:
-        """Advance time hour by hour, rebuilding the consensus each hour."""
-        for _ in range(hours):
-            self.clock.advance_by(HOUR)
-            self.rebuild_consensus(archive=archive)
-
     def relay_for_fingerprint(self, fingerprint: Fingerprint) -> Optional[Relay]:
         """The consensus-listed relay currently holding ``fingerprint``."""
         return self._relays_by_fingerprint.get(fingerprint)
@@ -296,7 +290,7 @@ class TorNetwork:
             # One frozen StoredDescriptor per replica, shared across all its
             # responsible directories.
             for stored in make_stored_descriptors(
-                service.keypair, now, service.introduction_points, descriptor_ids
+                service.keypair, now, descriptor_ids
             ):
                 responsible = (
                     responsible_per_replica[stored.replica]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.crypto.descriptor_id import DescriptorId
 from repro.crypto.keys import Fingerprint, KeyPair
@@ -160,15 +160,3 @@ class ClientDeanonAttack:
         if not self.signatures_injected:
             return 0.0
         return len(self.captures) / self.signatures_injected
-
-    def visit_counts(self) -> Dict[int, int]:
-        """Visits per captured client IP — the seller-vs-buyer separator.
-
-        Section VI: "a seller tends to have a specific pattern which allows
-        his identification" — frequent periodic fetches versus occasional
-        ones.
-        """
-        counts: Dict[int, int] = {}
-        for capture in self.captures:
-            counts[capture.client_ip] = counts.get(capture.client_ip, 0) + 1
-        return counts

@@ -93,8 +93,3 @@ class ShadowFleet:
         for relay in retired:
             relay.set_reachable(False, now)
         return retired
-
-    def waves_remaining(self) -> int:
-        """How many more rotations the fleet can sustain."""
-        reachable = len(self.reachable_relays())
-        return reachable // (2 * self.ip_count) if self.ip_count else 0

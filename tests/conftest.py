@@ -149,19 +149,28 @@ def numpy_unimportable():
             sys.modules["numpy"] = saved
 
 
-def make_service_config(**overrides):
-    """The shared service config, with per-test overrides."""
-    from repro.service import ServiceConfig
+def make_service_controller(store_root, **overrides):
+    """The shared service's controller over ``store_root``, with per-test
+    overrides of its run settings, ``epochs`` or ``sweep_hours``.
+
+    Workers and fault profile left unset fall back to ``$REPRO_WORKERS``
+    and ``$REPRO_FAULTS``, as ``repro serve`` resolves them.
+    """
+    from repro.runconfig import RunConfig
+    from repro.service import EpochController
 
     settings = dict(
         seed=SERVICE_SEED,
         scale=SERVICE_SCALE,
-        epochs=SERVICE_EPOCHS,
-        sweep_hours=SERVICE_SWEEP_HOURS,
+        workers=None,
+        fault_profile=None,
         crash_profile="moderate",
+        store_dir=str(store_root),
     )
-    settings.update(overrides)
-    return ServiceConfig(**settings)
+    shape = dict(epochs=SERVICE_EPOCHS, sweep_hours=SERVICE_SWEEP_HOURS)
+    for name, value in overrides.items():
+        (shape if name in shape else settings)[name] = value
+    return EpochController(RunConfig.resolve(settings), **shape)
 
 
 @pytest.fixture(scope="session")
@@ -173,8 +182,6 @@ def service_store_root(tmp_path_factory):
 @pytest.fixture(scope="session")
 def service_controller(service_store_root):
     """Three completed supervised epochs under the moderate crash plan."""
-    from repro.service import EpochController
-
-    controller = EpochController(make_service_config(), service_store_root)
+    controller = make_service_controller(service_store_root)
     controller.run()
     return controller

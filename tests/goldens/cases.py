@@ -281,21 +281,15 @@ def serve_wire_artifact() -> str:
         VIEW_KINDS,
         EpochController,
         InProcessClient,
-        ServiceConfig,
         ServiceRouter,
     )
+    from repro.runconfig import RunConfig
 
-    config = ServiceConfig(
-        seed=VIEWS_SEED,
-        scale=VIEWS_SCALE,
-        epochs=2,
-        sweep_hours=VIEWS_SWEEP_HOURS,
-        workers=1,
-        fault_profile="none",
-        crash_profile="none",
-    )
     with tempfile.TemporaryDirectory() as tmp:
-        records = EpochController(config, tmp).run()
+        config = RunConfig(seed=VIEWS_SEED, scale=VIEWS_SCALE, store_dir=tmp)
+        records = EpochController(
+            config, epochs=2, sweep_hours=VIEWS_SWEEP_HOURS
+        ).run()
     client = InProcessClient(ServiceRouter(records))
 
     def line(path: str, response) -> str:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.report import ComparisonRow, ExperimentReport
 from repro.analysis.stats import (
-    head_counts,
     l1_distance,
     relative_error,
     share_table,
@@ -41,10 +40,6 @@ class TestStats:
 
     def test_share_table_empty(self):
         assert share_table({"x": 0}) == {"x": 0.0}
-
-    def test_head_counts(self):
-        rows = [("a", 1), ("b", 5), ("c", 3)]
-        assert head_counts(rows, 2) == [("b", 5), ("c", 3)]
 
     @given(
         st.dictionaries(st.sampled_from("abcdef"), st.floats(0, 1), max_size=6),

@@ -5,9 +5,8 @@ import tracemalloc
 from repro.classify import training
 from repro.classify.tokenize import _word_ngrams
 from repro.experiments.pipeline import MeasurementPipeline
-from repro.service import EpochController
 
-from tests.conftest import make_service_config
+from tests.conftest import make_service_controller
 
 #: Peak traced allocation of one shipped model's training run.  Slicing a
 #: fresh string per n-gram peaked at 56-68 MB (Python 3.10-3.12); with
@@ -55,6 +54,5 @@ def test_service_epochs_train_the_language_model_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(training, "language_training_corpus", counting_corpus)
     training.build_language_detector.cache_clear()
-    config = make_service_config(epochs=2, crash_profile="none")
-    EpochController(config, str(tmp_path / "store")).run()
+    make_service_controller(tmp_path / "store", epochs=2, crash_profile="none").run()
     assert len(calls) == 1

@@ -4,6 +4,7 @@ import argparse
 import gc
 import importlib
 import json
+import pathlib
 import weakref
 
 import pytest
@@ -228,9 +229,9 @@ class TestCollectorPolicy:
         """Thresholds the ``fig1`` runner saw; ``--seed 13`` makes it raise."""
         thresholds = []
 
-        def runner(args):
+        def runner(args, config):
             thresholds.append(gc.get_threshold())
-            if args.seed == 13:
+            if config.seed == 13:
                 raise RuntimeError("runner failed")
             return 0
 
@@ -275,6 +276,26 @@ class TestExecution:
         assert code == 0
         out = capsys.readouterr().out
         assert "fig3-client-geomap" in out
+
+
+class TestCampaignCommands:
+    """``repro fig1``, ``table1`` and ``fig2`` print the sections ``repro
+    all`` prints for the same world, paper expectations included."""
+
+    @pytest.mark.parametrize("command", ["fig1", "table1", "fig2"])
+    def test_section_matches_the_all_golden(self, command, capsys, monkeypatch):
+        from tests.goldens.cases import ALL_SCALE, ALL_SEED
+
+        golden = (pathlib.Path(__file__).parent / "goldens" / "all_small.txt").read_text(
+            encoding="utf-8"
+        )
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.delenv("REPRO_METRICS", raising=False)
+        argv = [command, "--scale", str(ALL_SCALE), "--seed", str(ALL_SEED)]
+        assert main(argv + ["--workers", "1", "--fault-profile", "none"]) == 0
+        section = capsys.readouterr().out.split("\n\n")[0] + "\n\n"
+        assert section.startswith("== ")
+        assert section in golden
 
 
 class TestRunAllDropsFinishedStages:
@@ -331,9 +352,9 @@ class TestCrashtest:
         self, tmp_path, capsys, monkeypatch
     ):
         from repro.io import load_json
-        from repro.supervise import CRASHES_ENV, CompletenessManifest
+        from repro.supervise import CompletenessManifest
 
-        monkeypatch.delenv(CRASHES_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CRASHES", raising=False)
         crash_json = tmp_path / "crash.json"
         clean_json = tmp_path / "clean.json"
         manifest_json = tmp_path / "manifest.json"
@@ -360,7 +381,7 @@ class TestCrashtest:
         assert "byte-identical" in out
         # The archived documents are what CI byte-compares.
         assert crash_json.read_bytes() == clean_json.read_bytes()
-        manifest = CompletenessManifest.from_dict(load_json(manifest_json))
+        manifest = decode(CompletenessManifest, load_json(manifest_json))
         assert manifest.complete
         assert len(manifest.crashes) >= 5
         assert len({e.point for e in manifest.crashes}) >= 5

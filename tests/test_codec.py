@@ -22,6 +22,8 @@ from repro.net.endpoint import ConnectOutcome
 from repro.popularity.ranking import PopularityRanking, RankedService
 from repro.popularity.timeseries import RequestTimeSeries
 from repro.scan.results import ScanResults
+from repro.supervise.crashplan import CrashEvent
+from repro.supervise.manifest import STAGE_COMPLETE, CompletenessManifest, StageStatus
 
 ONION_A = "aa" * 8 + ".onion"
 ONION_B = "bb" * 8 + ".onion"
@@ -220,6 +222,67 @@ class TestStrictDecoder:
         del dig(data, path[:-1])[path[-1]]
         with pytest.raises(ReproError, match=f"missing required field {path[-1]!r}"):
             decode(cls, data)
+
+
+
+def make_manifest():
+    return CompletenessManifest(
+        stages=[StageStatus("scan", STAGE_COMPLETE, sim_seconds=5)],
+        crashes=[CrashEvent("stage:scan:exit", 1)],
+        quarantined_items=[{"index": 2, "error": "E: x", "retried": None}],
+        degraded=True,
+        crash_plan={"name": "custom", "seed": 0, "rules": ["a@1"], "on": False},
+    )
+
+
+class TestBoolAndAny:
+    """``bool`` is a primitive of its own; ``Any`` is JSON passed through."""
+
+    def test_bool_field_rejects_an_int(self):
+        data = encode(make_manifest())
+        data["degraded"] = 1
+        with pytest.raises(
+            ReproError, match=r"completeness-manifest\.degraded must be bool, got int"
+        ):
+            decode(CompletenessManifest, data)
+
+    def test_int_field_still_rejects_true(self):
+        data = encode(make_manifest())
+        data["restarts_used"] = True
+        with pytest.raises(
+            ReproError,
+            match=r"completeness-manifest\.restarts_used must be int, got bool",
+        ):
+            decode(CompletenessManifest, data)
+
+    def test_any_values_pass_through_unchanged(self):
+        manifest = make_manifest()
+        data = encode(manifest)
+        assert data["crash_plan"] == manifest.crash_plan
+        assert data["crash_plan"]["rules"] is manifest.crash_plan["rules"]
+        assert data["quarantined_items"] == manifest.quarantined_items
+        again = decode(CompletenessManifest, json.loads(json.dumps(data)))
+        assert again.crash_plan == manifest.crash_plan
+        assert again.quarantined_items == manifest.quarantined_items
+        assert encode(again) == data
+
+
+class TestManifestDecoding:
+    """A completeness manifest decodes strictly, like every artifact."""
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"kind": "something-else"}, "expected artifact kind"),
+            ({"schema": 99}, "newer than this build"),
+            ({"stages": [{"status": "complete"}]}, r"stages\[0\] is missing .* 'name'"),
+        ],
+        ids=["wrong-kind", "newer-schema", "malformed-stage"],
+    )
+    def test_rejected(self, changes, message):
+        data = {**encode(make_manifest()), **changes}
+        with pytest.raises(ReproError, match=message):
+            decode(CompletenessManifest, data)
 
 
 # -- round-trip property ---------------------------------------------------- #

@@ -19,10 +19,10 @@ from repro.faults.plan import (
     SlowCircuitFault,
     TruncationFault,
 )
+from repro.faults import profiles
 from repro.faults.profiles import (
     build_fault_plan,
     default_retry_policy,
-    fault_profile_names,
     resolve_fault_profile,
 )
 from repro.faults.retry import (
@@ -33,6 +33,7 @@ from repro.faults.retry import (
 from repro.faults.taxonomy import FailureCategory, FailureTaxonomy
 from repro.faults.transport import FaultInjectingTransport, wrap_transport
 from repro.net.endpoint import ConnectOutcome, ConnectResult
+from repro.runconfig import PROFILES
 
 ONION = "abcdefghijklmnop.onion"
 
@@ -260,8 +261,8 @@ class TestFaultInjectingTransport:
 
 
 class TestProfiles:
-    def test_known_names(self):
-        assert fault_profile_names() == ("none", "light", "moderate", "heavy")
+    def test_every_shared_profile_name_is_defined(self):
+        assert tuple(profiles._PROFILES) == PROFILES
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "heavy")
@@ -610,7 +611,6 @@ class TestFailureTaxonomy:
         taxonomy.record(FailureCategory.PERMANENT)
         taxonomy.record(None)  # clean first-attempt success: not a failure
         assert taxonomy.total == 3
-        assert taxonomy.unrecovered == 2
         assert taxonomy.retry_attempts == 4
 
     def test_merge(self):

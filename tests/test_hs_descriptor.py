@@ -36,10 +36,6 @@ class TestMakeDescriptors:
         for descriptor in make_descriptors(KEYPAIR, FEB4):
             assert descriptor.public_der == KEYPAIR.public_der
 
-    def test_intro_points_carried(self):
-        descriptors = make_descriptors(KEYPAIR, FEB4, introduction_points=("ip1",))
-        assert descriptors[0].introduction_points == ("ip1",)
-
 
 class TestVerify:
     def test_fresh_descriptor_verifies(self):
@@ -82,18 +78,17 @@ class TestToStored:
 class TestMakeStoredDescriptors:
     """The publish path's direct build against make_descriptors + to_stored."""
 
-    @pytest.mark.parametrize("intro", [(), ("ip1", "ip2")])
     @pytest.mark.parametrize("pass_ids", [False, True])
-    def test_equals_converted_descriptors(self, intro, pass_ids):
+    def test_equals_converted_descriptors(self, pass_ids):
         ids = (
             [descriptor_id("x" * 16 + ".onion", FEB4, r) for r in range(REPLICAS)]
             if pass_ids
             else None
         )
         expected = [
-            d.to_stored() for d in make_descriptors(KEYPAIR, FEB4 + 7, intro, ids)
+            d.to_stored() for d in make_descriptors(KEYPAIR, FEB4 + 7, ids)
         ]
-        assert make_stored_descriptors(KEYPAIR, FEB4 + 7, intro, ids) == expected
+        assert make_stored_descriptors(KEYPAIR, FEB4 + 7, ids) == expected
 
     @pytest.mark.parametrize("build", [make_descriptors, make_stored_descriptors])
     def test_needs_key_material(self, build):

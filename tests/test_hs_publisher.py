@@ -140,9 +140,7 @@ def upload_one_at_a_time(network, service, now, responsible_per_replica=None):
     observers = network._publish_observers
     guards = service.ensure_guards(network, network._publish_rng) if observers else None
     delivered = 0
-    for stored in make_stored_descriptors(
-        service.keypair, now, service.introduction_points
-    ):
+    for stored in make_stored_descriptors(service.keypair, now):
         responsible = (
             responsible_per_replica[stored.replica]
             if responsible_per_replica is not None

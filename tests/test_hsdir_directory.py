@@ -1,13 +1,9 @@
 """Tests for repro.hsdir.directory."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.keys import KeyPair
 from repro.errors import DescriptorError, ReproError
-from repro.hs.service import HiddenService
 from repro.hsdir.directory import HSDirServer, StoredDescriptor
 from repro.popularity.timeseries import series_by_owner
 from repro.sim.clock import DAY, HOUR
@@ -245,38 +241,3 @@ class _CountingDict(dict):
     def items(self):
         self._walked.append("items")
         return super().items()
-
-
-class TestDescriptorUploadValidation:
-    """Directories can reject forged uploads."""
-
-    @staticmethod
-    def make_service():
-        return HiddenService(keypair=KeyPair.generate(random.Random(9)), online_from=0)
-
-    def test_honest_upload_accepted(self, network):
-        descriptor = self.make_service().current_descriptors(network.clock.now)[0]
-        server = HSDirServer(relay_id=1)
-        server.store(descriptor.to_stored(), network.clock.now, validate=True)
-        assert server.publishes_received == 1
-
-    def test_forged_id_rejected(self, network):
-        descriptor = self.make_service().current_descriptors(network.clock.now)[0]
-        forged = StoredDescriptor(
-            descriptor_id=b"\x42" * 20,  # not derived from the key
-            public_der=descriptor.public_der,
-            replica=descriptor.replica,
-            published_at=descriptor.published_at,
-        )
-        server = HSDirServer(relay_id=1)
-        with pytest.raises(DescriptorError):
-            server.store(forged, network.clock.now, validate=True)
-
-    def test_stale_period_grace(self, network):
-        """An upload racing the rotation boundary (previous period's ID)
-        is still accepted within the one-period grace."""
-        now = network.clock.now
-        stale = self.make_service().current_descriptors(now)[0]
-        server = HSDirServer(relay_id=1)
-        server.store(stale.to_stored(), now + DAY, validate=True)
-        assert server.publishes_received == 1

@@ -16,7 +16,6 @@ from repro.obs import (
     render_json,
     render_spans,
     render_text,
-    resolve_metrics_out,
     write_snapshot,
 )
 from repro.parallel import pmap
@@ -354,13 +353,3 @@ class TestExport:
         write_snapshot(observer, str(json_path))
         assert text_path.read_text() == render_text(observer) + "\n"
         json.loads(json_path.read_text())
-
-    def test_resolve_metrics_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert resolve_metrics_out(None) is None
-        assert resolve_metrics_out("x.txt") == "x.txt"
-        monkeypatch.setenv("REPRO_METRICS", "env.txt")
-        assert resolve_metrics_out(None) == "env.txt"
-        assert resolve_metrics_out("x.txt") == "x.txt"
-        monkeypatch.setenv("REPRO_METRICS", "   ")
-        assert resolve_metrics_out(None) is None

@@ -11,7 +11,6 @@ from repro.obs.scope import Observer
 from repro.service import (
     SCHEMA_VERSION,
     VIEW_KINDS,
-    EpochController,
     InProcessClient,
     ServiceRouter,
 )
@@ -19,7 +18,7 @@ from repro.service import api
 from repro.service.api import _encode, etag_of
 from repro.service.results import dossier_envelope
 
-from tests.conftest import make_service_config
+from tests.conftest import make_service_controller
 
 #: The query surface the determinism matrix pins, one path per view kind.
 VIEW_PATHS = tuple(f"/v1/epochs/0/{kind}" for kind in VIEW_KINDS)
@@ -37,14 +36,12 @@ def matrix_responses(tmp_path_factory):
     for profile in FAULT_PROFILES:
         for workers in WORKER_COUNTS:
             root = tmp_path_factory.mktemp(f"api-{profile}-{workers}")
-            controller = EpochController(
-                make_service_config(
-                    epochs=1,
-                    workers=workers,
-                    fault_profile=profile,
-                    crash_profile="none",
-                ),
-                str(root),
+            controller = make_service_controller(
+                root,
+                epochs=1,
+                workers=workers,
+                fault_profile=profile,
+                crash_profile="none",
             )
             controller.run()
             client = InProcessClient(ServiceRouter(controller.records))

@@ -2,7 +2,7 @@
 
 from repro.experiments.pipeline import MeasurementPipeline
 from repro.experiments.table2_popularity import run_table2
-from repro.service import VIEW_KINDS, EpochController, epoch_run_id
+from repro.service import VIEW_KINDS, epoch_run_id
 from repro.service.results import build_views
 from repro.store import ArtifactStore, digest_of
 from repro.worldbuild import advance_epoch
@@ -12,7 +12,7 @@ from tests.conftest import (
     SERVICE_SCALE,
     SERVICE_SEED,
     SERVICE_SWEEP_HOURS,
-    make_service_config,
+    make_service_controller,
     spy_on_world_builds,
 )
 
@@ -133,7 +133,7 @@ class TestWarmResume:
         )
 
         worlds = spy_on_world_builds(monkeypatch)
-        warm = EpochController(make_service_config(), service_store_root)
+        warm = make_service_controller(service_store_root)
         warm.run()
 
         misses_after = sum(

@@ -6,9 +6,8 @@ import pytest
 
 from repro.errors import StoreError
 from repro.obs import Observer
-from repro.store import ArtifactStore, Stage, StateCursor, open_store
+from repro.store import ArtifactStore, Stage, StateCursor
 from repro.store.admin import gc, iter_index, ls_lines, verify
-from repro.store.config import STORE_ENV, resolve_store_dir
 from repro.store.ledger import Ledger
 
 
@@ -278,24 +277,3 @@ class TestAdmin:
             parsed = json.loads(entry.path.read_text(encoding="utf-8"))
             assert parsed["kind"] == "store-index"
             assert parsed["object"] == entry.object_digest
-
-
-class TestConfig:
-    def test_explicit_wins_over_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, str(tmp_path / "env"))
-        assert resolve_store_dir(str(tmp_path / "cli")) == str(tmp_path / "cli")
-
-    def test_environment_is_the_ambient_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, str(tmp_path / "env"))
-        store = open_store(None)
-        assert store is not None
-        assert store.root == tmp_path / "env"
-
-    def test_unset_means_off(self, monkeypatch):
-        monkeypatch.delenv(STORE_ENV, raising=False)
-        assert resolve_store_dir(None) is None
-        assert open_store(None) is None
-
-    def test_blank_environment_means_off(self, monkeypatch):
-        monkeypatch.setenv(STORE_ENV, "   ")
-        assert open_store(None) is None

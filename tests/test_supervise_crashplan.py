@@ -13,8 +13,8 @@ The properties the supervisor leans on:
 import pytest
 
 from repro.errors import SimulatedCrashError, SupervisionError
+from repro.runconfig import PROFILES
 from repro.supervise import (
-    CRASHES_ENV,
     LEDGER_APPEND,
     PIPELINE_STAGES,
     PMAP_SHARD,
@@ -23,9 +23,8 @@ from repro.supervise import (
     CrashPoints,
     CrashRule,
     build_crash_plan,
-    crash_profile_names,
+    crashplan,
     parse_crash_schedule,
-    resolve_crash_spec,
     stage_enter,
     stage_exit,
 )
@@ -135,8 +134,8 @@ class TestCrashPoints:
 
 
 class TestProfiles:
-    def test_profile_names(self):
-        assert crash_profile_names() == ("none", "light", "moderate", "heavy")
+    def test_every_shared_profile_name_is_defined(self):
+        assert tuple(crashplan._PROFILES) == PROFILES
 
     def test_none_profile_is_inert(self):
         assert build_crash_plan("none").inert
@@ -196,18 +195,8 @@ class TestScheduleParsing:
 
 
 class TestSpecResolution:
-    def test_explicit_spec_wins(self, monkeypatch):
-        monkeypatch.setenv(CRASHES_ENV, "heavy")
-        assert resolve_crash_spec("light") == "light"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(CRASHES_ENV, "moderate")
-        assert resolve_crash_spec(None) == "moderate"
-
-    def test_default_is_none_profile(self, monkeypatch):
-        monkeypatch.delenv(CRASHES_ENV, raising=False)
-        assert resolve_crash_spec(None) == "none"
-        assert build_crash_plan(None).inert
+    def test_default_is_none_profile(self):
+        assert build_crash_plan().inert
 
     def test_build_accepts_schedule_spec(self):
         plan = build_crash_plan("stage:crawl:enter@1", seed=5)

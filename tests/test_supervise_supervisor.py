@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro import codec
 from repro.errors import SupervisionError
 from repro.obs.scope import Observer
 from repro.supervise import (
@@ -298,12 +299,12 @@ class TestManifest:
     )
 
     def test_encoding_is_pinned(self):
-        assert json.dumps(self.make_manifest().to_dict()) == self.PINNED_JSON
+        assert json.dumps(codec.encode(self.make_manifest())) == self.PINNED_JSON
 
-    def test_round_trips_through_dict(self):
+    def test_round_trips_through_the_codec(self):
         manifest = self.make_manifest()
-        again = CompletenessManifest.from_dict(manifest.to_dict())
-        assert again.to_dict() == manifest.to_dict()
+        again = codec.decode(CompletenessManifest, codec.encode(manifest))
+        assert again == manifest
 
     def test_complete_requires_everything(self):
         manifest = CompletenessManifest(
@@ -312,19 +313,6 @@ class TestManifest:
         assert manifest.complete
         manifest.quarantined_items.append({"index": 1})
         assert not manifest.complete
-
-    def test_from_dict_rejects_wrong_kind_and_schema(self):
-        good = self.make_manifest().to_dict()
-        with pytest.raises(SupervisionError):
-            CompletenessManifest.from_dict({**good, "kind": "something-else"})
-        with pytest.raises(SupervisionError):
-            CompletenessManifest.from_dict({**good, "schema": 99})
-
-    def test_from_dict_rejects_malformed_stage(self):
-        good = self.make_manifest().to_dict()
-        bad = {**good, "stages": [{"status": "complete"}]}
-        with pytest.raises(SupervisionError):
-            CompletenessManifest.from_dict(bad)
 
     def test_unknown_stage_status_rejected(self):
         with pytest.raises(SupervisionError):

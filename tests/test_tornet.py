@@ -31,11 +31,6 @@ class TestConsensusLifecycle:
         consensus = network.rebuild_consensus()
         assert consensus.valid_after == t0 + HOUR
 
-    def test_run_hours(self, network):
-        t0 = network.clock.now
-        network.run_hours(3)
-        assert network.clock.now == t0 + 3 * HOUR
-
     def test_relay_for_fingerprint(self, network):
         entry = network.consensus.entries[0]
         relay = network.relay_for_fingerprint(entry.fingerprint)

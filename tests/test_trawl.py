@@ -115,12 +115,6 @@ class TestShadowFleet:
         for relay in fleet.listed_relays():
             assert network.consensus.entry_for(relay.fingerprint).has(RelayFlags.HSDIR)
 
-    def test_waves_remaining(self, network_and_pool):
-        network, pool = network_and_pool
-        fleet = ShadowFleet(network, ip_count=2, relays_per_ip=6,
-                            rng=derive_rng(5, "f"), address_pool=pool)
-        assert fleet.waves_remaining() == 3
-
     def test_rotation_burns_exactly_the_listed_relays(self, network_and_pool):
         network, pool = network_and_pool
         fleet = ShadowFleet(network, ip_count=2, relays_per_ip=6,
@@ -133,7 +127,6 @@ class TestShadowFleet:
         reachable = fleet.reachable_relays()
         assert len(reachable) == 8
         assert not set(r.relay_id for r in retired) & set(r.relay_id for r in reachable)
-        assert fleet.waves_remaining() == 2
 
     def test_rotation_with_nothing_listed_burns_nothing(self, network_and_pool):
         network, pool = network_and_pool
