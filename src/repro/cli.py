@@ -159,6 +159,47 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.resolve(settings, _FALLBACKS.get(args.command))
 
 
+#: Each command's own count options, which must be >= 1.  ``repro serve``'s
+#: ``--epochs`` and ``--sweep-hours`` are checked by its EpochController.
+_COUNT_OPTIONS = {
+    "table2": ("sweep_hours", "rotation_hours", "relays_per_ip"),
+    "fig3": ("relays", "guards", "clients", "days"),
+    "sec6": ("relays", "guards", "buyers", "sellers", "days"),
+    "harvest": ("ips", "relays_per_ip", "sweep_hours"),
+    "serve": ("http_workers",),
+}
+
+
+def _fault_rates(text: str) -> List[float]:
+    """``--rates``: comma-separated fault rates, each in [0, 1]."""
+    try:
+        rates = [float(token) for token in text.split(",") if token.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--rates must be comma-separated floats: {exc}") from exc
+    if not rates:
+        raise ConfigError("--rates must name at least one rate")
+    for rate in rates:
+        if not 0 <= rate <= 1:
+            raise ConfigError(f"--rates must be in [0, 1], got {rate}")
+    return rates
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject a command's own out-of-range options, as :class:`RunConfig`
+    rejects the shared settings: before the command does any work."""
+    for option in _COUNT_OPTIONS.get(args.command, ()):
+        value = getattr(args, option)
+        if value < 1:
+            flag = "--" + option.replace("_", "-")
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.command == "serve" and not 0 <= args.port <= 65535:
+        raise ConfigError(f"--port must be in [0, 65535], got {args.port}")
+    if args.command == "table2" and not 0 < args.thinning <= 1:
+        raise ConfigError(f"--thinning must be in (0, 1], got {args.thinning}")
+    if args.command == "chaos":
+        _fault_rates(args.rates)
+
+
 def _fail(command: str, message: object) -> int:
     """Report a usage error the way argparse does, and give its exit code."""
     print(f"repro {command}: error: {message}", file=sys.stderr)
@@ -517,21 +558,12 @@ def _run_campaign(args, config: RunConfig) -> ExperimentReport:
 
 
 def _run_chaos(args, config: RunConfig) -> ExperimentReport:
-    from repro.errors import FaultConfigError
     from repro.experiments.chaos_sweep import run_chaos_sweep
 
-    try:
-        rates = [
-            float(token) for token in args.rates.split(",") if token.strip()
-        ]
-    except ValueError as exc:
-        raise FaultConfigError(
-            f"--rates must be comma-separated floats: {exc}"
-        ) from exc
     result = run_chaos_sweep(
         seed=config.seed,
         scale=config.scale,
-        fault_rates=rates,
+        fault_rates=_fault_rates(args.rates),
         workers=config.workers,
         scan_days=args.scan_days,
     )
@@ -999,12 +1031,15 @@ def _run_serve(args, config: RunConfig) -> int:
     server = serve(
         router, host=args.host, port=args.port, workers=args.http_workers
     )
-    print(
-        f"[serving on http://{args.host}:{args.port} — "
-        f"{len(records)} epoch(s) ready]",
-        flush=True,
-    )
-    server.serve_forever()
+    try:
+        print(
+            f"[serving on http://{args.host}:{server.server_address[1]} — "
+            f"{len(records)} epoch(s) ready]",
+            flush=True,
+        )
+        server.serve_forever()
+    finally:
+        server.server_close()
     return 0
 
 
@@ -1047,6 +1082,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _run_config(args)
+        _check_options(args)
     except ConfigError as exc:
         return _fail(args.command, exc)
     thresholds = gc.get_threshold()

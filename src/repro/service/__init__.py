@@ -11,9 +11,12 @@ socket layer:
 - :mod:`repro.service.results` materializes the per-epoch query views
   (rankings, port histograms, topic breakdowns, dossiers, deltas) as
   CAS-backed envelopes with stable digests;
-- :mod:`repro.service.api` + :mod:`repro.service.http` frame those views
-  over HTTP/JSON with digest ETags, conditional 304s, a bounded handler
-  pool, and the 4xx/5xx taxonomy mapped from ``repro.errors``;
+- :mod:`repro.service.api` routes queries to those views with digest
+  ETags, conditional 304s and the 4xx/5xx taxonomy mapped from
+  ``repro.errors``; :mod:`repro.service.http` serves the router over a
+  lean HTTP/1.1 keep-alive handler with capped request heads (JSON 400,
+  414, 431 and 505 envelopes for malformed ones) and a bounded handler
+  pool;
 - :mod:`repro.service.client` is the in-process twin of the HTTP
   front-end, so the whole daemon is testable without sockets.
 """

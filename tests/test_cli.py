@@ -14,6 +14,7 @@ from repro.analysis.report import ExperimentReport
 from repro.cli import build_parser, main
 from repro.codec import decode
 from repro.io import load_json
+from repro.runconfig import ENVIRONMENT
 
 
 #: Every subcommand's options as ``build_parser()`` declares them, sorted:
@@ -505,3 +506,75 @@ class TestStoreCli:
         monkeypatch.delenv("REPRO_STORE", raising=False)
         assert main(["store", "ls"]) == 2
         assert "no store configured" in capsys.readouterr().err
+
+
+class TestOptionChecks:
+    """A command's own out-of-range option exits 2 with one usage line
+    before its runner does any work, as a bad shared setting does."""
+
+    CASES = [
+        (["fig3", "--relays", "0", "--clients", "50"], "--relays must be >= 1, got 0"),
+        (["fig3", "--guards", "0"], "--guards must be >= 1, got 0"),
+        (["fig3", "--clients", "0"], "--clients must be >= 1, got 0"),
+        (["fig3", "--days", "0"], "--days must be >= 1, got 0"),
+        (["sec6", "--relays", "0"], "--relays must be >= 1, got 0"),
+        (["sec6", "--guards", "0"], "--guards must be >= 1, got 0"),
+        (["sec6", "--buyers", "0"], "--buyers must be >= 1, got 0"),
+        (["sec6", "--sellers", "0"], "--sellers must be >= 1, got 0"),
+        (["sec6", "--days", "0"], "--days must be >= 1, got 0"),
+        (["table2", "--sweep-hours", "0"], "--sweep-hours must be >= 1, got 0"),
+        (["table2", "--rotation-hours", "0"], "--rotation-hours must be >= 1, got 0"),
+        (["table2", "--relays-per-ip", "0"], "--relays-per-ip must be >= 1, got 0"),
+        (["table2", "--thinning", "2"], "--thinning must be in (0, 1], got 2.0"),
+        (["table2", "--thinning", "0"], "--thinning must be in (0, 1], got 0.0"),
+        (["harvest", "--ips", "0"], "--ips must be >= 1, got 0"),
+        (["harvest", "--relays-per-ip", "0"], "--relays-per-ip must be >= 1, got 0"),
+        (["harvest", "--sweep-hours", "0"], "--sweep-hours must be >= 1, got 0"),
+        (
+            ["chaos", "--rates", "x"],
+            "--rates must be comma-separated floats: "
+            "could not convert string to float: 'x'",
+        ),
+        (["chaos", "--rates", "0,2"], "--rates must be in [0, 1], got 2.0"),
+        (["chaos", "--rates", ","], "--rates must name at least one rate"),
+        (
+            ["serve", "--port", "70000", "--epochs", "1", "--sweep-hours", "1"],
+            "--port must be in [0, 65535], got 70000",
+        ),
+        (["serve", "--port", "-1"], "--port must be in [0, 65535], got -1"),
+        (["serve", "--http-workers", "0"], "--http-workers must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, message", CASES, ids=[" ".join(argv) for argv, _ in CASES]
+    )
+    def test_exits_two_before_the_runner(self, argv, message, monkeypatch, capsys):
+        for variable in ENVIRONMENT.values():
+            monkeypatch.delenv(variable, raising=False)
+        ran = []
+        monkeypatch.setitem(cli._RUNNERS, argv[0], lambda *args: ran.append(args))
+        assert main(argv) == 2
+        assert ran == []
+        assert capsys.readouterr().err == f"repro {argv[0]}: error: {message}\n"
+
+
+def test_serve_announces_the_port_it_bound(tmp_path, monkeypatch, capsys):
+    from repro.service.http import ServiceHTTPServer
+
+    monkeypatch.delenv("REPRO_METRICS", raising=False)
+    bound = []
+    monkeypatch.setattr(
+        ServiceHTTPServer,
+        "serve_forever",
+        lambda self: bound.append(self.server_address[1]),
+    )
+    argv = [
+        "serve", "--port", "0", "--epochs", "1", "--scale", "0.01",
+        "--sweep-hours", "1", "--workers", "1", "--fault-profile", "none",
+        "--crash-profile", "none", "--store", str(tmp_path / "store"),
+    ]
+    assert main(argv) == 0
+    (port,) = bound
+    assert port != 0
+    out = capsys.readouterr().out
+    assert f"[serving on http://127.0.0.1:{port} — 1 epoch(s) ready]" in out

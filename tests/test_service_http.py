@@ -11,10 +11,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.scope import Observer
 from repro.service import ServiceRouter, serve
-from repro.service.http import _ServiceRequestHandler
+from repro.service.http import MAX_HEADERS, MAX_LINE, _ServiceRequestHandler
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +220,181 @@ def test_idle_connections_release_their_handler_slots(
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def split_response(reply, head_only=False):
+    """One response off ``reply``: (status, headers, body, what follows)."""
+    head, blank, rest = reply.partition(b"\r\n\r\n")
+    assert blank, reply[:200]
+    status_line, *lines = head.split(b"\r\n")
+    assert status_line.startswith(b"HTTP/1.1 ")
+    headers = dict(line.split(b": ", 1) for line in lines)
+    length = 0 if head_only else int(headers[b"Content-Length"])
+    return int(status_line.split(b" ")[1]), headers, rest[:length], rest[length:]
+
+
+class TestRequestHeads:
+    """The handler's own request parsing: caps, malformed heads, keep-alive."""
+
+    MALFORMED = [
+        (b"BROKEN\r\n\r\n", 400),
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1 extra\r\n\r\n", 400),
+        (b"GET /healthz HTTX/1.1\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.\xb2\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nHost: x\r\nNoColonHere\r\n\r\n", 400),
+        (b"GET /" + b"a" * MAX_LINE + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * MAX_LINE + b"\r\n\r\n", 431),
+        (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-%d: y\r\n" % index for index in range(MAX_HEADERS + 1))
+            + b"\r\n",
+            431,
+        ),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+        (b"GET /healthz HTTP/3.0\r\n\r\n", 505),
+    ]
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        MALFORMED,
+        ids=[f"{status}-{index}" for index, (_, status) in enumerate(MALFORMED)],
+    )
+    def test_malformed_head_gets_a_json_envelope_then_eof(
+        self, live_server, request_bytes, status
+    ):
+        # raw_exchange reads until EOF: a connection left open times out.
+        reply = raw_exchange(live_server, request_bytes)
+        got, headers, body, rest = split_response(reply)
+        assert (got, rest) == (status, b"")
+        assert headers[b"Connection"] == b"close"
+        assert headers[b"Content-Type"] == b"application/json; charset=utf-8"
+        document = json.loads(body)
+        assert document["kind"] == "error"
+        assert document["status"] == status
+
+    def test_exactly_100_headers_are_accepted(self, live_server):
+        request = (
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"".join(b"X-%d: y\r\n" % index for index in range(MAX_HEADERS - 1))
+            + b"Connection: close\r\n\r\n"
+        )
+        assert raw_exchange(live_server, request).startswith(b"HTTP/1.1 200 ")
+
+    @pytest.mark.parametrize("extra, status", [(0, 200), (1, 414)])
+    def test_request_line_at_the_cap_is_accepted(self, live_server, extra, status):
+        prefix, suffix = b"GET /healthz?", b" HTTP/1.1\r\n"
+        filler = b"a" * (MAX_LINE - len(prefix) - len(suffix) + extra)
+        line = prefix + filler + suffix
+        assert len(line) == MAX_LINE + extra
+        reply = raw_exchange(live_server, line + b"Connection: close\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+
+    def test_pipelined_gets_are_answered_in_order_on_one_connection(
+        self, live_server
+    ):
+        paths = ["/healthz", "/v1/epochs", "/v1/epochs/0/ports"]
+        request = b"".join(
+            b"GET " + path.encode("ascii") + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+            for path in paths[:-1]
+        ) + b"GET " + paths[-1].encode("ascii") + (
+            b" HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        rest = raw_exchange(live_server, request)
+        for path in paths:
+            status, _headers, body, rest = split_response(rest)
+            assert status == 200
+            assert body == live_server.router.handle("GET", path).body
+        assert rest == b""
+
+    def test_lower_case_if_none_match_gets_its_304(self, live_server):
+        etag = live_server.router.handle("GET", "/v1/epochs/0/ranking").headers["ETag"]
+        reply = raw_exchange(
+            live_server,
+            b"GET /v1/epochs/0/ranking HTTP/1.1\r\nhost: x\r\n"
+            b"if-none-match: " + etag.encode("ascii") + b"\r\n"
+            b"connection: close\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 304 Not Modified\r\n")
+
+    def test_http_1_0_get_closes_after_its_response(self, live_server):
+        reply = raw_exchange(live_server, b"GET /healthz HTTP/1.0\r\n\r\n")
+        status, headers, _body, rest = split_response(reply)
+        assert (status, rest) == (200, b"")
+        assert b"Connection" not in headers
+
+    def test_http_1_0_keep_alive_stays_open(self, live_server):
+        reply = raw_exchange(
+            live_server,
+            b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        )
+        assert reply.count(b"HTTP/1.1 200 ") == 2
+
+    def test_head_gets_a_405_without_a_body(self, live_server):
+        reply = raw_exchange(live_server, b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        status, headers, body, rest = split_response(reply, head_only=True)
+        assert (status, body, rest) == (405, b"", b"")
+        assert int(headers[b"Content-Length"]) > 0
+        assert headers[b"Connection"] == b"close"
+
+    @pytest.mark.parametrize("method", [b"OPTIONS", b"PATCH"])
+    def test_other_methods_get_the_routers_405(self, live_server, method):
+        reply = raw_exchange(live_server, method + b" /healthz HTTP/1.1\r\n\r\n")
+        status, _headers, body, rest = split_response(reply)
+        assert (status, rest) == (405, b"")
+        assert json.loads(body)["kind"] == "error"
+
+    def test_leading_double_slash_collapses(self, live_server):
+        reply = raw_exchange(
+            live_server, b"GET //healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+
+
+#: Bytes a request-line or header field may carry here: anything but the
+#: line terminators, non-ASCII included.
+_FIELD = st.binary(max_size=24).map(
+    lambda raw: raw.replace(b"\r", b"").replace(b"\n", b"")
+)
+_TOKEN = st.text(
+    alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=10
+).map(lambda text: text.encode("ascii"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    method=st.sampled_from([b"GET", b"HEAD", b"POST", b"OPTIONS", b"PATCH"]) | _TOKEN,
+    path=st.tuples(
+        st.sampled_from(
+            [b"/", b"/healthz", b"//healthz", b"/v1/epochs/", b"/v1/epochs/0/"]
+        ),
+        _FIELD,
+    ).map(b"".join),
+    version=st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0", b"HTTP/1"]),
+    headers=st.lists(st.tuples(_TOKEN | _FIELD, _FIELD), max_size=5),
+    conditional=st.booleans(),
+)
+def test_any_request_gets_one_well_framed_response(
+    live_server, method, path, version, headers, conditional
+):
+    if conditional:
+        etag = live_server.router.handle("GET", "/healthz").headers["ETag"]
+        headers = headers + [(b"If-None-Match", etag.encode("ascii"))]
+    request = method + b" " + path + b" " + version + b"\r\n"
+    request += b"".join(name + b": " + value + b"\r\n" for name, value in headers)
+    host, port = live_server.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(request + b"\r\n")
+        # Half-close: after one response the server reads EOF and closes.
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    status, _headers, body, rest = split_response(
+        b"".join(chunks), head_only=method == b"HEAD"
+    )
+    assert rest == b""
+    assert status in {200, 304, 400, 404, 405, 414, 431, 505}
+    if method != b"HEAD" and status != 304:
+        json.loads(body)
