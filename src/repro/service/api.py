@@ -40,6 +40,12 @@ from repro.store.cas import digest_of
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
+#: Method labels of ``service_requests_total``.  Any other method token
+#: counts as ``"other"``, so clients cannot add a series per request.
+COUNTED_METHODS = frozenset(
+    {"GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS", "PATCH"}
+)
+
 
 @dataclass(frozen=True)
 class Response:
@@ -155,7 +161,8 @@ class ServiceRouter:
             headers={"ETag": etag, "Content-Type": JSON_CONTENT_TYPE},
         )
 
-    def _error(self, status: int, error: ReproError) -> Response:
+    def error(self, status: int, error: ReproError) -> Response:
+        """An error envelope, counted in ``service_errors_total``."""
         self._count("service_errors_total", status=status)
         return Response(
             status=status,
@@ -192,7 +199,7 @@ class ServiceRouter:
     ) -> Response:
         record = self._resolve_epoch(parts[0])
         if record is None:
-            return self._error(
+            return self.error(
                 404, ServiceError(f"no such epoch: {parts[0]!r}")
             )
         if len(parts) == 2 and parts[1] in VIEW_KINDS:
@@ -212,14 +219,14 @@ class ServiceRouter:
                 route="dossier",
             )
             if response is None:
-                return self._error(
+                return self.error(
                     404,
                     ServiceError(
                         f"epoch {record.epoch} never observed {onion!r}"
                     ),
                 )
             return response
-        return self._error(
+        return self.error(
             404, ServiceError(f"unknown epoch query: {'/'.join(parts[1:])!r}")
         )
 
@@ -228,9 +235,12 @@ class ServiceRouter:
     ) -> Response:
         """Serve one request; never raises (errors become envelopes)."""
         headers = headers if headers is not None else {}
-        self._count("service_requests_total", method=method)
+        self._count(
+            "service_requests_total",
+            method=method if method in COUNTED_METHODS else "other",
+        )
         if method != "GET":
-            return self._error(
+            return self.error(
                 405, ServiceError(f"method {method} not allowed; use GET")
             )
         try:
@@ -257,6 +267,6 @@ class ServiceRouter:
             parts = [part for part in path.split("/") if part]
             if len(parts) >= 3 and parts[:2] == ["v1", "epochs"]:
                 return self._route_epoch(parts[2:], headers)
-            return self._error(404, ServiceError(f"no route for {path!r}"))
+            return self.error(404, ServiceError(f"no route for {path!r}"))
         except ReproError as exc:
-            return self._error(status_of(exc), exc)
+            return self.error(status_of(exc), exc)

@@ -20,8 +20,9 @@ previous one.  HTTP/1.1 connections stay open unless the request says
 ``keep-alive``.  Every method but GET gets the router's 405 (a HEAD
 response carries its headers only).
 
-A malformed head is answered with a schema-stamped JSON error envelope
-and ``Connection: close``: 400 for a request line that is not three
+A malformed head is answered with the router's JSON error envelope
+(:meth:`~repro.service.api.ServiceRouter.error`, which counts it) and
+``Connection: close``: 400 for a request line that is not three
 words, a malformed version or a header line without a colon, 414 for a
 request line over :data:`MAX_LINE`, 431 for a header line over it or
 more than :data:`MAX_HEADERS` headers, 505 for HTTP/2 and later.
@@ -44,8 +45,7 @@ from http import HTTPStatus
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigError, ServiceError
-from repro.service.api import JSON_CONTENT_TYPE, Response, ServiceRouter, _encode
-from repro.service.schema import error_envelope
+from repro.service.api import Response, ServiceRouter
 
 #: The pinned Date header: the service has no wall clock (REP003).
 FIXED_DATE = "Thu, 01 Jan 1970 00:00:00 GMT"
@@ -77,15 +77,6 @@ def _version(token: str) -> Optional[Tuple[int, int]]:
         if not (part.isascii() and part.isdigit() and len(part) <= 10):
             return None
     return int(major), int(minor)
-
-
-def _error(status: int, message: str) -> Response:
-    """A malformed head's response: the router's error body and type."""
-    return Response(
-        status=status,
-        body=_encode(error_envelope(status, ServiceError(message))),
-        headers={"Content-Type": JSON_CONTENT_TYPE},
-    )
 
 
 class _ServiceRequestHandler(socketserver.StreamRequestHandler):
@@ -182,7 +173,8 @@ class _ServiceRequestHandler(socketserver.StreamRequestHandler):
 
     def _refuse(self, status: int, message: str, head: bool) -> bool:
         """Answer a malformed head with an error envelope; close."""
-        self._send(_error(status, message), close=True, with_body=not head)
+        response = self.server.router.error(status, ServiceError(message))
+        self._send(response, close=True, with_body=not head)
         return False
 
 

@@ -6,7 +6,9 @@ directly; production code outside ``repro/service`` may not.
 
 import http.client
 import json
+import random
 import socket
+import string
 import threading
 import time
 
@@ -14,9 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.obs.scope import Observer
 from repro.service import ServiceRouter, serve
-from repro.service.http import MAX_HEADERS, MAX_LINE, _ServiceRequestHandler
+from repro.service.api import COUNTED_METHODS
+from repro.service.http import (
+    MAX_HEADERS,
+    MAX_LINE,
+    ServiceHTTPServer,
+    _ServiceRequestHandler,
+)
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +231,13 @@ def test_idle_connections_release_their_handler_slots(
         thread.join(timeout=5)
 
 
+def test_zero_workers_is_a_config_error(service_controller):
+    with pytest.raises(ConfigError):
+        ServiceHTTPServer(
+            ("127.0.0.1", 0), ServiceRouter(service_controller.records), workers=0
+        )
+
+
 def split_response(reply, head_only=False):
     """One response off ``reply``: (status, headers, body, what follows)."""
     head, blank, rest = reply.partition(b"\r\n\r\n")
@@ -350,6 +366,42 @@ class TestRequestHeads:
             live_server, b"GET //healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
         )
         assert reply.startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_random_methods_add_at_most_one_metrics_series(self, live_server):
+        def method_labels():
+            _status, _headers, body = fetch(live_server, "/v1/metrics")
+            return {
+                entry["labels"]["method"]
+                for entry in json.loads(body)["metrics"]
+                if entry["name"] == "service_requests_total"
+            }
+
+        before = method_labels()
+        rng = random.Random(35)
+        for _ in range(20):
+            method = "".join(rng.choice(string.ascii_uppercase) for _ in range(12))
+            reply = raw_exchange(
+                live_server, method.encode("ascii") + b" /healthz HTTP/1.1\r\n\r\n"
+            )
+            assert reply.startswith(b"HTTP/1.1 405 ")
+            assert method.encode("ascii") in reply
+        after = method_labels()
+        assert len(after - before) <= 1
+        assert after <= COUNTED_METHODS | {"other"}
+
+    def test_malformed_heads_are_counted_as_errors(self, live_server):
+        def errors_400():
+            _status, _headers, body = fetch(live_server, "/v1/metrics")
+            return sum(
+                entry["value"]
+                for entry in json.loads(body)["metrics"]
+                if entry["name"] == "service_errors_total"
+                and entry["labels"] == {"status": "400"}
+            )
+
+        before = errors_400()
+        raw_exchange(live_server, b"BROKEN\r\n\r\n")
+        assert errors_400() == before + 1
 
 
 #: Bytes a request-line or header field may carry here: anything but the
