@@ -592,8 +592,8 @@ def teardown(step):
     setitimer(signal.ITIMER_REAL, 1.0)
 """
 
-#: Where the corpus goes: every place some fence allows, one place none
-#: allows (``repro/crawl/``), and ``repro/cli.pyx/``, which holds the
+#: Where the fenced spellings go: every place some fence allows, one place
+#: none allows (``repro/crawl/``), and ``repro/cli.pyx/``, which holds the
 #: file-suffix entry ``repro/cli.py`` only as a path fragment.
 FENCE_PLACES = (
     "benchmarks/m.py",
@@ -601,7 +601,6 @@ FENCE_PLACES = (
     "repro/cli.py",
     "repro/cli.pyx/m.py",
     "repro/crawl/m.py",
-    "repro/devtools/m.py",
     "repro/io.py",
     "repro/obs/export.py",
     "repro/obs/m.py",
@@ -612,33 +611,504 @@ FENCE_PLACES = (
     "tests/m.py",
 )
 
+FLAG, CLEAN = "flag", "clean"
 
-def lint_fences_artifact() -> str:
-    """SARIF of ``repro lint`` over the fenced spellings in every place.
 
-    The corpus lives in a temporary directory, not under ``tests/`` (a
-    path fragment four fences allow), and is linted by paths relative to
-    its root, so the SARIF is the same on every machine.
+def _package(files):
+    """``files`` plus an empty ``__init__.py`` in every directory they sit
+    in, the case directory itself included, so the case is one package."""
+    out = dict(files)
+    for relative in files:
+        parts = relative.split("/")[:-1]
+        for depth in range(len(parts) + 1):
+            out.setdefault("/".join(parts[:depth] + ["__init__.py"]), "")
+    return out
+
+
+_WALL_CLOCK = (
+    "import time\nimport datetime\nfrom datetime import date, datetime\n"
+    "stamp = {}\n"
+)
+_MAY_PRINT = "import time\nprint('x')\nstart = time.perf_counter()\n"
+_MAY_WRITE = "import json\nwith open('out.json', 'w') as fh:\n    json.dump({}, fh)\n"
+
+#: Every seeded source of the source checks: case -> (rule, verdict, files).
+#: Each case's files are written under a directory named after the case.
+#: A ``FLAG`` case draws at least one finding of ``rule`` and a ``CLEAN``
+#: case none; findings of other rules are pinned by the golden alone.  A
+#: case whose files are a package is named after it, and its imports spell
+#: that name, so the import graph of one case never meets another's.
+SOURCE_CASES = {
+    "rep001_literal_seed": (
+        "REP001", FLAG, {"m.py": "import random\nrng = random.Random(0)\n"}
+    ),
+    "rep001_from_import_alias": (
+        "REP001", FLAG, {"m.py": "from random import Random as R\nrng = R(42)\n"}
+    ),
+    "rep001_derive_rng": (
+        "REP001",
+        CLEAN,
+        {"m.py": "from repro.sim.rng import derive_rng\nrng = derive_rng(0, 'a')\n"},
+    ),
+    "rep001_sim_rng_module": (
+        "REP001", CLEAN, {"sim/rng.py": "import random\nrng = random.Random(7)\n"}
+    ),
+    "rep002_getrandbits_reseed": (
+        "REP002",
+        FLAG,
+        {
+            "m.py": "import random\ndef f(rng):\n"
+            "    return random.Random(rng.getrandbits(64))\n"
+        },
+    ),
+    "rep002_plain_getrandbits": (
+        "REP002", CLEAN, {"m.py": "def f(rng):\n    return rng.getrandbits(32)\n"}
+    ),
+    **{
+        f"rep003_{name}": ("REP003", FLAG, {"m.py": _WALL_CLOCK.format(call)})
+        for name, call in (
+            ("time_time", "time.time()"),
+            ("datetime_now", "datetime.now()"),
+            ("datetime_utcnow", "datetime.utcnow()"),
+            ("date_today", "date.today()"),
+            ("datetime_datetime_now", "datetime.datetime.now()"),
+        )
+    },
+    "rep003_from_time_import_time": (
+        "REP003", FLAG, {"m.py": "from time import time\nstamp = time()\n"}
+    ),
+    "rep003_perf_counter": (
+        "REP003", CLEAN, {"m.py": "import time\nelapsed = time.perf_counter()\n"}
+    ),
+    **{
+        f"rep004_{exc.lower()}": (
+            "REP004", FLAG, {"m.py": f"def f():\n    raise {exc}('x')\n"}
+        )
+        for exc in ("ValueError", "RuntimeError", "TypeError", "KeyError")
+    },
+    "rep004_repro_error": (
+        "REP004",
+        CLEAN,
+        {
+            "m.py": "from repro.errors import ConfigError\n"
+            "def f():\n    raise ConfigError('x')\n"
+        },
+    ),
+    "rep004_bare_reraise": (
+        "REP004",
+        CLEAN,
+        {
+            "m.py": "def f():\n    try:\n        pass\n"
+            "    except Exception:\n        raise\n"
+        },
+    ),
+    "rep005_list_of_set": ("REP005", FLAG, {"m.py": "items = list(set([1, 2]))\n"}),
+    "rep005_for_over_set_call": (
+        "REP005", FLAG, {"m.py": "for item in set([1, 2]):\n    print(item)\n"}
+    ),
+    "rep005_comprehension_over_set_literal": (
+        "REP005", FLAG, {"m.py": "out = [x for x in {1, 2}]\n"}
+    ),
+    "rep005_sorted_set": (
+        "REP005",
+        CLEAN,
+        {
+            "m.py": "items = sorted(set([1, 2]))\n"
+            "for item in sorted({3, 4}):\n    print(item)\n"
+        },
+    ),
+    "rep005_membership_test": ("REP005", CLEAN, {"m.py": "hit = 3 in set([1, 2, 3])\n"}),
+    "rep006_crypto_imports_experiments": (
+        "REP006",
+        FLAG,
+        _package(
+            {
+                "crypto/keys.py": "from rep006_crypto_imports_experiments"
+                ".experiments import driver\n",
+                "experiments/driver.py": "X = 1\n",
+            }
+        ),
+    ),
+    "rep006_cycle_pair": (
+        "REP006",
+        FLAG,
+        _package(
+            {
+                "alpha.py": "import rep006_cycle_pair.beta\n",
+                "beta.py": "import rep006_cycle_pair.alpha\n",
+            }
+        ),
+    ),
+    # The modules' sorted order is not the cycle's order: a imports c.
+    "rep006_cycle_three": (
+        "REP006",
+        FLAG,
+        _package(
+            {
+                "a.py": "import rep006_cycle_three.c\n",
+                "b.py": "import rep006_cycle_three.a\n",
+                "c.py": "import rep006_cycle_three.b\n",
+            }
+        ),
+    ),
+    "rep006_type_checking_import": (
+        "REP006",
+        CLEAN,
+        _package(
+            {
+                "alpha.py": "from typing import TYPE_CHECKING\n"
+                "if TYPE_CHECKING:\n"
+                "    import rep006_type_checking_import.beta\n",
+                "beta.py": "import rep006_type_checking_import.alpha\n",
+            }
+        ),
+    ),
+    "rep006_relative_import": (
+        "REP006",
+        FLAG,
+        _package(
+            {
+                "sim/clock.py": "from ..trawl import harvest\n",
+                "trawl/harvest.py": "X = 1\n",
+            }
+        ),
+    ),
+    "rep006_store_imports_service": (
+        "REP006",
+        FLAG,
+        _package(
+            {
+                "store/checkpoint.py": "from rep006_store_imports_service"
+                ".service import api\n",
+                "service/api.py": "X = 1\n",
+            }
+        ),
+    ),
+    "rep006_service_imports_substrates": (
+        "REP006",
+        CLEAN,
+        _package(
+            {
+                "service/controller.py": "from rep006_service_imports_substrates"
+                ".store import checkpoint\n"
+                "from rep006_service_imports_substrates.supervise import harness\n",
+                "store/checkpoint.py": "X = 1\n",
+                "supervise/harness.py": "Y = 2\n",
+            }
+        ),
+    ),
+    "rep006_function_local_import": (
+        "REP006",
+        CLEAN,
+        _package(
+            {
+                "core.py": "LABEL = 1\n",
+                "app.py": "from rep006_function_local_import.core import LABEL\n"
+                "\n\ndef main():\n"
+                "    from rep006_function_local_import import extra\n"
+                "    return LABEL\n",
+                "extra.py": "import rep006_function_local_import.app\nVALUE = 2\n",
+            }
+        ),
+    ),
+    **{
+        f"rep007_{name}": ("REP007", FLAG, {"m.py": source})
+        for name, source in (
+            ("import_multiprocessing", "import multiprocessing\n"),
+            ("import_concurrent_futures", "import concurrent.futures\n"),
+            ("from_multiprocessing", "from multiprocessing import Pool\n"),
+            (
+                "from_concurrent_futures",
+                "from concurrent.futures import ProcessPoolExecutor\n",
+            ),
+            ("import_as", "import multiprocessing.pool as mp\n"),
+        )
+    },
+    "rep007_pmap_import": ("REP007", CLEAN, {"m.py": "from repro.parallel import pmap\n"}),
+    "rep007_similar_prefix": ("REP007", CLEAN, {"m.py": "import concurrently\n"}),
+    "rep007_parallel_package": (
+        "REP007",
+        CLEAN,
+        {"repro/parallel/executor.py": "from concurrent import futures\n"},
+    ),
+    "rep008_bare_except": (
+        "REP008", FLAG, {"m.py": "try:\n    probe()\nexcept:\n    handle()\n"}
+    ),
+    **{
+        f"rep008_{exc.lower()}": (
+            "REP008",
+            FLAG,
+            {"m.py": f"try:\n    probe()\nexcept {exc} as err:\n    log(err)\n"},
+        )
+        for exc in ("Exception", "BaseException")
+    },
+    "rep008_catch_all_in_tuple": (
+        "REP008",
+        FLAG,
+        {"m.py": "try:\n    probe()\nexcept (OSError, Exception):\n    handle()\n"},
+    ),
+    "rep008_silent_swallow": (
+        "REP008", FLAG, {"m.py": "try:\n    probe()\nexcept NetworkError:\n    pass\n"}
+    ),
+    "rep008_typed_and_handled": (
+        "REP008",
+        CLEAN,
+        {
+            "m.py": "try:\n    probe()\nexcept NetworkError as err:\n"
+            "    taxonomy.record(err)\n"
+        },
+    ),
+    "rep008_fault_plane": (
+        "REP008",
+        CLEAN,
+        {"repro/faults/transport.py": "try:\n    probe()\nexcept Exception:\n    pass\n"},
+    ),
+    "rep009_print": (
+        "REP009", FLAG, {"m.py": "def f(count):\n    print('scanned', count)\n"}
+    ),
+    "rep009_time_perf_counter": (
+        "REP009", FLAG, {"m.py": "import time\nstart = time.perf_counter()\n"}
+    ),
+    "rep009_aliased_perf_counter": (
+        "REP009",
+        FLAG,
+        {"m.py": "from time import perf_counter as tick\nstart = tick()\n"},
+    ),
+    "rep009_observer_calls": (
+        "REP009",
+        CLEAN,
+        {
+            "m.py": "def f(obs):\n    obs.count('probes_total')\n"
+            "    with obs.span('scan.day'):\n        obs.add_time(86400)\n"
+        },
+    ),
+    "rep009_print_attribute": ("REP009", CLEAN, {"m.py": "report.print_summary()\n"}),
+    **{
+        f"rep009_may_print_{place.replace('/', '_')[:-3]}": ("REP009", CLEAN, {place: _MAY_PRINT})
+        for place in (
+            "repro/obs/export.py",
+            "repro/cli.py",
+            "benchmarks/bench_scan.py",
+            "tests/test_scan.py",
+            "examples/quickstart.py",
+        )
+    },
+    "rep010_open_write_mode": (
+        "REP010",
+        FLAG,
+        {"m.py": "with open('out.json', 'w') as fh:\n    fh.write('{}')\n"},
+    ),
+    "rep010_open_mode_keyword": (
+        "REP010", FLAG, {"m.py": "fh = open('out.bin', mode='ab')\n"}
+    ),
+    "rep010_open_for_reading": (
+        "REP010",
+        CLEAN,
+        {
+            "m.py": "with open('in.json') as fh:\n    data = fh.read()\n"
+            "with open('in.txt', 'r') as fh:\n    text = fh.read()\n"
+        },
+    ),
+    "rep010_json_dump": (
+        "REP010",
+        FLAG,
+        {"m.py": "import json\ndef f(data, fh):\n    json.dump(data, fh)\n"},
+    ),
+    "rep010_json_dumps": (
+        "REP010", CLEAN, {"m.py": "import json\ntext = json.dumps({'a': 1})\n"}
+    ),
+    **{
+        f"rep010_{method}": ("REP010", FLAG, {"m.py": f"def f(path):\n    path.{method}('x')\n"})
+        for method in ("write_text", "write_bytes")
+    },
+    "rep010_path_open_write_mode": (
+        "REP010", FLAG, {"m.py": "def f(path):\n    return path.open('a')\n"}
+    ),
+    "rep010_path_open_read": (
+        "REP010", CLEAN, {"m.py": "def f(path):\n    return path.open()\n"}
+    ),
+    **{
+        f"rep010_may_write_{place.replace('/', '_')[:-3]}": ("REP010", CLEAN, {place: _MAY_WRITE})
+        for place in (
+            "repro/io.py",
+            "repro/store/cas.py",
+            "repro/obs/export.py",
+            "repro/cli.py",
+            "benchmarks/conftest.py",
+            "tests/test_scan.py",
+            "examples/quickstart.py",
+        )
+    },
+    **{
+        f"rep014_{exc.lower()}": (
+            "REP014",
+            FLAG,
+            {"m.py": f"try:\n    probe()\nexcept {exc}:\n    recover()\n"},
+        )
+        for exc in (
+            "BaseException",
+            "KeyboardInterrupt",
+            "SystemExit",
+            "SimulatedCrashError",
+        )
+    },
+    "rep014_teardown_name_in_tuple": (
+        "REP014",
+        FLAG,
+        {
+            "m.py": "try:\n    probe()\nexcept (ValueError, KeyboardInterrupt):\n"
+            "    recover()\n"
+        },
+    ),
+    "rep014_attribute_spelling": (
+        "REP014",
+        FLAG,
+        {
+            "m.py": "import repro.errors\ntry:\n    probe()\n"
+            "except repro.errors.SimulatedCrashError:\n    recover()\n"
+        },
+    ),
+    "rep014_bare_except": (
+        "REP014", FLAG, {"m.py": "try:\n    probe()\nexcept:\n    recover()\n"}
+    ),
+    "rep014_signal_install": (
+        "REP014",
+        FLAG,
+        {"m.py": "import signal\nsignal.signal(signal.SIGTERM, handler)\n"},
+    ),
+    "rep014_aliased_signal_install": (
+        "REP014",
+        FLAG,
+        {"m.py": "from signal import signal as install\ninstall(15, handler)\n"},
+    ),
+    "rep014_signal_constants": (
+        "REP014",
+        CLEAN,
+        {
+            "m.py": "import signal\nname = signal.Signals(15).name\n"
+            "pending = signal.getsignal(signal.SIGTERM)\n"
+        },
+    ),
+    "rep014_typed_catch": (
+        "REP014", CLEAN, {"m.py": "try:\n    probe()\nexcept NetworkError:\n    recover()\n"}
+    ),
+    # ``except Exception`` is REP008's finding; it does not catch teardown.
+    "rep014_exception_catch_all": (
+        "REP014", CLEAN, {"m.py": "try:\n    probe()\nexcept Exception:\n    recover()\n"}
+    ),
+    "rep014_supervise_package": (
+        "REP014",
+        CLEAN,
+        {
+            "repro/supervise/supervisor.py": "try:\n    probe()\n"
+            "except SimulatedCrashError:\n    restart()\n"
+        },
+    ),
+    # REP008 exempts the fault plane; teardown containment has no second home.
+    "rep014_fault_plane": (
+        "REP014",
+        FLAG,
+        {"repro/faults/retry.py": "try:\n    probe()\nexcept BaseException:\n    pass\n"},
+    ),
+    "rep015_socket_import": ("REP015", FLAG, {"m.py": "import socket\n"}),
+    "rep015_http_server_from_import": (
+        "REP015", FLAG, {"m.py": "from http.server import ThreadingHTTPServer\n"}
+    ),
+    "rep015_socketserver_and_asyncio": (
+        "REP015", FLAG, {"m.py": "import socketserver\nimport asyncio\n"}
+    ),
+    "rep015_non_network_imports": (
+        "REP015",
+        CLEAN,
+        {"m.py": "import json\nimport threading\nfrom pathlib import Path\n"},
+    ),
+    "rep015_import_inside_function": (
+        "REP015",
+        FLAG,
+        {"m.py": "def fetch():\n    import http.client\n    return http.client\n"},
+    ),
+    "rep015_service_package": (
+        "REP015",
+        CLEAN,
+        {"repro/service/frontend.py": "import socket\nfrom http.server import HTTPServer\n"},
+    ),
+    "rep015_tests_tree": ("REP015", CLEAN, {"tests/test_wire.py": "import http.client\n"}),
+    # Every fenced or raw-RNG call is caught however its module is bound.
+    **{
+        f"alias_{name}": (rule, FLAG, {"m.py": source})
+        for name, rule, source in (
+            ("from_json_dump", "REP010", "from json import dump\ndump(data, fh)\n"),
+            ("json_as_j", "REP010", "import json as j\nj.dump(data, fh)\n"),
+            (
+                "datetime_as_dt",
+                "REP003",
+                "from datetime import datetime as dt\nstamp = dt.now()\n",
+            ),
+            ("time_as_t_time", "REP003", "import time as t\nstamp = t.time()\n"),
+            (
+                "time_as_t_perf_counter",
+                "REP009",
+                "import time as t\nstarted = t.perf_counter()\n",
+            ),
+            (
+                "datetime_module_as_dt",
+                "REP003",
+                "import datetime as _dt\nstamp = _dt.datetime.now()\n",
+            ),
+            ("signal_as_s", "REP014", "import signal as s\ns.signal(s.SIGINT, handler)\n"),
+            ("random_as_r_seed", "REP001", "import random as r\nrng = r.Random(0)\n"),
+            (
+                "random_as_r_split",
+                "REP002",
+                "import random as r\nchild = r.Random(rng.getrandbits(32))\n",
+            ),
+        )
+    },
+    "alias_unrelated_target": (
+        "REP003",
+        CLEAN,
+        {"m.py": "import datetime as _dt\nday = _dt.datetime.strptime(text, fmt)\n"},
+    ),
+}
+
+
+def write_source_cases(root) -> None:
+    """Write every case of :data:`SOURCE_CASES` under ``root``, and the
+    fenced spellings at every fence place under ``root/fences``."""
+    files = {
+        f"{name}/{relative}": source
+        for name, (_rule, _verdict, case_files) in SOURCE_CASES.items()
+        for relative, source in case_files.items()
+    }
+    files.update({f"fences/{place}": FENCED_SPELLINGS for place in FENCE_PLACES})
+    for relative, source in files.items():
+        target = root / relative
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source, encoding="utf-8")
+
+
+def source_checks_artifact() -> str:
+    """Every finding of the source checks over the seeded cases, one line each.
+
+    The cases live in a temporary directory, not under ``tests/`` (a path
+    fragment four fences allow), and are checked by paths relative to its
+    root, so the lines are the same on every machine.
     """
     import os
     import pathlib
     import tempfile
 
     from repro.devtools import run_lint
-    from repro.devtools.sarif import render_sarif
 
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for place in FENCE_PLACES:
-            target = pathlib.Path(tmp, place)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(FENCED_SPELLINGS, encoding="utf-8")
+        write_source_cases(pathlib.Path(tmp))
         os.chdir(tmp)
         try:
-            findings = run_lint(list(FENCE_PLACES)).findings
+            findings = run_lint(sorted(os.listdir("."))).findings
         finally:
             os.chdir(cwd)
-    return render_sarif(findings).rstrip("\n")
+    return "\n".join(finding.format() for finding in findings)
 
 
 #: name -> zero-argument builder for each pinned golden file.
@@ -677,11 +1147,11 @@ GOLDEN_CASES = {
     "fig2_small": _golden_fig2,
     "fig3_small": fig3_artifact,
     "harvest_small": harvest_artifact,
-    "lint_fences": lint_fences_artifact,
     "metrics_small": _golden_metrics,
     "models_shipped": models_artifact,
     "sec6_small": sec6_artifact,
     "sec7_small": _golden_sec7,
+    "source_checks": source_checks_artifact,
     "serve_wire_small": serve_wire_artifact,
     "store_payloads": store_payloads_artifact,
     "table2_detail_small": table2_detail_artifact,
