@@ -40,7 +40,6 @@ import argparse
 import functools
 import gc
 import importlib
-import os
 import sys
 import time
 from typing import List, Optional
@@ -335,64 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated fault rates to sweep",
     )
     chaos.add_argument("--scan-days", type=int, default=8)
-
-    lint = sub.add_parser(
-        "lint",
-        help=(
-            "check determinism & convention rules "
-            "(REP001-REP010, REP014, REP015)"
-        ),
-        description=(
-            "Static analysis over the given paths: seeded-RNG discipline, "
-            "sim-clock usage, the repro.errors hierarchy, stable set "
-            "ordering, import layering, raw-concurrency containment, "
-            "ad-hoc instrumentation (use repro.obs, not print/perf_counter), "
-            "artifact-write containment (use repro.io/repro.store, not "
-            "raw open/json.dump), supervision containment (REP014: teardown "
-            "interception is repro.supervise's alone) and raw-socket "
-            "containment (REP015: network handling is repro.service's "
-            "alone). Exits 1 when findings remain."
-        ),
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/repro"], help="files or directories"
-    )
-    lint.add_argument(
-        "--format",
-        choices=("human", "json", "sarif"),
-        default="human",
-        help=(
-            "output format (json: one record per finding; sarif: "
-            "byte-stable SARIF 2.1.0 for CI annotation upload)"
-        ),
-    )
-    lint.add_argument(
-        "--fix",
-        action="store_true",
-        help=(
-            "apply the mechanical autofixes findings carry (REP005 sorted "
-            "wrapping), then re-lint; "
-            "exits 1 only if unfixable findings remain"
-        ),
-    )
-    lint.add_argument(
-        "--rules",
-        default=None,
-        metavar="IDS",
-        help="comma-separated rule subset, e.g. REP001,REP003",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="record current findings as the new baseline and exit 0",
-    )
 
     crashtest = sub.add_parser(
         "crashtest",
@@ -776,79 +717,6 @@ def _run_store(args, config: RunConfig) -> int:
     return 0 if not problems else 1
 
 
-def _run_lint(args, config: RunConfig) -> int:
-    import json
-
-    from repro.devtools.astcache import AstCache
-    from repro.devtools.autofix import apply_fixes
-    from repro.devtools.baseline import write_baseline
-    from repro.devtools.engine import run_lint
-    from repro.devtools.sarif import render_sarif
-
-    rule_ids = None
-    if args.rules:
-        rule_ids = [token.strip() for token in args.rules.split(",") if token.strip()]
-    fixed_files: List[str] = []
-    try:
-        cache = AstCache()
-        report = run_lint(
-            args.paths, rule_ids=rule_ids, baseline_path=args.baseline, cache=cache
-        )
-        if args.fix:
-            # Apply, invalidate only the rewritten parses, re-lint; repeat
-            # while progress is made (a fix can unblock another), bounded
-            # so a misbehaving fix can never loop forever.
-            for _ in range(5):
-                result = apply_fixes(report.findings)
-                if not result.applied:
-                    break
-                fixed_files.extend(result.files)
-                for path in result.files:
-                    cache.invalidate(path)
-                report = run_lint(
-                    args.paths,
-                    rule_ids=rule_ids,
-                    baseline_path=args.baseline,
-                    cache=cache,
-                )
-        if args.write_baseline is not None:
-            recorded = write_baseline(args.write_baseline, report.findings)
-            print(f"[baseline: {recorded} finding(s) recorded to {args.write_baseline}]")
-            return 0
-    except ConfigError as exc:
-        return _fail("lint", exc)
-
-    try:
-        if args.format == "sarif":
-            sys.stdout.write(render_sarif(report.findings))
-        elif args.format == "json":
-            print(
-                json.dumps(
-                    [finding.to_dict() for finding in report.findings], indent=2
-                )
-            )
-        else:
-            for finding in report.findings:
-                print(finding.format())
-            summary = (
-                f"[{report.files_scanned} file(s) scanned, "
-                f"{len(report.findings)} finding(s)"
-            )
-            if fixed_files:
-                summary += f", {len(sorted(set(fixed_files)))} file(s) fixed"
-            if report.suppressed:
-                summary += f", {report.suppressed} suppressed"
-            if report.baselined:
-                summary += f", {report.baselined} baselined"
-            print(summary + "]")
-    except BrokenPipeError:
-        # Output piped into e.g. ``head``; the findings still decide the
-        # exit code.  Detach stdout so interpreter teardown stays quiet.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    return 0 if report.ok else 1
-
-
 def _campaign_document(pipeline) -> dict:
     """The fig1/table1/fig2 reports of a completed pipeline, as one dict.
 
@@ -1056,7 +924,6 @@ _RUNNERS = {
     "all": _run_all,
     "obs": _run_obs,
     "store": _run_store,
-    "lint": _run_lint,
     "crashtest": _run_crashtest,
     "serve": _run_serve,
 }

@@ -111,8 +111,8 @@ class SimulatedCrashError(BaseException):
     power loss) cannot be caught by ordinary error handling, so the
     simulated one must sail past every ``except ReproError`` / ``except
     Exception`` in the tree exactly the way the real thing would.  Only the
-    supervision plane (``repro.supervise``) may catch it — rule REP014 of
-    ``repro lint`` enforces that.
+    supervision plane (``repro.supervise``) may catch it — source check
+    REP014 (``tests/test_source_checks.py``) enforces that.
     """
 
     def __init__(self, point: str = "", visit: int = 0):

@@ -5,7 +5,7 @@ sim-clock spans and a bounded event log (:mod:`repro.obs.trace`), stable
 text/JSON snapshots (:mod:`repro.obs.export`), all carried by an explicit
 :class:`~repro.obs.scope.Observer` threaded through the pipeline
 (:mod:`repro.obs.scope`) — never global mutable state.  Snapshots are
-byte-identical at any worker count; lint rule REP009 keeps ad-hoc
+byte-identical at any worker count; source check REP009 keeps ad-hoc
 ``print``/``perf_counter`` instrumentation out of library code.
 """
 

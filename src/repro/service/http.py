@@ -1,7 +1,7 @@
 """The HTTP front-end: a lean HTTP/1.1 keep-alive server over the router.
 
 Raw socket handling for the whole project lives here and only here —
-rule REP015 of ``repro lint`` forbids ``socket``/``http`` imports
+source check REP015 forbids ``socket``/``http`` imports
 anywhere outside ``repro/service``.  The handler is deliberately thin:
 it reads the request head, hands ``(method, path, headers)`` to
 :meth:`repro.service.api.ServiceRouter.handle` and writes the framed

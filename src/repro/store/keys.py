@@ -61,7 +61,7 @@ def canonicalize(value: Any) -> Any:
 #: them would churn every cache key on infra-only changes.  ``supervise``
 #: qualifies by the crashtest invariant itself: a crashed-and-resumed run
 #: is byte-identical to a clean one, so supervision can never shape bytes.
-EXEMPT_LAYERS = frozenset({"cli", "devtools", "errors", "obs", "store", "supervise"})
+EXEMPT_LAYERS = frozenset({"cli", "errors", "obs", "store", "supervise"})
 
 #: The ``repro`` package directory, which module names resolve against.
 _PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

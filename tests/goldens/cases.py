@@ -1088,27 +1088,10 @@ def write_source_cases(root) -> None:
 
 
 def source_checks_artifact() -> str:
-    """Every finding of the source checks over the seeded cases, one line each.
+    """Every finding of the source checks over the seeded cases, one line each."""
+    from tests.test_source_checks import seeded_findings
 
-    The cases live in a temporary directory, not under ``tests/`` (a path
-    fragment four fences allow), and are checked by paths relative to its
-    root, so the lines are the same on every machine.
-    """
-    import os
-    import pathlib
-    import tempfile
-
-    from repro.devtools import run_lint
-
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        write_source_cases(pathlib.Path(tmp))
-        os.chdir(tmp)
-        try:
-            findings = run_lint(sorted(os.listdir("."))).findings
-        finally:
-            os.chdir(cwd)
-    return "\n".join(finding.format() for finding in findings)
+    return "\n".join(seeded_findings())
 
 
 #: name -> zero-argument builder for each pinned golden file.

@@ -123,14 +123,6 @@ OPTION_TABLE = {
         ("--seed", "seed", 0, "int", None),
         ("--workers", "workers", None, "int", None),
     ],
-    "lint": [
-        ("--baseline", "baseline", None, None, None),
-        ("--fix", "fix", False, None, None),
-        ("--format", "format", "human", None, ("human", "json", "sarif")),
-        ("--rules", "rules", None, None, None),
-        ("--write-baseline", "write_baseline", None, None, None),
-        ("paths", "paths", ["src/repro"], None, None),
-    ],
     "crashtest": [
         ("--clean-json", "clean_json", None, None, None),
         ("--crash-profile", "crash_profile", None, None, None),

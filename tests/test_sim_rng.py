@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.sim.rng import derive_rng, derive_seed
+from repro.sim.rng import derive_rng, derive_seed, split_rng
 
 
 class TestDeriveSeed:
@@ -44,3 +44,26 @@ class TestDeriveRng:
         fresh = derive_rng(1, "y")
         expected = derive_rng(1, "y")
         assert fresh.random() == expected.random()
+
+
+class TestSplitRng:
+    def test_split_is_deterministic(self):
+        a = split_rng(derive_rng(7, "parent"), "child")
+        b = split_rng(derive_rng(7, "parent"), "child")
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+
+    def test_paths_decorrelate_siblings(self):
+        parent = derive_rng(7, "parent")
+        state = parent.getstate()
+        left = split_rng(parent, "left")
+        parent.setstate(state)
+        right = split_rng(parent, "right")
+        assert [left.random() for _ in range(5)] != [
+            right.random() for _ in range(5)
+        ]
+
+    def test_parent_advances_one_draw_regardless_of_path(self):
+        one, two = derive_rng(3, "p"), derive_rng(3, "p")
+        split_rng(one, "a")
+        split_rng(two, "completely", "different", "path")
+        assert one.random() == two.random()
