@@ -658,9 +658,8 @@ def layering(sources: Sequence[Source]) -> Iterator[Tuple[str, int, str, str]]:
                     f"{target} from the measurement layer {target_layer}"
                 )
     for cycle in import_cycles(graph):
-        cycle_text = " -> ".join(sorted(cycle[:-1]) + cycle[:1])
         yield path_of[cycle[0]], edge_lines[(cycle[0], cycle[1])], "REP006", (
-            f"import cycle: {cycle_text}"
+            f"import cycle: {' -> '.join(cycle)}"
         )
 
 
