@@ -860,7 +860,7 @@ def _run_crashtest(args, config: RunConfig) -> int:
 def _run_serve(args, config: RunConfig) -> int:
     from repro.service.api import ServiceRouter
     from repro.service.controller import EpochController
-    from repro.service.http import serve
+    from repro.service.http import bind
     from repro.service.schema import SCHEMA_VERSION
 
     try:
@@ -870,36 +870,48 @@ def _run_serve(args, config: RunConfig) -> int:
     except ConfigError as exc:
         return _fail("serve", exc)
 
-    records = controller.run()
-    for record in records:
-        print(
-            f"[epoch {record.epoch}: run={record.run_id} "
-            f"crashes={record.crashes} restarts={record.restarts} "
-            f"sim_seconds={record.sim_seconds}]"
-        )
-    if args.json:
-        repro_io.save_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "kind": "epochs",
-                "epochs": [record.summary() for record in records],
-            },
-            args.json,
-        )
-        print(f"[epoch listing archived to {args.json}]")
-    # Snapshot before binding: the epochs are the deterministic part, and a
-    # daemon killed by signal (the normal way this command ends) would
-    # otherwise never write one.
-    _write_metrics(controller.observer, config)
-
+    # The router reads the controller's append-only record list.  The port
+    # is bound before the epochs, so one in use fails at once, not after
+    # them; connects are refused until the listen that follows them.
     router = ServiceRouter(controller.records, controller.observer)
-    if args.no_serve:
-        print(f"[{len(records)} epoch(s) computed; store: {config.store_dir}]")
-        return 0
-    server = serve(
-        router, host=args.host, port=args.port, workers=args.http_workers
-    )
+    server = None
+    if not args.no_serve:
+        try:
+            server = bind(
+                router, host=args.host, port=args.port, workers=args.http_workers
+            )
+        except OSError as exc:
+            return _fail("serve", _socket_error(args, exc))
     try:
+        records = controller.run()
+        for record in records:
+            print(
+                f"[epoch {record.epoch}: run={record.run_id} "
+                f"crashes={record.crashes} restarts={record.restarts} "
+                f"sim_seconds={record.sim_seconds}]"
+            )
+        if args.json:
+            repro_io.save_json(
+                {
+                    "schema": SCHEMA_VERSION,
+                    "kind": "epochs",
+                    "epochs": [record.summary() for record in records],
+                },
+                args.json,
+            )
+            print(f"[epoch listing archived to {args.json}]")
+        # Snapshot before listening: the epochs are the deterministic part,
+        # and a daemon killed by signal (the normal way this command ends)
+        # would otherwise never write one.
+        _write_metrics(controller.observer, config)
+
+        if server is None:
+            print(f"[{len(records)} epoch(s) computed; store: {config.store_dir}]")
+            return 0
+        try:
+            server.server_activate()
+        except OSError as exc:
+            return _fail("serve", _socket_error(args, exc))
         print(
             f"[serving on http://{args.host}:{server.server_address[1]} — "
             f"{len(records)} epoch(s) ready]",
@@ -907,8 +919,14 @@ def _run_serve(args, config: RunConfig) -> int:
         )
         server.serve_forever()
     finally:
-        server.server_close()
+        if server is not None:
+            server.server_close()
     return 0
+
+
+def _socket_error(args, exc: OSError) -> str:
+    """One line for a failed bind or listen on ``--host``/``--port``."""
+    return f"cannot serve on {args.host}:{args.port}: {exc.strerror or exc}"
 
 
 _RUNNERS = {

@@ -30,7 +30,7 @@ from repro.service.controller import (
     ServiceEpochRun,
     epoch_run_id,
 )
-from repro.service.http import ServiceHTTPServer, serve
+from repro.service.http import ServiceHTTPServer, bind
 from repro.service.results import build_views, dossier_envelope
 from repro.service.schema import (
     SCHEMA_VERSION,
@@ -53,6 +53,7 @@ __all__ = [
     "ServiceEpochRun",
     "ServiceHTTPServer",
     "ServiceRouter",
+    "bind",
     "build_views",
     "check_view",
     "check_views",
@@ -60,7 +61,6 @@ __all__ = [
     "epoch_run_id",
     "error_envelope",
     "etag_of",
-    "serve",
     "status_of",
     "view_envelope",
 ]

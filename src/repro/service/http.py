@@ -194,23 +194,37 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         address: Tuple[str, int],
         router: ServiceRouter,
         workers: int = 8,
+        bind_and_activate: bool = True,
     ) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.router = router
         self._slots = threading.BoundedSemaphore(workers)
-        super().__init__(address, _ServiceRequestHandler)
+        super().__init__(address, _ServiceRequestHandler, bind_and_activate)
 
     def process_request_thread(self, request, client_address) -> None:
         with self._slots:
             super().process_request_thread(request, client_address)
 
 
-def serve(
+def bind(
     router: ServiceRouter,
     host: str = "127.0.0.1",
     port: int = 8750,
     workers: int = 8,
 ) -> ServiceHTTPServer:
-    """Bind the server (without starting it; call ``serve_forever``)."""
-    return ServiceHTTPServer((host, port), router, workers=workers)
+    """Bind the server's port without listening on it.
+
+    Connects are refused until ``server_activate()`` listens; then
+    ``serve_forever()`` serves.  A port already in use raises
+    :class:`OSError` here, before any work the caller does in between.
+    """
+    server = ServiceHTTPServer(
+        (host, port), router, workers=workers, bind_and_activate=False
+    )
+    try:
+        server.server_bind()
+    except OSError:
+        server.server_close()
+        raise
+    return server

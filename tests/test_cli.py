@@ -1,10 +1,13 @@
 """Tests for repro.cli."""
 
 import argparse
+import errno
 import gc
 import importlib
 import json
+import os
 import pathlib
+import socket
 import weakref
 
 import pytest
@@ -570,3 +573,23 @@ def test_serve_announces_the_port_it_bound(tmp_path, monkeypatch, capsys):
     assert port != 0
     out = capsys.readouterr().out
     assert f"[serving on http://127.0.0.1:{port} — 1 epoch(s) ready]" in out
+
+
+def test_serve_refuses_a_port_in_use_before_any_epoch(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_METRICS", raising=False)
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        argv = [
+            "serve", "--port", str(port), "--epochs", "1", "--scale", "0.01",
+            "--sweep-hours", "1", "--workers", "1", "--fault-profile", "none",
+            "--crash-profile", "none", "--store", str(tmp_path / "store"),
+        ]
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"repro serve: error: cannot serve on 127.0.0.1:{port}: "
+        f"{os.strerror(errno.EADDRINUSE)}\n"
+    )
+    assert "[epoch" not in captured.out

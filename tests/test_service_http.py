@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.obs.scope import Observer
-from repro.service import ServiceRouter, serve
+from repro.service import ServiceRouter, bind
 from repro.service.api import COUNTED_METHODS
 from repro.service.http import (
     MAX_HEADERS,
@@ -34,7 +34,8 @@ def live_server(service_controller):
     router = ServiceRouter(
         service_controller.records, observer=Observer(name="http-test")
     )
-    server = serve(router, port=0)
+    server = bind(router, port=0)
+    server.server_activate()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -204,7 +205,8 @@ def test_idle_connections_release_their_handler_slots(
     if _ServiceRequestHandler.timeout is not None:
         monkeypatch.setattr(_ServiceRequestHandler, "timeout", 0.5)
     router = ServiceRouter(service_controller.records)
-    server = serve(router, port=0, workers=8)
+    server = bind(router, port=0, workers=8)
+    server.server_activate()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     idle = []
@@ -236,6 +238,18 @@ def test_zero_workers_is_a_config_error(service_controller):
         ServiceHTTPServer(
             ("127.0.0.1", 0), ServiceRouter(service_controller.records), workers=0
         )
+
+
+def test_bind_refuses_connects_until_the_listen():
+    server = bind(ServiceRouter(), port=0)
+    try:
+        address = server.server_address[:2]
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+        server.server_activate()
+        socket.create_connection(address, timeout=5).close()
+    finally:
+        server.server_close()
 
 
 def split_response(reply, head_only=False):
