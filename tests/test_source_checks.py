@@ -27,7 +27,17 @@ import graphlib
 import pathlib
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import pytest
 
@@ -672,7 +682,10 @@ def findings(sources: Sequence[Source]) -> List[str]:
         for line, rule, message in check(source)
     ]
     found.extend(layering(sources))
-    return [f"{path}:{line}: {rule} {message}" for path, line, rule, message in sorted(found)]
+    return [
+        f"{path}:{line}: {rule} {message}"
+        for path, line, rule, message in sorted(found)
+    ]
 
 
 def seeded_findings() -> List[str]:
@@ -705,16 +718,21 @@ def test_tree_is_clean():
 @pytest.mark.parametrize("case", sorted(SOURCE_CASES))
 def test_seeded_case(seeded, case):
     rule, verdict, _files = SOURCE_CASES[case]
-    hits = [line for line in seeded if line.startswith(f"{case}/") and f": {rule} " in line]
+    hits = [
+        line
+        for line in seeded
+        if line.startswith(f"{case}/") and f": {rule} " in line
+    ]
     assert bool(hits) == (verdict == FLAG), hits
 
 
 @pytest.mark.parametrize("fence", FENCES, ids=[fence.code for fence in FENCES])
 def test_fence_flags_every_place_it_does_not_allow(seeded, fence):
+    fenced = [line for line in seeded if f": {fence.code} " in line]
     flagged = {
         place
         for place in FENCE_PLACES
-        if any(line.startswith(f"fences/{place}:") for line in seeded if f": {fence.code} " in line)
+        if any(line.startswith(f"fences/{place}:") for line in fenced)
     }
     assert flagged == {place for place in FENCE_PLACES if not fence.allows(place)}
 
