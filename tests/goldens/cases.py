@@ -361,11 +361,13 @@ def all_artifact(
             os.environ.pop("REPRO_METRICS", None)
             main(argv)
         summary = pathlib.Path(summary_path).read_text(encoding="utf-8")
-    lines = [
-        line
-        for line in stdout.getvalue().splitlines()
-        if not _UNPINNED_LINE.match(line)
-    ]
+    return render_all(stdout.getvalue(), summary)
+
+
+def render_all(stdout: str, summary: str) -> str:
+    """``repro all``'s stdout without its timing and archive lines, then
+    its ``--json`` summary."""
+    lines = [line for line in stdout.splitlines() if not _UNPINNED_LINE.match(line)]
     return "\n".join(lines).rstrip("\n") + "\n\n" + summary.rstrip("\n")
 
 
@@ -717,7 +719,9 @@ SOURCE_CASES = {
             "for item in sorted({3, 4}):\n    print(item)\n"
         },
     ),
-    "rep005_membership_test": ("REP005", CLEAN, {"m.py": "hit = 3 in set([1, 2, 3])\n"}),
+    "rep005_membership_test": (
+        "REP005", CLEAN, {"m.py": "hit = 3 in set([1, 2, 3])\n"}
+    ),
     "rep006_crypto_imports_experiments": (
         "REP006",
         FLAG,
@@ -824,7 +828,9 @@ SOURCE_CASES = {
             ("import_as", "import multiprocessing.pool as mp\n"),
         )
     },
-    "rep007_pmap_import": ("REP007", CLEAN, {"m.py": "from repro.parallel import pmap\n"}),
+    "rep007_pmap_import": (
+        "REP007", CLEAN, {"m.py": "from repro.parallel import pmap\n"}
+    ),
     "rep007_similar_prefix": ("REP007", CLEAN, {"m.py": "import concurrently\n"}),
     "rep007_parallel_package": (
         "REP007",
@@ -861,7 +867,10 @@ SOURCE_CASES = {
     "rep008_fault_plane": (
         "REP008",
         CLEAN,
-        {"repro/faults/transport.py": "try:\n    probe()\nexcept Exception:\n    pass\n"},
+        {
+            "repro/faults/transport.py": "try:\n    probe()\n"
+            "except Exception:\n    pass\n"
+        },
     ),
     "rep009_print": (
         "REP009", FLAG, {"m.py": "def f(count):\n    print('scanned', count)\n"}
@@ -884,7 +893,9 @@ SOURCE_CASES = {
     ),
     "rep009_print_attribute": ("REP009", CLEAN, {"m.py": "report.print_summary()\n"}),
     **{
-        f"rep009_may_print_{place.replace('/', '_')[:-3]}": ("REP009", CLEAN, {place: _MAY_PRINT})
+        f"rep009_may_print_{place.replace('/', '_')[:-3]}": (
+            "REP009", CLEAN, {place: _MAY_PRINT}
+        )
         for place in (
             "repro/obs/export.py",
             "repro/cli.py",
@@ -918,7 +929,9 @@ SOURCE_CASES = {
         "REP010", CLEAN, {"m.py": "import json\ntext = json.dumps({'a': 1})\n"}
     ),
     **{
-        f"rep010_{method}": ("REP010", FLAG, {"m.py": f"def f(path):\n    path.{method}('x')\n"})
+        f"rep010_{method}": (
+            "REP010", FLAG, {"m.py": f"def f(path):\n    path.{method}('x')\n"}
+        )
         for method in ("write_text", "write_bytes")
     },
     "rep010_path_open_write_mode": (
@@ -928,7 +941,9 @@ SOURCE_CASES = {
         "REP010", CLEAN, {"m.py": "def f(path):\n    return path.open()\n"}
     ),
     **{
-        f"rep010_may_write_{place.replace('/', '_')[:-3]}": ("REP010", CLEAN, {place: _MAY_WRITE})
+        f"rep010_may_write_{place.replace('/', '_')[:-3]}": (
+            "REP010", CLEAN, {place: _MAY_WRITE}
+        )
         for place in (
             "repro/io.py",
             "repro/store/cas.py",
@@ -990,11 +1005,15 @@ SOURCE_CASES = {
         },
     ),
     "rep014_typed_catch": (
-        "REP014", CLEAN, {"m.py": "try:\n    probe()\nexcept NetworkError:\n    recover()\n"}
+        "REP014",
+        CLEAN,
+        {"m.py": "try:\n    probe()\nexcept NetworkError:\n    recover()\n"},
     ),
     # ``except Exception`` is REP008's finding; it does not catch teardown.
     "rep014_exception_catch_all": (
-        "REP014", CLEAN, {"m.py": "try:\n    probe()\nexcept Exception:\n    recover()\n"}
+        "REP014",
+        CLEAN,
+        {"m.py": "try:\n    probe()\nexcept Exception:\n    recover()\n"},
     ),
     "rep014_supervise_package": (
         "REP014",
@@ -1008,7 +1027,10 @@ SOURCE_CASES = {
     "rep014_fault_plane": (
         "REP014",
         FLAG,
-        {"repro/faults/retry.py": "try:\n    probe()\nexcept BaseException:\n    pass\n"},
+        {
+            "repro/faults/retry.py": "try:\n    probe()\n"
+            "except BaseException:\n    pass\n"
+        },
     ),
     "rep015_socket_import": ("REP015", FLAG, {"m.py": "import socket\n"}),
     "rep015_http_server_from_import": (
@@ -1030,9 +1052,14 @@ SOURCE_CASES = {
     "rep015_service_package": (
         "REP015",
         CLEAN,
-        {"repro/service/frontend.py": "import socket\nfrom http.server import HTTPServer\n"},
+        {
+            "repro/service/frontend.py": "import socket\n"
+            "from http.server import HTTPServer\n"
+        },
     ),
-    "rep015_tests_tree": ("REP015", CLEAN, {"tests/test_wire.py": "import http.client\n"}),
+    "rep015_tests_tree": (
+        "REP015", CLEAN, {"tests/test_wire.py": "import http.client\n"}
+    ),
     # Every fenced or raw-RNG call is caught however its module is bound.
     **{
         f"alias_{name}": (rule, FLAG, {"m.py": source})
@@ -1055,7 +1082,11 @@ SOURCE_CASES = {
                 "REP003",
                 "import datetime as _dt\nstamp = _dt.datetime.now()\n",
             ),
-            ("signal_as_s", "REP014", "import signal as s\ns.signal(s.SIGINT, handler)\n"),
+            (
+                "signal_as_s",
+                "REP014",
+                "import signal as s\ns.signal(s.SIGINT, handler)\n",
+            ),
             ("random_as_r_seed", "REP001", "import random as r\nrng = r.Random(0)\n"),
             (
                 "random_as_r_split",

@@ -20,6 +20,11 @@ checks watch those invariants on the real code:
   a worker reading such state passes under fork; a spawned worker gets
   only what it is sent.  Closures never pickle, so ``pmap`` runs them in
   the parent in shard order at every worker count: they need no check.
+* **Hash-seed check.**  ``repro all`` runs in a child process under two
+  ``PYTHONHASHSEED`` values and must print the ``all_small`` golden under
+  both.  Source check REP005 sees only ``list(set(...))``-style spellings;
+  this also catches hash order that leaks through a set held in a
+  variable.
 """
 
 from __future__ import annotations
@@ -29,8 +34,11 @@ import contextlib
 import importlib
 import io
 import multiprocessing
+import os
+import pathlib
 import pkgutil
 import random
+import subprocess
 import sys
 import types
 from typing import Dict, Iterator, List, Set, Tuple
@@ -45,7 +53,7 @@ from repro.parallel.executor import pmap
 from repro.popularity.resolver import DescriptorResolver
 from repro.sim import rng as rng_module
 from repro.sim.clock import parse_date
-from tests.goldens.cases import pipeline_artifacts
+from tests.goldens.cases import ALL_SCALE, ALL_SEED, pipeline_artifacts, render_all
 
 #: Where a derivation is charged: (source file, line).
 Site = Tuple[str, int]
@@ -349,3 +357,29 @@ class TestSpawnPoolCheck:
         assert serial.index_size > 0
         assert pooled._index == serial._index
         assert pooled.collisions == serial.collisions
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_repro_all_prints_the_golden_under_any_hash_seed(tmp_path, hash_seed):
+    tests = pathlib.Path(__file__).resolve().parent
+    summary = tmp_path / "all.json"
+    env = {
+        key: value for key, value in os.environ.items() if not key.startswith("REPRO_")
+    }
+    env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=str(tests.parent / "src"))
+    run = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "all",
+            "--scale", str(ALL_SCALE),
+            "--seed", str(ALL_SEED),
+            "--workers", "1",
+            "--fault-profile", "none",
+            "--json", str(summary),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    pinned = (tests / "goldens" / "all_small.txt").read_text(encoding="utf-8")
+    assert render_all(run.stdout, summary.read_text(encoding="utf-8")) + "\n" == pinned
