@@ -183,7 +183,8 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
 
     The server starts one thread per connection; the semaphore bounds
     how many handle requests *concurrently*, so a traffic burst queues
-    instead of unboundedly fanning out over the router lock.
+    instead of unboundedly fanning out over the router lock.  It is
+    built unbound: :func:`bind` binds it, ``server_activate()`` listens.
     """
 
     allow_reuse_address = True
@@ -194,13 +195,12 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         address: Tuple[str, int],
         router: ServiceRouter,
         workers: int = 8,
-        bind_and_activate: bool = True,
     ) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         self.router = router
         self._slots = threading.BoundedSemaphore(workers)
-        super().__init__(address, _ServiceRequestHandler, bind_and_activate)
+        super().__init__(address, _ServiceRequestHandler, bind_and_activate=False)
 
     def process_request_thread(self, request, client_address) -> None:
         with self._slots:
@@ -219,9 +219,7 @@ def bind(
     ``serve_forever()`` serves.  A port already in use raises
     :class:`OSError` here, before any work the caller does in between.
     """
-    server = ServiceHTTPServer(
-        (host, port), router, workers=workers, bind_and_activate=False
-    )
+    server = ServiceHTTPServer((host, port), router, workers=workers)
     try:
         server.server_bind()
     except OSError:

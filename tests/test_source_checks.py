@@ -64,7 +64,7 @@ def module_name(path: pathlib.Path) -> str:
     while (directory / "__init__.py").is_file():
         parts.append(directory.name)
         directory = directory.parent
-    return ".".join(reversed(parts)) or path.stem
+    return ".".join(reversed(parts))
 
 
 @dataclass
