@@ -728,8 +728,8 @@ SOURCE_CASES = {
         _package(
             {
                 "crypto/keys.py": "from rep006_crypto_imports_experiments"
-                ".experiments import driver\n",
-                "experiments/driver.py": "X = 1\n",
+                ".experiments import campaign\n",
+                "experiments/campaign.py": "X = 1\n",
             }
         ),
     ),

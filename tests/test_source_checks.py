@@ -735,18 +735,3 @@ def test_fence_flags_every_place_it_does_not_allow(seeded, fence):
         if any(line.startswith(f"fences/{place}:") for line in fenced)
     }
     assert flagged == {place for place in FENCE_PLACES if not fence.allows(place)}
-
-
-def test_runtime_graph_skips_function_local_imports(tmp_path):
-    write_source_cases(tmp_path)
-    case = "rep006_function_local_import"
-    graph, _ = runtime_import_graph(load_sources(tmp_path, [case]))
-    assert graph[f"{case}.app"] == {f"{case}.core"}
-
-
-def test_module_name_walks_package_chain(tmp_path):
-    write_source_cases(tmp_path)
-    case = tmp_path / "rep006_relative_import"
-    assert module_name(case / "sim" / "clock.py") == "rep006_relative_import.sim.clock"
-    assert module_name(case / "__init__.py") == "rep006_relative_import"
-    assert module_name(tmp_path / "rep001_literal_seed" / "m.py") == "m"
