@@ -735,3 +735,252 @@ def test_fence_flags_every_place_it_does_not_allow(seeded, fence):
         if any(line.startswith(f"fences/{place}:") for line in fenced)
     }
     assert flagged == {place for place in FENCE_PLACES if not fence.allows(place)}
+
+
+# -- the checker's parts ----------------------------------------------------- #
+
+
+def _source(text: str, path: str = "src/repro/m.py", module: str = "repro.m") -> Source:
+    return Source(path, module, ast.parse(text))
+
+
+def _first_call(source: Source) -> ast.Call:
+    return next(node for node in source.nodes if isinstance(node, ast.Call))
+
+
+def test_module_name_walks_package_chain(tmp_path):
+    write_source_cases(tmp_path)
+    case = tmp_path / "rep006_relative_import"
+    assert module_name(case / "sim" / "clock.py") == "rep006_relative_import.sim.clock"
+    assert module_name(case / "__init__.py") == "rep006_relative_import"
+    assert module_name(tmp_path / "rep001_literal_seed" / "m.py") == "m"
+
+
+def test_load_sources_reads_py_files_root_by_root(tmp_path):
+    for name in ("b/y.py", "a/x.py", "a/sub/z.py", "a/notes.txt"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("X = 1\n", encoding="utf-8")
+    (tmp_path / "a" / "__pycache__").mkdir()
+    (tmp_path / "a" / "__pycache__" / "x.cpython-311.pyc").write_bytes(b"\0")
+    paths = [source.path for source in load_sources(tmp_path, ["b", "a"])]
+    assert paths == ["b/y.py", "a/sub/z.py", "a/x.py"]
+
+
+def test_load_sources_rejects_a_syntax_error(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "broken.py").write_text("def f(:\n", encoding="utf-8")
+    with pytest.raises(SyntaxError) as excinfo:
+        load_sources(tmp_path, ["pkg"])
+    assert excinfo.value.filename.endswith("broken.py")
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        (
+            "import datetime as _dt\n_dt.datetime.now()\n",
+            ("_dt.datetime.now", "datetime.datetime.now"),
+        ),
+        ("from time import perf_counter as pc\npc()\n", ("pc", "time.perf_counter")),
+        ("from json import dump\ndump(x, f)\n", ("dump", "json.dump")),
+        ("import time\ntime.time()\n", ("time.time",)),
+        ("f()()\n", ()),
+        ("handles[0].write(b'')\n", ()),
+    ],
+    ids=[
+        "aliased-module",
+        "aliased-name",
+        "from-import",
+        "plain-import",
+        "call-of-call",
+        "subscript-head",
+    ],
+)
+def test_call_names_resolve_the_imported_head(text, names):
+    source = _source(text)
+    assert source.call_names(_first_call(source)) == names
+
+
+def test_message_names_the_call_as_spelled():
+    source = _source("import datetime as _dt\nstamp = _dt.datetime.now()\n")
+    (hit,) = [hit for fence in FENCES for hit in fence.check(source)]
+    assert hit[:2] == (2, "REP003")
+    assert hit[2].startswith("wall-clock read _dt.datetime.now(); ")
+
+
+def test_caught_names_flatten_tuples_and_attributes():
+    source = _source(
+        "try:\n    pass\nexcept (ValueError, errors.FaultError, other()):\n    raise\n"
+    )
+    (handler,) = [node for node in source.nodes if isinstance(node, ast.ExceptHandler)]
+    assert list(caught_names(handler)) == ["ValueError", "FaultError"]
+
+
+@pytest.mark.parametrize(
+    "path, allowed",
+    [
+        ("src/repro/cli.py", True),
+        ("src/repro/cli.py.orig/m.py", False),
+        ("tests/test_scan.py", True),
+        ("src/repro/tests.py", False),
+    ],
+)
+def test_fence_allows_a_py_suffix_or_a_path_fragment(path, allowed):
+    fence = Fence("REP999", allowed=("repro/cli.py", "tests/"))
+    assert fence.allows(path) is allowed
+
+
+@pytest.mark.parametrize(
+    "call, flagged",
+    [
+        ("open(path, 'a')", True),
+        ("open(path, 'x')", True),
+        ("open(path, 'r+')", True),
+        ("open(path, mode='wb')", True),
+        ("open(path, 'rb')", False),
+        ("open(path, mode)", False),
+        ("path.open('ab')", True),
+        ("path.open()", False),
+    ],
+)
+def test_artifact_write_reads_the_open_mode(call, flagged):
+    (rep010,) = [fence for fence in FENCES if fence.code == "REP010"]
+    hits = list(rep010.check(_source(f"{call}\n")))
+    assert bool(hits) is flagged, hits
+
+
+@pytest.mark.parametrize(
+    "text, module, imports",
+    [
+        ("import a.b\n", "p.m", [("a.b", 1)]),
+        ("from a import b, c\n", "p.m", [("a", 1), ("a.b", 1), ("a.c", 1)]),
+        ("from ..x import y\n", "p.q.m", [("p.x", 1), ("p.x.y", 1)]),
+        ("from . import y\n", "p.q.m", [("p.q", 1), ("p.q.y", 1)]),
+        ("from .. import x\n", "p.m", []),
+        (
+            "if TYPE_CHECKING:\n    import a\nelse:\n    import b\n",
+            "p.m",
+            [("b", 4)],
+        ),
+        ("if typing.TYPE_CHECKING:\n    import a\n", "p.m", []),
+        (
+            "try:\n    import a\nexcept ImportError:\n    import b\n"
+            "else:\n    import c\nfinally:\n    import d\n",
+            "p.m",
+            [("a", 2), ("b", 4), ("c", 6), ("d", 8)],
+        ),
+        ("class K:\n    import a\n", "p.m", [("a", 2)]),
+        ("with lock:\n    import a\n", "p.m", [("a", 2)]),
+        ("def f():\n    import a\n", "p.m", []),
+    ],
+    ids=[
+        "import",
+        "from-import",
+        "relative-parent",
+        "relative-package",
+        "relative-above-top",
+        "type-checking-guard",
+        "type-checking-attribute",
+        "try-blocks",
+        "class-body",
+        "with-body",
+        "function-body",
+    ],
+)
+def test_iter_imports_walks_what_runs_at_import(text, module, imports):
+    assert list(iter_imports(ast.parse(text), module)) == imports
+
+
+def test_runtime_graph_skips_function_local_imports(tmp_path):
+    write_source_cases(tmp_path)
+    case = "rep006_function_local_import"
+    graph, _ = runtime_import_graph(load_sources(tmp_path, [case]))
+    assert graph[f"{case}.app"] == {f"{case}.core"}
+
+
+def _package_sources(files: Mapping[str, str]) -> List[Source]:
+    return [
+        _source(text, f"p/{name}", module)
+        for name, text in sorted(files.items())
+        for module in ["p" if name == "__init__.py" else f"p.{name[:-3]}"]
+    ]
+
+
+def test_runtime_graph_edges_to_the_deepest_checked_prefix():
+    graph, edge_lines = runtime_import_graph(
+        _package_sources(
+            {
+                "__init__.py": "",
+                "a.py": "import os\n\nimport p.b.helper\nfrom p.b import helper\n",
+                "b.py": "",
+            }
+        )
+    )
+    assert graph == {"p": set(), "p.a": {"p.b"}, "p.b": set()}
+    assert edge_lines[("p.a", "p.b")] == 3
+
+
+def test_runtime_graph_has_no_edge_to_an_ancestor_package():
+    graph, _ = runtime_import_graph(
+        _package_sources(
+            {"__init__.py": "", "a.py": "import p\nfrom p import b\n", "b.py": ""}
+        )
+    )
+    assert graph["p.a"] == {"p.b"}
+
+
+@pytest.mark.parametrize(
+    "graph, cycles",
+    [
+        ({"a": {"b"}, "b": set()}, []),
+        ({"a": {"c"}, "c": {"b"}, "b": {"a"}}, [["a", "c", "b", "a"]]),
+        (
+            {"a": {"b"}, "b": {"a"}, "c": {"d"}, "d": {"c"}},
+            [["a", "b", "a"], ["c", "d", "c"]],
+        ),
+    ],
+    ids=["acyclic", "import-path-order", "disjoint-cycles"],
+)
+def test_import_cycles_follow_the_import_path(graph, cycles):
+    assert list(import_cycles(graph)) == cycles
+
+
+@pytest.mark.parametrize(
+    "module, layer",
+    [("repro.net.geoip", "net"), ("repro.service", "service"), ("repro", "repro")],
+)
+def test_layer_of_is_the_second_component(module, layer):
+    assert layer_of(module) == layer
+
+
+def test_layering_reports_a_from_import_breach_once():
+    sources = [
+        _source("", "p/__init__.py", "p"),
+        _source("", "p/experiments/__init__.py", "p.experiments"),
+        _source("X = 1\n", "p/experiments/campaign.py", "p.experiments.campaign"),
+        _source(
+            "from p.experiments import campaign\n", "p/crypto/keys.py", "p.crypto.keys"
+        ),
+    ]
+    assert list(layering(sources)) == [
+        (
+            "p/crypto/keys.py",
+            1,
+            "REP006",
+            "layer violation: crypto module p.crypto.keys imports "
+            "p.experiments from the measurement layer experiments",
+        )
+    ]
+
+
+def test_findings_are_sorted_path_line_rule_lines():
+    sources = [
+        _source("raise ValueError('x')\nitems = list(set(xs))\n", "b.py", "b"),
+        _source("import random\nrng = random.Random(7)\n", "a.py", "a"),
+    ]
+    lines = findings(sources)
+    assert [line.split(" ", 2)[:2] for line in lines] == [
+        ["a.py:2:", "REP001"],
+        ["b.py:1:", "REP004"],
+        ["b.py:2:", "REP005"],
+    ]
