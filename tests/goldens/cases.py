@@ -166,6 +166,68 @@ def sec7_artifact(workers: Optional[int] = None, world=None) -> str:
     return run_sec7(world=world, workers=workers).report.format()
 
 
+#: The Section VII worlds ``sec7_detail_small`` pins: the ``sec7_small``
+#: world, and the one ``repro all`` builds for the benchmark's
+#: ``cold_large`` workload (seed 15; sec7 runs at 4 x 0.05).
+SEC7_DETAIL_WORLDS = ((SEC7_SEED, SEC7_SCALE), (ALL_LARGE_SEED, 0.2))
+
+
+def sec7_detail_artifact() -> str:
+    """Everything Section VII's analyzer computes, per world and window.
+
+    The report only counts convictions; this pins what they rest on:
+    each window's periods and mean ring size, every server's nicknames,
+    fingerprints, events (ratio by ``repr``; fingerprint and nickname as
+    indexes into the server's sorted lists) and flags in report order,
+    the likely trackers, the full takeovers and the occupancy labels.
+    """
+    from repro.experiments.sec7_tracking import YEAR_WINDOWS, run_sec7
+
+    def server(key) -> str:
+        return f"{key[0]}:{key[1]}"
+
+    lines = []
+    for seed, scale in SEC7_DETAIL_WORLDS:
+        result = run_sec7(seed=seed, scale=scale, workers=1)
+        lines.append(f"== world seed={seed} scale={scale}")
+        for year, start_text, end_text in YEAR_WINDOWS:
+            report = result.yearly_reports[year]
+            lines += [
+                f"-- {year} {start_text}..{end_text} window={report.window}",
+                f"periods_analyzed {report.periods_analyzed}",
+                f"mean_hsdir_count {report.mean_hsdir_count!r}",
+                f"frequency_threshold {report.frequency_threshold!r}",
+            ]
+            for key, record in report.servers.items():
+                nicknames = sorted(record.nicknames)
+                fingerprints = sorted(record.fingerprints_used)
+                lines += [
+                    f"server {server(key)} flags={','.join(report.flags_for(record))}",
+                    f"  nicknames {','.join(nicknames)}",
+                    f"  fingerprints {','.join(fp.hex() for fp in fingerprints)}",
+                ]
+                # period replica fingerprint# nickname# ratio fresh
+                lines += [
+                    f"  event {e.period_index} {e.replica} "
+                    f"{fingerprints.index(e.fingerprint)} {nicknames.index(e.nickname)} "
+                    f"{e.ratio!r} {int(e.fresh_fingerprint)}"
+                    for e in record.events
+                ]
+            lines += [
+                f"likely {server(key)} {','.join(flags)}"
+                for key, flags in report.likely_trackers().items()
+            ]
+            lines += [
+                f"takeover {start} {' '.join(server(key) for key in servers)}"
+                for start, servers in report.full_takeovers()
+            ]
+            lines += [
+                f"occupancy {server(key)} {label}"
+                for key, label in result.occupancy_labels[year].items()
+            ]
+    return "\n".join(lines)
+
+
 def harvest_artifact() -> str:
     """Harvest report plus digests of everything the trawl collected.
 
@@ -1164,6 +1226,7 @@ GOLDEN_CASES = {
     "metrics_small": _golden_metrics,
     "models_shipped": models_artifact,
     "sec6_small": sec6_artifact,
+    "sec7_detail_small": sec7_detail_artifact,
     "sec7_small": _golden_sec7,
     "source_checks": source_checks_artifact,
     "serve_wire_small": serve_wire_artifact,
