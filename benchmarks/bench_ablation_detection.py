@@ -18,7 +18,6 @@ from repro.crypto.keys import KeyPair
 from repro.crypto.onion import onion_address_from_key
 from repro.crypto.ring import RING_SIZE
 from repro.detection.analyzer import TrackingAnalyzer
-from repro.dirauth.archive import ConsensusArchive
 from repro.dirauth.consensus import Consensus, ConsensusEntry
 from repro.relay.flags import RelayFlags
 from repro.sim.clock import DAY
@@ -28,9 +27,9 @@ PERIODS = 200
 HONEST = 400
 
 
-def build_archive(tracker_ratio, seed=0):
-    """200 daily periods, honest ring of 400, one tracker striking every
-    5th period at the given positioning aggressiveness."""
+def analyze_history(tracker_ratio, seed=0):
+    """Analyze 200 daily periods, honest ring of 400, one tracker striking
+    every 5th period at the given positioning aggressiveness."""
     from repro.crypto.onion import permanent_id_from_onion
 
     offset = (permanent_id_from_onion(TARGET)[0] * DAY) // 256
@@ -48,7 +47,9 @@ def build_archive(tracker_ratio, seed=0):
                 flags=RelayFlags.RUNNING | RelayFlags.HSDIR,
             )
         )
-    archive = ConsensusArchive()
+    start = 900_00 * DAY - offset
+    end = start + PERIODS * DAY
+    analyzer = TrackingAnalyzer([(TARGET, start, end)])
     for period in range(PERIODS):
         period_start = (period + 900_00) * DAY - offset
         entries = list(honest)
@@ -71,16 +72,14 @@ def build_archive(tracker_ratio, seed=0):
                 )
             )
         entries.sort(key=lambda e: e.fingerprint)
-        archive.append(Consensus(valid_after=period_start, entries=tuple(entries)))
-    start = 900_00 * DAY - offset
-    return archive, (start, start + PERIODS * DAY)
+        analyzer.observe(Consensus(valid_after=period_start, entries=tuple(entries)))
+    return analyzer.analyze(TARGET, start, end)
 
 
 def run_sweep():
     rows = []
     for ratio in (None, 20, 150, 2000, 20000):
-        archive, (start, end) = build_archive(ratio)
-        report = TrackingAnalyzer(archive).analyze(TARGET, start, end)
+        report = analyze_history(ratio)
         tracker = report.servers.get((7, 9001))
         flags = report.flags_for(tracker) if tracker else []
         convicted = (7, 9001) in report.likely_trackers()

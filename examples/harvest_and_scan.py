@@ -34,7 +34,7 @@ def main() -> None:
 
     # Honest network + every service publishing.
     start = population.harvest_date - 28 * HOUR
-    network = TorNetwork(clock=SimClock(start), keep_archive=False)
+    network = TorNetwork(clock=SimClock(start))
     rng = derive_rng(SEED, "honest")
     pool = AddressPool(derive_rng(SEED, "ips"))
     for index in range(120):

@@ -26,10 +26,22 @@ YEARS = (
 
 def main() -> None:
     print("building 33 months of consensus history…")
-    world = SilkroadStudy(SilkroadStudyConfig(scale=SCALE, seed=SEED)).build()
-    print(f"  {len(world.archive)} consensuses, target {world.silkroad_onion}")
+    study = SilkroadStudy(SilkroadStudyConfig(scale=SCALE, seed=SEED))
+    # The analyzer reads each consensus as it is built; none is archived.
+    analyzer = TrackingAnalyzer(
+        (study.silkroad_onion, parse_date(start), parse_date(end))
+        for _, start, end in YEARS
+    )
+    consensuses = 0
 
-    analyzer = TrackingAnalyzer(world.archive)
+    def observe(consensus) -> None:
+        nonlocal consensuses
+        consensuses += 1
+        analyzer.observe(consensus)
+
+    world = study.build(on_consensus=observe)
+    print(f"  {consensuses} consensuses, target {world.silkroad_onion}")
+
     for label, start, end in YEARS:
         report = analyzer.analyze(
             world.silkroad_onion, parse_date(start), parse_date(end)

@@ -562,10 +562,7 @@ def _run_sec7(args, config: RunConfig) -> ExperimentReport:
     from repro.experiments.sec7_tracking import run_sec7
 
     result = run_sec7(
-        seed=config.seed,
-        scale=config.scale,
-        workers=config.workers,
-        store=_open_store(config),
+        seed=config.seed, scale=config.scale, store=_open_store(config)
     )
     _emit(result.report, json_path=args.json)
     return result.report
@@ -628,10 +625,7 @@ def _run_all(args, config: RunConfig) -> ExperimentReport:
         (
             "sec7",
             lambda: run_sec7(
-                seed=config.seed,
-                scale=max(0.1, config.scale * 4),
-                workers=config.workers,
-                store=store,
+                seed=config.seed, scale=max(0.1, config.scale * 4), store=store
             ),
         ),
         (
@@ -650,9 +644,9 @@ def _run_all(args, config: RunConfig) -> ExperimentReport:
         # Monotonic, not wall-clock (REP003): this measures elapsed runtime
         # only and must never feed simulated time.
         started = time.perf_counter()
-        # Keep only the report: a result can hold a whole world (sec7's
-        # keeps its consensus archive), which the next stage must not run
-        # beside.
+        # Keep only the report: a result can hold a stage's whole state
+        # (table2's resolution, harvest's trawl), which the next stage
+        # must not run beside.
         report = runner().report
         elapsed = time.perf_counter() - started
         print(report.format())

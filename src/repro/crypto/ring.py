@@ -101,7 +101,7 @@ class FingerprintRing:
     """
 
     #: The one ring whose lookup memo is alive.  Querying another ring drops
-    #: it, so a long consensus archive never holds more than one memo; the
+    #: it, so a long consensus history never holds more than one memo; the
     #: reference is weak, so the memo never outlives its ring.
     _memo_owner: Callable[[], Optional["FingerprintRing"]] = staticmethod(
         lambda: None

@@ -1,24 +1,23 @@
 """The consensus-history analyzer.
 
-Walks a :class:`~repro.dirauth.archive.ConsensusArchive` period by period
-for one target onion address, reconstructs each period's responsible HSDir
-set, and applies the five Section VII rules per *server* — a server being
-an (IP, ORPort) pair, because that is what stays fixed when a tracker
-rotates identity keys.
+Reads a consensus history one consensus at a time for target onion
+addresses, reconstructs each period's responsible HSDir set, and applies
+the five Section VII rules per *server* — a server being an (IP, ORPort)
+pair, because that is what stays fixed when a tracker rotates identity
+keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.crypto.descriptor_id import REPLICAS, descriptor_index_entries
 from repro.crypto.keys import Fingerprint
 from repro.crypto.onion import OnionAddress, permanent_id_from_onion
 from repro.detection.rules import DetectionThresholds, binomial_threshold
-from repro.dirauth.archive import ConsensusArchive
+from repro.dirauth.consensus import Consensus
 from repro.errors import ConsensusError
-from repro.parallel.executor import pmap
 from repro.sim.clock import DAY, Timestamp
 
 ServerKey = Tuple[int, int]  # (ip, or_port)
@@ -176,117 +175,167 @@ class TrackingReport:
         return takeovers
 
 
-class TrackingAnalyzer:
-    """Applies the rules to an archive for one target onion."""
+class _Window:
+    """One window's report and how far the stream has scanned it."""
+
+    __slots__ = (
+        "report",
+        "offset",
+        "first_period",
+        "next_period",
+        "last_period",
+        "id_entries",
+        "hsdir_total",
+    )
 
     def __init__(
-        self,
-        archive: ConsensusArchive,
-        thresholds: Optional[DetectionThresholds] = None,
-    ) -> None:
-        if len(archive) == 0:
-            raise ConsensusError("cannot analyze an empty archive")
-        self.archive = archive
-        self.thresholds = thresholds if thresholds is not None else DetectionThresholds()
-
-    def analyze(
         self,
         onion: OnionAddress,
         start: Timestamp,
         end: Timestamp,
-        workers: Optional[int] = None,
-    ) -> TrackingReport:
-        """Analyze the window ``[start, end]`` (the paper split 3 years
-        into yearly windows because the ring more than doubled).
-
-        Per-period ring reconstruction is a pure read of the archive, so
-        the sweep fans out over periods through
-        :func:`repro.parallel.pmap`; the report merge walks periods in
-        chronological order, so server records and their event lists are
-        identical at every ``workers`` value.  (The closure keeps the
-        multi-gigabyte-at-scale archive in-process.)
-        """
+        thresholds: DetectionThresholds,
+    ) -> None:
         permanent_id = permanent_id_from_onion(onion)
-        offset = (permanent_id[0] * DAY) // 256
-        first_period = (int(start) + offset) // DAY
-        last_period = (int(end) + offset) // DAY
+        self.offset = (permanent_id[0] * DAY) // 256
+        self.first_period = (int(start) + self.offset) // DAY
+        self.next_period = self.first_period
+        self.last_period = (int(end) + self.offset) // DAY
         # Every (period, replica) descriptor ID the window needs, derived in
-        # one indexed pass (entry ``(period - first_period) * REPLICAS +
-        # replica`` — the same order the scalar loop derived them in) instead
-        # of one SHA-1 pair per period inside the sweep.
-        id_entries = descriptor_index_entries(onion, start, end)
-
-        report = TrackingReport(
+        # one indexed pass: entry ``(period - first_period) * REPLICAS +
+        # replica``.
+        self.id_entries = descriptor_index_entries(onion, start, end)
+        self.hsdir_total = 0
+        self.report = TrackingReport(
             onion=onion,
             window=(int(start), int(end)),
             periods_analyzed=0,
             mean_hsdir_count=0.0,
-            thresholds=self.thresholds,
+            thresholds=thresholds,
         )
-        hsdir_counts: List[int] = []
 
-        def scan_period(period):
-            period_start = period * DAY - offset
-            consensus = self.archive.at(period_start)
-            if consensus is None:
-                return None
-            ring = consensus.hsdir_ring
-            if len(ring) == 0:
-                return None
-            events: List[Tuple] = []
-            base = (period - first_period) * REPLICAS
-            for replica in range(REPLICAS):
-                desc_id = id_entries[base + replica][0]
-                for fingerprint in ring.responsible_for(desc_id):
-                    entry = consensus.entry_for(fingerprint)
-                    if entry is None:
-                        continue
-                    first_seen = self.archive.first_seen(fingerprint)
-                    fresh = (
-                        first_seen is not None
-                        and period_start - first_seen
-                        <= self.thresholds.fresh_fingerprint_periods * DAY
-                    )
-                    events.append(
-                        (
-                            entry.address,
-                            entry.nickname,
-                            fingerprint,
-                            replica,
-                            ring.positioning_ratio(desc_id, fingerprint),
-                            fresh,
-                        )
-                    )
-            return len(ring), events
 
-        periods = list(range(first_period, last_period + 1))
-        for period, observed in zip(
-            periods, pmap(scan_period, periods, workers=workers)
-        ):
-            if observed is None:
-                continue
-            ring_size, events = observed
-            report.periods_analyzed += 1
-            hsdir_counts.append(ring_size)
-            period_index = period - first_period
-            period_start = period * DAY - offset
-            for address, nickname, fingerprint, replica, ratio, fresh in events:
-                record = report.servers.setdefault(
-                    address, ServerRecord(server=address)
-                )
-                record.nicknames.add(nickname)
+class TrackingAnalyzer:
+    """Applies the rules to a consensus history as it is observed.
+
+    Constructed for its windows (the paper split 3 years into yearly
+    windows because the ring more than doubled), it takes the history one
+    consensus at a time through :meth:`observe`, oldest first.  Each
+    period is scanned against the latest consensus whose ``valid_after``
+    is at or before the period's start; periods before the first
+    consensus are skipped, and periods after the last use the last.  The
+    analyzer keeps only the previous consensus, the first-seen time of
+    every fingerprint, and each window's events, so a multi-year history
+    never has to be held at once.
+    """
+
+    def __init__(
+        self,
+        windows: Iterable[Tuple[OnionAddress, Timestamp, Timestamp]],
+        thresholds: Optional[DetectionThresholds] = None,
+    ) -> None:
+        self.thresholds = thresholds if thresholds is not None else DetectionThresholds()
+        self._windows: Dict[Tuple[OnionAddress, int, int], _Window] = {
+            (onion, int(start), int(end)): _Window(onion, start, end, self.thresholds)
+            for onion, start, end in windows
+        }
+        self._previous: Optional[Consensus] = None
+        self._first_seen: Dict[Fingerprint, Timestamp] = {}
+        self._finished = False
+
+    def observe(self, consensus: Consensus) -> None:
+        """Take the next consensus; it must be strictly newer than the last.
+
+        Every pending period that starts before ``consensus`` takes force
+        is scanned against the previous consensus, in period order.
+        """
+        if self._finished:
+            raise ConsensusError("history already analyzed; observe before analyze")
+        previous = self._previous
+        if previous is not None and consensus.valid_after <= previous.valid_after:
+            raise ConsensusError(
+                f"consensus at {consensus.valid_after} not newer than "
+                f"previous {previous.valid_after}"
+            )
+        first_seen = self._first_seen
+        for fingerprint in consensus.fingerprint_index.keys() - first_seen.keys():
+            first_seen[fingerprint] = consensus.valid_after
+        for window in self._windows.values():
+            self._advance(window, previous, until=consensus.valid_after)
+        self._previous = consensus
+
+    def analyze(
+        self, onion: OnionAddress, start: Timestamp, end: Timestamp
+    ) -> TrackingReport:
+        """The report for the window ``[start, end]``.
+
+        The first call ends the history: every window's remaining periods
+        are scanned against the last observed consensus.
+        """
+        window = self._windows.get((onion, int(start), int(end)))
+        if window is None:
+            raise ConsensusError(
+                f"analyzer not constructed for {onion} over [{start}, {end}]"
+            )
+        if not self._finished:
+            if self._previous is None:
+                raise ConsensusError("no consensus observed to analyze")
+            for pending in self._windows.values():
+                self._advance(pending, self._previous)
+            self._finished = True
+        report = window.report
+        if report.periods_analyzed:
+            report.mean_hsdir_count = window.hsdir_total / report.periods_analyzed
+        return report
+
+    def _advance(
+        self,
+        window: _Window,
+        consensus: Optional[Consensus],
+        until: Optional[Timestamp] = None,
+    ) -> None:
+        """Scan ``window``'s periods that start before ``until`` (all, for
+        ``None``) against ``consensus``; skip them if it is ``None``."""
+        while window.next_period <= window.last_period:
+            period = window.next_period
+            if until is not None and period * DAY - window.offset >= until:
+                return
+            if consensus is not None:
+                self._scan(window, consensus, period)
+            window.next_period += 1
+
+    def _scan(self, window: _Window, consensus: Consensus, period: int) -> None:
+        ring = consensus.hsdir_ring
+        if len(ring) == 0:
+            return
+        report = window.report
+        report.periods_analyzed += 1
+        window.hsdir_total += len(ring)
+        period_index = period - window.first_period
+        period_start = period * DAY - window.offset
+        fresh_limit = self.thresholds.fresh_fingerprint_periods * DAY
+        first_seen = self._first_seen
+        servers = report.servers
+        for replica in range(REPLICAS):
+            desc_id = window.id_entries[period_index * REPLICAS + replica][0]
+            for fingerprint in ring.responsible_for(desc_id):
+                entry = consensus.entry_for(fingerprint)
+                if entry is None:
+                    continue
+                record = servers.get(entry.address)
+                if record is None:
+                    record = servers[entry.address] = ServerRecord(server=entry.address)
+                record.nicknames.add(entry.nickname)
                 record.fingerprints_used.add(fingerprint)
                 record.events.append(
                     ResponsibilityEvent(
                         period_index=period_index,
                         period_start=period_start,
                         fingerprint=fingerprint,
-                        nickname=nickname,
+                        nickname=entry.nickname,
                         replica=replica,
-                        ratio=ratio,
-                        fresh_fingerprint=fresh,
+                        ratio=ring.positioning_ratio(desc_id, fingerprint),
+                        fresh_fingerprint=(
+                            period_start - first_seen[fingerprint] <= fresh_limit
+                        ),
                     )
                 )
-        if hsdir_counts:
-            report.mean_hsdir_count = sum(hsdir_counts) / len(hsdir_counts)
-        return report

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.descriptor_id import descriptor_id
 from repro.crypto.keys import KeyPair
@@ -36,13 +36,13 @@ from repro.crypto.onion import OnionAddress, onion_address_from_key
 from repro.crypto.ring import RING_SIZE
 from repro.detection.analyzer import ServerKey
 from repro.detection.study import SilkroadStudyConfig
-from repro.dirauth.archive import ConsensusArchive
 from repro.net.address import AddressPool
 from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, SimClock, Timestamp, parse_date
 from repro.sim.rng import derive_rng
 
 if TYPE_CHECKING:
+    from repro.dirauth.consensus import Consensus
     from repro.tornet import TorNetwork
 
 SILKROAD_TAKEDOWN = parse_date("2013-10-02")
@@ -56,10 +56,9 @@ AUG_EPISODE_DAY = parse_date("2013-08-31")
 
 @dataclass
 class SilkroadWorld:
-    """The built history plus injection ground truth."""
+    """The study's target plus injection ground truth."""
 
     config: SilkroadStudyConfig
-    archive: ConsensusArchive
     silkroad_onion: OnionAddress
     # entity name -> set of (ip, or_port) server keys it operated
     ground_truth: Dict[str, Set[ServerKey]] = field(default_factory=dict)
@@ -72,27 +71,41 @@ class SilkroadStudy:
 
     def __init__(self, config: Optional[SilkroadStudyConfig] = None) -> None:
         self.config = config if config is not None else SilkroadStudyConfig()
+        # Silk Road's identity (a generated onion stands in for
+        # silkroadvb5piz3r.onion; v2 addresses cannot be forged offline).
+        self._silkroad_key = KeyPair.generate(
+            derive_rng(self.config.seed, "silkroad", "identity")
+        )
+        self.silkroad_onion = onion_address_from_key(self._silkroad_key.public_der)
 
     # ---------------------------------------------------------------- #
 
-    def build(self) -> SilkroadWorld:
-        """Run the 33-month simulation and return the archive."""
+    def build(
+        self, on_consensus: Optional[Callable[[Consensus], None]] = None
+    ) -> SilkroadWorld:
+        """Run the 33-month simulation.
+
+        Each consensus it builds, the priming one included, is handed to
+        ``on_consensus`` (oldest first) and kept no longer than the next
+        build.
+        """
         from repro.tornet import TorNetwork
 
         cfg = self.config
         seed = cfg.seed
         honest_rng = derive_rng(seed, "silkroad", "honest")
         pool = AddressPool(derive_rng(seed, "silkroad", "ips"))
-
-        # Silk Road's identity (a generated onion stands in for
-        # silkroadvb5piz3r.onion; v2 addresses cannot be forged offline).
-        silkroad_key = KeyPair.generate(derive_rng(seed, "silkroad", "identity"))
-        onion = onion_address_from_key(silkroad_key.public_der)
-        permanent_id_offset = (silkroad_key.fingerprint[0] * DAY) // 256
+        onion = self.silkroad_onion
         # permanent id byte 0 equals fingerprint byte 0 by construction of
         # the onion address (both are the first byte of SHA1(public key)).
+        permanent_id_offset = (self._silkroad_key.fingerprint[0] * DAY) // 256
 
-        network = TorNetwork(clock=SimClock(cfg.start - 2 * DAY), keep_archive=True)
+        network = TorNetwork(clock=SimClock(cfg.start - 2 * DAY))
+
+        def rebuild(now: Timestamp) -> None:
+            consensus = network.rebuild_consensus(now)
+            if on_consensus is not None:
+                on_consensus(consensus)
 
         start_count = max(10, round(cfg.hsdir_start_count * cfg.scale))
         end_count = max(start_count, round(cfg.hsdir_end_count * cfg.scale))
@@ -111,16 +124,12 @@ class SilkroadStudy:
             network.add_relay(relay)
         next_relay_index = start_count
 
-        world = SilkroadWorld(
-            config=cfg,
-            archive=network.archive,  # type: ignore[arg-type]
-            silkroad_onion=onion,
-        )
+        world = SilkroadWorld(config=cfg, silkroad_onion=onion)
 
         injectors = self._build_injectors(network, pool, onion, world)
 
         # Prime the consensus so injectors can read the ring size.
-        network.rebuild_consensus(cfg.start - DAY)
+        rebuild(cfg.start - DAY)
 
         # One consensus per descriptor period, aligned to Silk Road's
         # rotation offset (detection operates at period granularity).
@@ -162,7 +171,7 @@ class SilkroadStudy:
             for injector in injectors:
                 injector.before_period(period_start)
 
-            network.rebuild_consensus(period_start)
+            rebuild(period_start)
 
         return world
 

@@ -1,8 +1,7 @@
-"""Directory authorities: flag voting, consensus building, history archive.
+"""Directory authorities: flag voting and consensus building.
 
 The authorities observe every advertised relay (including *shadow* relays
 that never make it into the consensus), accrue uptime, assign flags — HSDir
 after 25 hours — and publish consensuses subject to the two-relays-per-IP
-rule.  The consensus archive retains history for the Section VII
-tracking-detection analysis.
+rule.
 """

@@ -61,8 +61,8 @@ class Consensus:
         init=False, repr=False, default_factory=dict
     )
     _hsdir_ring: Optional[FingerprintRing] = field(init=False, repr=False, default=None)
-    # Built on first use, like the ring: most consensuses (sec7's archive of
-    # daily snapshots) are never filtered, so they never carry these.
+    # Built on first use, like the ring: most consensuses (sec7's daily
+    # snapshots) are never filtered, so they never carry these.
     _flagged: Optional[Dict[RelayFlags, Tuple[ConsensusEntry, ...]]] = field(
         init=False, repr=False, compare=False, default=None
     )

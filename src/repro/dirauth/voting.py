@@ -19,7 +19,7 @@ from repro.relay.relay import Relay
 from repro.sim.clock import DAY, HOUR, Timestamp
 
 # Flag assignment runs once per relay per consensus — hundreds of thousands
-# of times in an archive build — and IntFlag's operators construct a new
+# of times in a multi-year history build — and IntFlag's operators construct a new
 # enum member per ``|``.  The policy therefore works on plain int masks and
 # converts once at the end, through a cache over the handful of masks that
 # actually occur.

@@ -29,7 +29,7 @@ class AddressExhaustedError(NetworkError):
 
 
 class ConsensusError(ReproError):
-    """Consensus construction or archive lookup failed."""
+    """Consensus construction or history analysis failed."""
 
 
 class DescriptorError(ReproError):

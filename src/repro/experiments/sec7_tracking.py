@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro import codec
 from repro.analysis.report import ExperimentReport
 from repro.detection.study import SilkroadStudyConfig
-from repro.parallel.executor import resolve_workers
 from repro.sim.clock import DAY, Timestamp, parse_date
 from repro.store.checkpoint import ArtifactStore, Stage
 
@@ -128,47 +127,34 @@ def run_sec7(
     seed: int = 0,
     scale: float = 1.0,
     config: Optional[SilkroadStudyConfig] = None,
-    world: Optional[SilkroadWorld] = None,
-    workers: Optional[int] = None,
     store: Optional[ArtifactStore] = None,
 ) -> Sec7Result:
     """Regenerate the Section VII analysis.
 
-    With ``store`` (and no pre-built ``world``, whose identity the cache
-    key could not capture) the whole analysis is one checkpoint; a warm
-    run replays just the report.
+    The tracking rules run as the study builds each consensus, so no
+    consensus outlives the next one.  With ``store`` the whole analysis
+    is one checkpoint; a warm run replays just the report.
     """
-    if store is not None and world is None:
+    if config is None:
+        config = SilkroadStudyConfig(seed=seed, scale=scale)
+    if store is not None:
         stage = Stage.of("sec7", __name__, Sec7Result)
-        study_config = (
-            config if config is not None else SilkroadStudyConfig(seed=seed, scale=scale)
-        )
-        key_config = {
-            "seed": seed,
-            "study": asdict(study_config),
-            "workers": resolve_workers(workers),
-        }
-        return store.run(
-            stage,
-            key_config,
-            lambda: run_sec7(seed=seed, scale=scale, config=config, workers=workers),
-        )
+        key_config = {"seed": seed, "study": asdict(config)}
+        return store.run(stage, key_config, lambda: run_sec7(seed=seed, config=config))
     from repro.detection.analyzer import TrackingAnalyzer
     from repro.detection.silkroad import SilkroadStudy
 
-    if world is None:
-        if config is None:
-            config = SilkroadStudyConfig(seed=seed, scale=scale)
-        world = SilkroadStudy(config).build()
+    study = SilkroadStudy(config)
+    analyzer = TrackingAnalyzer(
+        (study.silkroad_onion, parse_date(start_text), parse_date(end_text))
+        for _, start_text, end_text in YEAR_WINDOWS
+    )
+    world = study.build(on_consensus=analyzer.observe)
     result = Sec7Result(world=world)
-    analyzer = TrackingAnalyzer(world.archive)
 
     for year, start_text, end_text in YEAR_WINDOWS:
         yearly = analyzer.analyze(
-            world.silkroad_onion,
-            parse_date(start_text),
-            parse_date(end_text),
-            workers=workers,
+            world.silkroad_onion, parse_date(start_text), parse_date(end_text)
         )
         result.yearly_reports[year] = yearly
         result.likely_by_year[year] = yearly.likely_trackers()

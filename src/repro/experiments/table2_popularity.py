@@ -157,7 +157,7 @@ def _build_honest_network(
 
     rng = derive_rng(seed, "table2", "honest")
     pool = AddressPool(derive_rng(seed, "table2", "ips"))
-    network = TorNetwork(clock=SimClock(start), keep_archive=False)
+    network = TorNetwork(clock=SimClock(start))
     for index in range(relay_count):
         network.add_relay(
             Relay(

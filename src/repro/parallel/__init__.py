@@ -1,8 +1,8 @@
 """Deterministic parallel execution (the only sanctioned concurrency layer).
 
-See :mod:`repro.parallel.executor` for the contract; rule REP007 of
-``repro lint`` keeps raw ``multiprocessing`` / ``concurrent.futures`` use
-out of the rest of the tree.
+See :mod:`repro.parallel.executor` for the contract; source check REP007
+(in ``tests/test_source_checks.py``) keeps raw ``multiprocessing`` /
+``concurrent.futures`` use out of the rest of the tree.
 """
 
 from repro.parallel.executor import (

@@ -24,8 +24,8 @@ Three execution modes, chosen automatically:
   pass closures so they stay in-process and keep their draw order.
 
 This module is the only place allowed to touch ``concurrent.futures`` /
-``multiprocessing`` directly; rule REP007 of ``repro lint`` rejects raw
-use anywhere else.
+``multiprocessing`` directly; source check REP007 (in
+``tests/test_source_checks.py``) rejects raw use anywhere else.
 
 Two robustness hooks ride on the shard structure (both used by
 ``repro.supervise``, neither imported from it):

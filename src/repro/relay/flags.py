@@ -49,7 +49,7 @@ def flags_overlap(flags: RelayFlags, mask: RelayFlags) -> bool:
 
     ``IntFlag.__and__`` constructs a new enum member on every call, which
     dominates the consensus-build hot path (one flag test per relay per
-    snapshot across a multi-year archive).  ``int.__and__`` performs the
+    snapshot across a multi-year history).  ``int.__and__`` performs the
     same bit test at C speed and returns a plain int.
     """
     return bool(int.__and__(flags, mask))

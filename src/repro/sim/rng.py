@@ -41,6 +41,6 @@ def split_rng(rng: random.Random, *path: str) -> random.Random:
     splits at the same parent state but with different paths yield
     uncorrelated streams.  This is the one sanctioned way to fork a stream
     mid-flight; ad-hoc ``random.Random(rng.getrandbits(64))`` re-seeding is
-    rejected by ``repro lint`` (rule REP002).
+    rejected by source check REP002 (in ``tests/test_source_checks.py``).
     """
     return derive_rng(rng.getrandbits(64), *path)

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.crypto.descriptor_id import REPLICAS, DescriptorId, descriptor_id
 from repro.crypto.keys import Fingerprint
 from repro.crypto.onion import OnionAddress
-from repro.dirauth.archive import ConsensusArchive
 from repro.dirauth.authority import DirectoryAuthoritySet
 from repro.dirauth.consensus import Consensus
 from repro.dirauth.voting import FlagPolicy
@@ -125,7 +124,6 @@ class TorNetwork:
         self,
         policy: Optional[FlagPolicy] = None,
         clock: Optional[SimClock] = None,
-        keep_archive: bool = True,
         authority: Optional[DirectoryAuthoritySet] = None,
     ) -> None:
         self.clock = clock if clock is not None else SimClock(0)
@@ -134,7 +132,6 @@ class TorNetwork:
         self.authority = (
             authority if authority is not None else DirectoryAuthoritySet(policy)
         )
-        self.archive = ConsensusArchive() if keep_archive else None
         self._hsdir_servers: Dict[int, HSDirServer] = {}
         self._relays_by_fingerprint: Dict[Fingerprint, Relay] = {}
         self._consensus: Optional[Consensus] = None
@@ -176,9 +173,7 @@ class TorNetwork:
             raise SimulationError("no consensus built yet; call rebuild_consensus")
         return self._consensus
 
-    def rebuild_consensus(
-        self, now: Optional[Timestamp] = None, archive: bool = True
-    ) -> Consensus:
+    def rebuild_consensus(self, now: Optional[Timestamp] = None) -> Consensus:
         """Publish a fresh consensus at ``now`` (default: current clock)."""
         if now is None:
             now = self.clock.now
@@ -187,8 +182,6 @@ class TorNetwork:
         consensus = self.authority.build_consensus(now)
         self._consensus = consensus
         self._relays_by_fingerprint = self.authority.admitted
-        if archive and self.archive is not None:
-            self.archive.append(consensus)
         return consensus
 
     def relay_for_fingerprint(self, fingerprint: Fingerprint) -> Optional[Relay]:

@@ -75,7 +75,6 @@ def build_honest_network(
     seed: int,
     start: Timestamp,
     spec: Optional[HonestNetworkSpec] = None,
-    keep_archive: bool = False,
     rng_label: str = "honest-network",
 ) -> Tuple[TorNetwork, AddressPool]:
     """Stand up a network of seasoned honest relays with a live consensus.
@@ -87,7 +86,7 @@ def build_honest_network(
         spec = HonestNetworkSpec()
     rng = derive_rng(seed, rng_label, "relays")
     pool = AddressPool(derive_rng(seed, rng_label, "ips"))
-    network = TorNetwork(clock=SimClock(start), keep_archive=keep_archive)
+    network = TorNetwork(clock=SimClock(start))
     for index in range(spec.relay_count):
         network.add_relay(
             Relay(

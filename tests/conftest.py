@@ -61,12 +61,11 @@ def make_network(
     seed: int,
     relay_count: int = 150,
     start=parse_date("2013-01-01"),
-    keep_archive: bool = False,
 ):
     """A fresh honest network with ``relay_count`` seasoned relays."""
     rng = derive_rng(seed, "test-net")
     pool = AddressPool(derive_rng(seed, "test-ips"))
-    network = TorNetwork(clock=SimClock(start), keep_archive=keep_archive)
+    network = TorNetwork(clock=SimClock(start))
     for index in range(relay_count):
         network.add_relay(
             Relay(

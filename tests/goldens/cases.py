@@ -1,6 +1,6 @@
 """Small-world experiment artifacts used by goldens and equivalence tests.
 
-Every builder takes a ``workers`` argument and must return **byte-identical
+A builder that takes a ``workers`` argument must return **byte-identical
 text for any value of it** — that is the contract ``repro.parallel.pmap``
 provides and the one thing these cases exist to pin down.  The golden files
 in this directory are the ``workers=1`` renderings; ``regenerate.py``
@@ -147,23 +147,11 @@ def table2_detail_artifact() -> str:
     return "\n".join(lines)
 
 
-def build_sec7_world():
-    """The Silk Road consensus history; independent of the worker count."""
-    from repro.detection.silkroad import SilkroadStudy
-    from repro.detection.study import SilkroadStudyConfig
-
-    return SilkroadStudy(
-        SilkroadStudyConfig(seed=SEC7_SEED, scale=SEC7_SCALE)
-    ).build()
-
-
-def sec7_artifact(workers: Optional[int] = None, world=None) -> str:
-    """Section VII report text; pass ``world`` to amortise the build."""
+def sec7_artifact() -> str:
+    """Section VII report text."""
     from repro.experiments.sec7_tracking import run_sec7
 
-    if world is None:
-        world = build_sec7_world()
-    return run_sec7(world=world, workers=workers).report.format()
+    return run_sec7(seed=SEC7_SEED, scale=SEC7_SCALE).report.format()
 
 
 #: The Section VII worlds ``sec7_detail_small`` pins: the ``sec7_small``
@@ -188,7 +176,7 @@ def sec7_detail_artifact() -> str:
 
     lines = []
     for seed, scale in SEC7_DETAIL_WORLDS:
-        result = run_sec7(seed=seed, scale=scale, workers=1)
+        result = run_sec7(seed=seed, scale=scale)
         lines.append(f"== world seed={seed} scale={scale}")
         for year, start_text, end_text in YEAR_WINDOWS:
             report = result.yearly_reports[year]
@@ -485,7 +473,7 @@ def store_payloads_artifact() -> str:
             workers=1,
             store=store,
         ).ranking
-        run_sec7(seed=ALL_SEED, scale=max(0.1, ALL_SCALE * 4), workers=1, store=store)
+        run_sec7(seed=ALL_SEED, scale=max(0.1, ALL_SCALE * 4), store=store)
         run_harvest(
             seed=ALL_SEED,
             scale=ALL_SCALE,
@@ -1204,10 +1192,6 @@ def _golden_table2() -> str:
     return table2_artifact(workers=1)
 
 
-def _golden_sec7() -> str:
-    return sec7_artifact(workers=1)
-
-
 def _golden_metrics() -> str:
     return pipeline_artifacts(workers=1)["metrics_small"]
 
@@ -1227,7 +1211,7 @@ GOLDEN_CASES = {
     "models_shipped": models_artifact,
     "sec6_small": sec6_artifact,
     "sec7_detail_small": sec7_detail_artifact,
-    "sec7_small": _golden_sec7,
+    "sec7_small": sec7_artifact,
     "source_checks": source_checks_artifact,
     "serve_wire_small": serve_wire_artifact,
     "store_payloads": store_payloads_artifact,

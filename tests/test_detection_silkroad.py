@@ -1,45 +1,89 @@
 """Tests for repro.detection.silkroad — the full case study (reduced scale)."""
 
+import bisect
+
 import pytest
 
 from repro.detection.analyzer import TrackingAnalyzer
 from repro.detection.silkroad import SilkroadStudy
 from repro.detection.study import SilkroadStudyConfig
 from repro.errors import AttackError
-from repro.sim.clock import parse_date
+from repro.sim.clock import DAY, parse_date
+
+YEARS = {
+    "year1": ("2011-02-01", "2011-12-31"),
+    "year2": ("2012-01-01", "2012-12-31"),
+    "year3": ("2013-01-01", "2013-10-31"),
+}
 
 
 @pytest.fixture(scope="module")
-def world():
-    """A 20%-scale build of the full 33-month study (module-scoped: ~2 s)."""
-    return SilkroadStudy(SilkroadStudyConfig(scale=0.2, seed=5)).build()
+def built():
+    """A 20%-scale build of the full 33-month study (module-scoped: ~2 s),
+    analysed as it is built; each consensus is recorded as
+    ``(valid_after, hsdir_count)``."""
+    study = SilkroadStudy(SilkroadStudyConfig(scale=0.2, seed=5))
+    analyzer = TrackingAnalyzer(
+        (study.silkroad_onion, parse_date(start), parse_date(end))
+        for start, end in YEARS.values()
+    )
+    recorded = []
+
+    def on_consensus(consensus):
+        recorded.append((consensus.valid_after, consensus.hsdir_count))
+        analyzer.observe(consensus)
+
+    world = study.build(on_consensus=on_consensus)
+    return world, analyzer, recorded
 
 
 @pytest.fixture(scope="module")
-def yearly(world):
-    analyzer = TrackingAnalyzer(world.archive)
+def world(built):
+    return built[0]
+
+
+@pytest.fixture(scope="module")
+def recorded(built):
+    return built[2]
+
+
+@pytest.fixture(scope="module")
+def yearly(built):
+    world, analyzer, _ = built
     return {
-        "year1": analyzer.analyze(
-            world.silkroad_onion, parse_date("2011-02-01"), parse_date("2011-12-31")
-        ),
-        "year2": analyzer.analyze(
-            world.silkroad_onion, parse_date("2012-01-01"), parse_date("2012-12-31")
-        ),
-        "year3": analyzer.analyze(
-            world.silkroad_onion, parse_date("2013-01-01"), parse_date("2013-10-31")
-        ),
+        year: analyzer.analyze(world.silkroad_onion, parse_date(start), parse_date(end))
+        for year, (start, end) in YEARS.items()
     }
 
 
+def hsdir_count_at(recorded, ts):
+    """The ring size of the consensus in force at ``ts``."""
+    index = bisect.bisect_right([valid_after for valid_after, _ in recorded], ts) - 1
+    return recorded[index][1]
+
+
 class TestWorldConstruction:
-    def test_archive_spans_the_study(self, world):
-        first, last = world.archive.span
+    def test_history_spans_the_study(self, recorded):
+        first, last = recorded[0][0], recorded[-1][0]
         assert first <= parse_date("2011-02-02")
         assert last >= parse_date("2013-10-29")
 
-    def test_ring_grows(self, world):
-        early = world.archive.at(parse_date("2011-03-01")).hsdir_count
-        late = world.archive.at(parse_date("2013-10-01")).hsdir_count
+    def test_history_is_strictly_ordered(self, recorded):
+        times = [valid_after for valid_after, _ in recorded]
+        assert times == sorted(set(times))
+
+    def test_priming_consensus_is_handed_over(self, world, recorded):
+        assert recorded[0][0] == world.config.start - DAY
+
+    def test_build_without_a_callback_builds_the_same_world(self, world):
+        again = SilkroadStudy(world.config).build()
+        assert again.silkroad_onion == world.silkroad_onion
+        assert again.ground_truth == world.ground_truth
+        assert again.campaigns == world.campaigns
+
+    def test_ring_grows(self, recorded):
+        early = hsdir_count_at(recorded, parse_date("2011-03-01"))
+        late = hsdir_count_at(recorded, parse_date("2013-10-01"))
         assert late > early * 1.8  # 757 → 1,862 in the paper (scaled)
 
     def test_ground_truth_entities_present(self, world):

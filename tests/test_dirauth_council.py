@@ -130,7 +130,7 @@ class TestCouncilWithNetwork:
         from repro.tornet import TorNetwork
 
         council = make_council(misreachability=0.01)
-        network = TorNetwork(clock=SimClock(0), authority=council, keep_archive=False)
+        network = TorNetwork(clock=SimClock(0), authority=council)
         pool = AddressPool(derive_rng(5, "ips"))
         rng = derive_rng(5, "relays")
         for index in range(60):

@@ -54,7 +54,7 @@ def ring_builds(monkeypatch):
 
 
 def test_cold_sec7_and_harvest_build_rings_from_diffs(ring_builds):
-    run_sec7(seed=6, scale=0.1, workers=1)
+    run_sec7(seed=6, scale=0.1)
     run_harvest(seed=4, scale=0.02, ip_count=8, relays_per_ip=8, sweep_hours=4)
     assert ring_builds["consensuses"] > 100
     assert ring_builds["full"] <= ring_builds["membership_changed"]

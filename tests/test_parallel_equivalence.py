@@ -16,10 +16,8 @@ from repro.crypto.onion import onion_address_from_key
 from repro.popularity.resolver import DescriptorResolver
 from repro.sim.clock import parse_date
 from tests.goldens.cases import (
-    build_sec7_world,
     faulted_pipeline_artifacts,
     pipeline_artifacts,
-    sec7_artifact,
     table2_artifact,
 )
 
@@ -71,7 +69,7 @@ class TestResolverEquivalence:
 
 
 class TestExperimentEquivalence:
-    """fig1, fig2, table2 and sec7 report text at workers = 1, 2, 8."""
+    """fig1, fig2 and table2 report text at workers = 1, 2, 8."""
 
     def test_fig1_and_fig2_byte_identical(self):
         runs = [pipeline_artifacts(workers=workers) for workers in WORKER_COUNTS]
@@ -82,14 +80,6 @@ class TestExperimentEquivalence:
     def test_table2_byte_identical(self):
         texts = {table2_artifact(workers=workers) for workers in WORKER_COUNTS}
         assert len(texts) == 1, "table2 report differs across worker counts"
-
-    def test_sec7_byte_identical(self):
-        world = build_sec7_world()
-        texts = {
-            sec7_artifact(workers=workers, world=world)
-            for workers in WORKER_COUNTS
-        }
-        assert len(texts) == 1, "sec7 report differs across worker counts"
 
 
 class TestFaultedEquivalence:
